@@ -23,15 +23,17 @@ class CholeskyRun {
         b_(cfg.b),
         tile_elems_(static_cast<std::size_t>(cfg.b) * cfg.b),
         tile_bytes_(tile_elems_ * sizeof(double)),
-        a_(linalg::generate_spd(cfg.nt, cfg.b, cfg.seed)),
+        gen_(cfg.nt * cfg.b, cfg.seed),
         present_(static_cast<std::size_t>(cfg.nt) * cfg.nt, 0),
         tiles_(lower_tiles() * tile_elems_) {
     NARMA_CHECK(nt_ * nt_ < mp::kMaxUserTag)
         << "tile coordinate does not fit the tag encoding (nt too large)";
-    // Seed the packed lower-triangle storage from the generated matrix.
-    for (int i = 0; i < nt_; ++i)
-      for (int k = 0; k <= i; ++k)
-        std::copy_n(a_.tile(i, k), tile_elems_, tile(i, k));
+    // Generate only the tiles of the owned columns; every other slot is
+    // filled by the broadcast before it is read.
+    for (int j = 0; j < nt_; ++j) {
+      if (owner(j) != p_) continue;
+      for (int i = j; i < nt_; ++i) gen_.fill_tile(i, j, b_, tile(i, j));
+    }
 
     tile_win_ = self_.rma().create(tiles_.data(),
                                    tiles_.size() * sizeof(double),
@@ -200,7 +202,7 @@ class CholeskyRun {
   const CholeskyConfig& cfg_;
   int p_, n_, nt_, b_;
   std::size_t tile_elems_, tile_bytes_;
-  linalg::TiledMatrix a_;  // pristine copy for verification
+  linalg::SpdGenerator gen_;  // regenerates A's entries for verification
   std::vector<char> present_;
   std::vector<double> tiles_;  // packed lower-triangle tile storage
   std::unique_ptr<rma::Window> tile_win_;
@@ -300,23 +302,25 @@ CholeskyResult CholeskyRun::run() {
   res.gflops = (dim * dim * dim / 3.0) / el_max / 1e9;
 
   if (cfg_.verify) {
-    // Off-diagonal factor tiles are everywhere (broadcast); gather the
-    // diagonal tiles to rank 0 and check the residual there.
-    for (int j = 0; j < nt_; ++j) {
-      const int o = owner(j);
-      if (o == 0) continue;
-      if (p_ == o) self_.send(tile(j, j), tile_bytes_, 0, coord_of(j, j));
-      if (p_ == 0) self_.recv(tile(j, j), tile_bytes_, o, coord_of(j, j));
-    }
-    if (p_ == 0) {
-      linalg::TiledMatrix l(nt_, b_);
-      for (int i = 0; i < nt_; ++i)
-        for (int k = 0; k <= i; ++k)
-          std::copy_n(tile(i, k), tile_elems_, l.tile(i, k));
-      res.residual = linalg::cholesky_residual(a_, l);
-      res.verified = res.residual >= 0 && res.residual < 1e-10;
-    }
-    self_.barrier();
+    // Each sampled entry (i, j), i >= j, is checked by the owner of tile
+    // column j / b: the strictly-lower factor tiles it reads were broadcast
+    // to every rank, and the diagonal one is its own. The partial sums are
+    // combined in rank order, so every rank reports the same residual.
+    const auto l_tile = [&](int ti, int tk) -> const double* {
+      return tile(ti, tk);
+    };
+    linalg::ResidualSums mine;
+    linalg::for_each_residual_entry(nt_ * b_, [&](int row, int col) {
+      const int i = std::max(row, col), j = std::min(row, col);
+      if (owner(j / b_) != p_) return;
+      mine.add(gen_.entry(i, j), linalg::llt_entry(i, j, b_, l_tile));
+    });
+    std::vector<linalg::ResidualSums> parts(static_cast<std::size_t>(n_));
+    mp::allgather(self_.mp(), &mine, sizeof(mine), parts.data());
+    linalg::ResidualSums total;
+    for (const linalg::ResidualSums& part : parts) total += part;
+    res.residual = total.relative();
+    res.verified = res.residual < 1e-10;
   }
   return res;
 }

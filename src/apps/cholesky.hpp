@@ -41,19 +41,20 @@ struct CholeskyConfig {
   int b = 32;          // tile dimension (32x32 doubles = 8 KB transfers)
   std::uint64_t seed = 42;
   CholeskyVariant variant = CholeskyVariant::kNotified;
-  bool verify = true;  // gather the factor and check || A - LL^T ||
+  bool verify = true;  // check || A - LL^T || on each column's owner
   /// Modeled kernel rate in GFlop/s: tile kernels are charged
   /// flops/model_gflops of virtual time (they still execute for
-  /// verification). 0 = charge the measured host time of the naive kernels
+  /// verification). 0 = charge the measured host time of the kernels
   /// (host-dependent compute/communication balance).
   double model_gflops = 0;
 };
 
+/// Every field holds the same value on every rank.
 struct CholeskyResult {
   Time elapsed = 0;       // virtual time, max over ranks
   double gflops = 0;      // (n^3 / 3) / elapsed
-  double residual = -1;   // || A - LL^T ||_F / || A ||_F (rank 0, if verify)
-  bool verified = false;  // residual below tolerance (rank 0)
+  double residual = -1;   // || A - LL^T ||_F / || A ||_F (if verify)
+  bool verified = false;  // residual below tolerance
 };
 
 /// Collective. Requires nt*nt below the tag-encoding limit (checked).

@@ -35,29 +35,51 @@ void trsm_right_lower_trans(const double* l, double* a, int b) {
   }
 }
 
-void syrk_lower(const double* a, double* c, int b) {
-  for (int i = 0; i < b; ++i) {
-    for (int j = 0; j < b; ++j) {
+namespace {
+
+/// C -= A * B^T. Four output columns per pass, each with its own
+/// accumulator, so the k loop is not bound by one add chain; every dot
+/// product still sums in ascending k order, bit-identical to the one-column
+/// loop.
+void update_nt(const double* a, const double* bt, double* c, int b) {
+  const auto ub = static_cast<std::size_t>(b);
+  for (std::size_t i = 0; i < ub; ++i) {
+    const double* ai = a + i * ub;
+    double* ci = c + i * ub;
+    std::size_t j = 0;
+    for (; j + 4 <= ub; j += 4) {
+      const double* b0 = bt + j * ub;
+      const double* b1 = b0 + ub;
+      const double* b2 = b1 + ub;
+      const double* b3 = b2 + ub;
+      double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+      for (std::size_t k = 0; k < ub; ++k) {
+        const double x = ai[k];
+        s0 += x * b0[k];
+        s1 += x * b1[k];
+        s2 += x * b2[k];
+        s3 += x * b3[k];
+      }
+      ci[j] -= s0;
+      ci[j + 1] -= s1;
+      ci[j + 2] -= s2;
+      ci[j + 3] -= s3;
+    }
+    for (; j < ub; ++j) {
+      const double* bj = bt + j * ub;
       double s = 0;
-      const double* ai = a + static_cast<std::size_t>(i) * b;
-      const double* aj = a + static_cast<std::size_t>(j) * b;
-      for (int k = 0; k < b; ++k) s += ai[k] * aj[k];
-      c[static_cast<std::size_t>(i) * b + j] -= s;
+      for (std::size_t k = 0; k < ub; ++k) s += ai[k] * bj[k];
+      ci[j] -= s;
     }
   }
 }
 
+}  // namespace
+
+void syrk_lower(const double* a, double* c, int b) { update_nt(a, a, c, b); }
+
 void gemm_nt(const double* a, const double* bt, double* c, int b) {
-  for (int i = 0; i < b; ++i) {
-    const double* ai = a + static_cast<std::size_t>(i) * b;
-    double* ci = c + static_cast<std::size_t>(i) * b;
-    for (int j = 0; j < b; ++j) {
-      const double* bj = bt + static_cast<std::size_t>(j) * b;
-      double s = 0;
-      for (int k = 0; k < b; ++k) s += ai[k] * bj[k];
-      ci[j] -= s;
-    }
-  }
+  update_nt(a, bt, c, b);
 }
 
 double flops_potrf(int b) {

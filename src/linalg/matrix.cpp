@@ -1,9 +1,9 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/rng.hpp"
 #include "linalg/kernels.hpp"
 
 namespace narma::linalg {
@@ -32,30 +32,39 @@ double TiledMatrix::at(int row, int col) const {
   return const_cast<TiledMatrix*>(this)->at(row, col);
 }
 
-TiledMatrix generate_spd(int nt, int b, std::uint64_t seed) {
-  // A = n*I + sum_k u_k u_k^T: symmetric positive definite by construction
-  // and O(n^2 * k) to build (a dense M M^T product would be O(n^3), which
-  // dominates benchmark wall time for large weak-scaling matrices).
-  constexpr int kRankUpdates = 4;
-  const int n = nt * b;
+SpdGenerator::SpdGenerator(int n, std::uint64_t seed)
+    : n_(n), u_(static_cast<std::size_t>(n) * kRankUpdates) {
+  // A rank-4 update of a scaled identity is O(n^2 * 4) to build (a dense
+  // M M^T product would be O(n^3), which dominates benchmark wall time for
+  // large weak-scaling matrices). Draw order: all of u_0, then u_1, ...
+  NARMA_CHECK(n >= 1);
   Xoshiro256 rng(seed);
-  std::vector<std::vector<double>> u(kRankUpdates,
-                                     std::vector<double>(
-                                         static_cast<std::size_t>(n)));
-  for (auto& vec : u)
-    for (auto& v : vec) v = 2.0 * rng.next_double() - 1.0;
+  for (int k = 0; k < kRankUpdates; ++k)
+    for (int i = 0; i < n; ++i)
+      u_[static_cast<std::size_t>(i) * kRankUpdates + k] =
+          2.0 * rng.next_double() - 1.0;
+}
 
+double SpdGenerator::entry(int row, int col) const {
+  const double* ur = u_.data() + static_cast<std::size_t>(row) * kRankUpdates;
+  const double* uc = u_.data() + static_cast<std::size_t>(col) * kRankUpdates;
+  double s = row == col ? static_cast<double>(n_) : 0.0;
+  for (int k = 0; k < kRankUpdates; ++k) s += ur[k] * uc[k];
+  return s;
+}
+
+void SpdGenerator::fill_tile(int ti, int tj, int b, double* out) const {
+  NARMA_CHECK(ti >= 0 && tj >= 0 && (ti + 1) * b <= n_ && (tj + 1) * b <= n_);
+  for (int r = 0; r < b; ++r)
+    for (int c = 0; c < b; ++c)
+      *out++ = entry(ti * b + r, tj * b + c);
+}
+
+TiledMatrix generate_spd(int nt, int b, std::uint64_t seed) {
+  const SpdGenerator gen(nt * b, seed);
   TiledMatrix a(nt, b);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j <= i; ++j) {
-      double s = i == j ? static_cast<double>(n) : 0.0;
-      for (int k = 0; k < kRankUpdates; ++k)
-        s += u[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)] *
-             u[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)];
-      a.at(i, j) = s;
-      a.at(j, i) = s;
-    }
-  }
+  for (int i = 0; i < nt; ++i)
+    for (int j = 0; j < nt; ++j) gen.fill_tile(i, j, b, a.tile(i, j));
   return a;
 }
 
@@ -83,37 +92,19 @@ double frobenius(const TiledMatrix& a) {
   return std::sqrt(s);
 }
 
+double ResidualSums::relative() const {
+  return ref2 == 0 ? 0 : std::sqrt(diff2 / ref2);
+}
+
 double cholesky_residual(const TiledMatrix& a, const TiledMatrix& l) {
   NARMA_CHECK(a.dim() == l.dim() && a.tile_dim() == l.tile_dim());
-  const int n = a.dim();
-  // Reconstructing L*L^T exactly is O(n^3); above this size, estimate the
-  // relative residual from a deterministic random sample of entries (every
-  // sampled entry of A - L L^T is still computed exactly).
-  constexpr int kExactLimit = 384;
-  constexpr std::size_t kSamples = 1 << 16;
-
-  double res = 0, ref = 0;
-  auto accumulate = [&](int i, int j) {
-    double s = 0;
-    const int kmax = std::min(i, j);
-    for (int k = 0; k <= kmax; ++k) s += l.at(i, k) * l.at(j, k);
-    const double d = a.at(i, j) - s;
-    res += d * d;
-    ref += a.at(i, j) * a.at(i, j);
-  };
-
-  if (n <= kExactLimit) {
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < n; ++j) accumulate(i, j);
-  } else {
-    Xoshiro256 rng(0x5eedu + static_cast<std::uint64_t>(n));
-    for (std::size_t s = 0; s < kSamples; ++s)
-      accumulate(static_cast<int>(rng.next_below(
-                     static_cast<std::uint64_t>(n))),
-                 static_cast<int>(rng.next_below(
-                     static_cast<std::uint64_t>(n))));
-  }
-  return ref == 0 ? 0 : std::sqrt(res / ref);
+  const auto l_tile = [&](int ti, int tk) { return l.tile(ti, tk); };
+  ResidualSums sums;
+  for_each_residual_entry(a.dim(), [&](int row, int col) {
+    const int i = std::max(row, col), j = std::min(row, col);
+    sums.add(a.at(i, j), llt_entry(i, j, a.tile_dim(), l_tile));
+  });
+  return sums.relative();
 }
 
 double max_lower_diff(const TiledMatrix& a, const TiledMatrix& b) {

@@ -4,7 +4,11 @@
 // reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "apps/cholesky.hpp"
+#include "linalg/matrix.hpp"
 
 using namespace narma;
 using namespace narma::apps;
@@ -50,6 +54,55 @@ INSTANTIATE_TEST_SUITE_P(
                       CholCase{4, 8, 16, CholeskyVariant::kNotified},
                       CholCase{5, 7, 8, CholeskyVariant::kNotified},
                       CholCase{8, 8, 8, CholeskyVariant::kNotified}),
+    [](const auto& info) {
+      return std::string(to_string(info.param.variant)) + "_r" +
+             std::to_string(info.param.ranks) + "_nt" +
+             std::to_string(info.param.nt) + "_b" +
+             std::to_string(info.param.b);
+    });
+
+// Exact mode (n <= 384): every entry of A - LL^T is checked. Each entry is
+// bit-identical to the sequential reference's; only the order in which the
+// squares are summed differs.
+class CholVsReference : public ::testing::TestWithParam<CholCase> {};
+
+TEST_P(CholVsReference, ResidualOnEveryRankMatchesSequential) {
+  const auto [ranks, nt, b, variant] = GetParam();
+  constexpr std::uint64_t kSeed = 42;
+  World world(ranks);
+  std::vector<CholeskyResult> res(static_cast<std::size_t>(ranks));
+  world.run([&](Rank& self) {
+    CholeskyConfig cfg;
+    cfg.nt = nt;
+    cfg.b = b;
+    cfg.seed = kSeed;
+    cfg.variant = variant;
+    res[static_cast<std::size_t>(self.id())] = run_cholesky(self, cfg);
+  });
+
+  const auto a = linalg::generate_spd(nt, b, kSeed);
+  auto l = a;
+  ASSERT_TRUE(linalg::cholesky_tiled_reference(l));
+  const double ref = linalg::cholesky_residual(a, l);
+  ASSERT_GT(ref, 0.0);
+  for (int r = 0; r < ranks; ++r) {
+    const CholeskyResult& got = res[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(got.verified) << "rank " << r;
+    EXPECT_LE(std::fabs(got.residual - ref), 1e-9 * ref)
+        << "rank " << r << ": " << got.residual << " vs " << ref;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Exact, CholVsReference,
+    // 6 ranks on 4 columns: ranks 4 and 5 own none. b = 10 runs the update
+    // kernels' remainder columns.
+    ::testing::Values(CholCase{6, 4, 16, CholeskyVariant::kMessagePassing},
+                      CholCase{6, 4, 16, CholeskyVariant::kOneSided},
+                      CholCase{6, 4, 16, CholeskyVariant::kNotified},
+                      CholCase{3, 7, 10, CholeskyVariant::kMessagePassing},
+                      CholCase{3, 7, 10, CholeskyVariant::kOneSided},
+                      CholCase{3, 7, 10, CholeskyVariant::kNotified}),
     [](const auto& info) {
       return std::string(to_string(info.param.variant)) + "_r" +
              std::to_string(info.param.ranks) + "_nt" +

@@ -163,7 +163,7 @@ TEST(ObsAggregate, GaugeOutliersTrackHighWater) {
   // Rank 5 spikes to 90 then settles; rank 2 climbs to 70. The outlier set
   // must rank by high-water (the running max), not the final level.
   for (int r = 0; r < 8; ++r)
-    gs[static_cast<std::size_t>(r)].set(r, Time{r + 1});
+    gs[static_cast<std::size_t>(r)].set(r, static_cast<Time>(r + 1));
   gs[5].set(90, Time{10});
   gs[5].set(1, Time{11});
   gs[2].set(70, Time{12});
@@ -256,13 +256,13 @@ TEST(ObsJournal, FaultDropsAreRecordedDeterministically) {
 TEST(ObsJournal, RingKeepsMostRecentRecords) {
   obs::Journal j(4);
   for (int i = 0; i < 10; ++i)
-    j.append(obs::JournalKind::kPressure, Time{i}, i);
+    j.append(obs::JournalKind::kPressure, static_cast<Time>(i), i);
   EXPECT_EQ(j.appended(), 10u);
   EXPECT_EQ(j.dropped(), 6u);
   const auto recs = j.records();
   ASSERT_EQ(recs.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(recs[static_cast<std::size_t>(i)].t, Time{i + 6});
+    EXPECT_EQ(recs[static_cast<std::size_t>(i)].t, static_cast<Time>(i + 6));
     EXPECT_EQ(recs[static_cast<std::size_t>(i)].rank, i + 6);
   }
 }
