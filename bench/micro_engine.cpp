@@ -1,14 +1,12 @@
 // Simulator event-core throughput: the real-time cost of post+pop+dispatch,
 // the floor under every experiment in the suite (DESIGN.md §8).
 //
-// Two measurements, each for both event-queue implementations
-// (SimParams::event_queue = legacy binary heap vs calendar queue):
+// Two measurements of the calendar event queue:
 //
 //  * Hold-model throughput — a classic calendar-queue workload: K=1024
 //    self-sustaining event chains, each handler reposting one successor at a
 //    random near-future delay, until N total events have executed. Closures
-//    capture 40 bytes (the NIC delivery shape): inline for the calendar
-//    queue's InlineFn, a heap allocation for the legacy std::function.
+//    capture 40 bytes (the NIC delivery shape), stored inline in InlineFn.
 //    Reported as events/sec at N = 1k / 100k / 10M.
 //
 //  * Post/pop split — N events pre-posted at random times in a 1 ms window,
@@ -17,11 +15,10 @@
 //
 // NARMA_SCALE shrinks the event counts for smoke runs; NARMA_REPS sets the
 // repetitions (best-of is reported). CI regression gating:
-// tools/check_engine_baseline.py compares the NARMA_JSON export against the
-// committed bench/BENCH_engine.json.
+// tools/check_engine_baseline.py holds the NARMA_JSON export to an absolute
+// events/s floor derived from the committed bench/BENCH_engine.json.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -34,19 +31,8 @@ namespace {
 
 using namespace narma;
 
-const char* queue_name(sim::EventQueue q) {
-  return q == sim::EventQueue::kCalendar ? "calendar" : "legacy";
-}
-
-sim::SimParams make_params(sim::EventQueue q) {
-  sim::SimParams sp;
-  sp.event_queue = q;
-  return sp;
-}
-
 // 40-byte capture: engine/state pointer plus NIC-delivery-shaped payload
-// words. Fits InlineFn's 48-byte inline buffer; exceeds libstdc++'s
-// 16-byte std::function SBO, so the legacy path allocates per event.
+// words. Fits InlineFn's 48-byte inline buffer.
 struct Hold {
   sim::Engine* eng = nullptr;
   Xoshiro256 rng{42};
@@ -75,10 +61,10 @@ void post_chain(Hold& h, Time t) {
 }
 
 /// Runs the hold model to completion; returns wall nanoseconds for the whole
-/// post+drain phase (measured on the rank thread, which the engine resumes
+/// post+drain phase (measured on the rank fiber, which the engine resumes
 /// only after the last event has executed).
-std::uint64_t run_hold(sim::EventQueue q, std::uint64_t n) {
-  sim::Engine eng(1, make_params(q));
+std::uint64_t run_hold(std::uint64_t n) {
+  sim::Engine eng(1);
   Hold h;
   h.eng = &eng;
   h.target = n;
@@ -108,8 +94,8 @@ struct SplitResult {
 
 /// Pre-posts n events at random times in a 1 ms window, then drains; times
 /// the two loops separately.
-SplitResult run_split(sim::EventQueue q, std::uint64_t n) {
-  sim::Engine eng(1, make_params(q));
+SplitResult run_split(std::uint64_t n) {
+  sim::Engine eng(1);
   Hold h;
   h.eng = &eng;
   h.target = n;  // no chaining: posted == target stops reposts
@@ -153,47 +139,30 @@ int main() {
     sizes.push_back(std::max<std::uint64_t>(
         1000, static_cast<std::uint64_t>(static_cast<double>(n) * scale)));
 
-  Table thr({"queue", "events", "wall ms", "Mevents/s"});
-  double legacy_largest = 0, calendar_largest = 0;
-  for (sim::EventQueue q :
-       {sim::EventQueue::kLegacyHeap, sim::EventQueue::kCalendar}) {
-    for (std::uint64_t n : sizes) {
-      std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-      for (int rep = 0; rep < reps; ++rep)
-        best = std::min(best, run_hold(q, n));
-      const double mps = static_cast<double>(n) * 1e3 /
-                         static_cast<double>(best);
-      if (n == sizes.back()) {
-        (q == sim::EventQueue::kCalendar ? calendar_largest
-                                         : legacy_largest) = mps;
-      }
-      thr.add_row({queue_name(q), Table::fmt(static_cast<std::size_t>(n)),
-                   Table::fmt(static_cast<double>(best) / 1e6, 1),
-                   Table::fmt(mps, 2)});
-    }
+  Table thr({"events", "wall ms", "Mevents/s"});
+  for (std::uint64_t n : sizes) {
+    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+    for (int rep = 0; rep < reps; ++rep) best = std::min(best, run_hold(n));
+    const double mps =
+        static_cast<double>(n) * 1e3 / static_cast<double>(best);
+    thr.add_row({Table::fmt(static_cast<std::size_t>(n)),
+                 Table::fmt(static_cast<double>(best) / 1e6, 1),
+                 Table::fmt(mps, 2)});
   }
   bench::print(thr);
-  if (legacy_largest > 0)
-    std::printf("calendar/legacy speedup at %llu events: %.2fx\n",
-                static_cast<unsigned long long>(sizes.back()),
-                calendar_largest / legacy_largest);
 
   bench::header("micro_engine_split", "post vs pop+dispatch latency");
   const std::uint64_t split_n = std::max<std::uint64_t>(
       1000, static_cast<std::uint64_t>(100000 * scale));
   bench::note("pre-posted at random times in a 1 ms window, then drained; "
               "n=" + std::to_string(split_n));
-  Table split({"queue", "ns/post", "ns/pop+dispatch"});
-  for (sim::EventQueue q :
-       {sim::EventQueue::kLegacyHeap, sim::EventQueue::kCalendar}) {
-    SplitResult best{1e30, 1e30};
-    for (int rep = 0; rep < reps; ++rep) {
-      const SplitResult r = run_split(q, split_n);
-      if (r.ns_post + r.ns_pop < best.ns_post + best.ns_pop) best = r;
-    }
-    split.add_row({queue_name(q), Table::fmt(best.ns_post, 1),
-                   Table::fmt(best.ns_pop, 1)});
+  SplitResult best{1e30, 1e30};
+  for (int rep = 0; rep < reps; ++rep) {
+    const SplitResult r = run_split(split_n);
+    if (r.ns_post + r.ns_pop < best.ns_post + best.ns_pop) best = r;
   }
+  Table split({"ns/post", "ns/pop+dispatch"});
+  split.add_row({Table::fmt(best.ns_post, 1), Table::fmt(best.ns_pop, 1)});
   bench::print(split);
   return 0;
 }

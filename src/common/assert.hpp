@@ -6,7 +6,7 @@
 //
 // These abort rather than throw: NARMA models an HPC communication runtime
 // where a violated invariant means the simulation state is unrecoverable, and
-// aborting from a cooperative rank thread is safe (no partially-unwound locks
+// aborting from a cooperative rank fiber is safe (no partially-unwound locks
 // are shared across ranks).
 #pragma once
 

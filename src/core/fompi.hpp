@@ -20,9 +20,9 @@
 //
 // All calls return FOMPI_SUCCESS; hard errors abort (as NARMA does
 // throughout). The binding is stored on the rank's own execution context
-// (RankCtx::user_data), so every simulated rank binds its own context —
-// including under the fiber engine, where all ranks share one OS thread
-// and a thread_local could not tell them apart.
+// (RankCtx::user_data), so every simulated rank binds its own context: all
+// rank fibers share one OS thread, where a thread_local could not tell them
+// apart.
 #pragma once
 
 #include <memory>

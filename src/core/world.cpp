@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
@@ -12,34 +13,40 @@ namespace narma {
 
 namespace {
 
+// Reads an enum-valued env knob. Unset (or empty) keeps `current`; a value
+// outside `accepted` is fatal, naming the variable and what it accepts, so
+// a typo never silently runs the default configuration.
+template <class E, std::size_t N>
+E env_enum(const char* name, E current,
+           const std::pair<const char*, E> (&accepted)[N]) {
+  const std::string v = env::get_string(name, "");
+  if (v.empty()) return current;
+  std::string names;
+  for (const auto& [label, value] : accepted) {
+    if (v == label) return value;
+    names += names.empty() ? label : std::string("|") + label;
+  }
+  fatal_error(std::string(name) + "=" + v + " is not recognized (accepted: " +
+              names + ")");
+}
+
 WorldParams resolve_params(WorldParams p) {
-  // Ablation override (see WorldParams::sim). Unknown values keep the
-  // configured queue.
-  const std::string q = env::get_string("NARMA_EVENT_QUEUE", "");
-  if (q == "legacy") p.sim.event_queue = sim::EventQueue::kLegacyHeap;
-  if (q == "calendar") p.sim.event_queue = sim::EventQueue::kCalendar;
-  // Execution-model override (see sim::ExecModel). Unknown values keep the
-  // configured model; NARMA_STACK_KB resizes the per-rank fiber stack.
-  const std::string ex = env::get_string("NARMA_EXEC", "");
-  if (ex == "threads") p.sim.exec_model = sim::ExecModel::kThreads;
-  if (ex == "fibers") p.sim.exec_model = sim::ExecModel::kFibers;
+  // NARMA_STACK_KB resizes the per-rank fiber stack.
   const std::int64_t stack_kb = env::get_int(
       "NARMA_STACK_KB", static_cast<std::int64_t>(p.sim.stack_bytes / 1024));
   if (stack_kb > 0) p.sim.stack_bytes = static_cast<std::size_t>(stack_kb) * 1024;
-  // Fault-model overrides (see net::FaultParams and DESIGN.md §10). Unknown
-  // NARMA_OVERFLOW values keep the configured policy.
-  const std::string o = env::get_string("NARMA_OVERFLOW", "");
-  if (o == "fatal")
-    p.fabric.faults.overflow_policy = net::OverflowPolicy::kFatal;
-  if (o == "backpressure")
-    p.fabric.faults.overflow_policy = net::OverflowPolicy::kBackpressure;
+  // Fault-model overrides (see net::FaultParams and DESIGN.md §10).
+  p.fabric.faults.overflow_policy = env_enum(
+      "NARMA_OVERFLOW", p.fabric.faults.overflow_policy,
+      {{"fatal", net::OverflowPolicy::kFatal},
+       {"backpressure", net::OverflowPolicy::kBackpressure}});
   // Inter-node transport backend (see net::TransportBackend and DESIGN.md
-  // §11). Unknown values keep the configured backend; shm is not a valid
-  // inter-node transport, so it is not accepted here.
-  const std::string tr = env::get_string("NARMA_TRANSPORT", "");
-  if (tr == "aries") p.fabric.inter_node = net::BackendKind::kAries;
-  if (tr == "ramc") p.fabric.inter_node = net::BackendKind::kRamc;
-  if (tr == "verbs") p.fabric.inter_node = net::BackendKind::kVerbs;
+  // §11); shm is not a valid inter-node transport, so it is not accepted.
+  p.fabric.inter_node =
+      env_enum("NARMA_TRANSPORT", p.fabric.inter_node,
+               {{"aries", net::BackendKind::kAries},
+                {"ramc", net::BackendKind::kRamc},
+                {"verbs", net::BackendKind::kVerbs}});
   net::FaultParams& f = p.fabric.faults;
   f.seed = static_cast<std::uint64_t>(
       env::get_int("NARMA_FAULT_SEED", static_cast<std::int64_t>(f.seed)));
@@ -52,11 +59,10 @@ WorldParams resolve_params(WorldParams p) {
   f.fail_rate = env::get_double("NARMA_FT_FAIL_RATE", f.fail_rate);
   f.max_fails = static_cast<int>(
       env::get_int("NARMA_FT_MAX_FAILS", f.max_fails));
-  // Observability-mode overrides (DESIGN.md §14). Unknown NARMA_OBS values
-  // keep the configured mode.
-  const std::string om = env::get_string("NARMA_OBS", "");
-  if (om == "dense") p.obs.obs_mode = obs::ObsMode::kDense;
-  if (om == "aggregate") p.obs.obs_mode = obs::ObsMode::kAggregate;
+  // Observability-mode overrides (DESIGN.md §14).
+  p.obs.obs_mode = env_enum("NARMA_OBS", p.obs.obs_mode,
+                            {{"dense", obs::ObsMode::kDense},
+                             {"aggregate", obs::ObsMode::kAggregate}});
   p.obs.obs_shards = static_cast<int>(
       env::get_int("NARMA_OBS_SHARDS", p.obs.obs_shards));
   p.obs.outlier_k = static_cast<int>(

@@ -38,11 +38,9 @@
 namespace narma {
 
 struct WorldParams {
-  /// Simulator-core knobs (event queue selection, calendar sizing). The
-  /// environment variable NARMA_EVENT_QUEUE={legacy,calendar} overrides
-  /// `sim.event_queue` at World construction — an ablation convenience for
-  /// the wall-clock comparisons in EXPERIMENTS.md; both queues produce
-  /// bit-identical virtual times (tests/test_sim_engine_props.cpp).
+  /// Simulator-core knobs (calendar sizing, fiber stack size; the
+  /// environment variable NARMA_STACK_KB overrides `sim.stack_bytes` at
+  /// World construction).
   sim::SimParams sim;
   net::FabricParams fabric;
   mp::MpParams mp;
@@ -50,7 +48,7 @@ struct WorldParams {
   na::NaParams na;
 
   /// Metrics registry (src/obs). On by default: every hook is one branch
-  /// plus a plain add on the rank's own thread, and metric reads never
+  /// plus a plain add on the rank's own cell, and metric reads never
   /// advance virtual time, so timing results are identical either way.
   bool enable_metrics = true;
 
@@ -172,7 +170,7 @@ class World {
   std::unique_ptr<obs::Journal> journal_;
 };
 
-/// Per-rank handle. Constructed by World::run on the rank's own thread;
+/// Per-rank handle. Constructed by World::run on the rank's own fiber;
 /// not copyable or movable; pass by reference.
 class Rank {
  public:

@@ -13,8 +13,8 @@
 // Handles are cheap value types the instrumented layers cache at
 // construction: a disengaged handle (metrics off) makes every hook a single
 // branch, an engaged one a branch plus a plain increment. Plain (non-atomic)
-// arithmetic is correct here because the simulation engine runs at most one
-// thread at any instant; the semaphore handoffs give the needed ordering.
+// arithmetic is correct here because every rank is a fiber on the single
+// engine thread, and at most one of them runs at any instant.
 //
 // When a sim::Tracer is attached, every gauge change is mirrored as a Chrome
 // trace-event "C" (counter) sample, so Perfetto shows CQ/UQ depth tracks

@@ -8,7 +8,7 @@
 //
 //   kEnginePop   scheduler popping the event queue (calendar/heap maintenance)
 //   kCallback    executing event closures (deliveries, CQ postings)
-//   kRankExec    rank-thread user code, incl. the semaphore handoff
+//   kRankExec    rank user code on its fiber, incl. the context switch
 //   kMatch       notification matching (UqIndex probes, HW-queue drains)
 //   kTransfer    transfer plumbing (channel reservation, NIC/endpoint paths)
 //   kAppCompute  application compute kernels (measured or charged)
@@ -17,7 +17,7 @@
 // Accounting is *self time* on a single current-phase chain: entering a
 // scope flushes the elapsed ticks of the enclosing phase and switches to
 // the new one; leaving restores the parent. Because the engine runs at most
-// one thread at any instant (see sim/engine.hpp), a single global chain
+// one context at any instant (see sim/engine.hpp), a single global chain
 // with plain arithmetic is race-free — the "per-shard" accumulator is the
 // one scheduler shard this engine has. Nested scopes therefore partition
 // wall time exactly: sum(phase self-times) + unattributed == profiled wall.

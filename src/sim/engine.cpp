@@ -19,10 +19,8 @@ static_assert(alignof(RankCtx) == 64,
 namespace {
 
 // The context currently executing rank user code (see Engine::current()).
-// A plain global, not a thread_local: under fibers every rank shares the
-// engine thread, and under threads the semaphore handoff pair that
-// transfers control also publishes this write (release/acquire), so at any
-// instant exactly one context can read it.
+// A plain global, not a thread_local: every rank fiber shares the engine
+// thread, and at any instant exactly one context can read it.
 RankCtx* g_current_rank = nullptr;
 
 }  // namespace
@@ -98,10 +96,8 @@ void RankCtx::wait_deadline(Trigger& trg, Time deadline, const char* label) {
 Engine::Engine(int nranks, SimParams params)
     : params_(params),
       nranks_(nranks),
-      slots_(static_cast<std::size_t>(nranks)),
-      calendar_(params.calendar_buckets),
-      use_calendar_(params.event_queue == EventQueue::kCalendar),
-      use_fibers_(params.exec_model == ExecModel::kFibers) {
+      fibers_(static_cast<std::size_t>(nranks)),
+      calendar_(params.calendar_buckets) {
   NARMA_CHECK(nranks >= 1) << "engine needs at least one rank";
   NARMA_CHECK(params.calendar_buckets >= 1);
   ranks_.reset(new RankCtx[static_cast<std::size_t>(nranks)]);
@@ -112,25 +108,12 @@ Engine::Engine(int nranks, SimParams params)
   ready_.reserve(static_cast<std::size_t>(nranks));
 }
 
-Engine::~Engine() {
-  for (auto& s : slots_)
-    if (s.thread.joinable()) s.thread.join();
-}
-
-void Engine::yield_to_engine(int rank_id) {
-  if (use_fibers_) {
-    slot(rank_id).fiber->yield();
-  } else {
-    engine_sem_.release();
-    slot(rank_id).resume->acquire();
-  }
-}
+void Engine::yield_to_engine(int rank_id) { fiber(rank_id).yield(); }
 
 void Engine::resume_rank(RankCtx& c) {
-  // The scope spans the context switch: rank user code runs inside it (on
-  // the fiber, or on the rank thread while the engine sleeps in acquire()),
-  // so its ticks land in kRankExec unless the rank opens a narrower scope
-  // (match, transfer, compute).
+  // The scope spans the context switch: rank user code runs inside it on
+  // the fiber, so its ticks land in kRankExec unless the rank opens a
+  // narrower scope (match, transfer, compute).
   obs::PhaseScope scope(profiler_, obs::Phase::kRankExec);
   c.advance_to(c.resume_time_);
   c.state_ = detail::RankState::kRunning;
@@ -139,12 +122,7 @@ void Engine::resume_rank(RankCtx& c) {
   // it fail the generation check at pop.
   ++c.gen_;
   g_current_rank = &c;
-  if (use_fibers_) {
-    slot(c.id_).fiber->resume();
-  } else {
-    slot(c.id_).resume->release();
-    engine_sem_.acquire();
-  }
+  fiber(c.id_).resume();
   g_current_rank = nullptr;
 }
 
@@ -187,25 +165,17 @@ void Engine::wake(int rank_id, Time t) {
 void Engine::run_one_event() {
   obs::PhaseScope pop_scope(profiler_, obs::Phase::kEnginePop);
   ++events_executed_;
-  pop_depth_hist_.record(queue_size());
-  if (use_calendar_) {
-    // True move-out pop: the closure is never copied.
-    CalEvent ev = calendar_.pop();
-    obs::PhaseScope cb_scope(profiler_, obs::Phase::kCallback);
-    ev.fn();
-  } else {
-    // Legacy path: copies the closure out of the heap top (see
-    // LegacyHeapQueue::pop_copy), preserved behind SimParams::event_queue.
-    std::function<void()> fn = legacy_.pop_copy();
-    obs::PhaseScope cb_scope(profiler_, obs::Phase::kCallback);
-    fn();
-  }
+  pop_depth_hist_.record(calendar_.size());
+  CalEvent ev = calendar_.pop();
+  obs::PhaseScope cb_scope(profiler_, obs::Phase::kCallback);
+  ev.fn();
 }
 
 void Engine::execute_due(Time horizon) {
   // Event handlers may post new events at or before the horizon; the loop
   // re-checks the queue front each iteration.
-  while (!queue_empty() && queue_top_time() <= horizon) run_one_event();
+  while (!calendar_.empty() && calendar_.top_time() <= horizon)
+    run_one_event();
 }
 
 void Engine::run(const std::function<void(RankCtx&)>& rank_main) {
@@ -223,28 +193,15 @@ void Engine::run(const std::function<void(RankCtx&)>& rank_main) {
       c.state_ = detail::RankState::kReady;
       c.resume_time_ = 0;
       ready_push(i, 0);
-      auto& s = slot(i);
-      if (use_fibers_) {
-        // The fiber stays suspended until its first resume from the dispatch
-        // loop; construction only reserves (not commits) the stack.
-        s.fiber = std::make_unique<Fiber>(
-            params_.stack_bytes,
-            +[](void* arg) {
-              auto* ctx = static_cast<RankCtx*>(arg);
-              ctx->engine_->fiber_rank_body(ctx->id_);
-            },
-            &c);
-      } else {
-        s.resume = std::make_unique<std::binary_semaphore>(0);
-        s.thread = std::thread([this, i, &rank_main] {
-          auto& me = ranks_[static_cast<std::size_t>(i)];
-          slot(i).resume->acquire();
-          me.state_ = detail::RankState::kRunning;
-          rank_main(me);
-          me.state_ = detail::RankState::kFinished;
-          engine_sem_.release();
-        });
-      }
+      // The fiber stays suspended until its first resume from the dispatch
+      // loop; construction only reserves (not commits) the stack.
+      fibers_[static_cast<std::size_t>(i)] = std::make_unique<Fiber>(
+          params_.stack_bytes,
+          +[](void* arg) {
+            auto* ctx = static_cast<RankCtx*>(arg);
+            ctx->engine_->fiber_rank_body(ctx->id_);
+          },
+          &c);
     }
   }
 
@@ -263,15 +220,15 @@ void Engine::run(const std::function<void(RankCtx&)>& rank_main) {
     // dispatched in deterministic (time, seq) order, so this point is
     // reproducible run to run). One compare when disarmed.
     if (probe_due_ != kNever) {
-      const Time ev_t = queue_empty() ? kNever : queue_top_time();
+      const Time ev_t = calendar_.empty() ? kNever : calendar_.top_time();
       const Time rk_t = have_rank ? ready_.front().t : kNever;
       const Time t_next = std::min(ev_t, rk_t);
       while (probe_due_ != kNever && t_next != kNever &&
              probe_due_ <= t_next)
         probe_due_ = probe_(probe_due_, t_next);
     }
-    if (!queue_empty() &&
-        (!have_rank || queue_top_time() <= ready_.front().t)) {
+    if (!calendar_.empty() &&
+        (!have_rank || calendar_.top_time() <= ready_.front().t)) {
       // Hardware events run before any rank that would resume at the same
       // instant, so a resuming rank observes everything <= its clock.
       run_one_event();
@@ -295,12 +252,6 @@ void Engine::run(const std::function<void(RankCtx&)>& rank_main) {
   }
   run_wall_ns_ += wallclock_ns() - wall0;
   rank_main_ = nullptr;
-
-  {
-    obs::PhaseScope join_scope(profiler_, obs::Phase::kEnginePop);
-    for (auto& s : slots_)
-      if (s.thread.joinable()) s.thread.join();
-  }
 }
 
 void Engine::deadlock_dump() {

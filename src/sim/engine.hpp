@@ -1,37 +1,31 @@
 // Deterministic discrete-event engine with cooperatively scheduled ranks.
 //
 // NARMA simulates a distributed-memory machine inside one process. Each
-// simulated MPI-like *rank* runs user code on its own execution context —
-// by default a stackful user-space fiber multiplexed on the engine thread
-// (sim/fiber.hpp), or a dedicated OS thread under
-// SimParams::exec_model == ExecModel::kThreads — and the engine enforces
-// that **at most one context is runnable at any instant**. Consequences:
+// simulated MPI-like *rank* runs user code on its own stackful user-space
+// fiber, multiplexed on the engine thread (sim/fiber.hpp), and the engine
+// enforces that **at most one context is runnable at any instant**.
+// Consequences:
 //
 //  * No data races by construction — every access to engine or fabric state
 //    happens with exactly one active context; fiber switches are plain
-//    in-thread control transfer, and in threads mode the semaphore handoffs
-//    provide the release/acquire ordering.
+//    in-thread control transfer.
 //  * Deterministic execution — events are ordered by (virtual time, issue
-//    sequence number) and ready ranks by (resume time, rank id). Both
-//    execution models dispatch in exactly this order, so virtual times are
-//    bit-identical between them (tests/test_sim_fibers.cpp).
+//    sequence number) and ready ranks by (resume time, rank id); the golden
+//    schedule hashes (tests/test_transport_backends.cpp) pin the result.
 //  * Clean compute measurement even on a single-core host — when a rank
 //    measures a real compute kernel, no other simulation context competes
 //    for the CPU.
 //
-// Under fibers a block/resume costs two in-process context switches instead
-// of two semaphore syscall round-trips, and a rank's stack costs only the
-// pages it touches instead of a pthread stack — which is what lets one core
-// carry 4096+ ranks (see DESIGN.md §8 and bench/scale_sweep.cpp).
+// A block/resume costs two in-process context switches, and a rank's stack
+// costs only the pages it touches — which is what lets one core carry
+// 4096+ ranks (see DESIGN.md §8 and bench/scale_sweep.cpp).
 //
 // Virtual time model (conservative, LogGOPSim-style): each rank owns a
 // virtual clock that advances through explicit charges (`advance`) and
 // through blocking. Hardware actions (message deliveries, completion-queue
-// postings) are *events* scheduled on a global queue — by default the
-// calendar queue of pooled InlineFn closures (event_queue.hpp), with the
-// original binary heap selectable via SimParams::event_queue; both produce
-// bit-identical execution. The causality invariant is: before a rank
-// observes any shared simulation state at its local clock c, all events
+// postings) are *events* scheduled on a global calendar queue of pooled
+// InlineFn closures (event_queue.hpp). The causality invariant is: before a
+// rank observes any shared simulation state at its local clock c, all events
 // with time <= c have executed. Ranks uphold it by calling `drain()` at
 // every observation point (the communication layers do this internally).
 //
@@ -49,9 +43,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -97,15 +89,6 @@ enum class RankState : std::uint8_t {
   kRunning,   // currently executing user code
   kBlocked,   // waiting on a Trigger
   kFinished,  // rank main returned
-};
-
-/// Cold per-rank execution-context storage. Scheduling state lives on
-/// RankCtx (the hot cache line); this struct only holds whichever context
-/// backend the engine was built with and is touched once per switch.
-struct ExecSlot {
-  std::unique_ptr<Fiber> fiber;  // kFibers
-  std::thread thread;            // kThreads
-  std::unique_ptr<std::binary_semaphore> resume;  // kThreads: engine -> rank
 };
 
 }  // namespace detail
@@ -203,7 +186,6 @@ class alignas(64) RankCtx {
 class Engine {
  public:
   explicit Engine(int nranks, SimParams params = {});
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -213,15 +195,10 @@ class Engine {
 
   /// Schedules `fn` to execute at virtual time `t`. Callable from rank
   /// contexts and from event handlers. The closure is stored inline (or in
-  /// the slab EventPool when oversized) — no per-event heap allocation on
-  /// the calendar queue.
+  /// the slab EventPool when oversized) — no per-event heap allocation.
   template <class F>
   void post(Time t, F&& fn) {
-    const std::uint64_t seq = next_seq_++;
-    if (use_calendar_)
-      calendar_.push(t, seq, InlineFn(std::forward<F>(fn), &pool_));
-    else
-      legacy_.push(t, seq, std::function<void()>(std::forward<F>(fn)));
+    calendar_.push(t, next_seq_++, InlineFn(std::forward<F>(fn), &pool_));
     note_push();
   }
 
@@ -233,15 +210,11 @@ class Engine {
   template <class... Fs>
   void post_batch(Time t, Fs&&... fns) {
     static_assert(sizeof...(Fs) >= 1);
-    if (use_calendar_) {
-      InlineFn batch[] = {InlineFn(std::forward<Fs>(fns), &pool_)...};
-      calendar_.push_batch(t, next_seq_, batch, sizeof...(Fs));
-      next_seq_ += sizeof...(Fs);
-      ++batched_posts_;
-      note_push();
-    } else {
-      (post(t, std::forward<Fs>(fns)), ...);
-    }
+    InlineFn batch[] = {InlineFn(std::forward<Fs>(fns), &pool_)...};
+    calendar_.push_batch(t, next_seq_, batch, sizeof...(Fs));
+    next_seq_ += sizeof...(Fs);
+    ++batched_posts_;
+    note_push();
   }
 
   int nranks() const { return nranks_; }
@@ -250,11 +223,9 @@ class Engine {
   const SimParams& params() const { return params_; }
 
   /// The rank context currently executing user code, or nullptr while the
-  /// engine itself (event callbacks, scheduler loop) runs. Valid in both
-  /// execution models: the one-runnable-context invariant makes a single
-  /// pointer handoff race-free (in threads mode the semaphore pair orders
-  /// it), where a thread_local would misattribute ranks once they share
-  /// the engine thread as fibers.
+  /// engine itself (event callbacks, scheduler loop) runs. A single pointer
+  /// suffices under the one-runnable-context invariant, where a
+  /// thread_local would misattribute ranks that share the engine thread.
   static RankCtx* current();
 
   std::uint64_t events_executed() const { return events_executed_; }
@@ -267,7 +238,7 @@ class Engine {
   std::uint64_t run_wall_ns() const { return run_wall_ns_; }
   /// High-water mark of the pending-event queue.
   std::size_t queue_high_water() const { return queue_high_water_; }
-  /// Number of post_batch() calls that took the batched path.
+  /// Number of post_batch() calls.
   std::uint64_t batched_posts() const { return batched_posts_; }
   /// Ready-heap pops discarded because the rank's generation moved on (the
   /// losing half of a wait_deadline timeout/wake pair). Exported as
@@ -300,7 +271,7 @@ class Engine {
   /// makes each site a single branch. The profiler's single current-phase
   /// chain is untroubled by fiber switches — they never leave the engine
   /// thread, so a kRankExec scope spanning a switch attributes the rank's
-  /// host time exactly as the threads model's semaphore handoff did.
+  /// host time to it.
   void set_profiler(obs::Profiler* p) { profiler_ = p; }
   obs::Profiler* profiler() const { return profiler_; }
 
@@ -324,32 +295,22 @@ class Engine {
     }
   };
 
-  detail::ExecSlot& slot(int i) { return slots_[static_cast<std::size_t>(i)]; }
+  Fiber& fiber(int i) { return *fibers_[static_cast<std::size_t>(i)]; }
 
   // Rank-context side: hand control to the scheduler and wait to be resumed.
   void yield_to_engine(int rank_id);
   // Engine side: resume one rank and wait until it hands control back.
   void resume_rank(RankCtx& c);
-  // Body of one rank in fiber mode (runs on the rank's fiber stack).
+  // Body of one rank (runs on the rank's fiber stack).
   void fiber_rank_body(int rank_id);
 
   void wake(int rank_id, Time t);
   void execute_due(Time horizon);  // run events with time <= horizon
   [[noreturn]] void deadlock_dump();
 
-  // --- Event queue (selected once at construction) -------------------------
-  bool queue_empty() const {
-    return use_calendar_ ? calendar_.empty() : legacy_.empty();
-  }
-  std::size_t queue_size() const {
-    return use_calendar_ ? calendar_.size() : legacy_.size();
-  }
-  Time queue_top_time() {
-    return use_calendar_ ? calendar_.top_time() : legacy_.top_time();
-  }
   void run_one_event();
   void note_push() {
-    const std::size_t d = queue_size();
+    const std::size_t d = calendar_.size();
     if (d > queue_high_water_) queue_high_water_ = d;
   }
 
@@ -366,14 +327,12 @@ class Engine {
   SimParams params_;
   int nranks_;
   std::unique_ptr<RankCtx[]> ranks_;   // hot: one cache line per rank
-  std::vector<detail::ExecSlot> slots_;  // cold: fibers / threads
-  EventPool pool_;  // declared before the queues: events release into it
+  // Cold per-rank execution contexts, touched once per switch; scheduling
+  // state lives on RankCtx (the hot cache line).
+  std::vector<std::unique_ptr<Fiber>> fibers_;
+  EventPool pool_;  // declared before the queue: events release into it
   CalendarQueue calendar_;
-  LegacyHeapQueue legacy_;
-  const bool use_calendar_;
-  const bool use_fibers_;
-  std::vector<ReadyEntry> ready_;        // binary min-heap
-  std::binary_semaphore engine_sem_{0};  // kThreads: rank -> engine handoff
+  std::vector<ReadyEntry> ready_;  // binary min-heap
   const std::function<void(RankCtx&)>* rank_main_ = nullptr;  // live in run()
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;

@@ -1,6 +1,6 @@
 // Event storage for the discrete-event engine's hottest loop.
 //
-// Three pieces (selected via SimParams::event_queue, see params.hpp):
+// Three pieces:
 //
 //  * InlineFn — a move-only callable with 48 bytes of inline storage. The
 //    common NIC-delivery closures (a handful of pointers and integers) are
@@ -14,25 +14,20 @@
 //    Future events land in an unsorted bucket in O(1); a bucket is sorted
 //    only when it becomes current ("bottom"), from which pop is a move-out
 //    pop_back. For the engine's mostly-monotonic posting pattern this is
-//    near-O(1) per op versus the binary heap's O(log n) compare/copy chain.
-//  * LegacyHeapQueue — the original std::priority_queue of std::function
-//    events, preserved bit-for-bit (including the closure copy on pop) for
-//    ablation and the equivalence property tests.
+//    near-O(1) per op versus a binary heap's O(log n) compare/copy chain.
 //
-// Total order: (time, seq) ascending, identical across both queues; the
-// engine assigns seq from a single counter, so execution order — and with
-// it every virtual-time result — is bit-identical regardless of the queue.
+// Total order: (time, seq) ascending; the engine assigns seq from a single
+// counter, so execution order — and with it every virtual-time result — is
+// fully determined by the posting program.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -247,44 +242,6 @@ class CalendarQueue {
   Time bottom_end_ = 0;   // bottom_ holds everything below this time
   std::size_t cur_ = 0;   // next bucket to drain; [0, cur_) are empty
   std::size_t size_ = 0;
-};
-
-/// The original engine event queue: binary-heap std::priority_queue of
-/// std::function closures. Selected by SimParams::event_queue =
-/// EventQueue::kLegacyHeap for ablation and equivalence testing.
-class LegacyHeapQueue {
- public:
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  Time top_time() const { return heap_.top().time; }
-
-  void push(Time t, std::uint64_t seq, std::function<void()> fn) {
-    heap_.push(Ev{t, seq, std::move(fn)});
-  }
-
-  /// The legacy pop. priority_queue::top() is const and moving out via
-  /// const_cast is UB-adjacent, so this path keeps the original closure
-  /// *copy* (cheap for small captures: one shared allocation at most) —
-  /// documented and preserved behind the param; the calendar queue is the
-  /// one with true move-out pops.
-  std::function<void()> pop_copy() {
-    std::function<void()> fn = heap_.top().fn;
-    heap_.pop();
-    return fn;
-  }
-
- private:
-  struct Ev {
-    Time time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Ev& a, const Ev& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
 };
 
 /// Dependency-free log2 histogram matching obs::HistData's bucket

@@ -7,13 +7,6 @@
 
 #include "common/assert.hpp"
 
-// Pick the switch implementation. The hand-rolled path needs x86-64 SysV;
-// everything else (aarch64, etc.) falls back to ucontext(3), which is
-// correct but pays a rt_sigprocmask syscall per swapcontext on glibc.
-#if !defined(NARMA_FIBER_UCONTEXT) && !(defined(__x86_64__) && (defined(__linux__) || defined(__unix__)))
-#define NARMA_FIBER_UCONTEXT 1
-#endif
-
 #if defined(NARMA_FIBER_UCONTEXT)
 #include <ucontext.h>
 #endif

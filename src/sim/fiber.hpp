@@ -4,9 +4,8 @@
 // committed, guard-paged stack plus the saved callee-saved register state of
 // a suspended computation. The engine multiplexes every simulated rank onto
 // the single engine thread with them, so a block/resume costs two in-process
-// context switches (~tens of ns) instead of the two semaphore syscall
-// round-trips of the one-OS-thread-per-rank model — the difference between
-// 32 ranks and 4096+ ranks being practical (see DESIGN.md §8).
+// context switches (~tens of ns) and a rank's stack costs only the pages it
+// touches — what makes 4096+ ranks practical (see DESIGN.md §8).
 //
 // Mechanics:
 //
@@ -35,6 +34,16 @@
 
 #include <cstddef>
 #include <cstdint>
+
+// Pick the switch implementation. The hand-rolled path needs x86-64 SysV;
+// everything else (aarch64, etc.) falls back to ucontext(3), which is
+// correct but pays a rt_sigprocmask syscall per swapcontext on glibc.
+// Decided here, not in fiber.cpp, because it changes Fiber's layout: every
+// translation unit must see the same members.
+#if !defined(NARMA_FIBER_UCONTEXT) && \
+    !(defined(__x86_64__) && (defined(__linux__) || defined(__unix__)))
+#define NARMA_FIBER_UCONTEXT 1
+#endif
 
 namespace narma::sim {
 

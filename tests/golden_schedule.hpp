@@ -74,7 +74,7 @@ inline std::uint64_t schedule_hash_with(std::uint64_t seed, ObsOverride ov,
     wp.obs.outlier_k = 3;
   }
 
-  // Per-producer op plans, drawn up front so rank threads never share RNG
+  // Per-producer op plans, drawn up front so rank fibers never share RNG
   // state. kind: 0 = put_notify, 1 = get_notify, 2 = fetch_add_notify.
   struct Op {
     int kind;

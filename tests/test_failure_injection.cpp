@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -423,6 +424,41 @@ TEST(FailureInjection, DelayRateWithZeroDelayMaxAborts) {
   wp.fabric.faults.delay_rate = 0.5;
   wp.fabric.faults.delay_max = 0;
   EXPECT_DEATH({ World world(2, wp); }, "delay_max must be >= 1");
+}
+
+// An unknown value of an enum-valued env knob must abort with a diagnostic
+// naming the variable and its accepted values, never silently run the
+// default (NARMA_TRANSPORT=Verbs used to run Aries). The variable is set
+// inside the death statement, so only the child process sees it.
+
+TEST(FailureInjection, UnknownOverflowPolicyEnvAborts) {
+  EXPECT_DEATH(
+      {
+        ::setenv("NARMA_OVERFLOW", "backpresure", 1);
+        World world(2);
+      },
+      "NARMA_OVERFLOW=backpresure is not recognized \\(accepted: "
+      "fatal\\|backpressure\\)");
+}
+
+TEST(FailureInjection, UnknownTransportEnvAborts) {
+  EXPECT_DEATH(
+      {
+        ::setenv("NARMA_TRANSPORT", "Verbs", 1);
+        World world(2);
+      },
+      "NARMA_TRANSPORT=Verbs is not recognized \\(accepted: "
+      "aries\\|ramc\\|verbs\\)");
+}
+
+TEST(FailureInjection, UnknownObsModeEnvAborts) {
+  EXPECT_DEATH(
+      {
+        ::setenv("NARMA_OBS", "sparse", 1);
+        World world(2);
+      },
+      "NARMA_OBS=sparse is not recognized \\(accepted: "
+      "dense\\|aggregate\\)");
 }
 
 // --- Retry-budget parity (redelivery vs credit stall vs retransmit) ----------

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -74,11 +73,9 @@ FtRunOutcome run_ft_stencil(int ckpt_interval, bool eager_trim,
   cfg.ft.min_fail_epoch = kFailEpoch;
 
   FtRunOutcome out;
-  std::mutex mu;
   World world(kRanks, wp);
   world.run([&](Rank& self) {
     apps::StencilResult r = apps::run_stencil(self, cfg);
-    std::lock_guard<std::mutex> lock(mu);
     if (self.id() == 0) out.r0 = r;
     if (r.ft.fails > 0) out.victim = r.ft;
   });
@@ -187,11 +184,9 @@ TEST(FtRecovery, TreeFailStopRecovers) {
 
   apps::TreeResult r0;
   ft::FtStats victim;
-  std::mutex mu;
   World world(6, wp);
   world.run([&](Rank& self) {
     apps::TreeResult r = apps::run_tree(self, cfg);
-    std::lock_guard<std::mutex> lock(mu);
     if (self.id() == 0) r0 = r;
     if (r.ft.fails > 0) victim = r.ft;
   });

@@ -2,7 +2,6 @@
 // cooperative scheduling, triggers, and determinism.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -136,7 +135,7 @@ TEST(SimEngine, TriggerWakesAllWaiters) {
   sim::Engine eng(4);
   sim::Trigger trg;
   bool flag = false;
-  std::atomic<int> woken{0};
+  int woken = 0;
   eng.run([&](sim::RankCtx& r) {
     if (r.id() == 0) {
       r.engine().post(us(1), [&] {
@@ -145,10 +144,10 @@ TEST(SimEngine, TriggerWakesAllWaiters) {
       });
     } else {
       while (!flag) r.wait(trg, "multi-wait");
-      woken.fetch_add(1);
+      ++woken;
     }
   });
-  EXPECT_EQ(woken.load(), 3);
+  EXPECT_EQ(woken, 3);
 }
 
 TEST(SimEngine, WaitDeadlineTimesOutAtDeadline) {
@@ -189,12 +188,12 @@ TEST(SimEngine, ChargeMeasuredAddsTime) {
 
 TEST(SimEngine, ManyRanksFinish) {
   sim::Engine eng(64);
-  std::atomic<int> done{0};
+  int done = 0;
   eng.run([&](sim::RankCtx& r) {
     r.advance(ns(static_cast<double>(r.id())));
-    done.fetch_add(1);
+    ++done;
   });
-  EXPECT_EQ(done.load(), 64);
+  EXPECT_EQ(done, 64);
 }
 
 TEST(SimEngine, EventCountersTrack) {

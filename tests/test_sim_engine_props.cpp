@@ -1,18 +1,18 @@
 // Property tests of the engine's event and scheduling core.
 //
-// The headline property mirrors the PR-1 linear-vs-indexed matcher test:
-// the legacy binary heap and the calendar queue must produce *identical*
-// executions — same event order, same virtual times, same events_executed —
-// across >= 1000 randomized schedules (random rank counts, event trees with
-// same-time children, yields, interleaved drains). Alongside it live the
-// engine edge cases: events posted exactly at a rank's resume horizon,
-// posting from inside a handler at the same timestamp, batched posts, and
-// the deadlock-dump death test.
+// The headline property pins the engine's execution over >= 1000
+// randomized schedules (random rank counts, event trees with same-time
+// children, yields, interleaved drains): event order, scheduled times,
+// finish clocks and event counts fold into one FNV hash that must match a
+// committed constant. Alongside it live the engine edge cases: events
+// posted exactly at a rank's resume horizon, posting from inside a handler
+// at the same timestamp, batched posts, and the deadlock-dump death test.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rng.hpp"
+#include "golden_schedule.hpp"
 #include "sim/engine.hpp"
 
 using namespace narma;
@@ -20,11 +20,11 @@ using namespace narma;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Randomized-schedule equivalence harness. A schedule is generated from a
-// seed *before* execution (so both engine configurations replay exactly the
-// same program): per-rank op lists (advance / post / yield / drain) plus a
-// tree of event specs whose children repost at relative delays (including
-// zero, i.e. same-timestamp posting from inside a handler).
+// Randomized-schedule harness. A schedule is generated from a seed *before*
+// execution (so every engine configuration replays exactly the same
+// program): per-rank op lists (advance / post / yield / drain) plus a tree
+// of event specs whose children repost at relative delays (including zero,
+// i.e. same-timestamp posting from inside a handler).
 // ---------------------------------------------------------------------------
 
 struct EventSpec {
@@ -140,24 +140,40 @@ RunLog run_script(const Script& sc, sim::SimParams sp) {
   return log;
 }
 
-TEST(EngineQueueEquivalence, ThousandRandomSchedules) {
-  sim::SimParams legacy_p;
-  legacy_p.event_queue = sim::EventQueue::kLegacyHeap;
-  sim::SimParams calendar_p;
-  calendar_p.event_queue = sim::EventQueue::kCalendar;
-  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
-    const Script sc = make_script(seed);
-    const RunLog legacy = run_script(sc, legacy_p);
-    const RunLog calendar = run_script(sc, calendar_p);
-    ASSERT_EQ(legacy, calendar) << "divergence at seed " << seed;
-    ASSERT_EQ(legacy.events_executed, legacy.events_posted)
-        << "unexecuted events at seed " << seed;
+// FNV fold of one run: exec order with scheduled times, per-rank finish
+// clocks, and both event counters (lengths folded first so runs of
+// different shapes cannot alias).
+std::uint64_t fold_log(std::uint64_t h, const RunLog& log) {
+  h = golden::fnv_fold(h, log.exec.size());
+  for (const auto& [idx, t] : log.exec) {
+    h = golden::fnv_fold(h, static_cast<std::uint64_t>(idx));
+    h = golden::fnv_fold(h, t);
   }
+  h = golden::fnv_fold(h, log.finish.size());
+  for (Time f : log.finish) h = golden::fnv_fold(h, f);
+  h = golden::fnv_fold(h, log.events_executed);
+  return golden::fnv_fold(h, log.events_posted);
+}
+
+// Generated over seeds 0..999 on the tree that still carried the original
+// binary-heap std::function queue beside the calendar queue, where both
+// folded to this value; it pins the calendar queue to that reference order.
+constexpr std::uint64_t kGoldenEngineScheduleHash = 0xf57c4572e2bb83dbull;
+
+TEST(EngineSchedule, ThousandRandomSchedulesMatchGoldenHash) {
+  std::uint64_t h = golden::kFnvOffset;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    const RunLog log = run_script(make_script(seed), sim::SimParams{});
+    ASSERT_EQ(log.events_executed, log.events_posted)
+        << "unexecuted events at seed " << seed;
+    h = fold_log(h, log);
+  }
+  EXPECT_EQ(h, kGoldenEngineScheduleHash);
 }
 
 // Tiny calendars force constant bucket-drain/rebuild churn; order must not
 // change (the calendar geometry is performance-only state).
-TEST(EngineQueueEquivalence, CalendarGeometryIsOrderInvariant) {
+TEST(EngineSchedule, CalendarGeometryIsOrderInvariant) {
   sim::SimParams default_p;
   sim::SimParams one_bucket = default_p;
   one_bucket.calendar_buckets = 1;
@@ -174,22 +190,13 @@ TEST(EngineQueueEquivalence, CalendarGeometryIsOrderInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge cases, run under both queue implementations.
+// Edge cases.
 // ---------------------------------------------------------------------------
-
-class EngineEdge : public ::testing::TestWithParam<sim::EventQueue> {
- protected:
-  sim::SimParams params() const {
-    sim::SimParams sp;
-    sp.event_queue = GetParam();
-    return sp;
-  }
-};
 
 // An event posted exactly at a rank's resume horizon executes before the
 // rank resumes (hardware-before-software at equal instants).
-TEST_P(EngineEdge, EventExactlyAtResumeHorizonRunsFirst) {
-  sim::Engine eng(2, params());
+TEST(EngineEdge, EventExactlyAtResumeHorizonRunsFirst) {
+  sim::Engine eng(2);
   bool fired = false;
   eng.run([&](sim::RankCtx& r) {
     if (r.id() == 0) {
@@ -206,8 +213,8 @@ TEST_P(EngineEdge, EventExactlyAtResumeHorizonRunsFirst) {
 
 // post() from inside a handler at the handler's own timestamp: the child
 // executes within the same drain, after the parent, before any later event.
-TEST_P(EngineEdge, PostFromHandlerAtSameTimestamp) {
-  sim::Engine eng(1, params());
+TEST(EngineEdge, PostFromHandlerAtSameTimestamp) {
+  sim::Engine eng(1);
   std::vector<int> order;
   eng.run([&](sim::RankCtx& r) {
     r.engine().post(us(2), [&] { order.push_back(99); });
@@ -225,8 +232,8 @@ TEST_P(EngineEdge, PostFromHandlerAtSameTimestamp) {
 
 // post_batch schedules at one timestamp in argument order, interleaving
 // correctly with singly-posted events at the same time.
-TEST_P(EngineEdge, PostBatchKeepsArgumentOrder) {
-  sim::Engine eng(1, params());
+TEST(EngineEdge, PostBatchKeepsArgumentOrder) {
+  sim::Engine eng(1);
   std::vector<int> order;
   eng.run([&](sim::RankCtx& r) {
     r.engine().post(us(1), [&] { order.push_back(0); });
@@ -245,8 +252,8 @@ TEST_P(EngineEdge, PostBatchKeepsArgumentOrder) {
 // A waiter woken inside a handler that immediately re-waits must not be
 // lost when the trigger is notified again (the notify scratch-buffer swap
 // must leave the waiter list usable during the wake sweep).
-TEST_P(EngineEdge, RewaitingWokenRankIsNotLost) {
-  sim::Engine eng(2, params());
+TEST(EngineEdge, RewaitingWokenRankIsNotLost) {
+  sim::Engine eng(2);
   sim::Trigger trg;
   int phase = 0;
   eng.run([&](sim::RankCtx& r) {
@@ -273,8 +280,8 @@ TEST_P(EngineEdge, RewaitingWokenRankIsNotLost) {
 
 // Steady-state notify with churning waiters must not leak wakeups across
 // notify calls (scratch reuse).
-TEST_P(EngineEdge, RepeatedNotifyWakesEachRegistrationOnce) {
-  sim::Engine eng(4, params());
+TEST(EngineEdge, RepeatedNotifyWakesEachRegistrationOnce) {
+  sim::Engine eng(4);
   sim::Trigger trg;
   int round = 0;
   constexpr int kRounds = 64;
@@ -298,24 +305,12 @@ TEST_P(EngineEdge, RepeatedNotifyWakesEachRegistrationOnce) {
   EXPECT_EQ(round, kRounds);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothQueues, EngineEdge,
-                         ::testing::Values(sim::EventQueue::kLegacyHeap,
-                                           sim::EventQueue::kCalendar),
-                         [](const auto& info) {
-                           return info.param == sim::EventQueue::kCalendar
-                                      ? "calendar"
-                                      : "legacy";
-                         });
-
 // ---------------------------------------------------------------------------
 // Deadlock dump (death test): a rank blocked on a never-notified trigger
 // with no pending events must abort with the diagnostic state dump.
 // ---------------------------------------------------------------------------
 
 TEST(EngineDeath, DeadlockDumpsRankStatesAndAborts) {
-  // The engine spawns rank threads; fork-after-thread needs the re-exec'ing
-  // death-test style.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
         sim::Engine eng(2);

@@ -1,58 +1,21 @@
 // Tests of the fiber execution model (sim/fiber.hpp, DESIGN.md §8): the
-// threads-vs-fibers bit-equivalence property, the guard-page stack
-// protection, the stale ready-heap skip path, the one-cache-line RankCtx
-// layout, and the fompi binding under both execution models. The 4096-rank
-// smoke lives in the FiberEngineSlow suite, registered separately under the
-// ctest `slow` label.
+// guard-page stack protection, the stale ready-heap skip path, the
+// one-cache-line RankCtx layout, and the per-rank fompi binding. Virtual-time
+// bit-identity of the fiber engine is pinned by the golden schedule hashes
+// in tests/test_transport_backends.cpp. The 4096-rank smoke lives in the
+// FiberEngineSlow suite, registered separately under the ctest `slow` label.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 
 #include "apps/stencil.hpp"
 #include "apps/tree.hpp"
 #include "cachesim/cache.hpp"
 #include "core/fompi.hpp"
 #include "core/world.hpp"
-#include "golden_schedule.hpp"
 #include "sim/fiber.hpp"
 
 using namespace narma;
-
-namespace {
-
-// Scoped NARMA_EXEC override: World::resolve_params reads the environment
-// on construction, so flipping it selects the execution model for every
-// World built inside the scope.
-class ScopedExecModel {
- public:
-  explicit ScopedExecModel(const char* model) {
-    setenv("NARMA_EXEC", model, 1);
-  }
-  ~ScopedExecModel() { unsetenv("NARMA_EXEC"); }
-};
-
-}  // namespace
-
-// The tentpole property: the fiber engine is a pure execution-model swap.
-// Re-running the transport-backend golden workload — 1000 randomized
-// schedules covering every lane threshold, both matchers, and all three
-// notification kinds — under each model must reproduce the committed golden
-// hash bit for bit.
-TEST(FiberEngine, ThreadsAndFibersBitIdentical1000Schedules) {
-  std::uint64_t fibers_hash = 0;
-  std::uint64_t threads_hash = 0;
-  {
-    ScopedExecModel exec("fibers");
-    fibers_hash = golden::all_schedules_hash(golden::kGoldenScheduleCount);
-  }
-  {
-    ScopedExecModel exec("threads");
-    threads_hash = golden::all_schedules_hash(golden::kGoldenScheduleCount);
-  }
-  EXPECT_EQ(fibers_hash, golden::kGoldenScheduleHash);
-  EXPECT_EQ(threads_hash, golden::kGoldenScheduleHash);
-}
 
 namespace {
 
@@ -73,7 +36,6 @@ TEST(FiberEngineDeathTest, StackOverflowHitsGuardPage) {
   EXPECT_DEATH(
       {
         sim::SimParams sp;
-        sp.exec_model = sim::ExecModel::kFibers;
         sp.stack_bytes = sim::Fiber::kMinStackBytes;
         sim::Engine eng(1, sp);
         eng.run([](sim::RankCtx&) { blow_stack(1u << 20); });
@@ -145,9 +107,8 @@ TEST(FiberEngine, RankCtxSchedulingRecordIsOneCacheLine) {
   EXPECT_EQ(l1.stats().misses, 8u);
 }
 
-// Engine::current() carries the fompi binding per rank context, which must
-// hold in both execution models (under fibers every rank shares one OS
-// thread, so a thread_local binding would alias them).
+// Engine::current() carries the fompi binding per rank context (every rank
+// shares one OS thread, so a thread_local binding would alias them).
 namespace {
 
 void fompi_ring(Rank& self) {
@@ -181,21 +142,13 @@ void fompi_ring(Rank& self) {
 }  // namespace
 
 TEST(FiberEngine, FompiBindingPerRankUnderFibers) {
-  ScopedExecModel exec("fibers");
-  World world(4);
-  world.run(fompi_ring);
-}
-
-TEST(FiberEngine, FompiBindingPerRankUnderThreads) {
-  ScopedExecModel exec("threads");
   World world(4);
   world.run(fompi_ring);
 }
 
 // ---------------------------------------------------------------------------
 // Scale smoke (ctest label `slow`): 4096 simulated ranks on one engine
-// thread. Threads could not even spawn this many contexts with default
-// stacks; under fibers both paper workloads must complete and verify.
+// thread; both paper workloads must complete and verify.
 
 TEST(FiberEngineSlow, FourKRankStencilCompletes) {
   World world(4096);

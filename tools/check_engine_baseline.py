@@ -1,16 +1,12 @@
 #!/usr/bin/env python3
 """Engine-throughput regression gate for CI.
 
-Compares a fresh micro_engine NARMA_JSON export against the committed
-baseline (bench/BENCH_engine.json):
-
-  * every (queue, events) row with events >= --min-events must keep its
-    Mevents/s >= (1 - tolerance) of the baseline row (default tolerance 30%).
-    Smaller rows finish in well under a millisecond and are printed for
-    information only — a single scheduler hiccup swings them by 2x;
-  * the calendar/legacy events/sec ratio at the largest event count in the
-    *current* run must stay >= --min-speedup (default 2.0), the PR's
-    headline acceptance bar.
+Holds a fresh micro_engine NARMA_JSON export to an absolute events/s floor
+derived from the committed baseline (bench/BENCH_engine.json): every
+hold-model row with events >= --min-events must keep its Mevents/s at or
+above baseline * (1 - tolerance) (default tolerance 30%). Smaller rows finish
+in well under a millisecond and are printed for information only — a single
+scheduler hiccup swings them by 2x.
 
 Exit status 0 on pass, 1 on any violation, 2 on malformed input.
 """
@@ -21,7 +17,7 @@ import sys
 
 
 def load_throughput(path):
-    """Returns {(queue, events): mevents_per_sec} from a narma.bench.v1 doc."""
+    """Returns {events: mevents_per_sec} from a narma.bench.v1 doc."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if doc.get("schema") != "narma.bench.v1":
@@ -30,12 +26,9 @@ def load_throughput(path):
         if table.get("artifact") != "micro_engine":
             continue
         headers = table["headers"]
-        qi = headers.index("queue")
         ei = headers.index("events")
         mi = headers.index("Mevents/s")
-        return {
-            (row[qi], int(row[ei])): float(row[mi]) for row in table["rows"]
-        }
+        return {int(row[ei]): float(row[mi]) for row in table["rows"]}
     raise ValueError(f"{path}: no micro_engine table")
 
 
@@ -45,8 +38,6 @@ def main():
     ap.add_argument("current", help="NARMA_JSON export from this run")
     ap.add_argument("--tolerance", type=float, default=0.30,
                     help="allowed fractional events/sec regression per row")
-    ap.add_argument("--min-speedup", type=float, default=2.0,
-                    help="required calendar/legacy ratio at the largest size")
     ap.add_argument("--min-events", type=int, default=100000,
                     help="rows below this event count are informational only")
     args = ap.parse_args()
@@ -59,13 +50,12 @@ def main():
         return 2
 
     ok = True
-    for key, base_mps in sorted(base.items()):
-        queue, events = key
-        cur_mps = cur.get(key)
+    for events, base_mps in sorted(base.items()):
+        cur_mps = cur.get(events)
         if cur_mps is None:
             # Row counts differ when NARMA_SCALE changes the sweep; that is
             # a configuration error for the gate, not a perf regression.
-            print(f"error: current run has no row for {queue}/{events}",
+            print(f"error: current run has no row for {events} events",
                   file=sys.stderr)
             ok = False
             continue
@@ -73,25 +63,10 @@ def main():
         gated = events >= args.min_events
         verdict = ("ok" if cur_mps >= floor else
                    "REGRESSION" if gated else "below floor (info only)")
-        print(f"{queue:8s} {events:>10d}  baseline {base_mps:8.2f}  "
+        print(f"{events:>10d}  baseline {base_mps:8.2f}  "
               f"current {cur_mps:8.2f}  floor {floor:8.2f}  {verdict}")
         if gated and cur_mps < floor:
             ok = False
-
-    largest = max((e for (_, e) in cur), default=0)
-    leg = cur.get(("legacy", largest))
-    cal = cur.get(("calendar", largest))
-    if leg and cal:
-        ratio = cal / leg
-        verdict = "ok" if ratio >= args.min_speedup else "TOO SLOW"
-        print(f"calendar/legacy at {largest} events: {ratio:.2f}x "
-              f"(required {args.min_speedup:.2f}x)  {verdict}")
-        if ratio < args.min_speedup:
-            ok = False
-    else:
-        print("error: current run lacks both queues at the largest size",
-              file=sys.stderr)
-        ok = False
 
     return 0 if ok else 1
 

@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -1327,10 +1326,8 @@ int run_stencil(const Args& a) {
   enable_observability(world, a);
   apps::StencilResult res;
   ft::FtStats victim;
-  std::mutex mu;  // rank bodies run concurrently under NARMA_EXEC=threads
   world.run([&](Rank& self) {
     const auto r = apps::run_stencil(self, cfg);
-    std::lock_guard<std::mutex> lock(mu);
     if (self.id() == 0) res = r;
     if (r.ft.fails > 0) victim = r.ft;
   });
@@ -1362,10 +1359,8 @@ int run_tree(const Args& a) {
   enable_observability(world, a);
   apps::TreeResult res;
   ft::FtStats victim;
-  std::mutex mu;  // rank bodies run concurrently under NARMA_EXEC=threads
   world.run([&](Rank& self) {
     const auto r = apps::run_tree(self, cfg);
-    std::lock_guard<std::mutex> lock(mu);
     if (self.id() == 0) res = r;
     if (r.ft.fails > 0) victim = r.ft;
   });
