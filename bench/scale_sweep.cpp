@@ -101,8 +101,8 @@ Sample run_tree_child(int nranks) {
 }
 
 /// Observability-cost pair (DESIGN.md §14): the same stencil once with
-/// everything off and once with the full aggregate observability stack —
-/// aggregate-mode metrics, the flight recorder, and the anomaly journal.
+/// everything off and once with the full observability stack — the metrics
+/// registry, the flight recorder, and the anomaly journal.
 /// tools/check_scale_baseline.py gates the wall-clock factor and RSS delta
 /// between the two rows at the largest rank count.
 Sample run_stencil_obs_pair(int nranks, bool obs_on) {
@@ -113,9 +113,7 @@ Sample run_stencil_obs_pair(int nranks, bool obs_on) {
   cfg.variant = apps::StencilVariant::kNotified;
   cfg.per_point = ns(2);
   WorldParams wp;
-  if (obs_on) {
-    wp.obs.obs_mode = obs::ObsMode::kAggregate;
-  } else {
+  if (!obs_on) {
     wp.enable_metrics = false;
     wp.obs.journal_capacity = 0;
   }
@@ -311,7 +309,7 @@ int main() {
   sweep("stencil", run_stencil_child, rank_counts, nreps);
   sweep("tree", run_tree_child, rank_counts, nreps);
   bench::note("stencil_obs0/_obs: same stencil with observability fully off "
-              "vs the aggregate stack (metrics + recorder + journal)");
+              "vs the full stack (metrics + recorder + journal)");
   sweep("stencil_obs0", run_stencil_obs0_child, rank_counts, nreps);
   sweep("stencil_obs", run_stencil_obs_child, rank_counts, nreps);
   bench::note("recovery_k*: notified stencil (64 rows x 2 cols/rank, 8 "

@@ -59,18 +59,6 @@ WorldParams resolve_params(WorldParams p) {
   f.fail_rate = env::get_double("NARMA_FT_FAIL_RATE", f.fail_rate);
   f.max_fails = static_cast<int>(
       env::get_int("NARMA_FT_MAX_FAILS", f.max_fails));
-  // Observability-mode overrides (DESIGN.md §14).
-  p.obs.obs_mode = env_enum("NARMA_OBS", p.obs.obs_mode,
-                            {{"dense", obs::ObsMode::kDense},
-                             {"aggregate", obs::ObsMode::kAggregate}});
-  p.obs.obs_shards = static_cast<int>(
-      env::get_int("NARMA_OBS_SHARDS", p.obs.obs_shards));
-  p.obs.outlier_k = static_cast<int>(
-      env::get_int("NARMA_OBS_OUTLIER_K", p.obs.outlier_k));
-  p.obs.sample_ranks = static_cast<int>(
-      env::get_int("NARMA_OBS_SAMPLE_RANKS", p.obs.sample_ranks));
-  p.obs.perfetto_gauge_rank_limit = static_cast<int>(env::get_int(
-      "NARMA_OBS_GAUGE_RANK_LIMIT", p.obs.perfetto_gauge_rank_limit));
   const std::int64_t jcap = env::get_int(
       "NARMA_OBS_JOURNAL_CAP",
       static_cast<std::int64_t>(p.obs.journal_capacity));
@@ -102,7 +90,7 @@ World::World(int nranks, WorldParams params)
     : params_(resolve_params(std::move(params))),
       engine_(std::make_unique<sim::Engine>(nranks, params_.sim)),
       metrics_(params_.enable_metrics
-                   ? std::make_unique<obs::Registry>(nranks, params_.obs)
+                   ? std::make_unique<obs::Registry>(nranks)
                    : nullptr),
       fabric_(std::make_unique<net::Fabric>(*engine_, params_.fabric,
                                             metrics_.get())) {

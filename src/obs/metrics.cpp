@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -85,130 +86,35 @@ stats::Summary HistData::summary() const {
   return s;
 }
 
-// ------------------------------------------------------------- AggFamily --
-
-namespace detail {
-
-void AggFamily::admit(int rank, std::int64_t v) {
-  if (k <= 0) {
-    // Tracking disabled: raise the floor so note() never calls back.
-    floor_ = std::numeric_limits<std::int64_t>::max();
-    return;
-  }
-  const auto refresh_floor = [this] {
-    if (static_cast<int>(topk.size()) < k) return;
-    std::int64_t mn = topk.front().score;
-    for (const Entry& e : topk) mn = std::min(mn, e.score);
-    floor_ = mn;
-  };
-  for (Entry& e : topk) {
-    if (e.rank == rank) {
-      if (v > e.score) e.score = v;  // scores are running maxima
-      refresh_floor();
-      return;
-    }
-  }
-  if (static_cast<int>(topk.size()) < k) {
-    topk.push_back(Entry{rank, v});
-    refresh_floor();
-    return;
-  }
-  // Full and `rank` is not a member: v > floor_ (note() checked), so evict
-  // the current minimum. First-minimal wins ties — deterministic because
-  // the update order is the (deterministic) simulation order.
-  Entry* mn = &topk.front();
-  for (Entry& e : topk)
-    if (e.score < mn->score) mn = &e;
-  *mn = Entry{rank, v};
-  refresh_floor();
-}
-
-}  // namespace detail
-
 // ----------------------------------------------------------------- Gauge --
 
-void Gauge::set(std::int64_t v, Time at) {
-  if (!cell_) return;
-  const bool changed = v != cell_->level;
-  cell_->level = v;
-  cell_->last_set = at;
-  if (v > cell_->high_water) cell_->high_water = v;
-  if (agg_) {
-    if (!agg_->rank_level.empty())
-      agg_->rank_level[static_cast<std::size_t>(rank_)] = v;
-    agg_->note(rank_, v);
-  }
-  // Sampled on change: one counter-track point per distinct level. Cells
-  // above the configured rank limit (and aggregate shard cells) carry
-  // mirror == false, capping the Perfetto track count at scale.
-  if (changed && cell_->mirror && cell_->reg->tracer_) {
-    cell_->reg->tracer_->counter(
-        cell_->rank, "obs",
-        *cell_->name + " (rank " + std::to_string(cell_->rank) + ")", at,
-        static_cast<double>(v));
-  }
+void Gauge::mirror(std::int64_t v, Time at) const {
+  // Sampled on change: one counter-track point per distinct level.
+  const auto rank = static_cast<int>(cell_ - fam_->gauges.data());
+  if (rank >= kPerfettoGaugeRankLimit) return;
+  fam_->reg->tracer()->counter(
+      rank, "obs", fam_->name + " (rank " + std::to_string(rank) + ")", at,
+      static_cast<double>(v));
 }
 
 // -------------------------------------------------------------- Registry --
 
-Registry::Registry(int nranks, const ObsParams& params)
-    : nranks_(nranks), params_(params) {
+Registry::Registry(int nranks) : nranks_(nranks) {
   NARMA_CHECK(nranks >= 1) << "metrics registry needs at least one rank";
-  if (params_.obs_mode == ObsMode::kAggregate) {
-    // Power-of-two shard count so the hot-path shard pick is a mask; never
-    // more shards than the next power of two above nranks.
-    const auto want =
-        static_cast<unsigned>(std::clamp(params_.obs_shards, 1, 64));
-    shards_ = static_cast<int>(std::min(
-        std::bit_floor(want), std::bit_ceil(static_cast<unsigned>(nranks_))));
-    // Deterministic evenly spaced rank sample: 0, stride, 2*stride, ...
-    const int ns = std::max(0, params_.sample_ranks);
-    const int stride = std::max(1, nranks_ / std::max(1, ns));
-    for (int r = 0; r < nranks_ && static_cast<int>(sample_ranks_.size()) < ns;
-         r += stride)
-      sample_ranks_.push_back(r);
-  }
 }
 
-Registry::Family& Registry::family(const std::string& name, Kind kind) {
+detail::Family& Registry::family(const std::string& name, Kind kind) {
   auto it = families_.find(name);
   if (it == families_.end()) {
-    auto fam = std::make_unique<Family>();
+    auto fam = std::make_unique<detail::Family>();
+    fam->reg = this;
     fam->name = name;
     fam->kind = kind;
-    if (params_.obs_mode == ObsMode::kAggregate) {
-      fam->cells.resize(static_cast<std::size_t>(shards_));
-      for (int s = 0; s < shards_; ++s) {
-        auto& c = fam->cells[static_cast<std::size_t>(s)];
-        c.reg = this;
-        c.name = &fam->name;
-        c.rank = -1 - s;  // shard cells carry a negative pseudo-rank
-        c.mirror = false;
-      }
-      for (int r : sample_ranks_) {
-        auto& c = fam->sampled[r];
-        c.reg = this;
-        c.name = &fam->name;
-        c.rank = r;
-        c.mirror = r < params_.perfetto_gauge_rank_limit;
-      }
-      fam->agg = std::make_unique<detail::AggFamily>();
-      fam->agg->k = std::max(0, params_.outlier_k);
-      if (fam->agg->k == 0)
-        fam->agg->floor_ = std::numeric_limits<std::int64_t>::max();
-      if (kind == Kind::kCounter)
-        fam->agg->rank_total.assign(static_cast<std::size_t>(nranks_), 0);
-      if (kind == Kind::kGauge)
-        fam->agg->rank_level.assign(static_cast<std::size_t>(nranks_), 0);
-    } else {
-      fam->cells.resize(static_cast<std::size_t>(nranks_));
-      for (int r = 0; r < nranks_; ++r) {
-        auto& c = fam->cells[static_cast<std::size_t>(r)];
-        c.reg = this;
-        c.name = &fam->name;
-        c.rank = r;
-        c.mirror = r < params_.perfetto_gauge_rank_limit;
-      }
+    const auto n = static_cast<std::size_t>(nranks_);
+    switch (kind) {
+      case Kind::kCounter: fam->counts.resize(n); break;
+      case Kind::kGauge: fam->gauges.resize(n); break;
+      case Kind::kHistogram: fam->hists.resize(n); break;
     }
     it = families_.emplace(name, std::move(fam)).first;
   }
@@ -217,60 +123,34 @@ Registry::Family& Registry::family(const std::string& name, Kind kind) {
   return *it->second;
 }
 
-const Registry::Family* Registry::find(const std::string& name) const {
+const detail::Family* Registry::find(const std::string& name) const {
   auto it = families_.find(name);
   return it == families_.end() ? nullptr : it->second.get();
 }
 
-const detail::Cell* Registry::cell_of(const std::string& name,
-                                      int rank) const {
-  const Family* fam = find(name);
-  if (!fam || rank < 0 || rank >= nranks_) return nullptr;
-  if (params_.obs_mode == ObsMode::kAggregate) {
-    auto it = fam->sampled.find(rank);
-    if (it != fam->sampled.end()) return &it->second;
-    return &fam->cells[static_cast<std::size_t>(rank & (shards_ - 1))];
-  }
-  return &fam->cells[static_cast<std::size_t>(rank)];
+const detail::Family* Registry::find(const std::string& name, Kind kind,
+                                     int rank) const {
+  const detail::Family* fam = find(name);
+  if (!fam || fam->kind != kind || rank < 0 || rank >= nranks_) return nullptr;
+  return fam;
 }
 
 Counter Registry::counter(const std::string& name, int rank) {
   NARMA_CHECK(rank >= 0 && rank < nranks_) << "bad metric rank " << rank;
-  Family& fam = family(name, Kind::kCounter);
-  if (params_.obs_mode == ObsMode::kDense)
-    return Counter(&fam.cells[static_cast<std::size_t>(rank)]);
-  auto it = fam.sampled.find(rank);
-  detail::Cell* c =
-      it != fam.sampled.end()
-          ? &it->second
-          : &fam.cells[static_cast<std::size_t>(rank & (shards_ - 1))];
-  return Counter(c, fam.agg.get(), rank);
+  return Counter(
+      &family(name, Kind::kCounter).counts[static_cast<std::size_t>(rank)]);
 }
 
 Gauge Registry::gauge(const std::string& name, int rank) {
   NARMA_CHECK(rank >= 0 && rank < nranks_) << "bad metric rank " << rank;
-  Family& fam = family(name, Kind::kGauge);
-  if (params_.obs_mode == ObsMode::kDense)
-    return Gauge(&fam.cells[static_cast<std::size_t>(rank)]);
-  auto it = fam.sampled.find(rank);
-  detail::Cell* c =
-      it != fam.sampled.end()
-          ? &it->second
-          : &fam.cells[static_cast<std::size_t>(rank & (shards_ - 1))];
-  return Gauge(c, fam.agg.get(), rank);
+  detail::Family& fam = family(name, Kind::kGauge);
+  return Gauge(&fam.gauges[static_cast<std::size_t>(rank)], &fam);
 }
 
 Histogram Registry::histogram(const std::string& name, int rank) {
   NARMA_CHECK(rank >= 0 && rank < nranks_) << "bad metric rank " << rank;
-  Family& fam = family(name, Kind::kHistogram);
-  if (params_.obs_mode == ObsMode::kDense)
-    return Histogram(&fam.cells[static_cast<std::size_t>(rank)]);
-  auto it = fam.sampled.find(rank);
-  detail::Cell* c =
-      it != fam.sampled.end()
-          ? &it->second
-          : &fam.cells[static_cast<std::size_t>(rank & (shards_ - 1))];
-  return Histogram(c, fam.agg.get(), rank);
+  return Histogram(
+      &family(name, Kind::kHistogram).hists[static_cast<std::size_t>(rank)]);
 }
 
 bool Registry::has(const std::string& name) const {
@@ -284,174 +164,94 @@ std::vector<std::string> Registry::names() const {
   return out;
 }
 
-void Registry::visit(const std::function<void(const CellView&)>& fn) const {
-  for (const auto& [name, fam] : families_) {
-    if (params_.obs_mode == ObsMode::kDense) {
-      for (int r = 0; r < nranks_; ++r) {
-        const detail::Cell& c = fam->cells[static_cast<std::size_t>(r)];
-        fn(CellView{fam->name, fam->kind, r, r, c.count, c.level,
-                    c.high_water, c.hist});
-      }
-    } else {
-      int row = 0;
-      for (int s = 0; s < shards_; ++s, ++row) {
-        const detail::Cell& c = fam->cells[static_cast<std::size_t>(s)];
-        fn(CellView{fam->name, fam->kind, c.rank, row, c.count, c.level,
-                    c.high_water, c.hist});
-      }
-      for (const auto& [r, c] : fam->sampled) {
-        fn(CellView{fam->name, fam->kind, r, row, c.count, c.level,
-                    c.high_water, c.hist});
-        ++row;
-      }
-    }
-  }
+void Registry::visit(const std::function<void(const FamilyView&)>& fn) const {
+  for (const auto& [name, fam] : families_)
+    fn(FamilyView{fam->name, fam->kind, fam->counts, fam->gauges, fam->hists});
 }
 
 std::uint64_t Registry::counter_value(const std::string& name,
                                       int rank) const {
-  if (params_.obs_mode == ObsMode::kAggregate) {
-    const Family* fam = find(name);
-    if (!fam || rank < 0 || rank >= nranks_) return 0;
-    auto it = fam->sampled.find(rank);
-    if (it != fam->sampled.end()) return it->second.count;
-    if (fam->agg && !fam->agg->rank_total.empty())
-      return fam->agg->rank_total[static_cast<std::size_t>(rank)];
-    return 0;
-  }
-  const detail::Cell* c = cell_of(name, rank);
-  return c ? c->count : 0;
+  const detail::Family* fam = find(name, Kind::kCounter, rank);
+  return fam ? fam->counts[static_cast<std::size_t>(rank)] : 0;
 }
 
 std::int64_t Registry::gauge_value(const std::string& name, int rank) const {
-  if (params_.obs_mode == ObsMode::kAggregate) {
-    const Family* fam = find(name);
-    if (fam && fam->agg && !fam->agg->rank_level.empty() && rank >= 0 &&
-        rank < nranks_)
-      return fam->agg->rank_level[static_cast<std::size_t>(rank)];
-  }
-  const detail::Cell* c = cell_of(name, rank);
-  return c ? c->level : 0;
+  const detail::Family* fam = find(name, Kind::kGauge, rank);
+  return fam ? fam->gauges[static_cast<std::size_t>(rank)].level : 0;
 }
 
 std::int64_t Registry::gauge_high_water(const std::string& name,
                                         int rank) const {
-  if (params_.obs_mode == ObsMode::kAggregate) {
-    const Family* fam = find(name);
-    if (!fam || rank < 0 || rank >= nranks_) return 0;
-    auto it = fam->sampled.find(rank);
-    if (it != fam->sampled.end()) return it->second.high_water;
-    return aggregate_gauge_hw(name);  // family-wide upper bound
-  }
-  const detail::Cell* c = cell_of(name, rank);
-  return c ? c->high_water : 0;
+  const detail::Family* fam = find(name, Kind::kGauge, rank);
+  return fam ? fam->gauges[static_cast<std::size_t>(rank)].high_water : 0;
 }
 
 const HistData* Registry::hist_data(const std::string& name, int rank) const {
-  const detail::Cell* c = cell_of(name, rank);
-  return c ? &c->hist : nullptr;
+  const detail::Family* fam = find(name, Kind::kHistogram, rank);
+  return fam ? &fam->hists[static_cast<std::size_t>(rank)] : nullptr;
 }
 
-// In both modes the family's cells + sampled cells partition every update
-// (aggregate-mode sampled handles never write shards), so a plain sweep is
-// the exact whole-family reduction.
-
 std::uint64_t Registry::aggregate_counter_sum(const std::string& name) const {
-  const Family* fam = find(name);
+  const detail::Family* fam = find(name);
   if (!fam) return 0;
   std::uint64_t s = 0;
-  for (const auto& c : fam->cells) s += c.count;
-  for (const auto& [r, c] : fam->sampled) s += c.count;
+  for (std::uint64_t v : fam->counts) s += v;
   return s;
 }
 
 int Registry::aggregate_counter_active(const std::string& name) const {
-  const Family* fam = find(name);
+  const detail::Family* fam = find(name);
   if (!fam) return 0;
   int n = 0;
-  if (fam->agg && !fam->agg->rank_total.empty()) {
-    for (std::uint64_t t : fam->agg->rank_total) n += t != 0;
-    return n;
-  }
-  for (const auto& c : fam->cells) n += c.count != 0;
+  for (std::uint64_t v : fam->counts) n += v != 0;
   return n;
 }
 
 std::int64_t Registry::aggregate_gauge_hw(const std::string& name) const {
-  const Family* fam = find(name);
+  const detail::Family* fam = find(name);
   if (!fam) return 0;
   std::int64_t hw = 0;
-  for (const auto& c : fam->cells) hw = std::max(hw, c.high_water);
-  for (const auto& [r, c] : fam->sampled) hw = std::max(hw, c.high_water);
+  for (const GaugeCell& g : fam->gauges) hw = std::max(hw, g.high_water);
   return hw;
 }
 
 std::int64_t Registry::aggregate_gauge_last(const std::string& name) const {
-  const Family* fam = find(name);
+  const detail::Family* fam = find(name);
   if (!fam) return 0;
   std::int64_t last = 0;
   Time best = 0;
   bool any = false;
-  const auto consider = [&](const detail::Cell& c) {
-    if (c.last_set == 0 && c.level == 0 && c.high_water == 0) return;
-    if (!any || c.last_set >= best) {
+  for (const GaugeCell& g : fam->gauges) {
+    if (g.last_set == 0 && g.level == 0 && g.high_water == 0) continue;
+    if (!any || g.last_set >= best) {
       any = true;
-      best = c.last_set;
-      last = c.level;
+      best = g.last_set;
+      last = g.level;
     }
-  };
-  for (const auto& c : fam->cells) consider(c);
-  for (const auto& [r, c] : fam->sampled) consider(c);
+  }
   return last;
 }
 
 HistData Registry::aggregate_hist(const std::string& name) const {
   HistData h;
-  const Family* fam = find(name);
+  const detail::Family* fam = find(name);
   if (!fam) return h;
-  for (const auto& c : fam->cells) h.merge(c.hist);
-  for (const auto& [r, c] : fam->sampled) h.merge(c.hist);
+  for (const HistData& r : fam->hists) h.merge(r);
   return h;
-}
-
-std::vector<Registry::OutlierView> Registry::outliers(
-    const std::string& name) const {
-  std::vector<OutlierView> out;
-  const Family* fam = find(name);
-  if (!fam || !fam->agg) return out;
-  out.reserve(fam->agg->topk.size());
-  for (const auto& e : fam->agg->topk) out.push_back({e.rank, e.score});
-  std::sort(out.begin(), out.end(),
-            [](const OutlierView& a, const OutlierView& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.rank < b.rank;
-            });
-  return out;
 }
 
 std::size_t Registry::footprint_bytes() const {
   std::size_t b = sizeof(Registry);
   for (const auto& [name, fam] : families_) {
-    b += sizeof(Family) + fam->name.size();
-    b += fam->cells.size() * sizeof(detail::Cell);
-    // Map nodes carry ~3 pointers + color on top of the payload.
-    b += fam->sampled.size() * (sizeof(detail::Cell) + 4 * sizeof(void*));
-    if (fam->agg) {
-      b += sizeof(detail::AggFamily);
-      b += fam->agg->rank_total.size() * sizeof(std::uint64_t);
-      b += fam->agg->rank_level.size() * sizeof(std::int64_t);
-      b += fam->agg->topk.size() * sizeof(detail::AggFamily::Entry);
-    }
+    b += sizeof(detail::Family) + fam->name.size();
+    b += fam->counts.size() * sizeof(std::uint64_t);
+    b += fam->gauges.size() * sizeof(GaugeCell);
+    b += fam->hists.size() * sizeof(HistData);
   }
   return b;
 }
 
 std::string Registry::to_json() const {
-  return params_.obs_mode == ObsMode::kAggregate ? to_json_v2()
-                                                 : to_json_v1();
-}
-
-std::string Registry::to_json_v1() const {
   std::ostringstream os;
   os << "{\"schema\":\"narma.metrics.v1\",\"nranks\":" << nranks_
      << ",\"metrics\":[";
@@ -466,18 +266,18 @@ std::string Registry::to_json_v1() const {
        << "\",\"per_rank\":[";
     for (int r = 0; r < nranks_; ++r) {
       if (r) os << ',';
-      const detail::Cell& c = fam->cells[static_cast<std::size_t>(r)];
+      const auto ri = static_cast<std::size_t>(r);
       os << "{\"rank\":" << r;
       switch (fam->kind) {
         case Kind::kCounter:
-          os << ",\"value\":" << c.count;
+          os << ",\"value\":" << fam->counts[ri];
           break;
         case Kind::kGauge:
-          os << ",\"value\":" << c.level
-             << ",\"high_water\":" << c.high_water;
+          os << ",\"value\":" << fam->gauges[ri].level
+             << ",\"high_water\":" << fam->gauges[ri].high_water;
           break;
         case Kind::kHistogram: {
-          const HistData& h = c.hist;
+          const HistData& h = fam->hists[ri];
           os << ",\"count\":" << h.count << ",\"sum\":" << h.sum
              << ",\"min\":" << h.min << ",\"max\":" << h.max;
           // Interpolated percentiles (see HistData::quantile); exact for
@@ -491,105 +291,18 @@ std::string Registry::to_json_v1() const {
             if (h.buckets[i] == 0) continue;
             if (!first_b) os << ',';
             first_b = false;
+            // Bucket i spans [2^(i-1), 2^i - 1]; the shift form of hi would
+            // be undefined for the top bucket (i = 64).
             const std::uint64_t lo = i == 0 ? 0 : (1ull << (i - 1));
-            const std::uint64_t hi = i == 0 ? 0 : (1ull << i) - 1;
+            const std::uint64_t hi =
+                i == 0 ? 0
+                       : std::numeric_limits<std::uint64_t>::max() >> (64 - i);
             os << "{\"lo\":" << lo << ",\"hi\":" << hi
                << ",\"count\":" << h.buckets[i] << '}';
           }
           os << ']';
           break;
         }
-      }
-      os << '}';
-    }
-    os << "]}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string Registry::to_json_v2() const {
-  std::ostringstream os;
-  const auto emit_hist = [&os](const HistData& h) {
-    os << "\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"min\":" << h.min << ",\"max\":" << h.max
-       << ",\"p50\":" << h.quantile(0.50) << ",\"p90\":" << h.quantile(0.90)
-       << ",\"p99\":" << h.quantile(0.99) << ",\"buckets\":[";
-    bool first_b = true;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
-      if (!first_b) os << ',';
-      first_b = false;
-      const std::uint64_t lo = i == 0 ? 0 : (1ull << (i - 1));
-      const std::uint64_t hi = i == 0 ? 0 : (1ull << i) - 1;
-      os << "{\"lo\":" << lo << ",\"hi\":" << hi
-         << ",\"count\":" << h.buckets[i] << '}';
-    }
-    os << ']';
-  };
-  os << "{\"schema\":\"narma.metrics.v2\",\"nranks\":" << nranks_
-     << ",\"obs_mode\":\"aggregate\",\"shards\":" << shards_
-     << ",\"sample_ranks\":[";
-  for (std::size_t i = 0; i < sample_ranks_.size(); ++i) {
-    if (i) os << ',';
-    os << sample_ranks_[i];
-  }
-  os << "],\"outlier_k\":" << std::max(0, params_.outlier_k)
-     << ",\"metrics\":[";
-  bool first_fam = true;
-  for (const auto& [name, fam] : families_) {
-    if (!first_fam) os << ',';
-    first_fam = false;
-    const char* kind = fam->kind == Kind::kCounter   ? "counter"
-                       : fam->kind == Kind::kGauge   ? "gauge"
-                                                     : "histogram";
-    os << "{\"name\":\"" << name << "\",\"kind\":\"" << kind
-       << "\",\"aggregate\":{";
-    switch (fam->kind) {
-      case Kind::kCounter: {
-        std::uint64_t mx = 0;
-        if (fam->agg)
-          for (std::uint64_t t : fam->agg->rank_total) mx = std::max(mx, t);
-        os << "\"sum\":" << aggregate_counter_sum(name)
-           << ",\"active_ranks\":" << aggregate_counter_active(name)
-           << ",\"max\":" << mx;
-        break;
-      }
-      case Kind::kGauge:
-        os << "\"last\":" << aggregate_gauge_last(name)
-           << ",\"high_water\":" << aggregate_gauge_hw(name);
-        break;
-      case Kind::kHistogram: {
-        const HistData h = aggregate_hist(name);
-        emit_hist(h);
-        break;
-      }
-    }
-    os << "},\"outliers\":[";
-    const auto out = outliers(name);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (i) os << ',';
-      os << "{\"rank\":" << out[i].rank << ",\"value\":" << out[i].value
-         << '}';
-    }
-    os << "],\"sampled\":[";
-    bool first_s = true;
-    for (const auto& [r, c] : fam->sampled) {
-      if (!first_s) os << ',';
-      first_s = false;
-      os << "{\"rank\":" << r;
-      switch (fam->kind) {
-        case Kind::kCounter:
-          os << ",\"value\":" << c.count;
-          break;
-        case Kind::kGauge:
-          os << ",\"value\":" << c.level
-             << ",\"high_water\":" << c.high_water;
-          break;
-        case Kind::kHistogram:
-          os << ',';
-          emit_hist(c.hist);
-          break;
       }
       os << '}';
     }

@@ -8,47 +8,7 @@
 
 namespace narma::obs {
 
-/// Metric-registry storage mode (DESIGN.md §14).
-///
-///   kDense      one exact cell per (family, rank) — the historical layout;
-///               O(families x ranks) memory and multi-MB dumps at scale.
-///   kAggregate  per-family sharded aggregate cells plus a bounded top-k
-///               outlier tracker and a deterministic rank sample; memory is
-///               O(families x (shards + sample + k)) + 8 B/rank for counter
-///               extremity tracking, and dumps shrink to kilobytes.
-enum class ObsMode : std::uint8_t { kDense, kAggregate };
-
 struct ObsParams {
-  /// Registry storage mode. NARMA_OBS={dense,aggregate} overrides it at
-  /// World construction; narma_cli exposes it as --obs=MODE. Aggregate-mode
-  /// reductions (sums / counts / high-waters) are bit-identical to the
-  /// dense-mode reductions of the same run (tests/test_obs_aggregate.cpp).
-  ObsMode obs_mode = ObsMode::kDense;
-
-  /// Aggregate-mode shard cells per family (clamped to a power of two,
-  /// 1..64). A rank's updates land in shard rank % shards; shards exist so
-  /// a future parallel engine can stripe hot counters across cache lines.
-  int obs_shards = 8;
-
-  /// Aggregate-mode outliers retained per family: the k ranks with the most
-  /// extreme values (counters: largest total, exact via an 8 B/rank running
-  /// total; gauges: highest high-water; histograms: largest sample — both
-  /// exact because every candidate value passes through the update hook).
-  /// NARMA_OBS_OUTLIER_K overrides.
-  int outlier_k = 8;
-
-  /// Aggregate-mode deterministic rank sample: this many evenly spaced
-  /// ranks (0, stride, 2*stride, ...) keep full exact cells for per-rank
-  /// detail. NARMA_OBS_SAMPLE_RANKS overrides.
-  int sample_ranks = 8;
-
-  /// Gauge changes are mirrored into the Perfetto trace as counter-track
-  /// samples only for ranks below this limit (every rank's gauge change
-  /// emitting a "C" event floods the trace at 4096+ ranks). In aggregate
-  /// mode only sampled-rank cells are mirrored, subject to the same limit.
-  /// NARMA_OBS_GAUGE_RANK_LIMIT overrides.
-  int perfetto_gauge_rank_limit = 1024;
-
   /// Anomaly-journal ring capacity in records (src/obs/journal); 0 disables
   /// the journal entirely. The ring keeps the most recent records and
   /// counts what it dropped. NARMA_OBS_JOURNAL_CAP overrides.

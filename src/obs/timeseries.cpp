@@ -40,11 +40,15 @@ TimeSeries::TimeSeries(Registry& reg, sim::Engine& eng,
       window_ps_(params.timeseries_window_ps ? params.timeseries_window_ps
                                              : us(100)),
       capacity_(params.timeseries_capacity),
-      straggler_threshold_(params.straggler_threshold),
-      aggregate_(reg.mode() == ObsMode::kAggregate) {
+      straggler_threshold_(params.straggler_threshold) {
   NARMA_CHECK(window_ps_ > 0);
   NARMA_CHECK(capacity_ >= 4) << "flight recorder needs >= 4 windows";
-  rank_base_.resize(static_cast<std::size_t>(eng.nranks()));
+  const int nranks = eng.nranks();
+  const int nrec = std::min(nranks, kMaxRecordedRanks);
+  for (int i = 0; i < nrec; ++i)
+    recorded_.push_back(static_cast<int>(
+        static_cast<std::int64_t>(i) * nranks / nrec));
+  rank_base_.resize(static_cast<std::size_t>(nranks));
 }
 
 std::uint32_t TimeSeries::family_index(const std::string& name, Kind kind) {
@@ -53,7 +57,7 @@ std::uint32_t TimeSeries::family_index(const std::string& name, Kind kind) {
   const auto idx = static_cast<std::uint32_t>(families_.size());
   families_.push_back(FamilyInfo{name, kind});
   family_idx_.emplace(name, idx);
-  base_.emplace_back(static_cast<std::size_t>(reg_.max_rows()));
+  base_.emplace_back(recorded_.size());
   return idx;
 }
 
@@ -62,17 +66,15 @@ void TimeSeries::snapshot(Time boundary) {
   Window w;
   w.t_begin = last_boundary_;
   w.t_end = boundary;
+  w.ranks.resize(recorded_.size());
   const int nranks = eng_.nranks();
-  if (!aggregate_) w.ranks.resize(static_cast<std::size_t>(nranks));
-  // Busy-fraction stats are needed for the aggregate summary and for the
-  // journal's straggler record; dense mode without a journal skips them.
-  const bool want_stats = aggregate_ || journal_ != nullptr;
+  // Busy fractions of every rank that advanced: the rank_agg summary and
+  // the journal's straggler record range over all ranks.
   std::vector<double> fracs;
-  if (want_stats) fracs.reserve(static_cast<std::size_t>(nranks));
+  fracs.reserve(static_cast<std::size_t>(nranks));
   double min_busy = 2.0;
   std::int32_t min_rank = -1;
-  const std::vector<int>& samples = reg_.sampled_ranks();
-  std::size_t si = 0;  // walks `samples` (ascending) alongside r
+  std::size_t ri = 0;  // walks recorded_ (ascending) alongside r
   for (int r = 0; r < nranks; ++r) {
     sim::RankCtx& ctx = eng_.rank(r);
     const Time total = ctx.now();
@@ -80,75 +82,70 @@ void TimeSeries::snapshot(Time boundary) {
     auto& abs = rank_base_[static_cast<std::size_t>(r)];  // absolute totals
     const RankDelta d{total - abs.d_total, blocked - abs.d_blocked};
     abs = {total, blocked};
-    if (!aggregate_) {
-      w.ranks[static_cast<std::size_t>(r)] = d;
-    } else {
-      w.agg.d_total_sum += d.d_total;
-      w.agg.d_blocked_sum += d.d_blocked;
-      if (d.d_total > 0) ++w.agg.active;
-      if (si < samples.size() && samples[si] == r) {
-        w.sampled.push_back({r, d});
-        ++si;
-      }
-    }
-    if (want_stats && d.d_total > 0) {
-      const double f = static_cast<double>(d.d_total - d.d_blocked) /
-                       static_cast<double>(d.d_total);
-      fracs.push_back(f);
-      if (f < min_busy) {
-        min_busy = f;
-        min_rank = r;
-      }
+    if (ri < recorded_.size() && recorded_[ri] == r) w.ranks[ri++] = d;
+    w.agg.d_total_sum += d.d_total;
+    w.agg.d_blocked_sum += d.d_blocked;
+    if (d.d_total <= 0) continue;
+    ++w.agg.active;
+    const double f = static_cast<double>(d.d_total - d.d_blocked) /
+                     static_cast<double>(d.d_total);
+    fracs.push_back(f);
+    if (f < min_busy) {
+      min_busy = f;
+      min_rank = r;
     }
   }
-  if (want_stats && fracs.size() >= 2) {
-    std::vector<double> sorted = fracs;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
-    if (aggregate_) {
-      w.agg.median_busy = median;
-      w.agg.min_busy = min_busy;
-      w.agg.min_rank = min_rank;
-      for (double f : fracs)
-        if (f < median - straggler_threshold_) ++w.agg.stragglers;
-    }
+  if (fracs.size() >= 2) {
+    std::sort(fracs.begin(), fracs.end());
+    const double median = fracs[fracs.size() / 2];
+    w.agg.median_busy = median;
+    w.agg.min_busy = min_busy;
+    w.agg.min_rank = min_rank;
+    for (double f : fracs)
+      if (f < median - straggler_threshold_) ++w.agg.stragglers;
     // At most one journal record per window: the worst rank, if it crosses
     // the threshold. Busy fractions travel as parts-per-million integers.
-    if (journal_ && min_rank >= 0 && min_busy < median - straggler_threshold_)
+    if (journal_ && min_busy < median - straggler_threshold_)
       journal_->append(JournalKind::kStraggler, boundary, min_rank, -1,
                        static_cast<std::uint64_t>(min_busy * 1e6),
                        static_cast<std::uint64_t>(median * 1e6));
   }
-  reg_.visit([&](const Registry::CellView& v) {
-    if (is_host_time_family(v.name)) return;
-    const std::uint32_t idx = family_index(v.name, v.kind);
-    CellBase& base = base_[idx][static_cast<std::size_t>(v.row)];
-    const auto rank = static_cast<std::int32_t>(v.rank);
-    switch (v.kind) {
-      case Kind::kCounter:
-        if (v.count != base.count) {
-          w.cells.push_back({idx, rank, v.count - base.count, 0});
-          base.count = v.count;
+  reg_.visit([&](const Registry::FamilyView& f) {
+    if (is_host_time_family(f.name)) return;
+    const std::uint32_t idx = family_index(f.name, f.kind);
+    std::vector<CellBase>& bases = base_[idx];
+    for (std::size_t i = 0; i < recorded_.size(); ++i) {
+      const auto r = static_cast<std::size_t>(recorded_[i]);
+      const auto rank = static_cast<std::int32_t>(recorded_[i]);
+      CellBase& base = bases[i];
+      switch (f.kind) {
+        case Kind::kCounter:
+          if (f.counts[r] != base.count) {
+            w.cells.push_back({idx, rank, f.counts[r] - base.count, 0});
+            base.count = f.counts[r];
+          }
+          break;
+        case Kind::kGauge: {
+          const GaugeCell& g = f.gauges[r];
+          if (g.level != base.level || g.high_water != base.hw) {
+            w.cells.push_back({idx, rank, static_cast<std::uint64_t>(g.level),
+                               static_cast<std::uint64_t>(g.high_water)});
+            base.level = g.level;
+            base.hw = g.high_water;
+          }
+          break;
         }
-        break;
-      case Kind::kGauge:
-        if (v.level != base.level || v.high_water != base.hw) {
-          w.cells.push_back({idx, rank,
-                             static_cast<std::uint64_t>(v.level),
-                             static_cast<std::uint64_t>(v.high_water)});
-          base.level = v.level;
-          base.hw = v.high_water;
+        case Kind::kHistogram: {
+          const HistData& h = f.hists[r];
+          const std::uint64_t dc = h.count - base.hcount;
+          const std::uint64_t ds = h.sum - base.hsum;
+          if (dc != 0 || ds != 0) {
+            w.cells.push_back({idx, rank, dc, ds});
+            base.hcount = h.count;
+            base.hsum = h.sum;
+          }
+          break;
         }
-        break;
-      case Kind::kHistogram: {
-        const std::uint64_t dc = v.hist.count - base.hcount;
-        const std::uint64_t ds = v.hist.sum - base.hsum;
-        if (dc != 0 || ds != 0) {
-          w.cells.push_back({idx, rank, dc, ds});
-          base.hcount = v.hist.count;
-          base.hsum = v.hist.sum;
-        }
-        break;
       }
     }
   });
@@ -178,35 +175,26 @@ TimeSeries::Window TimeSeries::merge(Window&& a, Window&& b) const {
   for (std::size_t r = 0; r < a.ranks.size(); ++r)
     m.ranks[r] = {a.ranks[r].d_total + b.ranks[r].d_total,
                   a.ranks[r].d_blocked + b.ranks[r].d_blocked};
-  if (aggregate_) {
-    m.agg.d_total_sum = a.agg.d_total_sum + b.agg.d_total_sum;
-    m.agg.d_blocked_sum = a.agg.d_blocked_sum + b.agg.d_blocked_sum;
-    m.agg.active = std::max(a.agg.active, b.agg.active);
-    m.agg.stragglers = a.agg.stragglers + b.agg.stragglers;
-    // Weighted-average median: approximate but deterministic; the exact
-    // per-window medians are gone once their windows merge.
-    const double wa = static_cast<double>(a.merged);
-    const double wb = static_cast<double>(b.merged);
-    m.agg.median_busy =
-        (a.agg.median_busy * wa + b.agg.median_busy * wb) / (wa + wb);
-    if (b.agg.min_rank < 0 || (a.agg.min_rank >= 0 &&
-                               a.agg.min_busy <= b.agg.min_busy)) {
-      m.agg.min_busy = a.agg.min_busy;
-      m.agg.min_rank = a.agg.min_rank;
-    } else {
-      m.agg.min_busy = b.agg.min_busy;
-      m.agg.min_rank = b.agg.min_rank;
-    }
-    m.sampled.resize(a.sampled.size());
-    for (std::size_t i = 0; i < a.sampled.size(); ++i)
-      m.sampled[i] = {a.sampled[i].rank,
-                      {a.sampled[i].d.d_total + b.sampled[i].d.d_total,
-                       a.sampled[i].d.d_blocked + b.sampled[i].d.d_blocked}};
+  m.agg.d_total_sum = a.agg.d_total_sum + b.agg.d_total_sum;
+  m.agg.d_blocked_sum = a.agg.d_blocked_sum + b.agg.d_blocked_sum;
+  m.agg.active = std::max(a.agg.active, b.agg.active);
+  m.agg.stragglers = a.agg.stragglers + b.agg.stragglers;
+  // Weighted-average median: approximate but deterministic; the exact
+  // per-window medians are gone once their windows merge.
+  const double wa = static_cast<double>(a.merged);
+  const double wb = static_cast<double>(b.merged);
+  m.agg.median_busy =
+      (a.agg.median_busy * wa + b.agg.median_busy * wb) / (wa + wb);
+  if (b.agg.min_rank < 0 ||
+      (a.agg.min_rank >= 0 && a.agg.min_busy <= b.agg.min_busy)) {
+    m.agg.min_busy = a.agg.min_busy;
+    m.agg.min_rank = a.agg.min_rank;
+  } else {
+    m.agg.min_busy = b.agg.min_busy;
+    m.agg.min_rank = b.agg.min_rank;
   }
   // Combine by (family, rank): counters/histograms sum, gauges take the
   // later window's value (last-wins, matching the snapshot semantics).
-  // The rank half of the key is cast through uint32 so aggregate-mode
-  // negative shard pseudo-ranks stay distinct from sampled ranks.
   std::map<std::uint64_t, CellDelta> cells;
   auto key = [](const CellDelta& c) {
     return (static_cast<std::uint64_t>(c.family) << 32) |
@@ -252,26 +240,8 @@ std::vector<TimeSeries::Anomaly> TimeSeries::anomalies() const {
   std::vector<Anomaly> out;
   for (std::size_t wi = 0; wi < windows_.size(); ++wi) {
     const Window& w = windows_[wi];
-    if (aggregate_) {
-      // Per-rank fractions are gone; report the window's worst rank, which
-      // snapshot() captured exactly.
-      if (w.agg.min_rank >= 0 &&
-          w.agg.min_busy < w.agg.median_busy - straggler_threshold_) {
-        Anomaly a;
-        a.window = static_cast<std::uint32_t>(wi);
-        a.kind = "straggler";
-        a.rank = w.agg.min_rank;
-        a.value = w.agg.min_busy;
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "busy %.2f vs window median %.2f",
-                      w.agg.min_busy, w.agg.median_busy);
-        a.detail = buf;
-        out.push_back(std::move(a));
-      }
-      continue;
-    }
-    // Busy fraction per rank over the window; ranks that saw no virtual
-    // time (already finished) are left out of the median.
+    // Busy fraction per recorded rank over the window; ranks that saw no
+    // virtual time (already finished) are left out of the median.
     std::vector<double> fracs;
     fracs.reserve(w.ranks.size());
     for (const RankDelta& r : w.ranks)
@@ -284,14 +254,14 @@ std::vector<TimeSeries::Anomaly> TimeSeries::anomalies() const {
     std::sort(sorted.begin(), sorted.end());
     const double median = sorted[sorted.size() / 2];
     std::size_t fi = 0;
-    for (std::size_t r = 0; r < w.ranks.size(); ++r) {
-      if (w.ranks[r].d_total <= 0) continue;
+    for (std::size_t i = 0; i < w.ranks.size(); ++i) {
+      if (w.ranks[i].d_total <= 0) continue;
       const double f = fracs[fi++];
       if (f < median - straggler_threshold_) {
         Anomaly a;
         a.window = static_cast<std::uint32_t>(wi);
         a.kind = "straggler";
-        a.rank = static_cast<int>(r);
+        a.rank = recorded_[i];
         a.value = f;
         char buf[96];
         std::snprintf(buf, sizeof(buf),
@@ -328,14 +298,6 @@ std::string TimeSeries::to_json() const {
   w.kv("capacity", static_cast<std::uint64_t>(capacity_));
   w.kv("snapshots", snapshots_);
   w.kv("merges", merges_);
-  if (aggregate_) {
-    // Aggregate-mode extras; dense documents stay bit-identical to the
-    // pre-aggregate schema, so these only appear here.
-    w.kv("obs_mode", "aggregate");
-    w.key("sample_ranks").begin_array();
-    for (int r : reg_.sampled_ranks()) w.value(r);
-    w.end_array();
-  }
   w.key("families").begin_array();
   for (const FamilyInfo& f : families_) {
     w.begin_object();
@@ -350,43 +312,28 @@ std::string TimeSeries::to_json() const {
     w.kv("t_begin_ps", static_cast<std::uint64_t>(win.t_begin));
     w.kv("t_end_ps", static_cast<std::uint64_t>(win.t_end));
     w.kv("merged", static_cast<std::uint64_t>(win.merged));
-    if (aggregate_) {
-      w.key("rank_agg").begin_object();
-      w.kv("total_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum));
-      w.kv("blocked_ps_sum",
-           static_cast<std::uint64_t>(win.agg.d_blocked_sum));
-      w.kv("busy_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum -
-                                                     win.agg.d_blocked_sum));
-      w.kv("active", static_cast<std::uint64_t>(win.agg.active));
-      w.kv("stragglers", static_cast<std::uint64_t>(win.agg.stragglers));
-      w.kv("median_busy", win.agg.median_busy);
-      w.kv("min_busy", win.agg.min_rank >= 0 ? win.agg.min_busy : 0.0);
-      w.kv("min_rank", static_cast<int>(win.agg.min_rank));
+    w.key("rank_agg").begin_object();
+    w.kv("total_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum));
+    w.kv("blocked_ps_sum", static_cast<std::uint64_t>(win.agg.d_blocked_sum));
+    w.kv("busy_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum -
+                                                   win.agg.d_blocked_sum));
+    w.kv("active", static_cast<std::uint64_t>(win.agg.active));
+    w.kv("stragglers", static_cast<std::uint64_t>(win.agg.stragglers));
+    w.kv("median_busy", win.agg.median_busy);
+    w.kv("min_busy", win.agg.min_rank >= 0 ? win.agg.min_busy : 0.0);
+    w.kv("min_rank", static_cast<int>(win.agg.min_rank));
+    w.end_object();
+    w.key("ranks").begin_array();
+    for (std::size_t i = 0; i < win.ranks.size(); ++i) {
+      const RankDelta& d = win.ranks[i];
+      w.begin_object();
+      w.kv("rank", recorded_[i]);
+      w.kv("total_ps", static_cast<std::uint64_t>(d.d_total));
+      w.kv("blocked_ps", static_cast<std::uint64_t>(d.d_blocked));
+      w.kv("busy_ps", static_cast<std::uint64_t>(d.d_total - d.d_blocked));
       w.end_object();
-      w.key("sampled_ranks").begin_array();
-      for (const SampledRankDelta& s : win.sampled) {
-        w.begin_object();
-        w.kv("rank", static_cast<int>(s.rank));
-        w.kv("total_ps", static_cast<std::uint64_t>(s.d.d_total));
-        w.kv("blocked_ps", static_cast<std::uint64_t>(s.d.d_blocked));
-        w.kv("busy_ps",
-             static_cast<std::uint64_t>(s.d.d_total - s.d.d_blocked));
-        w.end_object();
-      }
-      w.end_array();
-    } else {
-      w.key("ranks").begin_array();
-      for (std::size_t r = 0; r < win.ranks.size(); ++r) {
-        const RankDelta& d = win.ranks[r];
-        w.begin_object();
-        w.kv("rank", static_cast<int>(r));
-        w.kv("total_ps", static_cast<std::uint64_t>(d.d_total));
-        w.kv("blocked_ps", static_cast<std::uint64_t>(d.d_blocked));
-        w.kv("busy_ps", static_cast<std::uint64_t>(d.d_total - d.d_blocked));
-        w.end_object();
-      }
-      w.end_array();
     }
+    w.end_array();
     w.key("cells").begin_array();
     for (const CellDelta& c : win.cells) {
       w.begin_object();

@@ -6,23 +6,30 @@
 // happened in total"; the flight recorder answers "when". On a configurable
 // virtual-time cadence the engine's scheduler loop invokes the recorder's
 // time probe (Engine::set_time_probe) *between* dispatches, and the
-// recorder captures the delta of every (family, rank) metric cell since the
-// previous boundary into a bounded ring of windows:
+// recorder captures, for every *recorded* rank, the delta of each metric
+// cell since the previous boundary into a bounded ring of windows:
 //
 //   counter    delta of the count
 //   gauge      value and high-water at the boundary (last-wins on merge)
 //   histogram  delta of (count, sum)
 //
-// plus each rank's busy/blocked virtual-time split. Only changed cells are
-// stored, so quiet windows are near-free. When the ring reaches capacity,
-// the *oldest half* is merged pairwise — counters and histograms sum,
-// gauges keep the later value, spans concatenate — halving its resolution
-// while leaving the recent past at full cadence. Memory therefore stays
-// O(capacity) for arbitrarily long runs, and every merge preserves the
-// invariant the tests and CI assert: summing any counter/histogram family
-// across all windows telescopes exactly to its end-of-run narma.metrics.v1
-// total (World::run finalizes the recorder *after* the post-run metric
-// accounting precisely so this holds).
+// plus each recorded rank's busy/blocked virtual-time split, and one
+// `rank_agg` summary over *all* ranks (busy/blocked sums, active count,
+// median and minimum busy fraction, straggler count). Every rank is
+// recorded up to kMaxRecordedRanks ranks; past that, kMaxRecordedRanks
+// evenly spaced ranks starting at 0, so a window costs O(1) cells at any
+// scale. Only changed cells are stored, so quiet windows are near-free.
+//
+// When the ring reaches capacity, the *oldest half* is merged pairwise —
+// counters and histograms sum, gauges keep the later value, spans
+// concatenate — halving its resolution while leaving the recent past at
+// full cadence. Memory therefore stays O(capacity) for arbitrarily long
+// runs, and every merge preserves the invariant the tests assert: summing
+// any recorded (family, rank) counter or histogram across all windows
+// telescopes exactly to its end-of-run narma.metrics.v1 value, and the
+// rank_agg sums telescope to the ranks' final clocks (World::run finalizes
+// the recorder *after* the post-run metric accounting precisely so this
+// holds).
 //
 // Determinism: snapshots only read registry cells and rank clocks — never
 // post events, never advance a clock — so runs are bit-identical with the
@@ -31,26 +38,18 @@
 // sim.run_wall_ns, sim.events_per_sec) are excluded from snapshots to keep
 // that true; they live in the metrics dump only.
 //
-// Monitors: per window the recorder flags straggler ranks (busy fraction
-// far below the window median — ObsParams::straggler_threshold) and, when
-// msgtrace is on, World::run feeds it per-(window, backend) LogGP residual
-// rows: mean measured channel-stage latency (queue + gap + ser + wire)
-// minus the single-leg model floor (g + G*bytes + L). Persistent large
-// residuals mean congestion, faults, or multi-leg notification overhead
-// the base model does not carry; rows past ObsParams::residual_threshold
-// are flagged. Both surface in the narma.timeseries.v1 JSON
-// (World::dump_timeseries) and render via `narma_cli timeline`. When an
-// anomaly Journal is attached (set_journal), each window's worst straggler
-// is also appended there as a typed record.
-//
-// Aggregate observability mode (DESIGN.md §14): windows store one RankAgg
-// summary (sums, active count, busy-fraction median/min, straggler count)
-// plus exact deltas for the registry's sampled ranks instead of an
-// O(nranks) RankDelta vector, and cell deltas are keyed by the registry's
-// aggregate rows (shard cells carry negative pseudo-ranks). Telescoping
-// still holds exactly: summing a counter/histogram family's deltas over
-// every row and window equals its narma.metrics.v2 aggregate total. Dense
-// mode output is bit-identical to before this mode existed.
+// Monitors: per window the recorder flags straggler ranks among the
+// recorded ones (busy fraction far below their median —
+// ObsParams::straggler_threshold) and, when msgtrace is on, World::run
+// feeds it per-(window, backend) LogGP residual rows: mean measured
+// channel-stage latency (queue + gap + ser + wire) minus the single-leg
+// model floor (g + G*bytes + L). Persistent large residuals mean
+// congestion, faults, or multi-leg notification overhead the base model
+// does not carry; rows past ObsParams::residual_threshold are flagged.
+// Both surface in the narma.timeseries.v1 JSON (World::dump_timeseries)
+// and render via `narma_cli timeline`. When an anomaly Journal is attached
+// (set_journal), each window's worst straggler over all ranks is also
+// appended there as a typed record.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +71,9 @@ class Journal;
 
 class TimeSeries {
  public:
+  /// Ranks with per-rank rows (`ranks`, `cells`) in every window.
+  static constexpr int kMaxRecordedRanks = 64;
+
   /// Per-rank virtual-time advance inside one window.
   struct RankDelta {
     Time d_total = 0;
@@ -80,8 +82,7 @@ class TimeSeries {
 
   /// One changed metric cell. Meaning of (a, b) by family kind:
   /// counter: (delta count, 0); gauge: (level, high_water) at the window
-  /// end (int64 bit-cast); histogram: (delta count, delta sum). `rank` is
-  /// negative (-1 - shard) for aggregate-mode shard cells.
+  /// end (int64 bit-cast); histogram: (delta count, delta sum).
   struct CellDelta {
     std::uint32_t family = 0;
     std::int32_t rank = 0;
@@ -89,8 +90,7 @@ class TimeSeries {
     std::uint64_t b = 0;
   };
 
-  /// Aggregate-mode per-window rank summary: what survives when the
-  /// O(nranks) RankDelta vector is folded down. median/min are computed at
+  /// Per-window summary over every rank. median/min are computed at
   /// snapshot time; merged windows carry a merged-count-weighted average
   /// median (documented approximation — sums and counts stay exact).
   struct RankAgg {
@@ -103,20 +103,13 @@ class TimeSeries {
     std::int32_t min_rank = -1;    // rank with the lowest busy fraction
   };
 
-  /// Aggregate-mode exact delta for one sampled rank.
-  struct SampledRankDelta {
-    std::int32_t rank = 0;
-    RankDelta d;
-  };
-
   struct Window {
     Time t_begin = 0;
     Time t_end = 0;
     std::uint32_t merged = 1;  // raw snapshots folded into this window
-    std::vector<RankDelta> ranks;           // dense mode only
-    RankAgg agg;                            // aggregate mode only
-    std::vector<SampledRankDelta> sampled;  // aggregate mode only
-    std::vector<CellDelta> cells;
+    RankAgg agg;
+    std::vector<RankDelta> ranks;  // parallel to recorded_ranks()
+    std::vector<CellDelta> cells;  // recorded ranks only
   };
 
   struct FamilyInfo {
@@ -164,20 +157,23 @@ class TimeSeries {
   void set_residuals(std::vector<ResidualRow> rows);
 
   /// Attaches an anomaly journal: each snapshot appends at most one
-  /// straggler record (the window's worst rank, when it crosses the
-  /// threshold). nullptr detaches.
+  /// straggler record (the window's worst rank over all ranks, when it
+  /// crosses the threshold). nullptr detaches.
   void set_journal(Journal* j) { journal_ = j; }
 
   // --- Introspection --------------------------------------------------------
 
+  /// Ranks carrying per-rank rows, ascending: every rank up to
+  /// kMaxRecordedRanks, else kMaxRecordedRanks evenly spaced from 0.
+  const std::vector<int>& recorded_ranks() const { return recorded_; }
   std::uint64_t snapshots() const { return snapshots_; }
   std::uint64_t merges() const { return merges_; }
   const std::vector<Window>& windows() const { return windows_; }
   const std::vector<FamilyInfo>& families() const { return families_; }
   const std::vector<ResidualRow>& residuals() const { return residuals_; }
 
-  /// Straggler + flagged-residual observations across all windows
-  /// (recomputed on call; deterministic).
+  /// Straggler (among recorded ranks) + flagged-residual observations
+  /// across all windows (recomputed on call; deterministic).
   std::vector<Anomaly> anomalies() const;
 
   /// narma.timeseries.v1 document; all times integer picoseconds.
@@ -203,14 +199,14 @@ class TimeSeries {
   Time window_ps_;
   std::size_t capacity_;
   double straggler_threshold_;
-  bool aggregate_ = false;
   Journal* journal_ = nullptr;
 
   Time last_boundary_ = 0;
   std::vector<FamilyInfo> families_;
   std::map<std::string, std::uint32_t> family_idx_;
-  std::vector<std::vector<CellBase>> base_;  // [family][row]
-  std::vector<RankDelta> rank_base_;         // absolute totals, reused type
+  std::vector<int> recorded_;
+  std::vector<std::vector<CellBase>> base_;  // [family][recorded index]
+  std::vector<RankDelta> rank_base_;         // absolute totals, every rank
   std::vector<Window> windows_;
   std::vector<ResidualRow> residuals_;
   std::uint64_t snapshots_ = 0;

@@ -34,12 +34,11 @@ inline std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Registry-layout override for the observability property tests. kNone
-/// leaves the seeded draw alone (the golden-hash configuration); the other
-/// two force metrics on and pin the layout, *after* the draw — the RNG
-/// consumes the same values in all three variants, so every virtual time
-/// is identical and dense vs aggregate runs of one seed hash equal.
-enum class ObsOverride { kNone, kDense, kAggregate };
+/// Observability override for the metrics property tests. kNone leaves the
+/// seeded draw alone (the golden-hash configuration); kMetricsOn forces the
+/// registry on *after* the draw, so the RNG consumes the same values and
+/// every virtual time is identical either way.
+enum class ObsOverride { kNone, kMetricsOn };
 
 /// One randomized schedule: ranks 1..n-1 produce notified accesses into
 /// rank 0's window; rank 0 consumes them all with a wildcard counting
@@ -62,17 +61,7 @@ inline std::uint64_t schedule_hash_with(std::uint64_t seed, ObsOverride ov,
                                     : na::Matcher::kLinear;
   wp.na.enable_shm_inline = rng.next_below(4) != 0;
   wp.enable_metrics = rng.next_below(2) != 0;
-  if (ov != ObsOverride::kNone) {
-    wp.enable_metrics = true;
-    wp.obs.obs_mode = ov == ObsOverride::kAggregate ? obs::ObsMode::kAggregate
-                                                    : obs::ObsMode::kDense;
-    // Shards below the largest drawn rank count and a short sample stride
-    // so both the sharded and the exact-sampled paths are exercised even
-    // at 2..5 ranks.
-    wp.obs.obs_shards = 2;
-    wp.obs.sample_ranks = 2;
-    wp.obs.outlier_k = 3;
-  }
+  if (ov == ObsOverride::kMetricsOn) wp.enable_metrics = true;
 
   // Per-producer op plans, drawn up front so rank fibers never share RNG
   // state. kind: 0 = put_notify, 1 = get_notify, 2 = fetch_add_notify.

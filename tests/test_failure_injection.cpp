@@ -451,16 +451,6 @@ TEST(FailureInjection, UnknownTransportEnvAborts) {
       "aries\\|ramc\\|verbs\\)");
 }
 
-TEST(FailureInjection, UnknownObsModeEnvAborts) {
-  EXPECT_DEATH(
-      {
-        ::setenv("NARMA_OBS", "sparse", 1);
-        World world(2);
-      },
-      "NARMA_OBS=sparse is not recognized \\(accepted: "
-      "dense\\|aggregate\\)");
-}
-
 // --- Retry-budget parity (redelivery vs credit stall vs retransmit) ----------
 //
 // FaultParams::max_retries is the number of *retry* attempts after the first

@@ -156,6 +156,32 @@ TEST(ObsRegistry, HistogramQuantileInterpolates) {
   EXPECT_LE(h.quantile(0.5), 512.0);
 }
 
+// Samples >= 2^63 have bit_width 64: they land in the top bucket, whose
+// JSON bounds are [2^63, 2^64 - 1].
+TEST(ObsRegistry, HistogramTopBucketHoldsLargestSamples) {
+  obs::Registry reg(1);
+  obs::Histogram hist = reg.histogram("c.big", 0);
+  hist.record(1ull << 63);
+  hist.record(~0ull);
+  const obs::HistData& h = *hist.data();
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.buckets[64], 2u);
+  EXPECT_EQ(h.buckets[63], 0u);
+  EXPECT_EQ(h.min, 1ull << 63);
+  EXPECT_EQ(h.max, ~0ull);
+  EXPECT_EQ(h.quantile(0.0), 9223372036854775808.0);
+  EXPECT_EQ(h.quantile(1.0), static_cast<double>(~0ull));
+
+  // Checked on the raw text: 2^64 - 1 does not survive a trip through a
+  // double-valued JSON reader.
+  const std::string doc = reg.to_json();
+  EXPECT_NE(doc.find("\"buckets\":[{\"lo\":9223372036854775808,"
+                     "\"hi\":18446744073709551615,\"count\":2}]"),
+            std::string::npos)
+      << doc;
+  EXPECT_TRUE(json::parse(doc).ok);
+}
+
 TEST(ObsRegistry, JsonCarriesHistogramPercentiles) {
   obs::Registry reg(1);
   obs::Histogram h = reg.histogram("c.lat", 0);

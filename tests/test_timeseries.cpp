@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/world.hpp"
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
@@ -71,27 +73,34 @@ bool is_host_time(const std::string& name) {
          name == "sim.events_per_sec";
 }
 
-/// Asserts the telescoping invariant against the registry's final totals.
+/// Asserts the telescoping invariant against the registry's final totals,
+/// for every recorded rank.
 void expect_telescopes(World& world) {
   ASSERT_NE(world.timeseries(), nullptr);
   ASSERT_NE(world.metrics(), nullptr);
   const Telescoped acc = telescope(*world.timeseries());
+  const std::vector<int>& recorded = world.timeseries()->recorded_ranks();
   std::size_t checked = 0;
-  world.metrics()->visit([&](const obs::Registry::CellView& cell) {
-    if (is_host_time(cell.name)) return;
-    const auto key = std::make_pair(cell.name, cell.rank);
-    if (cell.kind == obs::Kind::kCounter) {
-      const auto it = acc.counter.find(key);
-      const std::uint64_t got = it == acc.counter.end() ? 0 : it->second;
-      EXPECT_EQ(got, cell.count) << cell.name << " rank " << cell.rank;
-      ++checked;
-    } else if (cell.kind == obs::Kind::kHistogram) {
-      const auto it = acc.hist.find(key);
-      const std::uint64_t got_n = it == acc.hist.end() ? 0 : it->second.first;
-      const std::uint64_t got_s = it == acc.hist.end() ? 0 : it->second.second;
-      EXPECT_EQ(got_n, cell.hist.count) << cell.name << " rank " << cell.rank;
-      EXPECT_EQ(got_s, cell.hist.sum) << cell.name << " rank " << cell.rank;
-      ++checked;
+  world.metrics()->visit([&](const obs::Registry::FamilyView& f) {
+    if (is_host_time(f.name)) return;
+    for (int rank : recorded) {
+      const auto r = static_cast<std::size_t>(rank);
+      const auto key = std::make_pair(f.name, rank);
+      if (f.kind == obs::Kind::kCounter) {
+        const auto it = acc.counter.find(key);
+        const std::uint64_t got = it == acc.counter.end() ? 0 : it->second;
+        EXPECT_EQ(got, f.counts[r]) << f.name << " rank " << rank;
+        ++checked;
+      } else if (f.kind == obs::Kind::kHistogram) {
+        const auto it = acc.hist.find(key);
+        const std::uint64_t got_n =
+            it == acc.hist.end() ? 0 : it->second.first;
+        const std::uint64_t got_s =
+            it == acc.hist.end() ? 0 : it->second.second;
+        EXPECT_EQ(got_n, f.hists[r].count) << f.name << " rank " << rank;
+        EXPECT_EQ(got_s, f.hists[r].sum) << f.name << " rank " << rank;
+        ++checked;
+      }
     }
   });
   EXPECT_GT(checked, 20u);  // the stack registered and telescoped real data
@@ -179,14 +188,90 @@ TEST(TimeSeries, RecorderDoesNotPerturbVirtualMetrics) {
     World world(4);
     if (recorder) world.enable_timeseries(us(50));
     run_ring(world);
-    std::map<std::pair<std::string, int>, std::uint64_t> out;
-    world.metrics()->visit([&](const obs::Registry::CellView& cell) {
-      if (cell.kind == obs::Kind::kCounter && !is_host_time(cell.name))
-        out[{cell.name, cell.rank}] = cell.count;
+    std::map<std::string, std::vector<std::uint64_t>> out;
+    world.metrics()->visit([&](const obs::Registry::FamilyView& f) {
+      if (f.kind == obs::Kind::kCounter && !is_host_time(f.name))
+        out[f.name].assign(f.counts.begin(), f.counts.end());
     });
     return out;
   };
   EXPECT_EQ(final_counters(false), final_counters(true));
+}
+
+// Past TimeSeries::kMaxRecordedRanks ranks the recorder keeps per-rank rows
+// for an evenly spaced subset only. Checked from the two dumps, as a reader
+// would: each (counter family, recorded rank) telescopes to that rank's
+// per_rank value, no unrecorded rank leaks into the cells, and the
+// all-rank rank_agg sums telescope to the ranks' final clocks.
+TEST(TimeSeries, RecorderTelescopesPastRecordedRankLimit) {
+  constexpr int kRanks = 96;
+  World world(kRanks);
+  world.enable_timeseries(us(50));
+  run_ring(world);
+  const std::string ts_path = testing::TempDir() + "ts_96.json";
+  const std::string m_path = testing::TempDir() + "metrics_96.json";
+  ASSERT_TRUE(world.dump_timeseries(ts_path));
+  ASSERT_TRUE(world.dump_metrics(m_path));
+  const json::ParseResult ts = json::parse_file(ts_path);
+  const json::ParseResult m = json::parse_file(m_path);
+  ASSERT_TRUE(ts.ok) << ts.error;
+  ASSERT_TRUE(m.ok) << m.error;
+
+  const json::Array& windows = ts.value["windows"].as_array();
+  ASSERT_GE(windows.size(), 2u);
+  std::set<int> recorded;
+  for (const json::Value& r : windows[0]["ranks"].as_array())
+    recorded.insert(static_cast<int>(r.number_or("rank", -1)));
+  ASSERT_EQ(recorded.size(),
+            static_cast<std::size_t>(obs::TimeSeries::kMaxRecordedRanks));
+  EXPECT_EQ(*recorded.begin(), 0);
+  EXPECT_LT(*recorded.rbegin(), kRanks);
+
+  const json::Array& fams = ts.value["families"].as_array();
+  std::map<std::pair<std::string, int>, double> windowed;
+  double total_ps = 0;
+  for (const json::Value& win : windows) {
+    total_ps += win["rank_agg"].number_or("total_ps_sum", 0);
+    for (const json::Value& c : win["cells"].as_array()) {
+      const auto idx = static_cast<std::size_t>(c.number_or("family", 0));
+      ASSERT_LT(idx, fams.size());
+      const int rank = static_cast<int>(c.number_or("rank", -1));
+      ASSERT_TRUE(recorded.count(rank)) << "unrecorded rank " << rank;
+      if (fams[idx].string_or("kind", "") == "counter")
+        windowed[{fams[idx].string_or("name", "?"), rank}] +=
+            c.number_or("delta", 0);
+    }
+  }
+
+  std::size_t checked = 0;
+  double total_ns = 0;
+  for (const json::Value& fam : m.value["metrics"].as_array()) {
+    const std::string name = fam.string_or("name", "");
+    const json::Array& per_rank = fam["per_rank"].as_array();
+    ASSERT_EQ(per_rank.size(), static_cast<std::size_t>(kRanks)) << name;
+    if (name == "sim.total_ns")
+      for (const json::Value& cell : per_rank)
+        total_ns += cell.number_or("value", 0);
+    if (fam.string_or("kind", "") != "counter" || is_host_time(name))
+      continue;
+    for (int rank : recorded) {
+      const auto it = windowed.find({name, rank});
+      EXPECT_EQ(it == windowed.end() ? 0.0 : it->second,
+                per_rank[static_cast<std::size_t>(rank)].number_or("value", -1))
+          << name << " rank " << rank;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10u * recorded.size());
+
+  // sim.total_ns holds each rank's final clock truncated to whole ns, so
+  // the exact picosecond sum lies within one ns per rank above it.
+  double clocks_ps = 0;
+  for (int r = 0; r < kRanks; ++r)
+    clocks_ps += static_cast<double>(world.engine().rank(r).now());
+  EXPECT_EQ(total_ps, clocks_ps);
+  EXPECT_GE(total_ps, total_ns * 1e3);
+  EXPECT_LT(total_ps, (total_ns + kRanks) * 1e3);
 }
 
 TEST(TimeSeries, HostTimeFamiliesExcludedFromSnapshots) {

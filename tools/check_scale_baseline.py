@@ -19,7 +19,7 @@ baseline (bench/BENCH_scale.json):
 Observability-cost gate (DESIGN.md §14): when the current run carries the
 stencil_obs0 / stencil_obs pair, the --obs-* flags compare the two rows of
 the *same* run (no committed baseline, so host speed cancels out): at every
-gated rank count the full aggregate observability stack must cost at most
+gated rank count the full observability stack must cost at most
 --obs-wall-factor in wall clock and --obs-rss-delta-mib of extra RSS over
 the observability-off row.
 

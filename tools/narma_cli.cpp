@@ -93,7 +93,7 @@ int usage() {
       "            breakdown, per-rank share, slowest messages, per-\n"
       "            category latency statistics\n"
       "  diff      <a.json> <b.json> [--top=N]\n"
-      "            compare two metrics dumps (narma.metrics.v1 or .v2):\n"
+      "            compare two narma.metrics.v1 dumps:\n"
       "            per-family reduced values, absolute + relative deltas,\n"
       "            top regressions, families added/removed\n"
       "\n"
@@ -110,12 +110,8 @@ int usage() {
       "                               in the metrics dump as obs.phase_*\n"
       "            [--journal=FILE]   write the anomaly journal\n"
       "                               (narma.journal.v1)\n"
-      "            [--obs=dense|aggregate]  registry layout (NARMA_OBS);\n"
-      "                               aggregate = O(shards) cells per family\n"
-      "                               + top-k outliers + sampled ranks\n"
-      "            [--obs-shards=N] [--obs-outlier-k=N]\n"
-      "            [--obs-sample-ranks=N] [--obs-gauge-rank-limit=N]\n"
-      "            [--journal-cap=N]  aggregate-mode / journal knobs\n"
+      "            [--journal-cap=N]  anomaly-journal ring capacity\n"
+      "                               (0 disables; or env NARMA_OBS_JOURNAL_CAP)\n"
       "\n"
       "fault tolerance (stencil + tree, NotifiedAccess variant only):\n"
       "            [--ft]                   run through the recovery manager\n"
@@ -148,26 +144,9 @@ void apply_transport(WorldParams& wp, const Args& a) {
     NARMA_FATAL("unknown --transport value") << " \"" << t << '"';
 }
 
-/// Applies the aggregate-observability flags. Mirrors the NARMA_OBS* env
-/// knobs; a set env var still wins (resolve_params reads env last), so
-/// sweeps driven by either mechanism behave the same.
+/// Applies --journal-cap. A set NARMA_OBS_JOURNAL_CAP still wins
+/// (resolve_params reads env last), as for every other knob here.
 void apply_obs_params(WorldParams& wp, const Args& a) {
-  const std::string mode = a.get("obs", "");
-  if (mode == "dense")
-    wp.obs.obs_mode = obs::ObsMode::kDense;
-  else if (mode == "aggregate")
-    wp.obs.obs_mode = obs::ObsMode::kAggregate;
-  else if (!mode.empty())
-    NARMA_FATAL("unknown --obs value") << " \"" << mode << '"';
-  if (a.kv.count("obs-shards"))
-    wp.obs.obs_shards = static_cast<int>(a.get("obs-shards", 0));
-  if (a.kv.count("obs-outlier-k"))
-    wp.obs.outlier_k = static_cast<int>(a.get("obs-outlier-k", 0));
-  if (a.kv.count("obs-sample-ranks"))
-    wp.obs.sample_ranks = static_cast<int>(a.get("obs-sample-ranks", 0));
-  if (a.kv.count("obs-gauge-rank-limit"))
-    wp.obs.perfetto_gauge_rank_limit =
-        static_cast<int>(a.get("obs-gauge-rank-limit", 0));
   if (a.kv.count("journal-cap"))
     wp.obs.journal_capacity =
         static_cast<std::size_t>(std::max(0L, a.get("journal-cap", 0)));
@@ -247,137 +226,6 @@ void dump_artifacts(World& world, const Args& a) {
 
 // --- report ------------------------------------------------------------------
 
-/// Prints the obs self-cost line shared by both schema paths: the registry
-/// footprint gauge plus the journal depth, when the run recorded them.
-void print_obs_footprint(double registry_bytes, double journal_depth) {
-  if (registry_bytes <= 0 && journal_depth <= 0) return;
-  std::printf("\nobs self-cost: registry ~%.1f KiB, journal depth %lld\n",
-              registry_bytes / 1024.0,
-              static_cast<long long>(journal_depth));
-}
-
-/// Aggregate-mode (narma.metrics.v2) sections of `report`: whole-family
-/// reductions per kind, top-k outlier ranks, and the sampled-rank busy
-/// table that replaces the dense per-rank one.
-int report_metrics_v2(const json::Value& doc, const std::string& path) {
-  const json::Array& fams = doc["metrics"].as_array();
-  std::printf(
-      "\naggregate metrics %s: %d ranks, %d shards, %zu sampled ranks, "
-      "outlier_k=%lld, %zu families\n",
-      path.c_str(), static_cast<int>(doc.number_or("nranks", 0)),
-      static_cast<int>(doc.number_or("shards", 0)),
-      doc["sample_ranks"].as_array().size(),
-      static_cast<long long>(doc.number_or("outlier_k", 0)), fams.size());
-
-  auto find_fam = [&](const std::string& name) -> const json::Value& {
-    static const json::Value kNull;
-    for (const json::Value& fam : fams)
-      if (fam.string_or("name", "") == name) return fam;
-    return kNull;
-  };
-
-  // Whole-family reductions, one table per kind. These are exact — shard
-  // cells plus sampled cells partition every update (see obs/metrics.hpp).
-  Table c_table({"counter", "sum", "active_ranks", "max_rank_total"});
-  Table g_table({"gauge", "last", "high_water"});
-  Table h_table({"histogram", "count", "p50", "p90", "p99", "max"});
-  bool any_c = false, any_g = false, any_h = false;
-  for (const json::Value& fam : fams) {
-    const std::string kind = fam.string_or("kind", "");
-    const json::Value& ag = fam["aggregate"];
-    if (kind == "counter") {
-      any_c = true;
-      c_table.add_row(
-          {fam.string_or("name", "?"),
-           Table::fmt(static_cast<long long>(ag.number_or("sum", 0))),
-           Table::fmt(static_cast<long long>(ag.number_or("active_ranks", 0))),
-           Table::fmt(static_cast<long long>(ag.number_or("max", 0)))});
-    } else if (kind == "gauge") {
-      any_g = true;
-      g_table.add_row(
-          {fam.string_or("name", "?"),
-           Table::fmt(static_cast<long long>(ag.number_or("last", 0))),
-           Table::fmt(static_cast<long long>(ag.number_or("high_water", 0)))});
-    } else if (kind == "histogram") {
-      any_h = true;
-      h_table.add_row(
-          {fam.string_or("name", "?"),
-           Table::fmt(static_cast<long long>(ag.number_or("count", 0))),
-           Table::fmt(ag.number_or("p50", 0)), Table::fmt(ag.number_or("p90", 0)),
-           Table::fmt(ag.number_or("p99", 0)),
-           Table::fmt(static_cast<long long>(ag.number_or("max", 0)))});
-    }
-  }
-  if (any_c) {
-    std::printf("\ncounters (whole-family, exact):\n");
-    c_table.print();
-  }
-  if (any_g) {
-    std::printf("\ngauges (last-wins / global high-water):\n");
-    g_table.print();
-  }
-  if (any_h) {
-    std::printf("\nhistograms (merged buckets):\n");
-    h_table.print();
-  }
-
-  // Top-k outlier ranks per family (value-ordered in the dump).
-  {
-    Table o_table({"family", "top ranks (rank:value)"});
-    bool any = false;
-    for (const json::Value& fam : fams) {
-      const json::Array& out = fam["outliers"].as_array();
-      if (out.empty()) continue;
-      any = true;
-      std::string cells;
-      for (const json::Value& o : out) {
-        if (!cells.empty()) cells += "  ";
-        cells += Table::fmt(static_cast<long long>(o.number_or("rank", -1)));
-        cells += ':';
-        cells += Table::fmt(static_cast<long long>(o.number_or("value", 0)));
-      }
-      o_table.add_row({fam.string_or("name", "?"), cells});
-    }
-    if (any) {
-      std::printf("\noutlier retention (top-k ranks by running max):\n");
-      o_table.print();
-    }
-  }
-
-  // Sampled-rank busy fractions: the aggregate-mode stand-in for the dense
-  // per-rank table, built from the exact cells of the sample reservoir.
-  {
-    const json::Value& busy = find_fam("sim.busy_ns")["sampled"];
-    const json::Value& blocked = find_fam("sim.blocked_ns")["sampled"];
-    const json::Value& total = find_fam("sim.total_ns")["sampled"];
-    if (busy.is_array() && total.is_array() &&
-        busy.as_array().size() == total.as_array().size()) {
-      Table busy_table(
-          {"rank", "busy_ms", "blocked_ms", "total_ms", "busy_frac"});
-      const json::Array& ba = busy.as_array();
-      const json::Array& ta = total.as_array();
-      for (std::size_t i = 0; i < ba.size(); ++i) {
-        const double b = ba[i].number_or("value", 0);
-        const double w = blocked.is_array() && i < blocked.as_array().size()
-                             ? blocked.as_array()[i].number_or("value", 0)
-                             : 0.0;
-        const double t = ta[i].number_or("value", 0);
-        busy_table.add_row(
-            {Table::fmt(static_cast<long long>(ba[i].number_or("rank", -1))),
-             Table::fmt(b / 1e6), Table::fmt(w / 1e6), Table::fmt(t / 1e6),
-             Table::fmt(t > 0 ? b / t : 0.0)});
-      }
-      std::printf("\nsampled-rank busy fraction:\n");
-      busy_table.print();
-    }
-  }
-
-  print_obs_footprint(
-      find_fam("obs.registry_bytes")["aggregate"].number_or("high_water", 0),
-      find_fam("obs.journal_depth")["aggregate"].number_or("high_water", 0));
-  return 0;
-}
-
 /// Metrics-dump sections of `report`: per-rank busy fractions, host-time
 /// phase attribution (from --profile runs), per-backend notification and
 /// drain-cost rows, and interpolated histogram percentiles.
@@ -390,8 +238,6 @@ int report_metrics(const Args& a) {
     return 1;
   }
   const std::string schema = m.value.string_or("schema", "");
-  if (schema == "narma.metrics.v2")
-    return report_metrics_v2(m.value, metrics_path);
   if (schema != "narma.metrics.v1") {
     std::fprintf(stderr, "report: %s: unknown metrics schema '%s'\n",
                  metrics_path.c_str(), schema.c_str());
@@ -529,7 +375,8 @@ int report_metrics(const Args& a) {
     }
   }
 
-  // Obs self-cost gauges (rank 0 carries them in dense mode).
+  // Obs self-cost gauges: the registry footprint and the journal depth,
+  // both carried by rank 0.
   {
     auto hw0 = [&](const std::string& name) -> double {
       const json::Value& pr = per_rank_of(name);
@@ -537,7 +384,12 @@ int report_metrics(const Args& a) {
                  ? pr.as_array()[0].number_or("high_water", 0)
                  : 0.0;
     };
-    print_obs_footprint(hw0("obs.registry_bytes"), hw0("obs.journal_depth"));
+    const double registry_bytes = hw0("obs.registry_bytes");
+    const double journal_depth = hw0("obs.journal_depth");
+    if (registry_bytes > 0 || journal_depth > 0)
+      std::printf("\nobs self-cost: registry ~%.1f KiB, journal depth %lld\n",
+                  registry_bytes / 1024.0,
+                  static_cast<long long>(journal_depth));
   }
   return 0;
 }
@@ -672,9 +524,7 @@ int run_report(const Args& a) {
 
 /// One family of a metrics dump reduced to a single comparable number:
 /// counters to the whole-family sum, gauges to the global high-water,
-/// histograms to the total sample count. Both schemas reduce to the same
-/// quantity — v1 by folding per_rank, v2 by reading the aggregate section —
-/// so dense and aggregate dumps of the same run diff as equal.
+/// histograms to the total sample count.
 struct ReducedFamily {
   std::string kind;
   double value = 0;
@@ -684,29 +534,21 @@ bool reduce_metrics(const json::Value& doc,
                     std::map<std::string, ReducedFamily>& out,
                     std::string& err) {
   const std::string schema = doc.string_or("schema", "");
-  if (schema != "narma.metrics.v1" && schema != "narma.metrics.v2") {
+  if (schema != "narma.metrics.v1") {
     err = "unknown metrics schema '" + schema + "'";
     return false;
   }
-  const bool v2 = schema == "narma.metrics.v2";
   for (const json::Value& fam : doc["metrics"].as_array()) {
     const std::string name = fam.string_or("name", "?");
     ReducedFamily red;
     red.kind = fam.string_or("kind", "?");
-    if (v2) {
-      const json::Value& ag = fam["aggregate"];
-      red.value = red.kind == "counter" ? ag.number_or("sum", 0)
-                  : red.kind == "gauge" ? ag.number_or("high_water", 0)
-                                        : ag.number_or("count", 0);
-    } else {
-      for (const json::Value& cell : fam["per_rank"].as_array()) {
-        if (red.kind == "counter")
-          red.value += cell.number_or("value", 0);
-        else if (red.kind == "gauge")
-          red.value = std::max(red.value, cell.number_or("high_water", 0));
-        else
-          red.value += cell.number_or("count", 0);
-      }
+    for (const json::Value& cell : fam["per_rank"].as_array()) {
+      if (red.kind == "counter")
+        red.value += cell.number_or("value", 0);
+      else if (red.kind == "gauge")
+        red.value = std::max(red.value, cell.number_or("high_water", 0));
+      else
+        red.value += cell.number_or("count", 0);
     }
     out[name] = std::move(red);
   }
@@ -1037,74 +879,37 @@ int run_timeline(const Args& a) {
                                  : "?";
   };
 
-  // Per-window rank activity: mean busy fraction across ranks plus the
-  // laggard (lowest busy fraction among active ranks). Only the last
-  // --top windows are tabulated; the telescoped history stays in the JSON.
+  // Per-window rank activity from rank_agg, which covers every rank: the
+  // time-weighted mean busy fraction (busy_ps_sum / total_ps_sum) and the
+  // laggard (lowest busy fraction among active ranks). Only the last --top
+  // windows are tabulated; the telescoped history stays in the JSON.
   const std::size_t first_shown =
       windows.size() > topk ? windows.size() - topk : 0;
   if (first_shown > 0)
     std::printf("(showing the last %zu of %zu windows; older ones are "
                 "geometrically merged)\n",
                 topk, windows.size());
-  const bool aggregate =
-      doc.value.string_or("obs_mode", "dense") == "aggregate";
-  if (aggregate) {
-    // Aggregate recorder windows carry whole-run rank sums (rank_agg) and
-    // exact deltas only for the sampled ranks; the mean busy fraction is
-    // the time-weighted one (busy_ps_sum / total_ps_sum).
-    Table win_table({"window", "t_begin_us", "t_end_us", "merged", "cells",
-                     "active", "mean_busy", "min_busy", "laggard",
-                     "stragglers"});
-    for (std::size_t i = first_shown; i < windows.size(); ++i) {
-      const json::Value& win = windows[i];
-      const json::Value& ag = win["rank_agg"];
-      const double tot = ag.number_or("total_ps_sum", 0);
-      win_table.add_row(
-          {Table::fmt(static_cast<long long>(i)),
-           Table::fmt(win.number_or("t_begin_ps", 0) / 1e6),
-           Table::fmt(win.number_or("t_end_ps", 0) / 1e6),
-           Table::fmt(static_cast<long long>(win.number_or("merged", 1))),
-           Table::fmt(win["cells"].as_array().size()),
-           Table::fmt(static_cast<long long>(ag.number_or("active", 0))),
-           Table::fmt(tot > 0 ? ag.number_or("busy_ps_sum", 0) / tot : 0.0),
-           Table::fmt(ag.number_or("min_busy", 0)),
-           Table::fmt(static_cast<long long>(ag.number_or("min_rank", -1))),
-           Table::fmt(static_cast<long long>(ag.number_or("stragglers", 0)))});
-    }
-    std::printf("\nper-window rank activity (aggregate):\n");
-    win_table.print();
-  } else {
-    Table win_table({"window", "t_begin_us", "t_end_us", "merged", "cells",
-                     "mean_busy", "min_busy", "laggard"});
-    for (std::size_t i = first_shown; i < windows.size(); ++i) {
-      const json::Value& win = windows[i];
-      const json::Array& ranks = win["ranks"].as_array();
-      double busy_sum = 0, busy_min = 2.0;
-      long long laggard = -1;
-      std::size_t active = 0;
-      for (const json::Value& r : ranks) {
-        const double tot = r.number_or("total_ps", 0);
-        if (tot <= 0) continue;
-        const double f = r.number_or("busy_ps", 0) / tot;
-        busy_sum += f;
-        ++active;
-        if (f < busy_min) {
-          busy_min = f;
-          laggard = static_cast<long long>(r.number_or("rank", -1));
-        }
-      }
-      win_table.add_row(
-          {Table::fmt(static_cast<long long>(i)),
-           Table::fmt(win.number_or("t_begin_ps", 0) / 1e6),
-           Table::fmt(win.number_or("t_end_ps", 0) / 1e6),
-           Table::fmt(static_cast<long long>(win.number_or("merged", 1))),
-           Table::fmt(win["cells"].as_array().size()),
-           Table::fmt(active ? busy_sum / static_cast<double>(active) : 0.0),
-           Table::fmt(active ? busy_min : 0.0), Table::fmt(laggard)});
-    }
-    std::printf("\nper-window rank activity:\n");
-    win_table.print();
+  Table win_table({"window", "t_begin_us", "t_end_us", "merged", "cells",
+                   "active", "mean_busy", "min_busy", "laggard",
+                   "stragglers"});
+  for (std::size_t i = first_shown; i < windows.size(); ++i) {
+    const json::Value& win = windows[i];
+    const json::Value& ag = win["rank_agg"];
+    const double tot = ag.number_or("total_ps_sum", 0);
+    win_table.add_row(
+        {Table::fmt(static_cast<long long>(i)),
+         Table::fmt(win.number_or("t_begin_ps", 0) / 1e6),
+         Table::fmt(win.number_or("t_end_ps", 0) / 1e6),
+         Table::fmt(static_cast<long long>(win.number_or("merged", 1))),
+         Table::fmt(win["cells"].as_array().size()),
+         Table::fmt(static_cast<long long>(ag.number_or("active", 0))),
+         Table::fmt(tot > 0 ? ag.number_or("busy_ps_sum", 0) / tot : 0.0),
+         Table::fmt(ag.number_or("min_busy", 0)),
+         Table::fmt(static_cast<long long>(ag.number_or("min_rank", -1))),
+         Table::fmt(static_cast<long long>(ag.number_or("stragglers", 0)))});
   }
+  std::printf("\nper-window rank activity:\n");
+  win_table.print();
 
   // Busiest counter families by total delta across all windows and ranks.
   std::map<std::string, double> fam_totals;
@@ -1167,7 +972,7 @@ int run_timeline(const Args& a) {
 
   // Perfetto counter tracks: one counter event per (family, rank) at each
   // window end, same event shape as the live Tracer's gauge tracks, plus a
-  // busy-fraction track per rank.
+  // busy-fraction track per recorded rank.
   if (a.kv.count("perfetto")) {
     const std::string out_path = a.get("perfetto", "timeline_perfetto.json");
     std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
@@ -1182,10 +987,7 @@ int run_timeline(const Args& a) {
     char buf[256];
     for (const json::Value& win : windows) {
       const double ts_us = win.number_or("t_end_ps", 0) / 1e6;
-      // Aggregate windows have no dense rank array; the sampled ranks'
-      // exact deltas become the busy-fraction tracks instead.
-      for (const json::Value& r :
-           win[aggregate ? "sampled_ranks" : "ranks"].as_array()) {
+      for (const json::Value& r : win["ranks"].as_array()) {
         const double tot = r.number_or("total_ps", 0);
         const auto rank = static_cast<long long>(r.number_or("rank", 0));
         std::snprintf(buf, sizeof(buf),
