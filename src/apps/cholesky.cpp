@@ -237,18 +237,14 @@ CholeskyResult CholeskyRun::run() {
   self_.barrier();
   const Time t0 = self_.now();
 
-  // Kernel execution with either measured or modeled compute charging; the
-  // host-time profiler attributes the kernel to app_compute either way.
+  // Kernel execution charged at the modeled rate; the host-time profiler
+  // attributes the kernel to app_compute.
   auto charge_kernel = [&](double flops, auto&& fn) {
     obs::PhaseScope prof_scope(self_.world().profiler(),
                                obs::Phase::kAppCompute);
     c_kernels_.inc();
-    if (cfg_.model_gflops > 0) {
-      fn();
-      self_.ctx().advance(ns(flops / cfg_.model_gflops));
-    } else {
-      self_.compute_measured(fn);
-    }
+    fn();
+    self_.compute(ns(flops / cfg_.model_gflops));
   };
 
   for (int j = 0; j < nt_; ++j) {
@@ -329,6 +325,8 @@ CholeskyResult CholeskyRun::run() {
 
 CholeskyResult run_cholesky(Rank& self, const CholeskyConfig& cfg) {
   NARMA_CHECK(cfg.nt >= 1 && cfg.b >= 1);
+  NARMA_CHECK(cfg.model_gflops > 0)
+      << "model_gflops must be positive (got " << cfg.model_gflops << ")";
   CholeskyRun run(self, cfg);
   return run.run();
 }

@@ -42,11 +42,10 @@ struct CholeskyConfig {
   std::uint64_t seed = 42;
   CholeskyVariant variant = CholeskyVariant::kNotified;
   bool verify = true;  // check || A - LL^T || on each column's owner
-  /// Modeled kernel rate in GFlop/s: tile kernels are charged
+  /// Modeled kernel rate in GFlop/s, > 0: tile kernels are charged
   /// flops/model_gflops of virtual time (they still execute for
-  /// verification). 0 = charge the measured host time of the kernels
-  /// (host-dependent compute/communication balance).
-  double model_gflops = 0;
+  /// verification), so virtual time does not depend on the host.
+  double model_gflops = 10;
 };
 
 /// Every field holds the same value on every rank.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "ft/recovery.hpp"
@@ -9,8 +10,6 @@
 namespace narma::apps {
 
 namespace {
-
-StencilResult run_stencil_ft(Rank& self, const StencilConfig& cfg);
 
 constexpr int kGhostTag = 1;     // per-row boundary value
 constexpr int kFeedbackTag = 2;  // corner feedback, last rank -> rank 0
@@ -84,7 +83,7 @@ struct Topo {
   int jstart;  // first computed local column
 };
 
-Topo topo_of(Rank& self, const StencilConfig& cfg) {
+Topo topo_of(Rank& self) {
   Topo t;
   t.p = self.id();
   t.n = self.size();
@@ -94,7 +93,6 @@ Topo topo_of(Rank& self, const StencilConfig& cfg) {
   t.first_rank = t.p == 0;
   t.last_rank = t.p == t.n - 1;
   t.jstart = t.first_rank ? 2 : 1;
-  (void)cfg;
   return t;
 }
 
@@ -112,8 +110,13 @@ Time calibrate_stencil_point() {
 }
 
 StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
-  if (cfg.ft.enabled) return run_stencil_ft(self, cfg);
-  const Topo t = topo_of(self, cfg);
+  const Topo t = topo_of(self);
+  if (cfg.ft.enabled) {
+    NARMA_CHECK(cfg.variant == StencilVariant::kNotified)
+        << "fault-tolerant stencil requires the NotifiedAccess variant";
+    NARMA_CHECK(t.n >= 2) << "fault-tolerant stencil needs >= 2 ranks "
+                             "(checkpoints live on a partner rank)";
+  }
   NARMA_CHECK(cfg.rows >= 2 && cfg.total_cols >= 2);
   NARMA_CHECK(width_of(cfg.total_cols, t.n, 0) >= 2)
       << "rank 0 needs at least two columns (boundary + one computed)";
@@ -128,6 +131,11 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   // variants actually use it, but creating it uniformly keeps window ids
   // collective.
   auto win = self.rma().create(g.raw(), g.bytes(), sizeof(double));
+  // Fault-tolerant runs (DESIGN.md §15) protect the whole grid, so a partner
+  // checkpoint captures the entire pipeline state; one recovery epoch per
+  // iteration.
+  std::optional<ft::RecoveryManager> mgr;
+  if (cfg.ft.enabled) mgr.emplace(self, cfg.ft, std::vector{win.get()});
 
   // Width of the right neighbor, needed to compute the target displacement
   // of its ghost cells.
@@ -139,8 +147,6 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   };
   // Rank 0's corner A(0,0) lives at local (0, 1).
   const std::uint64_t corner_disp = 1;
-  const int w0 = width_of(cfg.total_cols, t.n, 0);
-  (void)w0;
 
   // Persistent notification requests for the NA variant.
   na::NotifyRequest req_ghost, req_feedback;
@@ -153,20 +159,42 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
 
   double feedback_buf = 0;  // stable source buffer for the feedback put
 
-  // Row update with either measured or calibrated compute charging. The
-  // host-time profiler attributes the kernel itself to app_compute so the
-  // report can separate application work from runtime plumbing.
+  // Row update charged at per_point per computed point. The host-time
+  // profiler attributes the kernel itself to app_compute so the report can
+  // separate application work from runtime plumbing.
   auto update_row_charged = [&](int r) {
     obs::PhaseScope prof_scope(self.world().profiler(),
                                obs::Phase::kAppCompute);
-    if (cfg.per_point > 0) {
-      g.update_row(r, t.jstart);
-      self.compute(cfg.per_point *
-                   static_cast<Time>(W - (t.jstart - 1)));
-    } else {
-      self.compute_measured([&] { g.update_row(r, t.jstart); });
-    }
+    g.update_row(r, t.jstart);
+    self.compute(cfg.per_point * static_cast<Time>(W - (t.jstart - 1)));
   };
+
+  // Notified put of one double, logged for replay in ft runs.
+  auto put_notify = [&](const double* src, int target, std::uint64_t disp,
+                        int tag) {
+    const auto bytes = na::as_bytes(src, sizeof(double));
+    if (mgr)
+      mgr->put_notify(0, bytes, target, disp, tag);
+    else
+      self.na().put_notify(*win, bytes, target, disp, tag);
+  };
+
+  // Lost-epoch replay: replays one lost iteration exactly as the live loop
+  // produced it. Ghost arrivals first (they feed the row sweep), then the
+  // row recurrence, then the corner feedback (which the live loop applies
+  // after the sweep and the next iteration's update_row(1) consumes).
+  // Compute is charged like the live sweep, so recovery time scales with
+  // the number of iterations re-run. Outbound ghosts are not resent: the
+  // survivors kept them.
+  if (mgr)
+    mgr->set_recompute(
+        [&](std::uint64_t, std::span<const ft::ReplayEntry> entries) {
+          for (const ft::ReplayEntry& e : entries)
+            if (e.tag == kGhostTag) mgr->apply(e);
+          for (int r = 1; r < cfg.rows; ++r) update_row_charged(r);
+          for (const ft::ReplayEntry& e : entries)
+            if (e.tag == kFeedbackTag) mgr->apply(e);
+        });
 
   // App-level observability: iteration count and per-iteration duration.
   obs::Counter c_iters;
@@ -178,8 +206,9 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
 
   self.barrier();
   const Time t0 = self.now();
+  bool dead = false;
 
-  for (int iter = 0; iter < cfg.iters; ++iter) {
+  for (int iter = 0; iter < cfg.iters && !dead; ++iter) {
     const Time iter0 = self.now();
     switch (cfg.variant) {
       case StencilVariant::kMessagePassing: {
@@ -273,17 +302,12 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
           }
           update_row_charged(r);
           if (!t.last_rank)
-            self.na().put_notify(*win, na::as_bytes(&g.at(r, W), sizeof(double)),
-                                 t.right,
-                                 right_ghost_disp(r), kGhostTag);
+            put_notify(&g.at(r, W), t.right, right_ghost_disp(r), kGhostTag);
         }
         if (t.n > 1) {
           if (t.last_rank) {
             feedback_buf = -g.at(cfg.rows - 1, W);
-            self.na().put_notify(*win,
-                                 na::as_bytes(&feedback_buf, sizeof(double)),
-                                 0,
-                                 corner_disp, kFeedbackTag);
+            put_notify(&feedback_buf, 0, corner_disp, kFeedbackTag);
           }
           if (t.first_rank) {
             self.na().start(req_feedback);
@@ -299,7 +323,16 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
     }
     c_iters.inc();
     h_iter_ns.record_time(self.now() - iter0);
+    // Epoch boundary: every notification of this iteration has been
+    // matched (each has a same-iteration waiter), so the fail plan sees a
+    // quiesced fabric. Returns false only on a no-recover victim.
+    if (mgr) dead = !mgr->end_epoch();
   }
+
+  StencilResult res;
+  if (mgr) res.ft = mgr->stats();
+  if (dead) return res;  // dtors block on collectives; the deadlock
+                         // detector reports the abandoned survivors
 
   self.barrier();
   const Time elapsed_local = self.now() - t0;
@@ -311,7 +344,6 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   mp::allgather(self.mp(), &el, sizeof(double), all.data());
   for (double v : all) el_max = std::max(el_max, v);
 
-  StencilResult res;
   res.elapsed = seconds(el_max);
   const double updates = static_cast<double>(cfg.rows - 1) *
                          static_cast<double>(cfg.total_cols - 1) *
@@ -326,147 +358,5 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   }
   return res;
 }
-
-namespace {
-
-/// Fault-tolerant kNotified stencil (DESIGN.md §15). One recovery epoch per
-/// iteration; the whole local grid is the single protected region, so a
-/// partner checkpoint captures the entire pipeline state. The recompute
-/// callback replays one lost iteration exactly as the live loop would have
-/// produced it: ghost arrivals first (they feed the row sweep), then the
-/// row recurrence, then the corner feedback (which the live loop applies
-/// after the sweep and the next iteration's update_row(1) consumes).
-/// Outbound ghosts are *not* resent — the survivors kept them.
-StencilResult run_stencil_ft(Rank& self, const StencilConfig& cfg) {
-  NARMA_CHECK(cfg.variant == StencilVariant::kNotified)
-      << "fault-tolerant stencil requires the NotifiedAccess variant";
-  const Topo t = topo_of(self, cfg);
-  NARMA_CHECK(t.n >= 2) << "fault-tolerant stencil needs >= 2 ranks "
-                           "(checkpoints live on a partner rank)";
-  NARMA_CHECK(cfg.rows >= 2 && cfg.total_cols >= 2);
-  NARMA_CHECK(width_of(cfg.total_cols, t.n, 0) >= 2)
-      << "rank 0 needs at least two columns (boundary + one computed)";
-  NARMA_CHECK(width_of(cfg.total_cols, t.n, t.p) >= 1)
-      << "more ranks than columns";
-
-  const int W = width_of(cfg.total_cols, t.n, t.p);
-  const int gs = global_start(cfg.total_cols, t.n, t.p);
-  LocalGrid g(cfg.rows, W, gs);
-
-  auto win = self.rma().create(g.raw(), g.bytes(), sizeof(double));
-  ft::RecoveryManager mgr(self, cfg.ft, {win.get()});
-
-  const int right_w =
-      t.last_rank ? 0 : width_of(cfg.total_cols, t.n, t.right);
-  auto right_ghost_disp = [right_w](int r) {
-    return static_cast<std::uint64_t>(r) *
-           static_cast<std::uint64_t>(right_w + 1);
-  };
-  const std::uint64_t corner_disp = 1;
-
-  na::NotifyRequest req_ghost, req_feedback;
-  if (!t.first_rank)
-    req_ghost = self.na().notify_init(*win, na::MatchSpec{t.left, kGhostTag}, 1);
-  if (t.first_rank)
-    req_feedback =
-        self.na().notify_init(*win, na::MatchSpec{t.last, kFeedbackTag}, 1);
-
-  double feedback_buf = 0;
-
-  auto update_row_charged = [&](int r) {
-    obs::PhaseScope prof_scope(self.world().profiler(),
-                               obs::Phase::kAppCompute);
-    if (cfg.per_point > 0) {
-      g.update_row(r, t.jstart);
-      self.compute(cfg.per_point *
-                   static_cast<Time>(W - (t.jstart - 1)));
-    } else {
-      self.compute_measured([&] { g.update_row(r, t.jstart); });
-    }
-  };
-
-  // Lost-epoch replay: arrivals in, recompute, feedback in. Compute is
-  // charged like the live sweep, so recovery time scales with the number
-  // of iterations re-run — the quantity the recovery bench sweeps.
-  mgr.set_recompute(
-      [&](std::uint64_t, std::span<const ft::ReplayEntry> entries) {
-        for (const ft::ReplayEntry& e : entries)
-          if (e.tag == kGhostTag) mgr.apply(e);
-        for (int r = 1; r < cfg.rows; ++r) update_row_charged(r);
-        for (const ft::ReplayEntry& e : entries)
-          if (e.tag == kFeedbackTag) mgr.apply(e);
-      });
-
-  obs::Counter c_iters;
-  obs::Histogram h_iter_ns;
-  if (obs::Registry* reg = self.world().metrics()) {
-    c_iters = reg->counter("app.stencil_iters", self.id());
-    h_iter_ns = reg->histogram("app.stencil_iter_ns", self.id());
-  }
-
-  self.barrier();
-  const Time t0 = self.now();
-  bool dead = false;
-
-  for (int iter = 0; iter < cfg.iters && !dead; ++iter) {
-    const Time iter0 = self.now();
-    for (int r = 1; r < cfg.rows; ++r) {
-      if (!t.first_rank) {
-        self.na().start(req_ghost);
-        self.na().wait(req_ghost);
-      }
-      update_row_charged(r);
-      if (!t.last_rank)
-        mgr.put_notify(0, na::as_bytes(&g.at(r, W), sizeof(double)), t.right,
-                       right_ghost_disp(r), kGhostTag);
-    }
-    if (t.last_rank) {
-      feedback_buf = -g.at(cfg.rows - 1, W);
-      mgr.put_notify(0, na::as_bytes(&feedback_buf, sizeof(double)), 0,
-                     corner_disp, kFeedbackTag);
-    }
-    if (t.first_rank) {
-      self.na().start(req_feedback);
-      self.na().wait(req_feedback);
-    }
-    win->flush_all();
-    c_iters.inc();
-    h_iter_ns.record_time(self.now() - iter0);
-    // Epoch boundary: every notification of this iteration has been
-    // matched (each has a same-iteration waiter), so the fail plan sees a
-    // quiesced fabric. Returns false only on a no-recover victim.
-    dead = !mgr.end_epoch();
-  }
-
-  StencilResult res;
-  res.ft = mgr.stats();
-  if (dead) return res;  // dtors block on collectives; the deadlock
-                         // detector reports the abandoned survivors
-
-  self.barrier();
-  const Time elapsed_local = self.now() - t0;
-
-  double el = to_seconds(elapsed_local);
-  double el_max = el;
-  std::vector<double> all(static_cast<std::size_t>(t.n));
-  mp::allgather(self.mp(), &el, sizeof(double), all.data());
-  for (double v : all) el_max = std::max(el_max, v);
-
-  res.elapsed = seconds(el_max);
-  const double updates = static_cast<double>(cfg.rows - 1) *
-                         static_cast<double>(cfg.total_cols - 1) *
-                         static_cast<double>(cfg.iters);
-  res.gmops = updates / el_max / 1e9;
-  res.expected_corner =
-      static_cast<double>(cfg.iters) *
-      static_cast<double>(cfg.rows + cfg.total_cols - 2);
-  if (t.first_rank) {
-    res.corner = -g.at(0, 1);
-    res.verified = res.corner == res.expected_corner;
-  }
-  return res;
-}
-
-}  // namespace
 
 }  // namespace narma::apps

@@ -44,14 +44,13 @@ struct StencilConfig {
   int total_cols = 256;  // split across ranks
   int iters = 2;
   StencilVariant variant = StencilVariant::kNotified;
-  /// Virtual compute cost per point update. 0 = measure the real kernel on
-  /// the host CPU (adds real jitter); a calibrated value keeps benchmark
-  /// curves deterministic. The update itself always runs for verification.
-  Time per_point = 0;
-  /// Fault-tolerant execution (DESIGN.md §15). When ft.enabled the run is
-  /// driven through a ft::RecoveryManager — kNotified variant only — with
-  /// one recovery epoch per iteration; otherwise this field is inert and
-  /// the run is byte-identical to the pre-ft build.
+  /// Virtual compute cost charged per point update (calibrate_stencil_point
+  /// measures the host's). The update itself always runs for verification;
+  /// virtual time never depends on how long it takes on the host.
+  Time per_point = ns(2);
+  /// Fault-tolerant execution (DESIGN.md §15). When ft.enabled the notified
+  /// puts go through a ft::RecoveryManager — kNotified variant only — with
+  /// one recovery epoch per iteration; otherwise this field is inert.
   ft::FtParams ft;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "ft/recovery.hpp"
@@ -11,8 +12,6 @@ namespace narma::apps {
 namespace {
 
 constexpr int kTreeTag = 3;
-
-TreeResult run_tree_ft(Rank& self, const TreeConfig& cfg);
 
 struct TreeTopo {
   int parent = -1;
@@ -37,10 +36,15 @@ TreeTopo topo_of(int rank, int nranks, int arity) {
 }  // namespace
 
 TreeResult run_tree(Rank& self, const TreeConfig& cfg) {
-  if (cfg.ft.enabled) return run_tree_ft(self, cfg);
   NARMA_CHECK(cfg.elems >= 1 && cfg.arity >= 2 && cfg.reps >= 1);
   const int p = self.id();
   const int n = self.size();
+  if (cfg.ft.enabled) {
+    NARMA_CHECK(cfg.variant == TreeVariant::kNotified)
+        << "fault-tolerant tree requires the NotifiedAccess variant";
+    NARMA_CHECK(n >= 2) << "fault-tolerant tree needs >= 2 ranks "
+                           "(checkpoints live on a partner rank)";
+  }
   const TreeTopo topo = topo_of(p, n, cfg.arity);
   const std::size_t bytes = cfg.elems * sizeof(double);
 
@@ -49,6 +53,13 @@ TreeResult run_tree(Rank& self, const TreeConfig& cfg) {
   auto win = self.win_allocate(
       static_cast<std::size_t>(cfg.arity) * bytes, sizeof(double));
   auto slots = win->local<double>();
+  // Fault-tolerant runs (DESIGN.md §15) protect the slot window, one
+  // recovery epoch per repetition. Each rep rebuilds `acc` from the
+  // constant contribution, so a fail-stop loses only the children's landing
+  // zones, and the default replay (every logged entry in (source, seq)
+  // order) restores exactly those: no recompute callback is needed.
+  std::optional<ft::RecoveryManager> mgr;
+  if (cfg.ft.enabled) mgr.emplace(self, cfg.ft, std::vector{win.get()});
 
   std::vector<double> contribution(cfg.elems,
                                    static_cast<double>(p) + 1.0);
@@ -83,8 +94,9 @@ TreeResult run_tree(Rank& self, const TreeConfig& cfg) {
   // reductions), and only the in-reduction span is accumulated; the root
   // finishes last, so the allgathered maximum is the reduction latency.
   Time timed = 0;
+  bool dead = false;
 
-  for (int rep = 0; rep < cfg.reps; ++rep) {
+  for (int rep = 0; rep < cfg.reps && !dead; ++rep) {
     self.barrier();
     const Time r0 = self.now();
     self.compute(reduce_elem_cost * static_cast<Time>(cfg.elems));
@@ -134,11 +146,13 @@ TreeResult run_tree(Rank& self, const TreeConfig& cfg) {
             combine_slot(c);
         }
         if (topo.parent >= 0) {
-          self.na().put_notify(*win, na::as_bytes(acc.data(), bytes), topo.parent,
-                               static_cast<std::uint64_t>(
-                                   topo.slot_in_parent) *
-                                   cfg.elems,
-                               kTreeTag);
+          const auto src = na::as_bytes(acc.data(), bytes);
+          const auto disp =
+              static_cast<std::uint64_t>(topo.slot_in_parent) * cfg.elems;
+          if (mgr)
+            mgr->put_notify(0, src, topo.parent, disp, kTreeTag);
+          else
+            self.na().put_notify(*win, src, topo.parent, disp, kTreeTag);
           // Local completion so `acc` can be reused next rep.
           win->flush(topo.parent);
         }
@@ -148,110 +162,13 @@ TreeResult run_tree(Rank& self, const TreeConfig& cfg) {
     timed += self.now() - r0;
     c_reductions.inc();
     h_reduction_ns.record_time(self.now() - r0);
-  }
-
-  self.barrier();
-
-  double el = to_seconds(timed);
-  std::vector<double> all(static_cast<std::size_t>(n));
-  mp::allgather(self.mp(), &el, sizeof(double), all.data());
-  double el_max = 0;
-  for (double v : all) el_max = std::max(el_max, v);
-
-  TreeResult res;
-  res.elapsed = seconds(el_max);
-  res.per_op_us = el_max * 1e6 / static_cast<double>(cfg.reps);
-  if (p == 0) {
-    const double expected =
-        static_cast<double>(n) * (static_cast<double>(n) + 1.0) / 2.0;
-    res.result0 = acc[0];
-    res.verified = acc[0] == expected;
-  }
-  return res;
-}
-
-namespace {
-
-/// Fault-tolerant kNotified tree (DESIGN.md §15): one recovery epoch per
-/// repetition, the slot window as the single protected region. Each rep
-/// rebuilds `acc` from the constant contribution, so the only state a
-/// fail-stop loses is the children's landing zones — the default replay
-/// (apply every logged entry in (source, seq) order) restores exactly
-/// that, and no recompute callback is needed.
-TreeResult run_tree_ft(Rank& self, const TreeConfig& cfg) {
-  NARMA_CHECK(cfg.variant == TreeVariant::kNotified)
-      << "fault-tolerant tree requires the NotifiedAccess variant";
-  NARMA_CHECK(cfg.elems >= 1 && cfg.arity >= 2 && cfg.reps >= 1);
-  const int p = self.id();
-  const int n = self.size();
-  NARMA_CHECK(n >= 2) << "fault-tolerant tree needs >= 2 ranks "
-                         "(checkpoints live on a partner rank)";
-  const TreeTopo topo = topo_of(p, n, cfg.arity);
-  const std::size_t bytes = cfg.elems * sizeof(double);
-
-  auto win = self.win_allocate(
-      static_cast<std::size_t>(cfg.arity) * bytes, sizeof(double));
-  auto slots = win->local<double>();
-  ft::RecoveryManager mgr(self, cfg.ft, {win.get()});
-
-  std::vector<double> contribution(cfg.elems,
-                                   static_cast<double>(p) + 1.0);
-  std::vector<double> acc(cfg.elems);
-
-  na::NotifyRequest req;
-  if (!topo.children.empty())
-    req = self.na().notify_init(*win, na::MatchSpec{na::kAnySource, kTreeTag},
-                                static_cast<std::uint32_t>(
-                                    topo.children.size()));
-
-  const Time reduce_elem_cost = self.world().params().mp.reduce_op_per_elem;
-
-  auto combine_slot = [&](std::size_t slot) {
-    const double* src = slots.data() + slot * cfg.elems;
-    self.compute(reduce_elem_cost * static_cast<Time>(cfg.elems));
-    for (std::size_t i = 0; i < cfg.elems; ++i) acc[i] += src[i];
-  };
-
-  obs::Counter c_reductions;
-  obs::Histogram h_reduction_ns;
-  if (obs::Registry* reg = self.world().metrics()) {
-    c_reductions = reg->counter("app.tree_reductions", self.id());
-    h_reduction_ns = reg->histogram("app.tree_reduction_ns", self.id());
-  }
-
-  Time timed = 0;
-  bool dead = false;
-
-  for (int rep = 0; rep < cfg.reps && !dead; ++rep) {
-    self.barrier();
-    const Time r0 = self.now();
-    self.compute(reduce_elem_cost * static_cast<Time>(cfg.elems));
-    std::copy(contribution.begin(), contribution.end(), acc.begin());
-
-    if (!topo.children.empty()) {
-      self.na().start(req);
-      self.na().wait(req);
-      for (std::size_t c = 0; c < topo.children.size(); ++c)
-        combine_slot(c);
-    }
-    if (topo.parent >= 0) {
-      mgr.put_notify(0, na::as_bytes(acc.data(), bytes), topo.parent,
-                     static_cast<std::uint64_t>(topo.slot_in_parent) *
-                         cfg.elems,
-                     kTreeTag);
-      win->flush(topo.parent);
-    }
-
-    timed += self.now() - r0;
-    c_reductions.inc();
-    h_reduction_ns.record_time(self.now() - r0);
     // Every put of this rep was consumed by its parent's counting wait
     // before the parent proceeded, so the boundary is quiesced.
-    dead = !mgr.end_epoch();
+    if (mgr) dead = !mgr->end_epoch();
   }
 
   TreeResult res;
-  res.ft = mgr.stats();
+  if (mgr) res.ft = mgr->stats();
   if (dead) return res;  // no-recover victim: collectives in the dtors
                          // block and the deadlock detector fires
 
@@ -273,7 +190,5 @@ TreeResult run_tree_ft(Rank& self, const TreeConfig& cfg) {
   }
   return res;
 }
-
-}  // namespace
 
 }  // namespace narma::apps

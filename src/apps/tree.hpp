@@ -34,8 +34,9 @@ struct TreeConfig {
   int arity = 16;
   int reps = 1;  // back-to-back reductions (timed together)
   TreeVariant variant = TreeVariant::kNotified;
-  /// Fault-tolerant execution (DESIGN.md §15): one recovery epoch per
-  /// repetition, kNotified variant only. Inert when disabled.
+  /// Fault-tolerant execution (DESIGN.md §15): the notified puts go through
+  /// a ft::RecoveryManager, one recovery epoch per repetition, kNotified
+  /// variant only. Inert when disabled.
   ft::FtParams ft;
 };
 

@@ -49,8 +49,9 @@ constexpr double to_seconds(Time t) {
   return static_cast<double>(t) / static_cast<double>(kPicosPerSecond);
 }
 
-/// Monotonic wall-clock nanoseconds, used only to *measure* real compute
-/// phases that are then charged to virtual time.
+/// Monotonic wall-clock nanoseconds, for host-time measurements (the
+/// profiler, the engine's run time, stencil calibration); never charged to
+/// virtual time directly.
 inline std::uint64_t wallclock_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

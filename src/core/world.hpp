@@ -188,12 +188,6 @@ class Rank {
   /// Charges `dt` of local compute to virtual time.
   void compute(Time dt) { ctx_.advance(dt); }
 
-  /// Runs `fn` on the real CPU and charges its measured wall time.
-  template <class F>
-  void compute_measured(F&& fn, double scale = 1.0) {
-    ctx_.charge_measured(std::forward<F>(fn), scale);
-  }
-
   void barrier() { mp::barrier(ep_); }
 
   // --- Subsystems -------------------------------------------------------------

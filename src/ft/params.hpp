@@ -17,8 +17,9 @@ namespace narma::ft {
 /// NARMA_FT_MAX_FAILS, resolved by World) because the draw belongs to the
 /// seeded fault plan, not to the recovery policy.
 struct FtParams {
-  /// Master switch: apps branch into their ft drivers only when set, so the
-  /// default path stays byte-identical to the pre-ft build.
+  /// Master switch: apps build a RecoveryManager and route their notified
+  /// puts through it only when set; otherwise no ft code runs and the
+  /// schedule is that of the plain driver.
   bool enabled = false;
 
   /// When false, a failed rank stays down (crash semantics): survivors that

@@ -11,7 +11,7 @@
 //   kRankExec    rank user code on its fiber, incl. the context switch
 //   kMatch       notification matching (UqIndex probes, HW-queue drains)
 //   kTransfer    transfer plumbing (channel reservation, NIC/endpoint paths)
-//   kAppCompute  application compute kernels (measured or charged)
+//   kAppCompute  application compute kernels (charged to virtual time)
 //   kObs         the observability layer itself (msgtrace hooks, snapshots)
 //
 // Accounting is *self time* on a single current-phase chain: entering a

@@ -12,9 +12,7 @@
 //  * Deterministic execution — events are ordered by (virtual time, issue
 //    sequence number) and ready ranks by (resume time, rank id); the golden
 //    schedule hashes (tests/test_transport_backends.cpp) pin the result.
-//  * Clean compute measurement even on a single-core host — when a rank
-//    measures a real compute kernel, no other simulation context competes
-//    for the CPU.
+//    Compute is charged explicitly (`advance`), never timed on the host.
 //
 // A block/resume costs two in-process context switches, and a rank's stack
 // costs only the pages it touches — which is what lets one core carry
@@ -118,17 +116,6 @@ class alignas(64) RankCtx {
   void advance(Time dt) { clock_ += dt; }
   void advance_to(Time t) {
     if (t > clock_) clock_ = t;
-  }
-
-  /// Runs `fn` on the real CPU, measures its wall time, and charges it to
-  /// virtual time (scaled by `scale`). Valid because only one simulation
-  /// context runs at a time.
-  template <class F>
-  void charge_measured(F&& fn, double scale = 1.0) {
-    const std::uint64_t t0 = wallclock_ns();
-    fn();
-    const std::uint64_t t1 = wallclock_ns();
-    advance(ns(static_cast<double>(t1 - t0) * scale));
   }
 
   /// Executes all pending events with time <= now(). Communication layers

@@ -174,18 +174,6 @@ TEST(SimEngine, WaitDeadlineWakesEarlyOnNotify) {
   });
 }
 
-TEST(SimEngine, ChargeMeasuredAddsTime) {
-  sim::Engine eng(1);
-  eng.run([&](sim::RankCtx& r) {
-    const Time before = r.now();
-    volatile double sink = 0;
-    r.charge_measured([&] {
-      for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-    });
-    EXPECT_GT(r.now(), before);
-  });
-}
-
 TEST(SimEngine, ManyRanksFinish) {
   sim::Engine eng(64);
   int done = 0;

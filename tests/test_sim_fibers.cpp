@@ -157,7 +157,6 @@ TEST(FiberEngineSlow, FourKRankStencilCompletes) {
   cfg.total_cols = 2 * 4096;  // two columns per rank
   cfg.iters = 1;
   cfg.variant = apps::StencilVariant::kNotified;
-  cfg.per_point = ns(2);
   apps::StencilResult res;
   world.run([&](Rank& self) {
     apps::StencilResult r = run_stencil(self, cfg);
