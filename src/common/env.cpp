@@ -2,14 +2,27 @@
 
 #include <cstdlib>
 
+#include "common/fatal.hpp"
+
 namespace narma::env {
+
+namespace {
+
+/// Aborts on a malformed value, naming the variable and what it accepts.
+[[noreturn]] void bad_value(const char* name, const char* v,
+                            const char* expected) {
+  fatal_error(std::string(name) + "=" + v + ": expected " + expected);
+}
+
+}  // namespace
 
 std::int64_t get_int(const char* name, std::int64_t fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
   char* end = nullptr;
   const long long parsed = std::strtoll(v, &end, 10);
-  return (end && *end == '\0') ? parsed : fallback;
+  if (*end != '\0') bad_value(name, v, "an integer");
+  return parsed;
 }
 
 double get_double(const char* name, double fallback) {
@@ -17,7 +30,8 @@ double get_double(const char* name, double fallback) {
   if (!v || !*v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v, &end);
-  return (end && *end == '\0') ? parsed : fallback;
+  if (*end != '\0') bad_value(name, v, "a number");
+  return parsed;
 }
 
 std::string get_string(const char* name, const std::string& fallback) {
@@ -31,7 +45,7 @@ bool get_bool(const char* name, bool fallback) {
   const std::string s(v);
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  return fallback;
+  bad_value(name, v, "one of 1|true|yes|on|0|false|no|off");
 }
 
 }  // namespace narma::env

@@ -1,6 +1,9 @@
 // Environment-variable overrides for benchmark harness knobs
-// (e.g. NARMA_REPS=3 to shorten a sweep). All reads are typed and fall back
-// to the caller's default on absence or parse failure.
+// (e.g. NARMA_REPS=3 to shorten a sweep). All reads are typed: unset or
+// empty keeps the caller's default, and a malformed value is fatal, naming
+// the variable, so a typo never silently runs the default. The simulator
+// library itself reads only NARMA_CRASH_DIR; every other knob is a field of
+// WorldParams or an app config.
 #pragma once
 
 #include <cstdint>

@@ -13,60 +13,6 @@ namespace narma {
 
 namespace {
 
-// Reads an enum-valued env knob. Unset (or empty) keeps `current`; a value
-// outside `accepted` is fatal, naming the variable and what it accepts, so
-// a typo never silently runs the default configuration.
-template <class E, std::size_t N>
-E env_enum(const char* name, E current,
-           const std::pair<const char*, E> (&accepted)[N]) {
-  const std::string v = env::get_string(name, "");
-  if (v.empty()) return current;
-  std::string names;
-  for (const auto& [label, value] : accepted) {
-    if (v == label) return value;
-    names += names.empty() ? label : std::string("|") + label;
-  }
-  fatal_error(std::string(name) + "=" + v + " is not recognized (accepted: " +
-              names + ")");
-}
-
-WorldParams resolve_params(WorldParams p) {
-  // NARMA_STACK_KB resizes the per-rank fiber stack.
-  const std::int64_t stack_kb = env::get_int(
-      "NARMA_STACK_KB", static_cast<std::int64_t>(p.sim.stack_bytes / 1024));
-  if (stack_kb > 0) p.sim.stack_bytes = static_cast<std::size_t>(stack_kb) * 1024;
-  // Fault-model overrides (see net::FaultParams and DESIGN.md §10).
-  p.fabric.faults.overflow_policy = env_enum(
-      "NARMA_OVERFLOW", p.fabric.faults.overflow_policy,
-      {{"fatal", net::OverflowPolicy::kFatal},
-       {"backpressure", net::OverflowPolicy::kBackpressure}});
-  // Inter-node transport backend (see net::TransportBackend and DESIGN.md
-  // §11); shm is not a valid inter-node transport, so it is not accepted.
-  p.fabric.inter_node =
-      env_enum("NARMA_TRANSPORT", p.fabric.inter_node,
-               {{"aries", net::BackendKind::kAries},
-                {"ramc", net::BackendKind::kRamc},
-                {"verbs", net::BackendKind::kVerbs}});
-  net::FaultParams& f = p.fabric.faults;
-  f.seed = static_cast<std::uint64_t>(
-      env::get_int("NARMA_FAULT_SEED", static_cast<std::int64_t>(f.seed)));
-  f.drop_rate = env::get_double("NARMA_FAULT_DROP", f.drop_rate);
-  f.delay_rate = env::get_double("NARMA_FAULT_DELAY", f.delay_rate);
-  f.stall_rate = env::get_double("NARMA_FAULT_STALL", f.stall_rate);
-  f.pressure_rate = env::get_double("NARMA_FAULT_PRESSURE", f.pressure_rate);
-  // Fail-stop plan (DESIGN.md §15): consulted only by the ft layer at epoch
-  // boundaries, so these leave transfer timing untouched.
-  f.fail_rate = env::get_double("NARMA_FT_FAIL_RATE", f.fail_rate);
-  f.max_fails = static_cast<int>(
-      env::get_int("NARMA_FT_MAX_FAILS", f.max_fails));
-  const std::int64_t jcap = env::get_int(
-      "NARMA_OBS_JOURNAL_CAP",
-      static_cast<std::int64_t>(p.obs.journal_capacity));
-  p.obs.journal_capacity =
-      jcap > 0 ? static_cast<std::size_t>(jcap) : 0;
-  return p;
-}
-
 // Crash hook (NARMA_CRASH_DIR): on a fatal error, dump whatever telemetry
 // this world holds so the failure is diagnosable post-mortem. Reuses the
 // regular dump paths — they only read state owned by the (still-live) world.
@@ -87,7 +33,7 @@ void world_crash_dump(void* world) {
 }  // namespace
 
 World::World(int nranks, WorldParams params)
-    : params_(resolve_params(std::move(params))),
+    : params_(std::move(params)),
       engine_(std::make_unique<sim::Engine>(nranks, params_.sim)),
       metrics_(params_.enable_metrics
                    ? std::make_unique<obs::Registry>(nranks)

@@ -38,9 +38,9 @@
 namespace narma {
 
 struct WorldParams {
-  /// Simulator-core knobs (calendar sizing, fiber stack size; the
-  /// environment variable NARMA_STACK_KB overrides `sim.stack_bytes` at
-  /// World construction).
+  /// Simulator-core knobs (calendar sizing, fiber stack size). World uses
+  /// these params exactly as given: no environment variable overrides any
+  /// field.
   sim::SimParams sim;
   net::FabricParams fabric;
   mp::MpParams mp;

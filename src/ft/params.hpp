@@ -11,11 +11,10 @@
 
 namespace narma::ft {
 
-/// Recovery-protocol knobs. Environment overrides (NARMA_FT_*) are applied
-/// by from_env(); the fail-stop schedule itself lives in
-/// net::FaultParams::fail_rate / max_fails (NARMA_FT_FAIL_RATE /
-/// NARMA_FT_MAX_FAILS, resolved by World) because the draw belongs to the
-/// seeded fault plan, not to the recovery policy.
+/// Recovery-protocol knobs, used exactly as the app config carries them
+/// (narma_cli maps its --ft* flags onto them). The fail-stop schedule
+/// itself lives in net::FaultParams::fail_rate / max_fails because the draw
+/// belongs to the seeded fault plan, not to the recovery policy.
 struct FtParams {
   /// Master switch: apps build a RecoveryManager and route their notified
   /// puts through it only when set; otherwise no ft code runs and the
@@ -52,12 +51,6 @@ struct FtParams {
   /// stale entries around, which the replay dedupe must then reject —
   /// tests use this to exercise the dedupe path.
   bool eager_trim = true;
-
-  /// Resolves NARMA_FT, NARMA_FT_RECOVER, NARMA_FT_INTERVAL,
-  /// NARMA_FT_PARTNER_OFFSET, NARMA_FT_RESTART_US, NARMA_FT_MIN_FAIL_EPOCH,
-  /// NARMA_FT_LOG_CAP, NARMA_FT_TRIM on top of the given defaults.
-  static FtParams from_env(FtParams p);
-  static FtParams from_env() { return from_env(FtParams()); }
 };
 
 /// Per-rank recovery statistics, surfaced by the apps and mirrored into the

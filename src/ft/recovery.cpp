@@ -3,26 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/env.hpp"
 #include "obs/journal.hpp"
 
 namespace narma::ft {
-
-FtParams FtParams::from_env(FtParams p) {
-  p.enabled = env::get_bool("NARMA_FT", p.enabled);
-  p.recover = env::get_bool("NARMA_FT_RECOVER", p.recover);
-  p.ckpt_interval = static_cast<int>(
-      env::get_int("NARMA_FT_INTERVAL", p.ckpt_interval));
-  p.partner_offset = static_cast<int>(
-      env::get_int("NARMA_FT_PARTNER_OFFSET", p.partner_offset));
-  p.restart = us(env::get_double("NARMA_FT_RESTART_US", to_us(p.restart)));
-  p.min_fail_epoch = static_cast<std::uint64_t>(env::get_int(
-      "NARMA_FT_MIN_FAIL_EPOCH", static_cast<std::int64_t>(p.min_fail_epoch)));
-  p.log_capacity = static_cast<std::size_t>(env::get_int(
-      "NARMA_FT_LOG_CAP", static_cast<std::int64_t>(p.log_capacity)));
-  p.eager_trim = env::get_bool("NARMA_FT_TRIM", p.eager_trim);
-  return p;
-}
 
 namespace {
 
@@ -99,7 +82,7 @@ void RecoveryManager::put_notify(std::size_t win_idx,
       << "ft: notification log overflow at rank " << self_.id() << " ("
       << params_.log_capacity
       << " entries) — lower the checkpoint interval or raise "
-         "FtParams::log_capacity (NARMA_FT_LOG_CAP)";
+         "FtParams::log_capacity (--ft-log-cap)";
   ReplayEntry e;
   e.epoch = epoch_ + 1;  // the epoch boundary this notification precedes
   e.seq = ++send_seq_[static_cast<std::size_t>(target)];

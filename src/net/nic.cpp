@@ -303,7 +303,7 @@ void Nic::push_cqe(const Cqe& cqe) {
       << dest_cq_.capacity()
       << " — raise WorldParams::fabric.dest_cq_capacity, consume "
          "notifications faster, or select the backpressure overflow policy "
-         "(FaultParams::overflow_policy, NARMA_OVERFLOW=backpressure); like "
+         "(FaultParams::overflow_policy, --overflow=backpressure); like "
          "uGNI, CQ overflow under the fatal policy is unrecoverable";
   commit(cqe);
 }
@@ -320,7 +320,7 @@ void Nic::push_shm(const ShmNotification& n) {
       << shm_ring_.capacity()
       << " — raise WorldParams::fabric.shm_ring_capacity, consume "
          "notifications faster, or select the backpressure overflow policy "
-         "(FaultParams::overflow_policy, NARMA_OVERFLOW=backpressure)";
+         "(FaultParams::overflow_policy, --overflow=backpressure)";
   commit(n);
 }
 
@@ -356,7 +356,7 @@ void Nic::push_msg(NetMsg msg) {
       << mailbox_.size() << " of capacity " << mailbox_.capacity()
       << " — raise WorldParams::fabric.mailbox_capacity, progress the "
          "receiver, or select the backpressure overflow policy "
-         "(FaultParams::overflow_policy, NARMA_OVERFLOW=backpressure)";
+         "(FaultParams::overflow_policy, --overflow=backpressure)";
   g_mailbox_depth_.set(static_cast<std::int64_t>(mailbox_.size()), t);
   progress_.notify(fabric_.engine(), t);
 }

@@ -213,8 +213,7 @@ struct FabricParams {
   VerbsParams verbs;
 
   /// Backend used by every inter-node pair unless `route` overrides it.
-  /// Env/CLI selectable: NARMA_TRANSPORT=aries|ramc|verbs (World applies
-  /// it), --transport in the CLI tools.
+  /// narma_cli selects it with --transport=aries|ramc|verbs.
   BackendKind inter_node = BackendKind::kAries;
 
   /// Optional heterogeneous routing policy: called once per ordered node
@@ -237,8 +236,8 @@ struct FabricParams {
   std::size_t mailbox_capacity = 1 << 16;
   std::size_t shm_ring_capacity = 1 << 14;
 
-  /// Fault injection and overflow/flow-control policy. Environment
-  /// overrides (NARMA_OVERFLOW, NARMA_FAULT_*) are applied by World.
+  /// Fault injection and overflow/flow-control policy (narma_cli:
+  /// --overflow, --fault-seed, --fault-{drop,delay,stall,pressure}).
   FaultParams faults;
 
   /// LogGP row of one lane, independent of routing (parameter-level lookup;

@@ -11,7 +11,7 @@ namespace narma::obs {
 struct ObsParams {
   /// Anomaly-journal ring capacity in records (src/obs/journal); 0 disables
   /// the journal entirely. The ring keeps the most recent records and
-  /// counts what it dropped. NARMA_OBS_JOURNAL_CAP overrides.
+  /// counts what it dropped. narma_cli exposes it as --journal-cap.
   std::size_t journal_capacity = 4096;
 
   /// Master enable for causal message tracing (src/obs/msgtrace). Off by

@@ -17,8 +17,8 @@ struct SimParams {
   /// order is independent of the geometry.
   std::uint32_t calendar_buckets = 256;
 
-  /// Per-rank fiber stack size in bytes (NARMA_STACK_KB overrides via
-  /// World; rounded up to whole pages, minimum Fiber::kMinStackBytes). The
+  /// Per-rank fiber stack size in bytes (rounded up to whole pages,
+  /// minimum Fiber::kMinStackBytes). The
   /// stack is reserved, not committed: RSS grows only with the pages a rank
   /// actually touches, so a generous default costs nothing at 4096 ranks. A
   /// guard page below the stack turns overflow into a deterministic fault.

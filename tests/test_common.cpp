@@ -131,15 +131,30 @@ TEST(TimeUnits, Conversions) {
 
 TEST(Env, ParsesAndFallsBack) {
   ::setenv("NARMA_TEST_INT", "42", 1);
-  ::setenv("NARMA_TEST_BAD", "xyz", 1);
   ::setenv("NARMA_TEST_DBL", "2.5", 1);
   ::setenv("NARMA_TEST_BOOL", "true", 1);
+  ::setenv("NARMA_TEST_EMPTY", "", 1);
   EXPECT_EQ(env::get_int("NARMA_TEST_INT", 7), 42);
-  EXPECT_EQ(env::get_int("NARMA_TEST_BAD", 7), 7);
   EXPECT_EQ(env::get_int("NARMA_TEST_MISSING", 7), 7);
+  EXPECT_EQ(env::get_int("NARMA_TEST_EMPTY", 7), 7);
   EXPECT_DOUBLE_EQ(env::get_double("NARMA_TEST_DBL", 0.0), 2.5);
   EXPECT_TRUE(env::get_bool("NARMA_TEST_BOOL", false));
   EXPECT_EQ(env::get_string("NARMA_TEST_MISSING", "d"), "d");
+}
+
+// A malformed value is fatal and names the variable: NARMA_REPS=3x must not
+// silently run the default rep count.
+TEST(Env, MalformedValueIsFatal) {
+  ::setenv("NARMA_TEST_BAD", "xyz", 1);
+  ::setenv("NARMA_TEST_JUNK", "3x", 1);
+  EXPECT_DEATH(env::get_int("NARMA_TEST_BAD", 7),
+               "NARMA_TEST_BAD=xyz: expected an integer");
+  EXPECT_DEATH(env::get_int("NARMA_TEST_JUNK", 7),
+               "NARMA_TEST_JUNK=3x: expected an integer");
+  EXPECT_DEATH(env::get_double("NARMA_TEST_JUNK", 1.0),
+               "NARMA_TEST_JUNK=3x: expected a number");
+  EXPECT_DEATH(env::get_bool("NARMA_TEST_BAD", false),
+               "NARMA_TEST_BAD=xyz: expected one of");
 }
 
 TEST(Table, RendersAlignedColumns) {

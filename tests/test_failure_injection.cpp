@@ -5,19 +5,22 @@
 // backpressure counterpart: the same traffic under
 // OverflowPolicy::kBackpressure must complete, with the stalls surfaced in
 // the fabric counters. The seeded fault plan (FaultParams) is checked for
-// determinism, and a property test pins the fault-free path to bit-identical
-// virtual times.
+// determinism, a property test pins the fault-free path to bit-identical
+// virtual times, and a backend x overflow-policy matrix runs the stencil
+// under injected faults.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "apps/stencil.hpp"
 #include "common/rng.hpp"
 #include "core/world.hpp"
 #include "net/faults.hpp"
+#include "obs/msgtrace.hpp"
 
 using namespace narma;
 
@@ -426,30 +429,64 @@ TEST(FailureInjection, DelayRateWithZeroDelayMaxAborts) {
   EXPECT_DEATH({ World world(2, wp); }, "delay_max must be >= 1");
 }
 
-// An unknown value of an enum-valued env knob must abort with a diagnostic
-// naming the variable and its accepted values, never silently run the
-// default (NARMA_TRANSPORT=Verbs used to run Aries). The variable is set
-// inside the death statement, so only the child process sees it.
+// --- Transport x overflow-policy fault matrix --------------------------------
+//
+// The 4-rank notified stencil on every inter-node backend under both
+// overflow policies, each cell with seeded drops, delays and stalls (plus
+// forced queue pressure under backpressure). Injected faults never overflow
+// a queue by themselves, so the fatal cells are legal. Every cell must
+// verify, every complete traced message must decompose exactly into its
+// end-to-end latency (across retry hops and RAMC's multi-leg notifications),
+// and the backpressure cells must record retry time.
 
-TEST(FailureInjection, UnknownOverflowPolicyEnvAborts) {
-  EXPECT_DEATH(
-      {
-        ::setenv("NARMA_OVERFLOW", "backpresure", 1);
-        World world(2);
-      },
-      "NARMA_OVERFLOW=backpresure is not recognized \\(accepted: "
-      "fatal\\|backpressure\\)");
+class FaultMatrix : public ::testing::TestWithParam<
+                        std::tuple<net::BackendKind, net::OverflowPolicy>> {};
+
+TEST_P(FaultMatrix, StencilVerifiesAndDecomposes) {
+  const auto [backend, policy] = GetParam();
+  const bool backpressure = policy == net::OverflowPolicy::kBackpressure;
+  WorldParams wp;
+  wp.fabric.inter_node = backend;
+  net::FaultParams& f = wp.fabric.faults;
+  f.overflow_policy = policy;
+  f.seed = 42;
+  f.drop_rate = 0.05;
+  f.delay_rate = 0.2;
+  f.stall_rate = 0.05;
+  if (backpressure) f.pressure_rate = 0.1;
+  World world(4, wp);
+  world.enable_msgtrace();
+  apps::StencilConfig cfg;
+  cfg.rows = 64;
+  cfg.total_cols = 256;
+  cfg.iters = 4;
+  bool verified = false;
+  world.run([&](Rank& self) {
+    const auto r = apps::run_stencil(self, cfg);
+    if (self.id() == 0) verified = r.verified;
+  });
+  EXPECT_TRUE(verified);
+  int complete = 0;
+  Time retry = 0;
+  for (const auto& m : world.msgtrace()->summarize()) {
+    if (!m.complete) continue;
+    EXPECT_EQ(m.cat_sum(), m.latency()) << "msg " << m.id;
+    retry += m.cat[static_cast<std::size_t>(obs::LatCat::kRetry)];
+    ++complete;
+  }
+  EXPECT_GT(complete, 0);
+  if (backpressure) {
+    EXPECT_GT(retry, 0u);
+  }
 }
 
-TEST(FailureInjection, UnknownTransportEnvAborts) {
-  EXPECT_DEATH(
-      {
-        ::setenv("NARMA_TRANSPORT", "Verbs", 1);
-        World world(2);
-      },
-      "NARMA_TRANSPORT=Verbs is not recognized \\(accepted: "
-      "aries\\|ramc\\|verbs\\)");
-}
+INSTANTIATE_TEST_SUITE_P(
+    BackendByPolicy, FaultMatrix,
+    ::testing::Combine(::testing::Values(net::BackendKind::kAries,
+                                         net::BackendKind::kRamc,
+                                         net::BackendKind::kVerbs),
+                       ::testing::Values(net::OverflowPolicy::kFatal,
+                                         net::OverflowPolicy::kBackpressure)));
 
 // --- Retry-budget parity (redelivery vs credit stall vs retransmit) ----------
 //

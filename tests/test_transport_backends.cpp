@@ -3,11 +3,14 @@
 // backend-tagged notification metrics, per-backend notification semantics
 // (RAMC counting completions, verbs write-with-immediate), and the headline
 // refactor invariant — the default shm+Aries configuration is bit-identical
-// to the pre-backend fabric over the 1000-schedule property harness.
+// to the pre-backend fabric over the 1000-schedule property harness — and
+// the hermeticity of World: no environment variable overrides its params.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/world.hpp"
@@ -31,6 +34,56 @@ TEST(TransportGolden, DefaultBackendBitIdenticalToPreRefactorFabric) {
   EXPECT_EQ(golden::all_schedules_hash(golden::kGoldenScheduleCountShort),
             golden::kGoldenScheduleHashShort);
 #endif
+}
+
+// A World runs on exactly the params it is given: with every variable that
+// once overrode a WorldParams or FtParams field set to a non-default value,
+// params() still equals what was passed and the golden schedules are
+// unchanged. The variables are cleared again for the tests that follow.
+TEST(TransportGolden, EnvironmentOverridesNothing) {
+  static constexpr std::pair<const char*, const char*> kEnv[] = {
+      {"NARMA_STACK_KB", "64"},
+      {"NARMA_OVERFLOW", "backpressure"},
+      {"NARMA_TRANSPORT", "verbs"},
+      {"NARMA_FAULT_SEED", "7"},
+      {"NARMA_FAULT_DROP", "0.05"},
+      {"NARMA_FAULT_DELAY", "0.3"},
+      {"NARMA_FAULT_STALL", "0.05"},
+      {"NARMA_FAULT_PRESSURE", "0.1"},
+      {"NARMA_FT_FAIL_RATE", "0.5"},
+      {"NARMA_FT_MAX_FAILS", "3"},
+      {"NARMA_OBS_JOURNAL_CAP", "16"},
+      {"NARMA_FT", "1"},
+      {"NARMA_FT_RECOVER", "0"},
+      {"NARMA_FT_INTERVAL", "7"},
+      {"NARMA_FT_PARTNER_OFFSET", "2"},
+      {"NARMA_FT_RESTART_US", "99"},
+      {"NARMA_FT_MIN_FAIL_EPOCH", "5"},
+      {"NARMA_FT_LOG_CAP", "8"},
+      {"NARMA_FT_TRIM", "0"},
+  };
+  for (const auto& [name, value] : kEnv) ::setenv(name, value, 1);
+  const WorldParams given;
+  {
+    World world(2, given);
+    const WorldParams& p = world.params();
+    EXPECT_EQ(p.sim.stack_bytes, given.sim.stack_bytes);
+    EXPECT_EQ(p.fabric.inter_node, given.fabric.inter_node);
+    const net::FaultParams& f = p.fabric.faults;
+    const net::FaultParams& g = given.fabric.faults;
+    EXPECT_EQ(f.overflow_policy, g.overflow_policy);
+    EXPECT_EQ(f.seed, g.seed);
+    EXPECT_EQ(f.drop_rate, g.drop_rate);
+    EXPECT_EQ(f.delay_rate, g.delay_rate);
+    EXPECT_EQ(f.stall_rate, g.stall_rate);
+    EXPECT_EQ(f.pressure_rate, g.pressure_rate);
+    EXPECT_EQ(f.fail_rate, g.fail_rate);
+    EXPECT_EQ(f.max_fails, g.max_fails);
+    EXPECT_EQ(p.obs.journal_capacity, given.obs.journal_capacity);
+  }
+  EXPECT_EQ(golden::all_schedules_hash(golden::kGoldenScheduleCountShort),
+            golden::kGoldenScheduleHashShort);
+  for (const auto& [name, value] : kEnv) ::unsetenv(name);
 }
 
 // ---------------------------------------------------------------------------

@@ -61,6 +61,25 @@ struct Args {
     return it == kv.end() ? fallback : it->second;
   }
 
+  /// An integer flag that must be at least `min` (counts, sizes,
+  /// capacities), so a negative value never wraps through an unsigned cast.
+  long at_least(const std::string& key, long fallback, long min) const {
+    const long v = get(key, fallback);
+    if (v < min)
+      bad_flag(key, get(key, ""),
+               min == 0   ? std::string("a non-negative integer")
+               : min == 1 ? std::string("a positive integer")
+                          : "an integer >= " + std::to_string(min));
+    return v;
+  }
+
+  /// A probability flag: a number in [0, 1].
+  double rate(const std::string& key, double fallback) const {
+    const double v = get_double(key, fallback);
+    if (v < 0 || v > 1) bad_flag(key, get(key, ""), "a number in [0, 1]");
+    return v;
+  }
+
   /// Maps the value of --key through `choices`; an unknown value is
   /// rejected with the accepted ones listed.
   template <class E>
@@ -70,7 +89,8 @@ struct Args {
     std::string accepted;
     for (const auto& [name, value] : choices) {
       if (v == name) return value;
-      accepted += (accepted.empty() ? "" : "|") + std::string(name);
+      if (!accepted.empty()) accepted += '|';
+      accepted += name;
     }
     bad_flag(key, v, "one of " + accepted);
   }
@@ -145,7 +165,7 @@ int usage() {
       "            top regressions, families added/removed\n"
       "\n"
       "common:     [--transport=aries|ramc|verbs]  inter-node backend\n"
-      "                               (default aries; or env NARMA_TRANSPORT)\n"
+      "                               (default aries)\n"
       "            [--trace=FILE]     write a Chrome trace of the run\n"
       "            [--metrics=FILE]   write the metrics registry dump\n"
       "            [--msgtrace=FILE]  write the causal message trace\n"
@@ -158,71 +178,86 @@ int usage() {
       "            [--journal=FILE]   write the anomaly journal\n"
       "                               (narma.journal.v1)\n"
       "            [--journal-cap=N]  anomaly-journal ring capacity\n"
-      "                               (0 disables; or env NARMA_OBS_JOURNAL_CAP)\n"
+      "                               (default 4096; 0 disables)\n"
+      "\n"
+      "fault model (DESIGN.md sections 10-11; rates in [0, 1]):\n"
+      "            [--overflow=fatal|backpressure]  queue-overflow policy\n"
+      "                               (default fatal)\n"
+      "            [--fault-seed=S]   fault-plan seed (default 1)\n"
+      "            [--fault-drop=R]   per-transfer drop + retransmit rate\n"
+      "            [--fault-delay=R]  per-transfer delivery-jitter rate\n"
+      "            [--fault-stall=R]  per-transfer source NIC stall rate\n"
+      "            [--fault-pressure=R]  forced queue-full rate\n"
+      "                               (backpressure policy only)\n"
       "\n"
       "fault tolerance (stencil + tree, NotifiedAccess variant only):\n"
       "            [--ft]                   run through the recovery manager\n"
       "            [--ft-fail-rate=R]       per-(rank,epoch) fail-stop rate\n"
       "            [--ft-max-fails=N]       fail-stop budget (default 1)\n"
       "            [--ft-interval=E]        checkpoint every E epochs\n"
-      "            [--ft-partner-offset=K]  checkpoint partner (rank+K)%%n\n"
+      "            [--ft-partner-offset=K]  checkpoint partner (rank+K)%n\n"
       "            [--ft-restart-us=T]      victim downtime before rejoin\n"
       "            [--ft-min-fail-epoch=E]  earliest epoch the plan fires\n"
       "            [--ft-log-cap=N]         notification-log bound per rank\n"
       "            [--ft-no-trim]           keep logs across checkpoints\n"
-      "            [--ft-no-recover]        victims stay down (crash mode)\n"
-      "            env NARMA_FT_* overrides any of these (see README)\n",
+      "            [--ft-no-recover]        victims stay down (crash mode)\n",
       stderr);
   return 2;
 }
 
-/// Applies the --transport flag: selects the inter-node backend for every
-/// channel (intra-node stays on shm). Mirrors the NARMA_TRANSPORT env knob.
-void apply_transport(WorldParams& wp, const Args& a) {
-  if (!a.kv.count("transport")) return;
-  wp.fabric.inter_node =
-      a.pick<net::BackendKind>("transport", "",
-                               {{"aries", net::BackendKind::kAries},
-                                {"ramc", net::BackendKind::kRamc},
-                                {"verbs", net::BackendKind::kVerbs}});
+/// Builds a run's WorldParams from the world-level flags: inter-node
+/// transport, fault model and anomaly-journal capacity. These flags are the
+/// CLI's only way to configure a World; nothing is read from the
+/// environment.
+WorldParams world_params(const Args& a) {
+  WorldParams wp;
+  if (a.kv.count("transport"))
+    wp.fabric.inter_node =
+        a.pick<net::BackendKind>("transport", "",
+                                 {{"aries", net::BackendKind::kAries},
+                                  {"ramc", net::BackendKind::kRamc},
+                                  {"verbs", net::BackendKind::kVerbs}});
+  net::FaultParams& f = wp.fabric.faults;
+  if (a.kv.count("overflow"))
+    f.overflow_policy = a.pick<net::OverflowPolicy>(
+        "overflow", "",
+        {{"fatal", net::OverflowPolicy::kFatal},
+         {"backpressure", net::OverflowPolicy::kBackpressure}});
+  f.seed = static_cast<std::uint64_t>(
+      a.at_least("fault-seed", static_cast<long>(f.seed), 0));
+  f.drop_rate = a.rate("fault-drop", f.drop_rate);
+  f.delay_rate = a.rate("fault-delay", f.delay_rate);
+  f.stall_rate = a.rate("fault-stall", f.stall_rate);
+  f.pressure_rate = a.rate("fault-pressure", f.pressure_rate);
+  wp.obs.journal_capacity = static_cast<std::size_t>(a.at_least(
+      "journal-cap", static_cast<long>(wp.obs.journal_capacity), 0));
+  return wp;
 }
 
-/// Applies --journal-cap. A set NARMA_OBS_JOURNAL_CAP still wins
-/// (resolve_params reads env last), as for every other knob here.
-void apply_obs_params(WorldParams& wp, const Args& a) {
-  if (a.kv.count("journal-cap"))
-    wp.obs.journal_capacity =
-        static_cast<std::size_t>(std::max(0L, a.get("journal-cap", 0)));
-}
-
-/// Applies the --ft* flags onto an app's recovery params (and the fail plan
-/// onto the world's fault params), then layers the NARMA_FT_* env on top —
-/// the same flags-then-env precedence every other knob here follows.
-/// Returns whether fault tolerance is enabled.
+/// Applies the --ft* flags onto an app's recovery params and the fail plan
+/// onto the world's fault params. Returns whether fault tolerance is
+/// enabled.
 bool apply_ft(WorldParams& wp, ft::FtParams& p, const Args& a) {
   if (a.kv.count("ft")) p.enabled = true;
-  if (a.kv.count("ft-interval"))
-    p.ckpt_interval = static_cast<int>(a.get("ft-interval", 0));
-  if (a.kv.count("ft-partner-offset"))
-    p.partner_offset = static_cast<int>(a.get("ft-partner-offset", 0));
+  p.ckpt_interval =
+      static_cast<int>(a.at_least("ft-interval", p.ckpt_interval, 1));
+  p.partner_offset =
+      static_cast<int>(a.get("ft-partner-offset", p.partner_offset));
   if (a.kv.count("ft-restart-us")) {
     const double t = a.get_double("ft-restart-us", 0);
     if (t < 0) bad_flag("ft-restart-us", a.get("ft-restart-us", ""),
                         "a non-negative number");
     p.restart = us(t);
   }
-  if (a.kv.count("ft-min-fail-epoch"))
-    p.min_fail_epoch =
-        static_cast<std::uint64_t>(a.get("ft-min-fail-epoch", 0));
-  if (a.kv.count("ft-log-cap"))
-    p.log_capacity = static_cast<std::size_t>(a.get("ft-log-cap", 0));
+  p.min_fail_epoch = static_cast<std::uint64_t>(a.at_least(
+      "ft-min-fail-epoch", static_cast<long>(p.min_fail_epoch), 0));
+  p.log_capacity = static_cast<std::size_t>(
+      a.at_least("ft-log-cap", static_cast<long>(p.log_capacity), 1));
   if (a.kv.count("ft-no-trim")) p.eager_trim = false;
   if (a.kv.count("ft-no-recover")) p.recover = false;
-  if (a.kv.count("ft-fail-rate"))
-    wp.fabric.faults.fail_rate = a.get_double("ft-fail-rate", 0);
-  if (a.kv.count("ft-max-fails"))
-    wp.fabric.faults.max_fails = static_cast<int>(a.get("ft-max-fails", 1));
-  p = ft::FtParams::from_env(p);
+  net::FaultParams& f = wp.fabric.faults;
+  f.fail_rate = a.rate("ft-fail-rate", f.fail_rate);
+  f.max_fails = static_cast<int>(a.at_least("ft-max-fails", f.max_fails, 0));
   return p.enabled;
 }
 
@@ -248,13 +283,13 @@ void enable_observability(World& world, const Args& a) {
   if (a.kv.count("trace")) world.enable_tracing();
   if (a.kv.count("msgtrace"))
     world.enable_msgtrace(
-        static_cast<std::uint64_t>(a.get("msgtrace-sample", 0)));
+        static_cast<std::uint64_t>(a.at_least("msgtrace-sample", 1, 1)));
   // Profiler before recorder: the recorder's probe charges itself to the
   // obs phase only when the profiler already exists.
   if (a.kv.count("profile")) world.enable_profiling();
   if (a.kv.count("timeseries"))
     world.enable_timeseries(
-        us(static_cast<Time>(a.get("timeseries-window-us", 0))));
+        us(static_cast<Time>(a.at_least("timeseries-window-us", 100, 1))));
 }
 
 /// Writes the requested artifacts of a finished run (trace + metrics +
@@ -450,7 +485,8 @@ int run_report(const Args& a) {
   }
   const std::string trace_path = a.get("trace", "trace.json");
   // --top is the documented spelling; --topk stays as a fallback.
-  const auto topk = static_cast<std::size_t>(a.get("top", a.get("topk", 10)));
+  const auto topk = static_cast<std::size_t>(
+      a.at_least("top", a.at_least("topk", 10, 0), 0));
 
   const json::ParseResult doc = json::parse_file(trace_path);
   if (!doc.ok) {
@@ -609,7 +645,7 @@ int run_diff(const Args& a) {
                stderr);
     return 2;
   }
-  const auto topk = static_cast<std::size_t>(a.get("top", 15));
+  const auto topk = static_cast<std::size_t>(a.at_least("top", 15, 0));
   std::map<std::string, ReducedFamily> base, cur;
   for (int side = 0; side < 2; ++side) {
     const std::string& path = a.positional[static_cast<std::size_t>(side)];
@@ -699,7 +735,7 @@ int run_critpath(const Args& a) {
     return 2;
   }
   const std::string path = a.get("msgtrace", "msgtrace.json");
-  const auto topk = static_cast<std::size_t>(a.get("top", 10));
+  const auto topk = static_cast<std::size_t>(a.at_least("top", 10, 0));
 
   const json::ParseResult doc = json::parse_file(path);
   if (!doc.ok) {
@@ -896,7 +932,7 @@ int run_timeline(const Args& a) {
     return 2;
   }
   const std::string path = a.get("timeseries", "timeseries.json");
-  const auto topk = static_cast<std::size_t>(a.get("top", 20));
+  const auto topk = static_cast<std::size_t>(a.at_least("top", 20, 0));
 
   const json::ParseResult doc = json::parse_file(path);
   if (!doc.ok) {
@@ -1074,9 +1110,9 @@ int run_timeline(const Args& a) {
 }
 
 int run_pingpong(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 2));
-  const std::size_t bytes = static_cast<std::size_t>(a.get("bytes", 8));
-  const int reps = static_cast<int>(a.get("reps", 100));
+  const int ranks = static_cast<int>(a.at_least("ranks", 2, 1));
+  const std::size_t bytes = static_cast<std::size_t>(a.at_least("bytes", 8, 0));
+  const int reps = static_cast<int>(a.at_least("reps", 100, 1));
   const std::string scheme = a.get("scheme", "na");
   enum class Scheme { kNa, kMp, kOs };
   const Scheme kind = a.pick<Scheme>(
@@ -1084,10 +1120,8 @@ int run_pingpong(const Args& a) {
       {{"na", Scheme::kNa}, {"mp", Scheme::kMp}, {"os", Scheme::kOs}});
   NARMA_CHECK(ranks == 2) << "pingpong needs exactly 2 ranks";
 
-  WorldParams wp;
+  WorldParams wp = world_params(a);
   if (a.kv.count("intranode")) wp.fabric.ranks_per_node = ranks;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
   World world(2, wp);
   enable_observability(world, a);
 
@@ -1158,16 +1192,14 @@ int run_pingpong(const Args& a) {
 }
 
 int run_stencil(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 4));
+  const int ranks = static_cast<int>(a.at_least("ranks", 4, 1));
   apps::StencilConfig cfg;
-  cfg.rows = static_cast<int>(a.get("rows", 256));
-  cfg.total_cols = static_cast<int>(a.get("cols", 1024));
-  cfg.iters = static_cast<int>(a.get("iters", 2));
+  cfg.rows = static_cast<int>(a.at_least("rows", 256, 1));
+  cfg.total_cols = static_cast<int>(a.at_least("cols", 1024, 1));
+  cfg.iters = static_cast<int>(a.at_least("iters", 2, 1));
   // Charged compute cost per point update, in ps (default 2000 = 2 ns).
-  const long per_point = a.get("per-point", static_cast<long>(cfg.per_point));
-  if (per_point < 0)
-    bad_flag("per-point", a.get("per-point", ""), "a non-negative integer");
-  cfg.per_point = static_cast<Time>(per_point);
+  cfg.per_point = static_cast<Time>(
+      a.at_least("per-point", static_cast<long>(cfg.per_point), 0));
   const std::string v = a.get("variant", "na");
   cfg.variant = a.pick<apps::StencilVariant>(
       "variant", "na",
@@ -1175,9 +1207,7 @@ int run_stencil(const Args& a) {
        {"mp", apps::StencilVariant::kMessagePassing},
        {"fence", apps::StencilVariant::kFence},
        {"pscw", apps::StencilVariant::kPscw}});
-  WorldParams wp;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
+  WorldParams wp = world_params(a);
   const bool ft_on = apply_ft(wp, cfg.ft, a);
   World world(ranks, wp);
   enable_observability(world, a);
@@ -1198,11 +1228,11 @@ int run_stencil(const Args& a) {
 }
 
 int run_tree(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 17));
+  const int ranks = static_cast<int>(a.at_least("ranks", 17, 1));
   apps::TreeConfig cfg;
-  cfg.arity = static_cast<int>(a.get("arity", 16));
-  cfg.elems = static_cast<std::size_t>(a.get("elems", 1));
-  cfg.reps = static_cast<int>(a.get("reps", 5));
+  cfg.arity = static_cast<int>(a.at_least("arity", 16, 2));
+  cfg.elems = static_cast<std::size_t>(a.at_least("elems", 1, 1));
+  cfg.reps = static_cast<int>(a.at_least("reps", 5, 1));
   const std::string v = a.get("variant", "na");
   cfg.variant = a.pick<apps::TreeVariant>(
       "variant", "na",
@@ -1210,9 +1240,7 @@ int run_tree(const Args& a) {
        {"mp", apps::TreeVariant::kMessagePassing},
        {"pscw", apps::TreeVariant::kPscw},
        {"vendor", apps::TreeVariant::kVendorReduce}});
-  WorldParams wp;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
+  WorldParams wp = world_params(a);
   const bool ft_on = apply_ft(wp, cfg.ft, a);
   World world(ranks, wp);
   enable_observability(world, a);
@@ -1234,10 +1262,10 @@ int run_tree(const Args& a) {
 }
 
 int run_cholesky(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 4));
+  const int ranks = static_cast<int>(a.at_least("ranks", 4, 1));
   apps::CholeskyConfig cfg;
-  cfg.nt = static_cast<int>(a.get("nt", 12));
-  cfg.b = static_cast<int>(a.get("b", 32));
+  cfg.nt = static_cast<int>(a.at_least("nt", 12, 1));
+  cfg.b = static_cast<int>(a.at_least("b", 32, 1));
   cfg.model_gflops = a.get_double("gflops", cfg.model_gflops);
   if (cfg.model_gflops <= 0)
     bad_flag("gflops", a.get("gflops", ""), "a positive number");
@@ -1247,9 +1275,7 @@ int run_cholesky(const Args& a) {
       {{"na", apps::CholeskyVariant::kNotified},
        {"mp", apps::CholeskyVariant::kMessagePassing},
        {"os", apps::CholeskyVariant::kOneSided}});
-  WorldParams wp;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
+  WorldParams wp = world_params(a);
   World world(ranks, wp);
   enable_observability(world, a);
   apps::CholeskyResult res;
