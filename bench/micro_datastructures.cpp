@@ -85,26 +85,42 @@ static void BM_UqIndexFindConsume(benchmark::State& state) {
   // Flat in depth, in contrast with BM_UqScan.
   const auto depth = static_cast<std::size_t>(state.range(0));
   na::UqIndex uq;
-  std::uint64_t seq = 0;
   for (std::size_t i = 0; i < depth; ++i) {
-    na::UqEntry e;
-    e.imm = net::encode_imm(static_cast<int>(i), 1);
-    e.window = 1;
-    e.seq = seq++;
-    uq.insert(e);
+    net::HwNotification n;
+    n.imm = net::encode_imm(static_cast<int>(i), 1);
+    n.window = 1;
+    uq.insert(n);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(uq.find_oldest(1, na::kAnySource, 2));  // miss
-    na::UqEntry* hit = uq.find_oldest(1, na::kAnySource, 1);
-    na::UqEntry repark = *hit;
-    uq.erase(hit->seq);
-    repark.seq = seq++;
+    const net::HwNotification* hit = uq.find_oldest(1, na::kAnySource, 1);
+    const net::HwNotification repark = *hit;
+    uq.erase(hit);
     uq.insert(repark);
     benchmark::DoNotOptimize(uq.size());
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_UqIndexFindConsume)->Range(16, 4096)->Complexity(benchmark::o1);
+
+static void BM_UqIndexExactFifo(benchmark::State& state) {
+  // The stencil's matching shape: an exact-source/exact-tag request whose
+  // producer runs D notifications ahead. Each iteration parks the
+  // producer's next notification, then finds and consumes the oldest.
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  na::UqIndex uq;
+  net::HwNotification n;
+  n.imm = net::encode_imm(3, 1);
+  n.window = 1;
+  for (std::size_t i = 0; i < depth; ++i) uq.insert(n);
+  for (auto _ : state) {
+    uq.insert(n);
+    uq.erase(uq.find_oldest(1, 3, 1));
+    benchmark::DoNotOptimize(uq.size());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_UqIndexExactFifo)->Range(16, 4096)->Complexity(benchmark::o1);
 
 static void BM_SlotPoolAllocRelease(benchmark::State& state) {
   // Request-slot churn through the slab pool (the notify_init/free path).

@@ -32,10 +32,10 @@ struct MatchSpec {
                                    const MatchSpec&) = default;
 };
 
-/// Matching-engine selection. kIndexed is the production engine: a hash
-/// table keyed on exact <window, source, tag> plus wildcard lists, with
-/// global sequence numbers preserving FIFO arrival-order semantics — O(1)
-/// per match regardless of unexpected-queue depth. kLinear is the original
+/// Matching-engine selection. kIndexed is the production engine: hashed
+/// per-shape FIFO lists (exact <window, source, tag> plus the wildcard
+/// shapes) over an arrival-ordered store, preserving FIFO arrival-order
+/// semantics — O(1) per match regardless of unexpected-queue depth. kLinear is the original
 /// arrival-order scan, kept for ablation (bench/ablation_matching.cpp).
 enum class Matcher : std::uint8_t { kLinear, kIndexed };
 
@@ -59,8 +59,9 @@ struct NaParams {
   Matcher matcher = Matcher::kIndexed;
 
   /// Max hardware notifications drained per poll batch by the indexed
-  /// matcher (clamped to NaEngine::kMaxHwDrainBatch; the linear matcher
-  /// always drains one at a time, as the original engine did).
+  /// matcher, in [1, NaEngine::kMaxHwDrainBatch] (the engine rejects any
+  /// other value; the linear matcher always drains one at a time, as the
+  /// original engine did).
   std::size_t hw_drain_batch = 16;
   Time inline_commit = ns(15);  // committing an inline shm payload
   /// Consuming a non-inline shm notification: the matching rank must fetch

@@ -1,6 +1,5 @@
 #include "core/notify.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -26,6 +25,32 @@ void trace_issue(net::Nic& nic, obs::MsgId mid) {
     nic.fabric().msgtrace()->hop(mid, nic.rank(), obs::HopKind::kIssue,
                                  nic.ctx().now());
 }
+
+/// The batch buffer every indexed hardware-queue drain on this thread
+/// fills. Ranks run as fibers of one thread, and a matching pass never
+/// yields or runs events between its drain and its last read of the batch,
+/// so one buffer serves every engine on the thread: no per-rank memory and
+/// no per-call initialization. `busy` marks a pass in flight.
+struct DrainBuffer {
+  std::array<net::HwNotification, NaEngine::kMaxHwDrainBatch> slots;
+  bool busy = false;
+};
+constinit thread_local DrainBuffer t_drain;
+
+/// Holds the drain buffer for one indexed test()/iprobe() pass and asserts
+/// that no other pass starts inside it.
+class DrainPass {
+ public:
+  DrainPass() {
+    NARMA_ASSERT(!t_drain.busy)
+        << "re-entrant matching pass: the hardware-queue drain buffer is "
+           "in use";
+    t_drain.busy = true;
+  }
+  ~DrainPass() { t_drain.busy = false; }
+  DrainPass(const DrainPass&) = delete;
+  DrainPass& operator=(const DrainPass&) = delete;
+};
 
 }  // namespace
 
@@ -56,74 +81,119 @@ void SlotPool::release(RequestSlot* slot) {
 
 // -------------------------------------------------------------- UqIndex --
 
-void UqIndex::link(const UqEntry& e) {
-  const std::uint64_t window = e.window;
-  exact_[Key{window, e.imm}].push_back(e.seq);
-  by_tag_[Key{window, net::imm_tag(e.imm)}].push_back(e.seq);
-  by_src_[Key{window, static_cast<std::uint64_t>(net::imm_source(e.imm))}]
-      .push_back(e.seq);
-  by_win_[Key{window, 0}].push_back(e.seq);
+namespace {
+
+/// Tombstones tolerated beyond the live entry count before the store is
+/// compacted: amortizes each compaction over at least this many erases.
+constexpr std::size_t kCompactSlack = 64;
+
+}  // namespace
+
+UqIndex::Key UqIndex::key_of(Kind kind, const net::HwNotification& n) {
+  switch (kind) {
+    case kExact:
+      return {n.window, n.imm};
+    case kByTag:
+      return {n.window, net::imm_tag(n.imm)};
+    case kBySrc:
+      return {n.window, static_cast<std::uint64_t>(net::imm_source(n.imm))};
+    default:
+      return {n.window, 0};
+  }
 }
 
-void UqIndex::insert(UqEntry e) {
-  link(e);
-  const std::uint64_t seq = e.seq;
-  entries_.emplace(seq, std::move(e));
+void UqIndex::link(Kind kind, std::uint32_t pos) {
+  List& list = lists_[kind][key_of(kind, store_[pos])];
+  store_[pos].next[kind] = kNil;
+  if (list.tail == kNil)
+    list.head = pos;
+  else
+    store_[list.tail].next[kind] = pos;
+  list.tail = pos;
+  ++list.len;
 }
 
-UqEntry* UqIndex::front_of(ListMap& map, const Key& key) {
+void UqIndex::link_store(Kind kind) {
+  for (std::uint32_t pos = 0; pos < store_.size(); ++pos)
+    if (store_[pos].live) link(kind, pos);
+}
+
+void UqIndex::insert(const net::HwNotification& n) {
+  NARMA_CHECK(store_.size() < kNil) << "unexpected queue exceeds 2^32 slots";
+  const auto pos = static_cast<std::uint32_t>(store_.size());
+  store_.push_back(Slot{n});
+  ++live_;
+  for (int k = 0; k < kKinds; ++k)
+    if (linked_ & (1u << k)) link(static_cast<Kind>(k), pos);
+}
+
+const net::HwNotification* UqIndex::find_oldest(std::uint64_t window,
+                                                int source, int tag) {
+  // Each request shape consults the one list kind whose members are exactly
+  // its candidate set, in arrival order.
+  Kind kind = kByWin;
+  Key key{window, 0};
+  if (source != kAnySource && tag != kAnyTag) {
+    kind = kExact;
+    key.sel = net::encode_imm(source, static_cast<std::uint32_t>(tag));
+  } else if (tag != kAnyTag) {
+    kind = kByTag;
+    key.sel = static_cast<std::uint64_t>(tag);
+  } else if (source != kAnySource) {
+    kind = kBySrc;
+    key.sel = static_cast<std::uint64_t>(source);
+  }
+  if (!(linked_ & (1u << kind))) {
+    linked_ |= static_cast<std::uint8_t>(1u << kind);
+    link_store(kind);
+  }
+
   last_list_len_ = 0;
-  auto mit = map.find(key);
-  if (mit == map.end()) return nullptr;
-  SeqList& list = mit->second;
-  last_list_len_ = list.size();
-  while (!list.empty()) {
-    auto eit = entries_.find(list.front());
-    if (eit != entries_.end()) return &eit->second;
-    list.pop_front();  // consumed through another list: prune lazily
-    --stale_;
+  auto it = lists_[kind].find(key);
+  if (it == lists_[kind].end()) return nullptr;
+  List& list = it->second;
+  last_list_len_ = list.len;
+  while (list.head != kNil && !store_[list.head].live) {
+    list.head = store_[list.head].next[kind];  // consumed: prune lazily
+    --list.len;
   }
-  map.erase(mit);
-  return nullptr;
+  if (list.head == kNil) {
+    list.tail = kNil;
+    return nullptr;
+  }
+  return &store_[list.head];
 }
 
-UqEntry* UqIndex::find_oldest(std::uint64_t window, int source, int tag) {
-  // Each request shape consults the one list whose members are exactly its
-  // candidate set, in ascending sequence (= arrival) order.
-  if (source != kAnySource && tag != kAnyTag)
-    return front_of(exact_,
-                    Key{window, net::encode_imm(source,
-                                                static_cast<std::uint32_t>(
-                                                    tag))});
-  if (source == kAnySource && tag != kAnyTag)
-    return front_of(by_tag_, Key{window, static_cast<std::uint64_t>(tag)});
-  if (source != kAnySource)
-    return front_of(by_src_, Key{window, static_cast<std::uint64_t>(source)});
-  return front_of(by_win_, Key{window, 0});
+void UqIndex::erase(const net::HwNotification* e) {
+  const auto pos = static_cast<std::size_t>(static_cast<const Slot*>(e) -
+                                            store_.data());
+  NARMA_ASSERT(pos < store_.size() && store_[pos].live);
+  store_[pos].live = false;
+  --live_;
+  if (store_.size() - live_ > live_ + kCompactSlack) compact();
 }
 
-void UqIndex::erase(std::uint64_t seq) {
-  if (entries_.erase(seq)) {
-    stale_ += 4;  // one reference per list, all now dangling
-    maybe_compact();
+void UqIndex::compact() {
+  // Squeeze the tombstones out. Survivors keep their relative (arrival)
+  // order, so relinking in store order rebuilds every list without a sort.
+  std::erase_if(store_, [](const Slot& s) { return !s.live; });
+  for (int k = 0; k < kKinds; ++k) {
+    if (!(linked_ & (1u << k))) continue;
+    ListMap& map = lists_[k];
+    for (auto& kv : map) kv.second = List{};
+    link_store(static_cast<Kind>(k));
+    // Drained keys keep their (empty) list for the next park, unless there
+    // are more of them than the live entries warrant.
+    if (map.size() > live_ + kCompactSlack)
+      std::erase_if(map, [](const auto& kv) { return kv.second.len == 0; });
   }
 }
 
-void UqIndex::maybe_compact() {
-  // Rebuild the lists once stale references dominate; amortized O(1) per
-  // erase, keeps memory proportional to live entries.
-  if (stale_ <= 4 * entries_.size() + 64) return;
-  exact_.clear();
-  by_tag_.clear();
-  by_src_.clear();
-  by_win_.clear();
-  std::vector<const UqEntry*> live;
-  live.reserve(entries_.size());
-  for (const auto& [seq, e] : entries_) live.push_back(&e);
-  std::sort(live.begin(), live.end(),
-            [](const UqEntry* a, const UqEntry* b) { return a->seq < b->seq; });
-  for (const UqEntry* e : live) link(*e);
-  stale_ = 0;
+std::size_t UqIndex::linked_refs() const {
+  std::size_t refs = 0;
+  for (const ListMap& map : lists_)
+    for (const auto& kv : map) refs += kv.second.len;
+  return refs;
 }
 
 // --------------------------------------------------------- NotifyRequest --
@@ -152,7 +222,12 @@ NotifyRequest& NotifyRequest::operator=(NotifyRequest&& other) noexcept {
 // -------------------------------------------------------------- NaEngine --
 
 NaEngine::NaEngine(net::MsgRouter& router, NaParams params)
-    : router_(router), params_(params) {}
+    : router_(router), params_(params) {
+  NARMA_CHECK(params_.hw_drain_batch >= 1 &&
+              params_.hw_drain_batch <= kMaxHwDrainBatch)
+      << "NaParams::hw_drain_batch = " << params_.hw_drain_batch
+      << " outside [1, " << kMaxHwDrainBatch << "]";
+}
 
 void NaEngine::bind_metrics(obs::Registry& reg) {
   const int r = rank();
@@ -377,40 +452,36 @@ void NaEngine::consume(RequestSlot& s, NaStatus& st,
   }
 }
 
-bool NaEngine::pop_hw(UqEntry& out) {
+bool NaEngine::pop_hw(net::HwNotification& out) {
   net::Nic& nic = router_.nic();
-  net::HwNotification n;
-  if (nic.pop_hw_batch({&n, 1}) == 0) return false;
+  if (nic.pop_hw_batch({&out, 1}) == 0) return false;
   if (cache_) {
     // Hardware-queue access; tracked but not counted as matching overhead.
-    const std::uint64_t m = cache_->touch_span(n.queue_slot, 64);
+    const std::uint64_t m = cache_->touch_span(out.queue_slot, 64);
     misses_.hw_cq += m;
     c_miss_hw_.inc(m);
   }
-  static_cast<net::HwNotification&>(out) = n;
-  out.seq = next_seq_++;
   c_hw_drained_.inc();
   nic.ctx().advance(params_.cq_poll);
   // Backend-specific drain cost (RAMC ring-slot pop, verbs RQE repost);
   // zero for shm/aries, so the default path advances by nothing.
-  if (const Time c = nic.fabric().consume_overhead(n.backend)) {
+  if (const Time c = nic.fabric().consume_overhead(out.backend)) {
     nic.ctx().advance(c);
-    nic.fabric().note_drain(rank(), n.backend, c);
+    nic.fabric().note_drain(rank(), out.backend, c);
   }
-  if (n.msg)
+  if (out.msg)
     if (auto* mt = nic.fabric().msgtrace())
-      mt->hop(n.msg, rank(), obs::HopKind::kPop, nic.ctx().now());
+      mt->hop(out.msg, rank(), obs::HopKind::kPop, nic.ctx().now());
   return true;
 }
 
-std::size_t NaEngine::hw_batch_capacity() const {
-  return std::clamp<std::size_t>(params_.hw_drain_batch, 1, kMaxHwDrainBatch);
-}
-
-std::size_t NaEngine::drain_hw(std::span<net::HwNotification> out) {
+std::span<const net::HwNotification> NaEngine::drain_hw() {
+  NARMA_ASSERT(t_drain.busy);
   net::Nic& nic = router_.nic();
+  const std::span<net::HwNotification> out{t_drain.slots.data(),
+                                           params_.hw_drain_batch};
   const std::size_t n = nic.pop_hw_batch(out);
-  if (n == 0) return 0;
+  if (n == 0) return {};
   c_hw_drained_.inc(n);
   nic.ctx().advance(params_.cq_poll + (n - 1) * params_.cq_poll_batch);
   // Backend-specific per-entry drain costs (RAMC ring-slot pop, verbs RQE
@@ -435,7 +506,7 @@ std::size_t NaEngine::drain_hw(std::span<net::HwNotification> out) {
     misses_.hw_cq += m;
     c_miss_hw_.inc(m);
   }
-  return n;
+  return out.first(n);
 }
 
 void NaEngine::test_linear(RequestSlot& s, NaStatus& st) {
@@ -466,7 +537,7 @@ void NaEngine::test_linear(RequestSlot& s, NaStatus& st) {
   }
 
   // 2) Poll the hardware queues; non-matching notifications go to the UQ.
-  UqEntry e;
+  net::HwNotification e;
   while (s.matched < s.expected && pop_hw(e)) {
     ++pass_probes_;
     if (matches(s, e.imm, e.window)) {
@@ -492,7 +563,7 @@ void NaEngine::test_indexed(RequestSlot& s, NaStatus& st) {
   if (!uq_index_.empty()) {
     nic.ctx().advance(params_.uq_index_lookup);
     while (s.matched < s.expected) {
-      UqEntry* e = uq_index_.find_oldest(
+      const net::HwNotification* e = uq_index_.find_oldest(
           s.window, static_cast<int>(s.source), s.tag);
       ++pass_probes_;
       h_index_list_len_.record(uq_index_.last_list_len());
@@ -502,31 +573,26 @@ void NaEngine::test_indexed(RequestSlot& s, NaStatus& st) {
         misses_.uq += m;
         c_miss_uq_.inc(m);
       }
-      const std::uint64_t seq = e->seq;
       consume(s, st, *e);
-      uq_index_.erase(seq);
+      uq_index_.erase(e);
     }
   }
 
   // 2) Drain the hardware queues in batches; non-matching notifications
   //    are parked in the index. Entries popped after the request completes
-  //    mid-batch are parked too — nothing is lost, and arrival order is
-  //    preserved by the sequence numbers.
-  std::array<net::HwNotification, kMaxHwDrainBatch> batch;
-  const std::size_t cap = hw_batch_capacity();
+  //    mid-batch are parked too — nothing is lost, and parking in pop
+  //    order preserves arrival order.
+  const DrainPass pass;
   while (s.matched < s.expected) {
-    const std::size_t n = drain_hw({batch.data(), cap});
-    if (n == 0) break;
-    for (std::size_t i = 0; i < n; ++i) {
-      UqEntry e;
-      static_cast<net::HwNotification&>(e) = batch[i];
-      e.seq = next_seq_++;
+    const std::span<const net::HwNotification> batch = drain_hw();
+    if (batch.empty()) break;
+    for (const net::HwNotification& e : batch) {
       ++pass_probes_;
       if (s.matched < s.expected && matches(s, e.imm, e.window)) {
         consume(s, st, e);
       } else {
         nic.ctx().advance(params_.uq_index_insert);
-        uq_index_.insert(std::move(e));
+        uq_index_.insert(e);
         c_uq_inserts_.inc();
       }
     }
@@ -650,7 +716,7 @@ bool NaEngine::iprobe_linear(const RequestSlot& probe_slot,
   }
   // Pull hardware-queue entries into the UQ until a match surfaces (they
   // stay queued — a probe never consumes).
-  UqEntry e;
+  net::HwNotification e;
   while (pop_hw(e)) {
     uq_.push_back(e);
     c_uq_inserts_.inc();
@@ -673,7 +739,7 @@ bool NaEngine::iprobe_indexed(const RequestSlot& probe_slot,
 
   if (!uq_index_.empty()) {
     nic.ctx().advance(params_.uq_index_lookup);
-    if (const UqEntry* e = uq_index_.find_oldest(
+    if (const net::HwNotification* e = uq_index_.find_oldest(
             probe_slot.window, static_cast<int>(probe_slot.source),
             probe_slot.tag))
       return report(*e);
@@ -681,26 +747,18 @@ bool NaEngine::iprobe_indexed(const RequestSlot& probe_slot,
   // Park hardware-queue entries in the index until a match surfaces (a
   // probe never consumes). The whole popped batch is parked; the reported
   // match is the first in arrival order.
-  std::array<net::HwNotification, kMaxHwDrainBatch> batch;
-  const std::size_t cap = hw_batch_capacity();
+  const DrainPass pass;
   while (true) {
-    const std::size_t n = drain_hw({batch.data(), cap});
-    if (n == 0) return false;
-    bool found = false;
-    net::HwNotification hit;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!found && matches(probe_slot, batch[i].imm, batch[i].window)) {
-        found = true;
-        hit = batch[i];
-      }
-      UqEntry e;
-      static_cast<net::HwNotification&>(e) = batch[i];
-      e.seq = next_seq_++;
+    const std::span<const net::HwNotification> batch = drain_hw();
+    if (batch.empty()) return false;
+    const net::HwNotification* hit = nullptr;
+    for (const net::HwNotification& e : batch) {
+      if (!hit && matches(probe_slot, e.imm, e.window)) hit = &e;
       nic.ctx().advance(params_.uq_index_insert);
-      uq_index_.insert(std::move(e));
+      uq_index_.insert(e);
       c_uq_inserts_.inc();
     }
-    if (found) return report(hit);
+    if (hit) return report(*hit);
   }
 }
 

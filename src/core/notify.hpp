@@ -12,15 +12,18 @@
 // Matching engines (NaParams::matcher):
 //
 //  * kIndexed (default): notifications that fail to match are parked in an
-//    *indexed* unexpected queue (UqIndex) — a hash table keyed on exact
-//    <window, source, tag> plus wildcard lists keyed <window, tag>,
-//    <window, source> and <window>, all carrying globally monotonic
-//    sequence numbers. Every request shape (exact/exact, any-source,
-//    any-tag, any/any) maps to exactly one list whose front is the oldest
-//    matching notification, so a test() is O(1) in UQ depth while
-//    reproducing the paper's Sec. IV-B arrival-order semantics exactly.
-//    Hardware queues are drained in batches (Nic::pop_hw_batch) so one
-//    test amortizes CQ polling over a burst of completions.
+//    *indexed* unexpected queue (UqIndex) — a flat store in arrival order
+//    plus per-shape FIFO lists threaded through it, keyed on exact
+//    <window, source, tag>, <window, tag>, <window, source> or <window>.
+//    Every request shape (exact/exact, any-source, any-tag, any/any) maps
+//    to exactly one list whose front is the oldest matching notification,
+//    so a test() is O(1) in UQ depth while reproducing the paper's
+//    Sec. IV-B arrival-order semantics exactly. Only the list kinds of
+//    shapes the engine has been asked about are kept. Hardware queues are
+//    drained in batches (Nic::pop_hw_batch) into one buffer shared by the
+//    engines of a thread, so one test amortizes CQ polling over a burst of
+//    completions; in steady state neither the drain nor the index touches
+//    the heap.
 //
 //  * kLinear: the original algorithm — scan the UQ in arrival order, then
 //    poll the hardware queues one entry at a time. Kept selectable for the
@@ -97,46 +100,68 @@ class SlotPool {
   Stats stats_;
 };
 
-/// A notification parked in the unexpected queue: the merged hardware
-/// notification plus its global arrival sequence number.
-struct UqEntry : net::HwNotification {
-  std::uint64_t seq = 0;
-};
-
-/// Indexed unexpected queue. Entries are stored once (keyed by sequence
-/// number) and referenced from four FIFO lists:
+/// Indexed unexpected queue.
 ///
-///   exact_  keyed <window, imm>     — consulted by exact-source/exact-tag
-///   by_tag_ keyed <window, tag>     — consulted by any-source requests
-///   by_src_ keyed <window, source>  — consulted by any-tag requests
-///   by_win_ keyed <window>          — consulted by fully wildcard requests
+/// Parked notifications live once, in a flat store whose slot position is
+/// their arrival order, so a walk of the store visits them oldest first and
+/// no entry needs a node of its own. Each request shape reads one list kind,
+/// a FIFO of store positions threaded through the slots and keyed per kind:
 ///
-/// Each request shape maps to exactly one list whose members are precisely
-/// its candidate set in ascending sequence order, so the front (after lazy
-/// pruning of consumed entries) is the oldest match — the same notification
-/// a linear arrival-order scan would pick. Consumption erases the entry
-/// from the store; the stale references left in the other lists are pruned
-/// lazily and bounded by periodic compaction.
+///   kExact  <window, imm>     exact-source/exact-tag requests
+///   kByTag  <window, tag>     any-source requests
+///   kBySrc  <window, source>  any-tag requests
+///   kByWin  <window>          fully wildcard requests
+///
+/// A kind is linked only after a lookup of its shape has been seen; that
+/// lookup first links every live entry of the store, in arrival order, and
+/// later inserts append. The members of a list are therefore exactly the
+/// shape's candidate set in arrival order, and its front (after pruning
+/// entries consumed through another kind) is the oldest match: the same
+/// notification a linear arrival-order scan picks.
+///
+/// Consumption leaves a tombstone in the store and a stale reference in
+/// every other linked kind. Once tombstones outnumber live entries by more
+/// than a fixed slack, compaction squeezes them out of the store and relinks
+/// the kinds in use, so store and lists stay O(live) however long the run.
 class UqIndex {
  public:
-  /// Parks a notification (e.seq must be assigned, strictly increasing).
-  void insert(UqEntry e);
+  /// Parks a notification behind every entry parked before it.
+  void insert(const net::HwNotification& n);
 
   /// Oldest parked entry matching <window, source, tag> (wildcards allowed);
-  /// nullptr when none. The pointer stays valid until erase() of that entry.
-  UqEntry* find_oldest(std::uint64_t window, int source, int tag);
+  /// nullptr when none. The pointer stays valid until the next insert() or
+  /// erase().
+  const net::HwNotification* find_oldest(std::uint64_t window, int source,
+                                          int tag);
 
-  /// Consumes the entry with sequence number `seq`.
-  void erase(std::uint64_t seq);
+  /// Consumes `e`, which find_oldest() returned.
+  void erase(const net::HwNotification* e);
 
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  std::size_t size() const { return live_; }
+  bool empty() const { return live_ == 0; }
 
   /// Length (including lazily prunable stale refs) of the candidate list
   /// consulted by the most recent find_oldest(); observability input.
   std::size_t last_list_len() const { return last_list_len_; }
 
+  /// Footprint: store slots held (live entries plus tombstones) and list
+  /// references held across the linked kinds (live plus stale).
+  std::size_t store_slots() const { return store_.size(); }
+  std::size_t linked_refs() const;
+
  private:
+  enum Kind : std::uint8_t { kExact, kByTag, kBySrc, kByWin, kKinds };
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct Slot : net::HwNotification {
+    std::array<std::uint32_t, kKinds> next{};  // successor per linked kind
+    bool live = true;
+  };
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t len = 0;  // linked refs, stale ones included
+  };
   struct Key {
     std::uint64_t window = 0;
     std::uint64_t sel = 0;
@@ -149,19 +174,18 @@ class UqIndex {
       return static_cast<std::size_t>(h);
     }
   };
-  using SeqList = std::deque<std::uint64_t>;
-  using ListMap = std::unordered_map<Key, SeqList, KeyHash>;
+  using ListMap = std::unordered_map<Key, List, KeyHash>;
 
-  void link(const UqEntry& e);
-  UqEntry* front_of(ListMap& map, const Key& key);
-  void maybe_compact();
+  static Key key_of(Kind kind, const net::HwNotification& n);
+  void link(Kind kind, std::uint32_t pos);
+  /// Links every live slot into `kind`'s lists, in store (arrival) order.
+  void link_store(Kind kind);
+  void compact();
 
-  std::unordered_map<std::uint64_t, UqEntry> entries_;
-  ListMap exact_;
-  ListMap by_tag_;
-  ListMap by_src_;
-  ListMap by_win_;
-  std::size_t stale_ = 0;  // references to already-consumed entries
+  std::vector<Slot> store_;
+  std::array<ListMap, kKinds> lists_;
+  std::uint8_t linked_ = 0;  // bit per kind in use
+  std::size_t live_ = 0;
   std::size_t last_list_len_ = 0;
 };
 
@@ -196,7 +220,7 @@ class NotifyRequest {
 /// Per-rank Notified Access engine.
 class NaEngine {
  public:
-  /// Upper bound on NaParams::hw_drain_batch (stack buffer size).
+  /// Upper bound on NaParams::hw_drain_batch (the drain buffer's size).
   static constexpr std::size_t kMaxHwDrainBatch = 64;
 
   NaEngine(net::MsgRouter& router, NaParams params);
@@ -319,12 +343,13 @@ class NaEngine {
   /// Pops the oldest hardware notification (CQ or shm ring, merged by
   /// arrival time) into `out`; false if both queues are empty. The
   /// one-at-a-time path of the linear matcher (charges cq_poll per entry).
-  bool pop_hw(UqEntry& out);
-  /// Batched drain for the indexed matcher: fills `out` (bounded by
-  /// hw_drain_batch), charges cq_poll for the first entry and cq_poll_batch
-  /// for each additional one, and records hardware-queue cache lines.
-  std::size_t drain_hw(std::span<net::HwNotification> out);
-  std::size_t hw_batch_capacity() const;
+  bool pop_hw(net::HwNotification& out);
+  /// Batched drain for the indexed matcher: fills the thread's drain
+  /// buffer (hw_drain_batch entries at most) and returns the filled part,
+  /// charges cq_poll for the first entry and cq_poll_batch for each
+  /// additional one, and records hardware-queue cache lines. Valid until
+  /// the end of the caller's matching pass.
+  std::span<const net::HwNotification> drain_hw();
 
   /// test()/iprobe() bodies of the two matching engines.
   void test_linear(RequestSlot& s, NaStatus& st);
@@ -341,10 +366,9 @@ class NaEngine {
   // Legacy linear matcher state: the UQ header (head index into the deque)
   // is modeled as one cache line together with the first entries, per the
   // paper's layout argument.
-  std::deque<UqEntry> uq_;
+  std::deque<net::HwNotification> uq_;
   // Indexed matcher state.
   UqIndex uq_index_;
-  std::uint64_t next_seq_ = 0;
   SlotPool pool_;
   cachesim::Cache* cache_ = nullptr;
   CacheMisses misses_;

@@ -5,7 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/time.hpp"
 
@@ -67,10 +67,13 @@ struct FtStats {
   bool dead = false;                 // no-recover mode: down for good
 };
 
-/// One logged notified put, as the sender recorded it. `seq` increases
-/// strictly per (sender, destination) pair — the replay dedupe key the
-/// receiver checks monotonicity of — and `epoch` is the epoch the
-/// notification belongs to (the boundary it precedes).
+/// One logged notified put, as the victim of a fail-stop receives it for
+/// replay. `seq` increases strictly per (sender, destination) pair — the
+/// replay dedupe key the receiver checks monotonicity of — and `epoch` is
+/// the epoch the notification belongs to (the boundary it precedes). The
+/// payload is a view into the received replay blob, valid for the duration
+/// of the replay (senders keep their logs in the serialized wire format,
+/// RecoveryManager::serialize_log, so logging a put allocates nothing).
 struct ReplayEntry {
   std::int32_t src_rank = -1;  // filled in by the receiver, not serialized
   std::uint64_t epoch = 0;
@@ -78,7 +81,7 @@ struct ReplayEntry {
   std::uint32_t win_idx = 0;     // index into the protected-window list
   std::int32_t tag = 0;
   std::uint64_t disp_bytes = 0;  // byte offset into the target window
-  std::vector<std::byte> payload;
+  std::span<const std::byte> payload;
 };
 
 }  // namespace narma::ft

@@ -13,6 +13,12 @@ namespace {
 /// packed (tag << 32 | win_idx), disp_bytes, payload length — five u64s.
 constexpr std::size_t kEntryHeaderBytes = 40;
 
+std::uint64_t load64(const std::byte* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 }  // namespace
 
 RecoveryManager::RecoveryManager(Rank& self, const FtParams& params,
@@ -54,7 +60,6 @@ RecoveryManager::RecoveryManager(Rank& self, const FtParams& params,
       *store_win_, na::MatchSpec{store_rank_, kCkptTag}, store_regions_);
 
   log_.resize(static_cast<std::size_t>(n));
-  send_seq_.assign(static_cast<std::size_t>(n), 0);
 
   if (obs::Registry* m = self_.world().metrics()) {
     m_ckpts_ = m->counter("ft.ckpts", r);
@@ -83,14 +88,19 @@ void RecoveryManager::put_notify(std::size_t win_idx,
       << params_.log_capacity
       << " entries) — lower the checkpoint interval or raise "
          "FtParams::log_capacity (--ft-log-cap)";
-  ReplayEntry e;
-  e.epoch = epoch_ + 1;  // the epoch boundary this notification precedes
-  e.seq = ++send_seq_[static_cast<std::size_t>(target)];
-  e.win_idx = static_cast<std::uint32_t>(win_idx);
-  e.tag = tag;
-  e.disp_bytes = w.byte_offset(target_disp);
-  e.payload.assign(src.begin(), src.end());
-  log_[static_cast<std::size_t>(target)].push_back(std::move(e));
+  DstLog& log = log_[static_cast<std::size_t>(target)];
+  const std::uint64_t header[] = {
+      epoch_ + 1,  // the epoch boundary this notification precedes
+      ++log.seq,
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)) << 32) |
+          win_idx,
+      w.byte_offset(target_disp),
+      src.size()};
+  static_assert(sizeof header == kEntryHeaderBytes);
+  const auto* h = reinterpret_cast<const std::byte*>(header);
+  log.wire.insert(log.wire.end(), h, h + sizeof header);
+  log.wire.insert(log.wire.end(), src.begin(), src.end());
+  ++log.entries;
   ++log_entries_;
   self_.na().put_notify(w, src, target, target_disp, tag);
 }
@@ -170,11 +180,18 @@ void RecoveryManager::checkpoint() {
   last_ckpt_epoch_ = epoch_;
   if (params_.eager_trim) {
     log_entries_ = 0;
-    for (auto& dst_log : log_) {
-      std::erase_if(dst_log, [this](const ReplayEntry& e) {
-        return e.epoch <= epoch_;
-      });
-      log_entries_ += dst_log.size();
+    for (DstLog& log : log_) {
+      // Epochs are monotone within a log: the checkpointed entries are a
+      // prefix of the wire image.
+      std::size_t cut = 0;
+      while (cut < log.wire.size() && load64(&log.wire[cut]) <= epoch_) {
+        const std::size_t len_at = cut + kEntryHeaderBytes - 8;  // last u64
+        cut += kEntryHeaderBytes + load64(&log.wire[len_at]);
+        --log.entries;
+      }
+      log.wire.erase(log.wire.begin(),
+                     log.wire.begin() + static_cast<std::ptrdiff_t>(cut));
+      log_entries_ += log.entries;
     }
   }
 }
@@ -186,33 +203,6 @@ void RecoveryManager::restore_from_partner() {
     off += w->bytes();
   }
   store_win_->flush(partner_);
-}
-
-std::vector<std::byte> RecoveryManager::serialize_log(int dst) const {
-  const auto& entries = log_[static_cast<std::size_t>(dst)];
-  std::size_t bytes = 0;
-  for (const ReplayEntry& e : entries)
-    bytes += kEntryHeaderBytes + e.payload.size();
-  std::vector<std::byte> blob(bytes);
-  std::byte* cur = blob.data();
-  const auto put64 = [&cur](std::uint64_t v) {
-    std::memcpy(cur, &v, sizeof v);
-    cur += sizeof v;
-  };
-  for (const ReplayEntry& e : entries) {
-    put64(e.epoch);
-    put64(e.seq);
-    put64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.tag))
-           << 32) |
-          e.win_idx);
-    put64(e.disp_bytes);
-    put64(e.payload.size());
-    if (!e.payload.empty()) {
-      std::memcpy(cur, e.payload.data(), e.payload.size());
-      cur += e.payload.size();
-    }
-  }
-  return blob;
 }
 
 void RecoveryManager::apply(const ReplayEntry& e) {
@@ -259,9 +249,11 @@ void RecoveryManager::run_recovery(int victim) {
     for (int p = 0; p < n; ++p)
       if (p != r) self_.send(&restored, sizeof restored, p, kAnnounceTag);
 
-    // Collect the per-peer logs, dedupe, and bucket by lost epoch.
+    // Collect the per-peer logs, dedupe, and bucket by lost epoch. The
+    // entries' payloads are views into `blobs`, which outlives the replay.
     std::vector<std::vector<ReplayEntry>> by_epoch(
         static_cast<std::size_t>(epoch_ - restored));
+    std::vector<std::vector<std::byte>> blobs(static_cast<std::size_t>(n));
     for (int p = 0; p < n; ++p) {
       if (p == r) continue;
       std::uint64_t hdr[2] = {0, 0};  // entry count, blob bytes
@@ -269,13 +261,13 @@ void RecoveryManager::run_recovery(int victim) {
       std::uint64_t applied = 0;
       std::uint64_t dupes = 0;
       if (hdr[0]) {
-        std::vector<std::byte> blob(hdr[1]);
+        std::vector<std::byte>& blob = blobs[static_cast<std::size_t>(p)];
+        blob.resize(hdr[1]);
         self_.recv(blob.data(), blob.size(), p, kLogDataTag);
         const std::byte* cur = blob.data();
         const std::byte* end = cur + blob.size();
         const auto get64 = [&cur] {
-          std::uint64_t v;
-          std::memcpy(&v, cur, sizeof v);
+          const std::uint64_t v = load64(cur);
           cur += sizeof v;
           return v;
         };
@@ -294,7 +286,7 @@ void RecoveryManager::run_recovery(int victim) {
           const std::uint64_t len = get64();
           NARMA_CHECK(cur + len <= end)
               << "ft: truncated replay payload from rank " << p;
-          e.payload.assign(cur, cur + len);
+          e.payload = {cur, static_cast<std::size_t>(len)};
           cur += len;
           // The per-(sender, destination) seq is strictly increasing: a
           // reordered or duplicated wire log would corrupt the replay.
@@ -350,9 +342,9 @@ void RecoveryManager::run_recovery(int victim) {
     // signal), then ship the whole log for the victim as one blob.
     std::uint64_t restored = 0;
     self_.recv(&restored, sizeof restored, victim, kAnnounceTag);
-    const auto& dst_log = log_[static_cast<std::size_t>(victim)];
-    std::vector<std::byte> blob = serialize_log(victim);
-    const std::uint64_t hdr[2] = {dst_log.size(), blob.size()};
+    const std::span<const std::byte> blob = serialize_log(victim);
+    const std::uint64_t hdr[2] = {
+        log_[static_cast<std::size_t>(victim)].entries, blob.size()};
     self_.send(hdr, sizeof hdr, victim, kLogCountTag);
     if (!blob.empty())
       self_.send(blob.data(), blob.size(), victim, kLogDataTag);

@@ -15,7 +15,8 @@
 //  * Notification log. Application notified puts routed through
 //    RecoveryManager::put_notify are recorded sender-side (epoch, a
 //    per-destination strictly-increasing seq, window index, tag, byte
-//    offset, payload) before being forwarded to the NA engine. The log is
+//    offset, payload) before being forwarded to the NA engine, appended to
+//    one byte buffer per destination in the replay wire format. The log is
 //    bounded and trimmed at checkpoints: entries from checkpointed epochs
 //    can never be replayed.
 //
@@ -56,7 +57,7 @@ class RecoveryManager {
   static constexpr int kLogDataTag = 1003;
 
   /// Entries of one lost epoch, sorted by (source rank, seq), as handed to
-  /// the recompute callback.
+  /// the recompute callback. Their payload views last only for the call.
   using RecomputeFn =
       std::function<void(std::uint64_t epoch, std::span<const ReplayEntry>)>;
 
@@ -90,6 +91,14 @@ class RecoveryManager {
   /// memcpy). Recompute callbacks use this for the entries they accept.
   void apply(const ReplayEntry& e);
 
+  /// Wire image of the log held for destination `dst`, exactly what a
+  /// survivor ships to `dst` when it rejoins. Per entry, five native-endian
+  /// u64s — epoch, seq, tag << 32 | win_idx, disp_bytes, payload length —
+  /// then the payload bytes. Valid until the next put_notify or end_epoch.
+  std::span<const std::byte> serialize_log(int dst) const {
+    return log_[static_cast<std::size_t>(dst)].wire;
+  }
+
   std::uint64_t epoch() const { return epoch_; }
   int partner() const { return partner_; }
   const FtStats& stats() const { return stats_; }
@@ -98,7 +107,16 @@ class RecoveryManager {
   void checkpoint();
   void run_recovery(int victim);
   void restore_from_partner();
-  std::vector<std::byte> serialize_log(int dst) const;
+
+  /// The log of notified puts to one destination, kept in serialize_log's
+  /// wire format. Appends and the checkpoint trim (a prefix drop: epochs
+  /// are monotone within a log) reuse the buffer's capacity, so logging
+  /// allocates nothing in steady state.
+  struct DstLog {
+    std::vector<std::byte> wire;
+    std::size_t entries = 0;
+    std::uint64_t seq = 0;  // last seq issued to this destination
+  };
 
   Rank& self_;
   FtParams params_;
@@ -115,9 +133,8 @@ class RecoveryManager {
   std::uint64_t epoch_ = 0;
   std::uint64_t last_ckpt_epoch_ = 0;
   int fails_done_ = 0;
-  std::size_t log_entries_ = 0;                // across all destinations
-  std::vector<std::vector<ReplayEntry>> log_;  // per destination rank
-  std::vector<std::uint64_t> send_seq_;        // per destination rank
+  std::size_t log_entries_ = 0;  // across all destinations
+  std::vector<DstLog> log_;      // per destination rank
 
   FtStats stats_;
   obs::Counter m_ckpts_, m_ckpt_bytes_, m_fails_, m_applied_, m_dupes_;

@@ -4,13 +4,17 @@
 // records. The app-level tests drive the stencil and tree through their
 // fault-tolerant paths and require the recovered run to verify against the
 // same analytic value as a fault-free run — recovery must be bit-exact, not
-// merely "close".
+// merely "close". The log itself is pinned too: its wire bytes, payload
+// sizes across every boundary, and zero allocations per logged put.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "apps/stencil.hpp"
 #include "apps/tree.hpp"
 #include "core/world.hpp"
@@ -254,3 +258,168 @@ TEST(FtRecovery, DeadRankDeliveriesAreDropped) {
   EXPECT_GT(world.fabric().counters().dead_drops, 0u);
   EXPECT_TRUE(world.fabric().rank_up(1));
 }
+
+namespace {
+
+/// Each epoch every rank writes payloads of 0, 8, 16, 17 and 4096 bytes into
+/// a fresh region of its right neighbour's protected window, through the
+/// notification log. With a fail-stop pinned to kVictim at kFailEpoch, the
+/// victim's region for that epoch exists only in its peers' logs, so a
+/// replay that drops, truncates or misplaces any payload leaves a byte
+/// different from the fault-free run. Returns every rank's window bytes
+/// and the victim's stats.
+std::pair<std::vector<std::vector<std::byte>>, ft::FtStats> run_payload_ring(
+    double fail_rate) {
+  constexpr std::size_t kSizes[] = {0, 8, 16, 17, 4096};
+  constexpr std::size_t kPerEpoch = 0 + 8 + 16 + 17 + 4096;
+  constexpr int kEpochs = 4;
+  WorldParams wp;
+  wp.fabric.faults.fail_rate = fail_rate;
+  if (fail_rate > 0)
+    wp.fabric.faults.seed =
+        pin_fail_seed(kRanks, kVictim, kFailEpoch, fail_rate);
+  ft::FtParams fp;
+  fp.enabled = true;
+  fp.ckpt_interval = 2;
+  fp.min_fail_epoch = kFailEpoch;
+
+  std::vector<std::vector<std::byte>> windows(kRanks);
+  ft::FtStats victim;
+  World world(kRanks, wp);
+  world.run([&](Rank& self) {
+    const int right = (self.id() + 1) % kRanks;
+    const int left = (self.id() + kRanks - 1) % kRanks;
+    auto win = self.win_allocate(kEpochs * kPerEpoch, 1);
+    ft::RecoveryManager mgr(self, fp, {win.get()});
+    auto req = self.na().notify_init(*win, na::MatchSpec{left, 1},
+                                     std::size(kSizes));
+    std::vector<std::byte> src(4096);
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      self.na().start(req);
+      std::uint64_t disp = static_cast<std::uint64_t>(epoch) * kPerEpoch;
+      for (const std::size_t bytes : kSizes) {
+        for (std::size_t i = 0; i < bytes; ++i)
+          src[i] = static_cast<std::byte>(31 * self.id() + 7 * epoch +
+                                          static_cast<int>(i + bytes));
+        mgr.put_notify(0, {src.data(), bytes}, right, disp, 1);
+        win->flush(right);  // `src` is refilled for the next size
+        disp += bytes;
+      }
+      self.na().wait(req);
+      ASSERT_TRUE(mgr.end_epoch());
+    }
+    const auto* base = static_cast<const std::byte*>(win->base());
+    windows[static_cast<std::size_t>(self.id())].assign(base,
+                                                        base + win->bytes());
+    if (mgr.stats().fails > 0) victim = mgr.stats();
+  });
+  return {windows, victim};
+}
+
+}  // namespace
+
+TEST(FtRecovery, ReplayedPayloadsOfEverySizeAreBitIdentical) {
+  const auto [faulty, victim] = run_payload_ring(kFailRate);
+  const auto [clean, none] = run_payload_ring(0.0);
+  EXPECT_EQ(victim.fails, 1u);
+  EXPECT_EQ(victim.restored_epoch, 2u);
+  EXPECT_EQ(victim.replay_applied, 5u);  // epoch 3: one put per size
+  EXPECT_EQ(none.fails, 0u);
+  for (int r = 0; r < kRanks; ++r)
+    EXPECT_EQ(faulty[static_cast<std::size_t>(r)],
+              clean[static_cast<std::size_t>(r)])
+        << "rank " << r;
+}
+
+TEST(FtRecovery, SerializedLogBytesArePinned) {
+  static_assert(std::endian::native == std::endian::little,
+                "the pinned image below is little-endian");
+  std::vector<std::byte> image;
+  World world(2);
+  world.run([&](Rank& self) {
+    auto win = self.win_allocate(64, 8);  // disp unit 8: byte offset 8*disp
+    ft::FtParams fp;
+    fp.enabled = true;
+    ft::RecoveryManager mgr(self, fp, {win.get()});
+    if (self.id() == 0) {
+      const std::uint8_t three[] = {0xAA, 0xBB, 0xCC};
+      mgr.put_notify(0, {}, 1, 2, 5);
+      mgr.put_notify(0, na::as_bytes(three, sizeof three), 1, 3, 6);
+      win->flush(1);
+      const std::span<const std::byte> log = mgr.serialize_log(1);
+      image.assign(log.begin(), log.end());
+      EXPECT_TRUE(mgr.serialize_log(0).empty());
+    } else {
+      auto req = self.na().notify_init(*win, na::MatchSpec{0, na::kAnyTag}, 2);
+      self.na().start(req);
+      self.na().wait(req);
+    }
+    self.barrier();
+  });
+  // Per entry: epoch, seq, tag << 32 | win_idx, disp_bytes, payload length
+  // (five u64s), then the payload.
+  const std::uint8_t expected[] = {
+      1, 0, 0, 0, 0, 0, 0, 0,  // epoch 1
+      1, 0, 0, 0, 0, 0, 0, 0,  // seq 1
+      0, 0, 0, 0, 5, 0, 0, 0,  // tag 5, window 0
+      16, 0, 0, 0, 0, 0, 0, 0,  // disp 2 * 8 bytes
+      0, 0, 0, 0, 0, 0, 0, 0,  // empty payload
+      1, 0, 0, 0, 0, 0, 0, 0,  // epoch 1
+      2, 0, 0, 0, 0, 0, 0, 0,  // seq 2
+      0, 0, 0, 0, 6, 0, 0, 0,  // tag 6, window 0
+      24, 0, 0, 0, 0, 0, 0, 0,  // disp 3 * 8 bytes
+      3, 0, 0, 0, 0, 0, 0, 0,  // 3-byte payload
+      0xAA, 0xBB, 0xCC};
+  ASSERT_EQ(image.size(), sizeof expected);
+  EXPECT_EQ(std::memcmp(image.data(), expected, sizeof expected), 0);
+}
+
+class FtLogAlloc : public ::testing::TestWithParam<int> {};
+
+TEST_P(FtLogAlloc, LoggingWithinAnEpochIsAllocationFree) {
+  // Two ranks trade 64 logged one-word puts per epoch with a checkpoint
+  // (and log trim) at every boundary. After warm-up, a logged put — log
+  // append plus the notified put it forwards — allocates nothing. The
+  // warm-up is long because the event calendar's buckets trade storage
+  // with its sorted front; every bucket's buffer must have grown to the
+  // pattern's burst size (here after ~140 epochs) before posts stop
+  // allocating.
+  constexpr int kPuts = 64;
+  constexpr int kWarmEpochs = 256;
+  constexpr int kMeasuredEpochs = 16;
+  WorldParams wp;
+  wp.fabric.ranks_per_node = GetParam();
+  std::vector<std::uint64_t> allocs(2, 0);
+  World world(2, wp);
+  world.run([&](Rank& self) {
+    const int peer = 1 - self.id();
+    auto win = self.win_allocate(kPuts * sizeof(double), sizeof(double));
+    ft::FtParams fp;
+    fp.enabled = true;
+    fp.ckpt_interval = 1;
+    ft::RecoveryManager mgr(self, fp, {win.get()});
+    auto req = self.na().notify_init(*win, na::MatchSpec{peer, 1}, kPuts);
+    std::vector<double> vals(kPuts);
+    for (int epoch = 0; epoch < kWarmEpochs + kMeasuredEpochs; ++epoch) {
+      self.na().start(req);
+      for (int i = 0; i < kPuts; ++i) {
+        const auto slot = static_cast<std::size_t>(i);
+        vals[slot] = 100.0 * epoch + i;
+        const std::uint64_t before = test::allocs_now();
+        mgr.put_notify(0, na::as_bytes(&vals[slot], sizeof(double)), peer,
+                       static_cast<std::uint64_t>(i), 1);
+        if (epoch >= kWarmEpochs)
+          allocs[static_cast<std::size_t>(self.id())] +=
+              test::allocs_now() - before;
+      }
+      win->flush(peer);
+      self.na().wait(req);
+      ASSERT_TRUE(mgr.end_epoch());
+    }
+  });
+  EXPECT_EQ(allocs[0], 0u);
+  EXPECT_EQ(allocs[1], 0u);
+}
+
+// One rank per node (network CQE path) and both on one node (shm ring).
+INSTANTIATE_TEST_SUITE_P(Layouts, FtLogAlloc, ::testing::Values(1, 2));

@@ -1,6 +1,7 @@
 // The MatchSpec / std::span API surface and request-lifecycle regressions:
 // new-vs-deprecated overload equivalence, top-level re-exports, the pooled
-// request slots, and the move-assignment slot-release fix.
+// request slots, the move-assignment slot-release fix, and NaParams
+// validation.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -219,4 +220,24 @@ TEST(NaReExports, TopLevelAliases) {
                                narma::na::NotifyRequest>);
   EXPECT_EQ(narma::kAnySource, narma::na::kAnySource);
   EXPECT_EQ(narma::kAnyTag, narma::na::kAnyTag);
+}
+
+// ---------------------------------------------------------------------------
+// Parameter validation: an out-of-range drain batch is rejected when the
+// engine is built, with a diagnostic naming the field, never clamped.
+// ---------------------------------------------------------------------------
+
+TEST(NaParamsDeath, HwDrainBatchOutOfRangeIsRejected) {
+  for (const std::size_t bad :
+       {std::size_t{0}, na::NaEngine::kMaxHwDrainBatch + 1}) {
+    EXPECT_DEATH(
+        {
+          WorldParams wp;
+          wp.na.hw_drain_batch = bad;
+          World world(2, wp);
+          world.run([](Rank&) {});
+        },
+        "NaParams::hw_drain_batch")
+        << "hw_drain_batch = " << bad;
+  }
 }

@@ -1,13 +1,16 @@
 // Property-style parameterized suites for Notified Access invariants:
 // conservation (every notification is matched exactly once), arrival-order
 // matching, counting equivalence, and determinism — swept over rank counts,
-// message counts, sizes, and node layouts.
+// message counts, sizes, and node layouts — plus the UqIndex footprint and
+// allocation bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "core/world.hpp"
 
@@ -311,6 +314,233 @@ TEST(NaMatcherEquivalence, IndexedMatchesLinearOn1000RandomSchedules) {
     EXPECT_EQ(linear.final_uq, 0u) << "seed " << seed;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Multi-round matcher equivalence: arrivals interleaved with tests and
+// probes, laid out so that every schedule reaches the index states a
+// single-round schedule cannot:
+//   * a request shape first used while entries are already parked (its
+//     list kind is linked from the store),
+//   * a shape reused after a compaction (round 0 consumes over 64 parked
+//     entries in one pass),
+//   * an iprobe that introduces a shape not used before.
+// Every test and probe outcome, and the residual UQ contents drained one
+// wildcard match at a time, must equal the linear engine's.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+MatchTrace run_rounds(std::uint64_t seed, na::Matcher matcher) {
+  Xoshiro256 rng(seed * 0xbf58476d1ce4e5b9ULL + 7);
+  const int producers = 2 + static_cast<int>(rng.next_below(2));
+  const int ntags = 1 + static_cast<int>(rng.next_below(3));
+  const int rpn = 1 + static_cast<int>(rng.next_below(
+                          static_cast<std::uint64_t>(producers) + 1));
+  const auto draw = [&rng](int n) {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  // Shape kinds: 0 exact/exact, 1 any-source, 2 any-tag, 3 any/any.
+  const auto shape = [&](int kind) {
+    const int src = draw(producers);
+    const int tag = draw(ntags);
+    return na::MatchSpec{kind == 1 || kind == 3 ? na::kAnySource : src,
+                         kind == 2 || kind == 3 ? na::kAnyTag : tag};
+  };
+
+  constexpr int kRounds = 3;
+  // sends[round][producer]: the tags that producer sends in that round;
+  // round 0 is the bulk round.
+  std::vector<std::vector<std::vector<int>>> sends(
+      kRounds, std::vector<std::vector<int>>(
+                   static_cast<std::size_t>(producers)));
+  int bulk = 0;
+  for (int r = 0; r < kRounds; ++r)
+    for (auto& tags : sends[static_cast<std::size_t>(r)]) {
+      const int count = r == 0 ? 40 + draw(21) : draw(9);
+      if (r == 0) bulk += count;
+      for (int m = 0; m < count; ++m) tags.push_back(draw(ntags));
+    }
+
+  // The consumer's script. An op is a test (kind 0, `expected` > 0) or an
+  // iprobe (kind 1).
+  struct Op {
+    int kind;
+    na::MatchSpec spec;
+    std::uint32_t expected;
+  };
+  std::vector<std::vector<Op>> script(kRounds);
+  const int first_kind = draw(4);
+  const std::uint32_t first_expected = 1 + static_cast<std::uint32_t>(draw(3));
+  const int leftover = 4 + draw(4);
+  // Round 0: a probe for a tag nobody sends parks every arrival; then the
+  // first shape meets a full store, an any/any pass consumes all but
+  // `leftover` entries (compaction), and the first shape's kind is reused.
+  script[0].push_back({1, {na::kAnySource, ntags}, 0});
+  script[0].push_back({0, shape(first_kind), first_expected});
+  script[0].push_back(
+      {0, na::MatchSpec::any(), 0});  // expected filled in at run time
+  script[0].push_back(
+      {0, shape(first_kind), 1 + static_cast<std::uint32_t>(draw(2))});
+  // Round 1 opens with a probe of a kind neither round-0 shape used.
+  int new_kind = draw(4);
+  while (new_kind == first_kind || new_kind == 3) new_kind = draw(4);
+  script[1].push_back({1, shape(new_kind), 0});
+  for (int r = 1; r < kRounds; ++r) {
+    const int nops = 2 + draw(5);
+    for (int i = 0; i < nops; ++i) {
+      const int kind = draw(2);
+      script[static_cast<std::size_t>(r)].push_back(
+          {kind, shape(draw(4)),
+           kind == 0 ? 1 + static_cast<std::uint32_t>(draw(3)) : 0});
+    }
+  }
+
+  WorldParams wp;
+  wp.na.matcher = matcher;
+  wp.na.hw_drain_batch = 1 + rng.next_below(17);
+  wp.fabric.ranks_per_node = rpn;
+
+  World world(producers + 1, wp);
+  MatchTrace trace;
+  world.run([&](Rank& self) {
+    const int consumer = producers;
+    auto win = self.win_allocate(64, 1);
+    for (int r = 0; r < kRounds; ++r) {
+      const int phase = 10 * r;
+      if (self.id() != consumer) {
+        for (int tag : sends[static_cast<std::size_t>(r)]
+                            [static_cast<std::size_t>(self.id())])
+          self.na().put_notify(*win, {}, consumer, 0, tag);
+        win->flush(consumer);
+        self.barrier();
+      } else {
+        self.barrier();  // producers flushed: notifications are in flight
+        self.ctx().yield_until(self.now() + ms(1), "settle");
+        int consumed = 0;
+        for (Op op : script[static_cast<std::size_t>(r)]) {
+          if (op.kind == 1) {
+            na::NaStatus st;
+            const bool found = self.na().iprobe(*win, op.spec, &st);
+            trace.rows.push_back({phase + 1, found, 0, st.source, st.tag});
+            continue;
+          }
+          if (op.expected == 0)
+            op.expected = static_cast<std::uint32_t>(bulk - consumed - leftover);
+          auto req = self.na().notify_init(*win, op.spec, op.expected);
+          self.na().start(req);
+          const bool done = self.na().test(req);
+          consumed += static_cast<int>(req.matched());
+          trace.rows.push_back({phase, static_cast<int>(req.matched()), done,
+                                req.status().source, req.status().tag});
+          self.na().free(req);
+        }
+      }
+      self.barrier();
+    }
+    if (self.id() == consumer) {
+      // Residual UQ contents, in arrival order.
+      while (true) {
+        auto req = self.na().notify_init(*win, na::MatchSpec::any(), 1);
+        self.na().start(req);
+        const bool done = self.na().test(req);
+        if (done)
+          trace.rows.push_back(
+              {99, 1, 1, req.status().source, req.status().tag});
+        self.na().free(req);
+        if (!done) break;
+      }
+      trace.final_uq = self.na().uq_size();
+    }
+  });
+  return trace;
+}
+
+}  // namespace
+
+TEST(NaMatcherEquivalence, IndexedMatchesLinearAcrossRounds) {
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    const MatchTrace linear = run_rounds(seed, na::Matcher::kLinear);
+    const MatchTrace indexed = run_rounds(seed, na::Matcher::kIndexed);
+    ASSERT_EQ(linear.rows, indexed.rows) << "match order diverged, seed "
+                                         << seed;
+    ASSERT_EQ(linear.final_uq, indexed.final_uq) << "seed " << seed;
+    EXPECT_EQ(linear.final_uq, 0u) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// UqIndex footprint and allocations.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+net::HwNotification parked(int source, int tag) {
+  net::HwNotification n;
+  n.window = 1;
+  n.imm = net::encode_imm(source, static_cast<std::uint32_t>(tag));
+  return n;
+}
+
+}  // namespace
+
+TEST(UqIndexFootprint, NeverMatchedEntryDoesNotPinTheStore) {
+  // One entry nobody asks for, then 100k park/consume cycles of another
+  // key through the exact, any-source and any-tag shapes (a lookup on
+  // another window links the any/any kind too, whose window-1 list is then
+  // never read). Tombstones and stale refs must be reclaimed: the footprint
+  // stays O(live), not O(cycles).
+  na::UqIndex uq;
+  uq.insert(parked(0, 7));
+  EXPECT_EQ(uq.find_oldest(2, na::kAnySource, na::kAnyTag), nullptr);
+  std::size_t max_slots = 0;
+  std::size_t max_refs = 0;
+  for (int i = 0; i < 100000; ++i) {
+    uq.insert(parked(1, 2));
+    const int shape = i % 3;
+    const net::HwNotification* e =
+        uq.find_oldest(1, shape == 1 ? na::kAnySource : 1,
+                       shape == 2 ? na::kAnyTag : 2);
+    ASSERT_NE(e, nullptr);
+    ASSERT_EQ(net::imm_source(e->imm), 1);
+    uq.erase(e);
+    max_slots = std::max(max_slots, uq.store_slots());
+    max_refs = std::max(max_refs, uq.linked_refs());
+  }
+  EXPECT_EQ(uq.size(), 1u);
+  EXPECT_LE(max_slots, 128u);
+  EXPECT_LE(max_refs, 4 * max_slots);
+  const net::HwNotification* stuck = uq.find_oldest(1, 0, 7);
+  ASSERT_NE(stuck, nullptr);
+  EXPECT_EQ(net::imm_tag(stuck->imm), 7u);
+}
+
+class UqIndexAlloc : public ::testing::TestWithParam<na::MatchSpec> {};
+
+TEST_P(UqIndexAlloc, ConstantDepthCycleIsAllocationFree) {
+  // Eight entries ahead of the consumer, as a producer running ahead
+  // leaves them; each cycle parks one, finds the oldest and consumes it.
+  // The warm-up spans several compactions.
+  const na::MatchSpec spec = GetParam();
+  na::UqIndex uq;
+  for (int i = 0; i < 8; ++i) uq.insert(parked(3, 2));
+  const auto cycle = [&] {
+    uq.insert(parked(3, 2));
+    const net::HwNotification* e = uq.find_oldest(1, spec.source, spec.tag);
+    ASSERT_NE(e, nullptr);
+    uq.erase(e);
+  };
+  for (int i = 0; i < 1000; ++i) cycle();
+  const std::uint64_t before = test::allocs_now();
+  for (int i = 0; i < 10000; ++i) cycle();
+  EXPECT_EQ(test::allocs_now() - before, 0u);
+  EXPECT_EQ(uq.size(), 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, UqIndexAlloc,
+                         ::testing::Values(na::MatchSpec{3, 2},
+                                           na::MatchSpec{na::kAnySource, 2},
+                                           na::MatchSpec{3, na::kAnyTag},
+                                           na::MatchSpec::any()));
 
 // ---------------------------------------------------------------------------
 // Stress: interleaved wildcard and specific requests against a soup of

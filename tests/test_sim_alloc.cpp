@@ -1,69 +1,20 @@
 // Allocation accounting for the engine hot path.
 //
-// The ISSUE-3 acceptance bar: posting and executing inline-sized closures on
+// The acceptance bar: posting and executing inline-sized closures on
 // the calendar queue performs **zero heap allocations** in steady state. We
-// verify it with a global counting operator new/delete (this translation
-// unit only — tests run as separate executables, so the replacement cannot
-// perturb other suites). The pool, calendar buckets, and Trigger scratch
+// verify it with the global counting operator new/delete of
+// alloc_counter.hpp. The pool, calendar buckets, and Trigger scratch
 // buffers are warmed by a first round; the measured rounds then assert an
 // allocation delta of exactly zero.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "sim/engine.hpp"
-
-// GCC infers malloc-like attributes for the replaced operator new below and
-// then flags every inlined delete against it; the pairing is correct (free
-// handles both malloc and aligned_alloc memory on this platform).
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-
-}  // namespace
-
-// Replace global new/delete with counting versions. std::malloc/free keep
-// usable_size semantics out of the picture; alignment overloads forward so
-// over-aligned types stay correct.
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) /
-                                       static_cast<std::size_t>(al) *
-                                       static_cast<std::size_t>(al)))
-    return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept {
-  if (p) g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept {
-  if (p) g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete(void* p, std::size_t, std::align_val_t al) noexcept {
-  ::operator delete(p, al);
-}
 
 namespace {
 
 using namespace narma;
-
-std::uint64_t allocs_now() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+using test::allocs_now;
 
 // ---------------------------------------------------------------------------
 // InlineFn in isolation: inline-sized closures never touch the heap; an
