@@ -113,12 +113,10 @@ Sample run_stencil_obs_pair(int nranks, bool obs_on) {
   cfg.variant = apps::StencilVariant::kNotified;
   cfg.per_point = ns(2);
   WorldParams wp;
-  if (!obs_on) {
-    wp.enable_metrics = false;
-    wp.obs.journal_capacity = 0;
-  }
+  wp.obs.metrics = obs_on;
+  wp.obs.timeseries = obs_on;
+  if (!obs_on) wp.obs.journal_capacity = 0;
   World world(nranks, wp);
-  if (obs_on) world.enable_timeseries();
   apps::StencilResult res;
   const std::uint64_t t0 = wallclock_ns();
   world.run([&](Rank& self) {

@@ -2,32 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
 #include "common/fatal.hpp"
+#include "common/file.hpp"
 
 namespace narma {
 
 namespace {
 
-// Crash hook (NARMA_CRASH_DIR): on a fatal error, dump whatever telemetry
-// this world holds so the failure is diagnosable post-mortem. Reuses the
-// regular dump paths — they only read state owned by the (still-live) world.
+// Crash hook (NARMA_CRASH_DIR): on a fatal error, write the run directory
+// this world holds so the failure is diagnosable post-mortem with the same
+// readers as a finished run. The recorders are still live; the flight
+// recorder's crash window is lost (finalize never ran), but the time axis
+// up to the failure survives, and the journal usually holds the most direct
+// clue.
 void world_crash_dump(void* world) {
-  auto* w = static_cast<World*>(world);
   const std::string dir = env::get_string("NARMA_CRASH_DIR", "");
   if (dir.empty()) return;
-  w->dump_metrics(dir + "/crash_metrics.json");
-  w->dump_trace(dir + "/crash_trace.json");
-  w->dump_msgtrace(dir + "/crash_msgtrace.json");
-  // Windows captured so far; the crash window itself is lost (finalize
-  // never ran), but the time axis up to the failure survives.
-  w->dump_timeseries(dir + "/crash_timeseries.json");
-  // Anomaly records up to the failure — usually the most direct clue.
-  w->dump_journal(dir + "/crash_journal.json");
+  const std::string err = static_cast<World*>(world)->write_artifacts(dir);
+  if (!err.empty())
+    std::fprintf(stderr, "NARMA_CRASH_DIR: cannot write %s\n", err.c_str());
 }
 
 }  // namespace
@@ -35,38 +34,41 @@ void world_crash_dump(void* world) {
 World::World(int nranks, WorldParams params)
     : params_(std::move(params)),
       engine_(std::make_unique<sim::Engine>(nranks, params_.sim)),
-      metrics_(params_.enable_metrics
-                   ? std::make_unique<obs::Registry>(nranks)
-                   : nullptr),
+      metrics_(params_.obs.metrics ? std::make_unique<obs::Registry>(nranks)
+                                   : nullptr),
       fabric_(std::make_unique<net::Fabric>(*engine_, params_.fabric,
                                             metrics_.get())) {
-  if (params_.obs.journal_capacity > 0) {
-    journal_ = std::make_unique<obs::Journal>(params_.obs.journal_capacity);
+  const obs::ObsParams& op = params_.obs;
+  if (op.journal_capacity > 0) {
+    journal_ = std::make_unique<obs::Journal>(op.journal_capacity);
     fabric_->set_journal(journal_.get());
   }
-  if (params_.obs.msgtrace) enable_msgtrace();
-  if (params_.obs.timeseries) enable_timeseries();
+  if (op.trace) {
+    tracer_ = std::make_unique<sim::Tracer>(nranks);
+    fabric_->set_tracer(tracer_.get());
+    if (metrics_) metrics_->set_tracer(tracer_.get());
+  }
+  if (op.msgtrace) {
+    msgtrace_ = std::make_unique<obs::MsgTrace>(nranks, op);
+    fabric_->set_msgtrace(msgtrace_.get());
+  }
+  if (op.timeseries) {
+    NARMA_CHECK(metrics_ != nullptr)
+        << "the flight recorder snapshots the metrics registry; enable "
+           "ObsParams::metrics";
+    timeseries_ = std::make_unique<obs::TimeSeries>(*metrics_, *engine_, op);
+    if (journal_) timeseries_->set_journal(journal_.get());
+    engine_->set_time_probe(
+        timeseries_->window(), [this](Time boundary, Time horizon) {
+          // The snapshot pass is itself obs work; charge it to the obs
+          // phase so the recorder's own overhead shows up in the budget it
+          // reports.
+          obs::PhaseScope scope(profiler_.get(), obs::Phase::kObs);
+          return timeseries_->on_boundary(boundary, horizon);
+        });
+  }
   if (!env::get_string("NARMA_CRASH_DIR", "").empty())
     register_crash_hook(&world_crash_dump, this);
-}
-
-void World::enable_timeseries(Time window_ps) {
-  if (window_ps) params_.obs.timeseries_window_ps = window_ps;
-  params_.obs.timeseries = true;
-  NARMA_CHECK(metrics_ != nullptr)
-      << "the flight recorder snapshots the metrics registry; enable "
-         "WorldParams::enable_metrics";
-  if (timeseries_) return;
-  timeseries_ =
-      std::make_unique<obs::TimeSeries>(*metrics_, *engine_, params_.obs);
-  if (journal_) timeseries_->set_journal(journal_.get());
-  engine_->set_time_probe(
-      timeseries_->window(), [this](Time boundary, Time horizon) {
-        // The snapshot pass is itself obs work; charge it to the obs phase
-        // so the recorder's own overhead shows up in the budget it reports.
-        obs::PhaseScope scope(profiler_.get(), obs::Phase::kObs);
-        return timeseries_->on_boundary(boundary, horizon);
-      });
 }
 
 void World::enable_profiling() {
@@ -75,6 +77,20 @@ void World::enable_profiling() {
   engine_->set_profiler(profiler_.get());
   fabric_->set_profiler(profiler_.get());
   if (msgtrace_) msgtrace_->set_profiler(profiler_.get());
+}
+
+std::string World::write_artifacts(const std::string& dir) const {
+  std::string err = file::make_dirs(dir);
+  auto write = [&](const char* name, const auto& recorder) {
+    if (err.empty() && recorder)
+      err = file::write(dir + "/" + name, recorder->to_json());
+  };
+  write(obs::kMetricsFile, metrics_);
+  write(obs::kJournalFile, journal_);
+  write(obs::kTraceFile, tracer_);
+  write(obs::kMsgtraceFile, msgtrace_);
+  write(obs::kTimeseriesFile, timeseries_);
+  return err;
 }
 
 World::~World() { unregister_crash_hook(&world_crash_dump, this); }

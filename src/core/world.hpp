@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "core/notify.hpp"
 #include "mp/collectives.hpp"
@@ -47,15 +48,10 @@ struct WorldParams {
   rma::RmaParams rma;
   na::NaParams na;
 
-  /// Metrics registry (src/obs). On by default: every hook is one branch
-  /// plus a plain add on the rank's own cell, and metric reads never
-  /// advance virtual time, so timing results are identical either way.
-  bool enable_metrics = true;
-
-  /// Causal message tracing (src/obs/msgtrace). Off by default; flip
-  /// `obs.msgtrace = true` (or call World::enable_msgtrace()) to record
-  /// per-message lifecycle hops. Hooks only read clocks, so virtual times
-  /// are bit-identical with tracing on or off.
+  /// The observability switchboard: which recorders World builds at
+  /// construction (metrics and journal on by default; trace, msgtrace and
+  /// the flight recorder off) and their knobs. Recorders only read clocks
+  /// and state, so virtual times are bit-identical whatever is switched on.
   obs::ObsParams obs;
 
   /// Convenience preset: all ranks on one node (shared-memory transport),
@@ -83,76 +79,28 @@ class World {
   net::Fabric& fabric() { return *fabric_; }
   const WorldParams& params() const { return params_; }
 
-  /// Turns on virtual-time tracing (call before run()). The trace can be
-  /// inspected with tracer() or written with dump_trace(). With metrics
-  /// enabled, gauge changes also appear as Perfetto counter tracks.
-  void enable_tracing() {
-    if (!tracer_)
-      tracer_ = std::make_unique<sim::Tracer>(engine_->nranks());
-    fabric_->set_tracer(tracer_.get());
-    if (metrics_) metrics_->set_tracer(tracer_.get());
-  }
-  sim::Tracer* tracer() { return tracer_.get(); }
-  /// Writes the Chrome trace-event JSON (chrome://tracing / Perfetto).
-  bool dump_trace(const std::string& path) const {
-    return tracer_ && tracer_->write_json(path);
-  }
+  // --- Observability (recorders switched by WorldParams::obs) -------------
 
-  /// The metrics registry; nullptr when WorldParams::enable_metrics is off.
+  /// Each accessor is nullptr when its recorder is switched off.
   obs::Registry* metrics() { return metrics_.get(); }
-  /// Writes the narma.metrics.v1 JSON dump (see DESIGN.md Sec. 7); false
-  /// when metrics are disabled or the file cannot be written.
-  bool dump_metrics(const std::string& path) const {
-    return metrics_ && metrics_->write_json(path);
-  }
-
-  /// Turns on causal message tracing (call before run()). `sample_every`
-  /// overrides ObsParams::msgtrace_sample_every when nonzero (1 = trace
-  /// every message).
-  void enable_msgtrace(std::uint64_t sample_every = 0) {
-    if (sample_every) params_.obs.msgtrace_sample_every = sample_every;
-    params_.obs.msgtrace = true;
-    if (!msgtrace_)
-      msgtrace_ = std::make_unique<obs::MsgTrace>(engine_->nranks(),
-                                                  params_.obs);
-    if (profiler_) msgtrace_->set_profiler(profiler_.get());
-    fabric_->set_msgtrace(msgtrace_.get());
-  }
-  obs::MsgTrace* msgtrace() { return msgtrace_.get(); }
-  /// Writes the narma.msgtrace.v1 JSON dump (see DESIGN.md Sec. 9); false
-  /// when msgtrace is disabled or the file cannot be written.
-  bool dump_msgtrace(const std::string& path) const {
-    return msgtrace_ && msgtrace_->write_json(path);
-  }
-
-  /// Turns on the flight recorder (call before run(); requires metrics).
-  /// `window_ps` overrides ObsParams::timeseries_window_ps when nonzero.
-  /// Snapshots only read state, so virtual times are bit-identical with
-  /// the recorder on or off (DESIGN.md §12).
-  void enable_timeseries(Time window_ps = 0);
-  obs::TimeSeries* timeseries() { return timeseries_.get(); }
-  /// Writes the narma.timeseries.v1 JSON dump; false when the recorder is
-  /// disabled or the file cannot be written.
-  bool dump_timeseries(const std::string& path) const {
-    return timeseries_ && timeseries_->write_json(path);
-  }
-
-  /// The anomaly journal (src/obs/journal); created at construction when
-  /// ObsParams::journal_capacity > 0 and fed by the fault injector, NIC
-  /// backpressure, and the flight-recorder monitors.
   obs::Journal* journal() { return journal_.get(); }
-  /// Writes the narma.journal.v1 JSON dump; false when the journal is
-  /// disabled or the file cannot be written.
-  bool dump_journal(const std::string& path) const {
-    return journal_ && journal_->write_json(path);
-  }
+  sim::Tracer* tracer() { return tracer_.get(); }
+  obs::MsgTrace* msgtrace() { return msgtrace_.get(); }
+  obs::TimeSeries* timeseries() { return timeseries_.get(); }
+  obs::Profiler* profiler() { return profiler_.get(); }
 
   /// Turns on phase-attributed host profiling (call before run()). The
   /// profiler reads host clocks only — virtual times are unchanged; its
   /// results are exported as obs.phase_* / obs.profile_* gauges after the
   /// run and surfaced by `narma_cli report`.
   void enable_profiling();
-  obs::Profiler* profiler() { return profiler_.get(); }
+
+  /// Writes the run directory: creates `dir` if missing, then writes
+  /// metrics.json, journal.json, trace.json, msgtrace.json and
+  /// timeseries.json (obs::k*File), one for each recorder this World holds.
+  /// Returns "" on success, else a diagnostic naming the first path that
+  /// could not be written. Also the crash hook's writer ($NARMA_CRASH_DIR).
+  std::string write_artifacts(const std::string& dir) const;
 
  private:
   /// Per-(window, backend) measured-vs-LogGP residual rows from the

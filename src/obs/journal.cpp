@@ -158,13 +158,4 @@ std::string Journal::to_json() const {
   return os.str();
 }
 
-bool Journal::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
-}
-
 }  // namespace narma::obs

@@ -84,8 +84,6 @@ class Journal {
 
   /// Renders narma.journal.v1.
   std::string to_json() const;
-  /// Writes to_json() to `path`; returns false on I/O failure.
-  bool write_json(const std::string& path) const;
 
  private:
   std::size_t cap_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -86,12 +85,18 @@ stats::Summary HistData::summary() const {
   return s;
 }
 
+bool is_host_time_family(std::string_view name) {
+  return name.starts_with("obs.phase_") || name.starts_with("obs.profile_") ||
+         name == "sim.run_wall_ns" || name == "sim.events_per_sec";
+}
+
 // ----------------------------------------------------------------- Gauge --
 
 void Gauge::mirror(std::int64_t v, Time at) const {
   // Sampled on change: one counter-track point per distinct level.
   const auto rank = static_cast<int>(cell_ - fam_->gauges.data());
-  if (rank >= kPerfettoGaugeRankLimit) return;
+  if (rank >= kPerfettoGaugeRankLimit || is_host_time_family(fam_->name))
+    return;
   fam_->reg->tracer()->counter(
       rank, "obs", fam_->name + " (rank " + std::to_string(rank) + ")", at,
       static_cast<double>(v));
@@ -310,15 +315,6 @@ std::string Registry::to_json() const {
   }
   os << "]}";
   return os.str();
-}
-
-bool Registry::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace narma::obs

@@ -19,7 +19,8 @@
 // When a sim::Tracer is attached, every gauge change of a rank below
 // kPerfettoGaugeRankLimit is mirrored as a Chrome trace-event "C" (counter)
 // sample, so Perfetto shows CQ/UQ depth tracks aligned with the span
-// timeline. Counters and histograms are export-only.
+// timeline. Host-time gauges are not mirrored, so the trace of a run is a
+// function of virtual time alone. Counters and histograms are export-only.
 //
 // Registry::to_json() emits the stable schema consumed by `narma_cli report`
 // (see DESIGN.md §7):
@@ -44,6 +45,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -61,6 +63,13 @@ enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 /// this limit: every rank's gauge change emitting a "C" event floods the
 /// trace at 4096+ ranks.
 inline constexpr int kPerfettoGaugeRankLimit = 1024;
+
+/// Families whose values depend on host wall time (the profiler's
+/// obs.phase_* / obs.profile_* gauges, sim.run_wall_ns, sim.events_per_sec).
+/// The flight recorder and the trace mirror skip them, so both of those
+/// artifacts are bit-identical across same-seed runs; the metrics dump
+/// still carries them.
+bool is_host_time_family(std::string_view name);
 
 /// Log2-bucketed histogram state. Bucket 0 counts zero-valued samples;
 /// bucket i >= 1 counts samples in [2^(i-1), 2^i - 1] (i = bit_width(v)),
@@ -147,9 +156,9 @@ class Gauge {
   friend class Registry;
   Gauge(GaugeCell* c, const detail::Family* f) : cell_(c), fam_(f) {}
   /// Mirrors a changed level into the registry's tracer when the rank is
-  /// below kPerfettoGaugeRankLimit. Out of line, and reached only with a
-  /// tracer attached, so untraced runs never touch its string-building
-  /// stack frame.
+  /// below kPerfettoGaugeRankLimit and the family is not host-time. Out of
+  /// line, and reached only with a tracer attached, so untraced runs never
+  /// touch its string-building stack frame.
   void mirror(std::int64_t v, Time at) const;
   GaugeCell* cell_ = nullptr;
   const detail::Family* fam_ = nullptr;  // tracer mirroring: name + rank
@@ -242,8 +251,6 @@ class Registry {
   /// Renders the stable narma.metrics.v1 document (families in
   /// lexicographic name order, ranks ascending).
   std::string to_json() const;
-  /// Writes to_json() to `path`; returns false on I/O failure.
-  bool write_json(const std::string& path) const;
 
  private:
   detail::Family& family(const std::string& name, Kind kind);

@@ -1,7 +1,6 @@
 #include "obs/msgtrace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -399,15 +398,6 @@ std::string MsgTrace::to_json() const {
   }
   os << "]}}";
   return os.str();
-}
-
-bool MsgTrace::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace narma::obs

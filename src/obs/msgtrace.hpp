@@ -197,7 +197,6 @@ class MsgTrace {
 
   /// narma.msgtrace.v1 document; all times integer picoseconds.
   std::string to_json() const;
-  bool write_json(const std::string& path) const;
 
  private:
   struct Lane {

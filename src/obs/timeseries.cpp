@@ -13,15 +13,6 @@ namespace narma::obs {
 
 namespace {
 
-/// Families whose values depend on host wall time. Excluded from snapshots
-/// so the time-series JSON is bit-identical across repeated runs (the
-/// end-of-run metrics dump still carries them).
-bool is_host_time_family(const std::string& name) {
-  return name.rfind("obs.phase_", 0) == 0 ||
-         name.rfind("obs.profile_", 0) == 0 || name == "sim.run_wall_ns" ||
-         name == "sim.events_per_sec";
-}
-
 const char* kind_name(Kind k) {
   switch (k) {
     case Kind::kCounter: return "counter";
@@ -384,15 +375,6 @@ std::string TimeSeries::to_json() const {
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-bool TimeSeries::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace narma::obs

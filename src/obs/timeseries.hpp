@@ -46,10 +46,10 @@
 // model floor (g + G*bytes + L). Persistent large residuals mean
 // congestion, faults, or multi-leg notification overhead the base model
 // does not carry; rows past ObsParams::residual_threshold are flagged.
-// Both surface in the narma.timeseries.v1 JSON (World::dump_timeseries)
-// and render via `narma_cli timeline`. When an anomaly Journal is attached
-// (set_journal), each window's worst straggler over all ranks is also
-// appended there as a typed record.
+// Both surface in the narma.timeseries.v1 JSON (a run directory's
+// timeseries.json) and render via `narma_cli timeline`. When an anomaly
+// Journal is attached (set_journal), each window's worst straggler over all
+// ranks is also appended there as a typed record.
 #pragma once
 
 #include <cstdint>
@@ -178,7 +178,6 @@ class TimeSeries {
 
   /// narma.timeseries.v1 document; all times integer picoseconds.
   std::string to_json() const;
-  bool write_json(const std::string& path) const;
 
  private:
   struct CellBase {

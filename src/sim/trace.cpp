@@ -73,13 +73,4 @@ std::string Tracer::to_json() const {
   return os.str();
 }
 
-bool Tracer::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
-}
-
 }  // namespace narma::sim

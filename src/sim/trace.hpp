@@ -5,10 +5,11 @@
 // trace-event JSON format, so a simulated run can be inspected on a real
 // timeline in chrome://tracing or Perfetto:
 //
-//   narma::World world(4);
-//   world.enable_tracing();
+//   narma::WorldParams wp;
+//   wp.obs.trace = true;
+//   narma::World world(4, wp);
 //   world.run(...);
-//   world.dump_trace("run.trace.json");
+//   world.write_artifacts("run");  // run/trace.json
 //
 // Recording is append-only into per-rank buffers; with tracing disabled the
 // hooks cost one pointer test. Events store `const char*` names: static-name
@@ -92,9 +93,6 @@ class Tracer {
 
   /// Renders the Chrome trace-event JSON document.
   std::string to_json() const;
-
-  /// Writes to_json() to `path`; returns false on I/O failure.
-  bool write_json(const std::string& path) const;
 
  private:
   enum class Kind : std::uint8_t {

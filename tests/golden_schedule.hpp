@@ -60,8 +60,8 @@ inline std::uint64_t schedule_hash_with(std::uint64_t seed, ObsOverride ov,
   wp.na.matcher = rng.next_below(3) ? na::Matcher::kIndexed
                                     : na::Matcher::kLinear;
   wp.na.enable_shm_inline = rng.next_below(4) != 0;
-  wp.enable_metrics = rng.next_below(2) != 0;
-  if (ov == ObsOverride::kMetricsOn) wp.enable_metrics = true;
+  wp.obs.metrics = rng.next_below(2) != 0;
+  if (ov == ObsOverride::kMetricsOn) wp.obs.metrics = true;
 
   // Per-producer op plans, drawn up front so rank fibers never share RNG
   // state. kind: 0 = put_notify, 1 = get_notify, 2 = fetch_add_notify.

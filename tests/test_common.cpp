@@ -1,10 +1,13 @@
 // Unit tests of the common utilities: statistics, ring buffer, RNG, time
-// conversions, env parsing, and the table printer.
+// conversions, env parsing, the table printer, and checked file output.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "common/env.hpp"
+#include "common/file.hpp"
 #include "common/json.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
@@ -220,4 +223,27 @@ TEST(Json, LoneSurrogatesAreParseErrors) {
   EXPECT_FALSE(json::parse(R"(["\ud83d\ude0"])").ok);
   const auto r = json::parse(R"(["\ud83d\u0041"])");
   EXPECT_NE(r.error.find("surrogate"), std::string::npos) << r.error;
+}
+
+TEST(File, WriteRoundTripsAndNamesThePathOnFailure) {
+  const std::string dir = testing::TempDir() + "file_test/a/b";
+  ASSERT_EQ(file::make_dirs(dir), "");
+  ASSERT_EQ(file::make_dirs(dir), "");  // existing is fine
+  const std::string path = dir + "/x.json";
+  ASSERT_EQ(file::write(path, "{}"), "");
+  const json::ParseResult r = json::parse_file(path);
+  ASSERT_TRUE(r.ok) << r.error;
+  // fopen fails: the parent is a regular file.
+  const std::string under_file = path + "/y.json";
+  EXPECT_EQ(file::write(under_file, "{}").rfind(under_file + ": ", 0), 0u);
+  EXPECT_EQ(file::make_dirs(under_file).rfind(under_file + ": ", 0), 0u);
+  EXPECT_EQ(file::make_dirs(path).rfind(path + ": ", 0), 0u);
+}
+
+TEST(File, WriteReportsAFailedFlush) {
+  // /dev/full accepts the open and the buffered write; only the final
+  // flush in fclose fails (ENOSPC), which write() must not drop.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string err = file::write("/dev/full", "{}");
+  EXPECT_EQ(err.rfind("/dev/full: ", 0), 0u) << err;
 }

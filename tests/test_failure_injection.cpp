@@ -454,8 +454,8 @@ TEST_P(FaultMatrix, StencilVerifiesAndDecomposes) {
   f.delay_rate = 0.2;
   f.stall_rate = 0.05;
   if (backpressure) f.pressure_rate = 0.1;
+  wp.obs.msgtrace = true;
   World world(4, wp);
-  world.enable_msgtrace();
   apps::StencilConfig cfg;
   cfg.rows = 64;
   cfg.total_cols = 256;

@@ -4,7 +4,6 @@
 // critical-path extraction, and the narma.msgtrace.v1 JSON schema.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -16,6 +15,15 @@
 using namespace narma;
 
 namespace {
+
+/// Parameters with causal message tracing on, sampling every
+/// `sample_every`th injected message per rank.
+WorldParams traced(std::uint64_t sample_every = 1) {
+  WorldParams wp;
+  wp.obs.msgtrace = true;
+  wp.obs.msgtrace_sample_every = sample_every;
+  return wp;
+}
 
 Time cat(const obs::MsgTrace::MsgSummary& m, obs::LatCat c) {
   return m.cat[static_cast<std::size_t>(c)];
@@ -54,8 +62,7 @@ void run_pingpong(World& world, int rounds) {
 // ---------------------------------------------------------------------------
 
 TEST(MsgTrace, PingPongDecompositionMatchesLogGP) {
-  World world(2);
-  world.enable_msgtrace();
+  World world(2, traced());
   run_pingpong(world, 8);
 
   const net::TransportTiming& fma = world.params().fabric.aries.fma;
@@ -86,10 +93,10 @@ namespace {
 
 std::vector<Time> run_mixed_workload(bool msgtrace,
                                      std::uint64_t sample_every) {
-  WorldParams wp;
+  WorldParams wp = traced(sample_every);
+  wp.obs.msgtrace = msgtrace;
   wp.fabric.ranks_per_node = 2;  // shm within a node, FMA/BTE across
   World world(4, wp);
-  if (msgtrace) world.enable_msgtrace(sample_every);
   std::vector<Time> finals(4, 0);
   world.run([&finals](Rank& self) {
     auto win = self.win_allocate(4096, 1);
@@ -144,8 +151,7 @@ TEST(MsgTrace, CycleIdenticalWithTracingOffOnAndSampled) {
 
 TEST(MsgTrace, LaggingConsumerNeverObservesFutureDeliveries) {
   constexpr int kMsgs = 12;
-  World world(2);
-  world.enable_msgtrace();
+  World world(2, traced());
   world.run([](Rank& self) {
     auto win = self.win_allocate(8, 1);
     if (self.id() == 0) {
@@ -189,8 +195,7 @@ TEST(MsgTrace, LaggingConsumerNeverObservesFutureDeliveries) {
 // ---------------------------------------------------------------------------
 
 TEST(MsgTrace, SamplingTracesEveryNthInjection) {
-  World world(2);
-  world.enable_msgtrace(4);
+  World world(2, traced(4));
   run_pingpong(world, 8);
 
   const obs::MsgTrace& mt = *world.msgtrace();
@@ -234,8 +239,7 @@ TEST(MsgTrace, RingWrapCountsDropsAndFlagsIncomplete) {
 // ---------------------------------------------------------------------------
 
 TEST(MsgTrace, CriticalPathPartitionsSpanExactly) {
-  World world(2);
-  world.enable_msgtrace();
+  World world(2, traced());
   run_pingpong(world, 6);
 
   const obs::MsgTrace::CritPath cp = world.msgtrace()->critical_path();
@@ -263,14 +267,12 @@ TEST(MsgTrace, FlowIdNamespaceIsExactInDouble) {
 }
 
 TEST(MsgTrace, JsonSchemaRoundTripsWithExactSums) {
-  World world(2);
-  world.enable_msgtrace();
+  World world(2, traced());
   run_pingpong(world, 4);
 
-  const std::string path = "msgtrace_test_out.json";
-  ASSERT_TRUE(world.dump_msgtrace(path));
-  const json::ParseResult doc = json::parse_file(path);
-  std::remove(path.c_str());
+  const std::string dir = testing::TempDir() + "msgtrace_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  const json::ParseResult doc = json::parse_file(dir + "/msgtrace.json");
   ASSERT_TRUE(doc.ok) << doc.error;
 
   EXPECT_EQ(doc.value.string_or("schema", ""), "narma.msgtrace.v1");

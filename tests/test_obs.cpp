@@ -1,6 +1,6 @@
 // Tests of the unified metrics layer: registry/handle semantics, the stable
 // narma.metrics.v1 JSON schema, the gauge -> tracer counter-track bridge,
-// and the fully disabled path (WorldParams::enable_metrics = false).
+// and the fully disabled path (ObsParams::metrics = false).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -234,10 +234,9 @@ TEST(ObsWorld, RunPopulatesLayerMetricsAndDump) {
               reg->gauge_value("sim.total_ns", r));
   }
 
-  const std::string path = "/tmp/narma_obs_test_metrics.json";
-  ASSERT_TRUE(world.dump_metrics(path));
-  const json::ParseResult doc = json::parse_file(path);
-  std::remove(path.c_str());
+  const std::string dir = testing::TempDir() + "obs_metrics_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  const json::ParseResult doc = json::parse_file(dir + "/metrics.json");
   ASSERT_TRUE(doc.ok) << doc.error;
   EXPECT_EQ(doc.value.string_or("schema", ""), "narma.metrics.v1");
   EXPECT_EQ(doc.value.number_or("nranks", 0), 2.0);
@@ -249,15 +248,16 @@ TEST(ObsWorld, RunPopulatesLayerMetricsAndDump) {
 }
 
 TEST(ObsWorld, TracedRunEmitsGaugeCounterTracks) {
-  World world(2);
-  world.enable_tracing();
+  WorldParams wp;
+  wp.obs.trace = true;
+  World world(2, wp);
   run_small_exchange(world);
   const std::string json = world.tracer()->to_json();
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("net.dest_cq_depth (rank 1)"), std::string::npos);
 }
 
-// Full round trip: dump_metrics -> file -> json reader -> every family and
+// Full round trip: write_artifacts -> file -> json reader -> every family and
 // cell equals the live registry. Guards the exporter against silently
 // dropping or mangling values the report tool would then mis-rank.
 TEST(ObsWorld, DumpRoundTripsAgainstLiveRegistry) {
@@ -265,10 +265,9 @@ TEST(ObsWorld, DumpRoundTripsAgainstLiveRegistry) {
   run_small_exchange(world);
   const obs::Registry& reg = *world.metrics();
 
-  const std::string path = "obs_roundtrip_test.json";
-  ASSERT_TRUE(world.dump_metrics(path));
-  const json::ParseResult doc = json::parse_file(path);
-  std::remove(path.c_str());
+  const std::string dir = testing::TempDir() + "obs_roundtrip_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  const json::ParseResult doc = json::parse_file(dir + "/metrics.json");
   ASSERT_TRUE(doc.ok) << doc.error;
 
   const std::vector<std::string> live = reg.names();
@@ -326,12 +325,14 @@ TEST(ObsWorld, DumpRoundTripsAgainstLiveRegistry) {
 
 TEST(ObsWorld, DisabledMetricsStillRuns) {
   WorldParams wp;
-  wp.enable_metrics = false;
+  wp.obs.metrics = false;
   World world(2, wp);
   run_small_exchange(world);
   EXPECT_EQ(world.metrics(), nullptr);
-  EXPECT_FALSE(world.dump_metrics("/tmp/narma_obs_should_not_exist.json"));
-  std::FILE* f = std::fopen("/tmp/narma_obs_should_not_exist.json", "r");
+  // The run directory then holds no metrics.json (only the journal).
+  const std::string dir = testing::TempDir() + "obs_disabled_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  std::FILE* f = std::fopen((dir + "/metrics.json").c_str(), "r");
   EXPECT_EQ(f, nullptr);
   if (f) std::fclose(f);
 }

@@ -81,7 +81,7 @@ TEST(FiberEngine, DeadlineTimeoutAloneIsNotStale) {
 // The counter is exported through the world's metrics registry.
 TEST(FiberEngine, StaleSkipCounterExported) {
   WorldParams wp;
-  wp.enable_metrics = true;
+  wp.obs.metrics = true;
   World world(2, wp);
   world.run([](Rank& self) { self.barrier(); });
   // Barrier-only run: the value is workload-dependent, but the counter

@@ -22,6 +22,14 @@ using namespace narma;
 
 namespace {
 
+/// Parameters with the flight recorder on at a `window`-ps cadence.
+WorldParams recorded(Time window) {
+  WorldParams wp;
+  wp.obs.timeseries = true;
+  wp.obs.timeseries_window_ps = window;
+  return wp;
+}
+
 /// Deterministic 4-rank workload: a ring of notified puts with calibrated
 /// compute, long enough to span several 100 us recorder windows.
 void run_ring(World& world, int iters = 12, Time compute_ps = us(30)) {
@@ -113,12 +121,14 @@ TEST(TimeSeries, DisabledByDefault) {
   EXPECT_EQ(world.timeseries(), nullptr);
   run_ring(world, 2);
   EXPECT_EQ(world.timeseries(), nullptr);
-  EXPECT_FALSE(world.dump_timeseries("/nonexistent/ts.json"));
+  // The run directory then holds no timeseries.json.
+  const std::string dir = testing::TempDir() + "ts_disabled_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  EXPECT_FALSE(json::parse_file(dir + "/timeseries.json").ok);
 }
 
 TEST(TimeSeries, WindowDeltasTelescopeToFinalTotals) {
-  World world(4);
-  world.enable_timeseries(us(50));
+  World world(4, recorded(us(50)));
   run_ring(world);
   const obs::TimeSeries& ts = *world.timeseries();
   EXPECT_GT(ts.snapshots(), 2u);
@@ -145,10 +155,8 @@ TEST(TimeSeries, WindowDeltasTelescopeToFinalTotals) {
 }
 
 TEST(TimeSeries, DownsamplingKeepsMemoryBoundedAndTelescoping) {
-  WorldParams wp;
-  wp.obs.timeseries = true;
-  wp.obs.timeseries_window_ps = us(2);  // many snapshots
-  wp.obs.timeseries_capacity = 8;      // tiny ring forces merges
+  WorldParams wp = recorded(us(2));  // many snapshots
+  wp.obs.timeseries_capacity = 8;     // tiny ring forces merges
   World world(4, wp);
   run_ring(world, 16);
   const obs::TimeSeries& ts = *world.timeseries();
@@ -165,9 +173,8 @@ TEST(TimeSeries, DownsamplingKeepsMemoryBoundedAndTelescoping) {
 
 TEST(TimeSeries, ExportBitIdenticalAcrossRunsAndWithProfilerOnOrOff) {
   auto run_once = [](bool profile) {
-    World world(4);
+    World world(4, recorded(us(50)));
     if (profile) world.enable_profiling();
-    world.enable_timeseries(us(50));
     run_ring(world);
     std::vector<Time> clocks;
     for (int r = 0; r < 4; ++r)
@@ -185,8 +192,9 @@ TEST(TimeSeries, ExportBitIdenticalAcrossRunsAndWithProfilerOnOrOff) {
 
 TEST(TimeSeries, RecorderDoesNotPerturbVirtualMetrics) {
   auto final_counters = [](bool recorder) {
-    World world(4);
-    if (recorder) world.enable_timeseries(us(50));
+    WorldParams wp = recorded(us(50));
+    wp.obs.timeseries = recorder;
+    World world(4, wp);
     run_ring(world);
     std::map<std::string, std::vector<std::uint64_t>> out;
     world.metrics()->visit([&](const obs::Registry::FamilyView& f) {
@@ -205,15 +213,12 @@ TEST(TimeSeries, RecorderDoesNotPerturbVirtualMetrics) {
 // all-rank rank_agg sums telescope to the ranks' final clocks.
 TEST(TimeSeries, RecorderTelescopesPastRecordedRankLimit) {
   constexpr int kRanks = 96;
-  World world(kRanks);
-  world.enable_timeseries(us(50));
+  World world(kRanks, recorded(us(50)));
   run_ring(world);
-  const std::string ts_path = testing::TempDir() + "ts_96.json";
-  const std::string m_path = testing::TempDir() + "metrics_96.json";
-  ASSERT_TRUE(world.dump_timeseries(ts_path));
-  ASSERT_TRUE(world.dump_metrics(m_path));
-  const json::ParseResult ts = json::parse_file(ts_path);
-  const json::ParseResult m = json::parse_file(m_path);
+  const std::string dir = testing::TempDir() + "ts_96_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  const json::ParseResult ts = json::parse_file(dir + "/timeseries.json");
+  const json::ParseResult m = json::parse_file(dir + "/metrics.json");
   ASSERT_TRUE(ts.ok) << ts.error;
   ASSERT_TRUE(m.ok) << m.error;
 
@@ -275,18 +280,15 @@ TEST(TimeSeries, RecorderTelescopesPastRecordedRankLimit) {
 }
 
 TEST(TimeSeries, HostTimeFamiliesExcludedFromSnapshots) {
-  World world(2);
+  World world(2, recorded(us(50)));
   world.enable_profiling();
-  world.enable_timeseries(us(50));
   run_ring(world, 6);
   for (const auto& f : world.timeseries()->families())
     EXPECT_FALSE(is_host_time(f.name)) << f.name;
 }
 
 TEST(TimeSeries, StragglerFlagged) {
-  WorldParams wp;
-  World world(4, wp);
-  world.enable_timeseries(us(100));
+  World world(4, recorded(us(100)));
   // Ranks 0-2 stay busy all window; rank 3 computes a sliver and blocks in
   // the barrier — a straggler in every full window.
   world.run([](Rank& self) {
@@ -302,9 +304,9 @@ TEST(TimeSeries, StragglerFlagged) {
 }
 
 TEST(TimeSeries, ResidualRowsFromMsgTrace) {
-  World world(4);  // default fabric: one rank per node -> aries inter-node
-  world.enable_msgtrace(1);
-  world.enable_timeseries(us(50));
+  WorldParams wp = recorded(us(50));  // one rank per node -> aries
+  wp.obs.msgtrace = true;
+  World world(4, wp);
   run_ring(world);
   const auto& rows = world.timeseries()->residuals();
   ASSERT_FALSE(rows.empty());
@@ -367,9 +369,8 @@ TEST(Profiler, ScopeIsNoOpWhenNullOrStopped) {
 }
 
 TEST(Profiler, ExportedGaugesCoverRunAndRespectObsBudget) {
-  World world(4);
+  World world(4, recorded(us(50)));
   world.enable_profiling();
-  world.enable_timeseries(us(50));
   run_ring(world);
   obs::Registry& reg = *world.metrics();
   const auto total =

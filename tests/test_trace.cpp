@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 
+#include "apps/stencil.hpp"
 #include "common/json.hpp"
 #include "core/world.hpp"
 #include "sim/trace.hpp"
@@ -15,8 +16,9 @@ using namespace narma;
 namespace {
 
 std::string run_traced(std::size_t* events) {
-  World world(2);
-  world.enable_tracing();
+  WorldParams wp;
+  wp.obs.trace = true;
+  World world(2, wp);
   world.run([](Rank& self) {
     auto win = self.win_allocate(64, 1);
     if (self.id() == 0) {
@@ -122,19 +124,48 @@ TEST(Trace, DisabledByDefault) {
     }
   });
   EXPECT_EQ(world.tracer(), nullptr);
-  EXPECT_FALSE(world.dump_trace("/tmp/should_not_exist.json"));
+  // The run directory then holds no trace.json.
+  const std::string dir = testing::TempDir() + "trace_disabled_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  std::FILE* f = std::fopen((dir + "/trace.json").c_str(), "r");
+  EXPECT_EQ(f, nullptr);
+  if (f) std::fclose(f);
 }
 
-TEST(Trace, WriteJsonToFile) {
-  World world(1);
-  world.enable_tracing();
+TEST(Trace, RunDirectoryHoldsTraceJson) {
+  WorldParams wp;
+  wp.obs.trace = true;
+  World world(1, wp);
   world.run([](Rank& self) { self.barrier(); });
-  const std::string path = "/tmp/narma_trace_test.json";
-  EXPECT_TRUE(world.dump_trace(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(path.c_str());
+  const std::string dir = testing::TempDir() + "trace_run";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  const json::ParseResult doc = json::parse_file(dir + "/trace.json");
+  ASSERT_TRUE(doc.ok) << doc.error;
+  EXPECT_TRUE(doc.value["traceEvents"].is_array());
+}
+
+// Host-time gauges (the profiler's obs.phase_* / obs.profile_*,
+// sim.run_wall_ns, sim.events_per_sec) are not mirrored as counter events,
+// so the trace is a function of virtual time alone: two same-seed traced
+// and profiled runs of the 4-rank notified stencil are byte-identical.
+TEST(Trace, SameSeedProfiledRunsTraceIdentically) {
+  auto traced = [] {
+    WorldParams wp;
+    wp.obs.trace = true;
+    World world(4, wp);
+    world.enable_profiling();
+    apps::StencilConfig cfg;
+    cfg.rows = 64;
+    cfg.total_cols = 256;
+    cfg.iters = 4;
+    world.run([&](Rank& self) { apps::run_stencil(self, cfg); });
+    return world.tracer()->to_json();
+  };
+  const std::string first = traced();
+  EXPECT_EQ(first, traced()) << "same-seed traces differ";
+  EXPECT_NE(first.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_EQ(first.find("obs.phase_"), std::string::npos);
+  EXPECT_EQ(first.find("sim.run_wall_ns"), std::string::npos);
 }
 
 TEST(Trace, SpanAndInstantApi) {

@@ -246,8 +246,8 @@ TEST(TransportHeterogeneous, MsgTraceIdentityHoldsPerBackend) {
     return (a <= 1 && b <= 1) ? net::BackendKind::kRamc
                               : net::BackendKind::kVerbs;
   };
+  wp.obs.msgtrace = true;
   World world(6, wp);
-  world.enable_msgtrace();
   world.run([](Rank& self) {
     auto win = self.win_allocate(1 << 16, 1);
     self.barrier();

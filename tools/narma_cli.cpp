@@ -6,21 +6,26 @@
 //   narma_cli pingpong --scheme=na --ranks=2 --bytes=8 --reps=100
 //   narma_cli stencil  --variant=na --ranks=16 --rows=512 --cols=2048
 //   narma_cli tree     --variant=na --ranks=64 --arity=16 --elems=8
-//   narma_cli cholesky --variant=mp --ranks=8 --nt=24 --b=32 [--trace=f.json]
+//   narma_cli cholesky --variant=mp --ranks=8 --nt=24 --b=32 --out=run --trace
 //
-// Every subcommand prints one result line (plus the trace/metrics files if
-// asked), suitable for scripting sweeps. `report` post-processes those
-// files: per-category virtual-time breakdowns, top-k spans, and per-rank
-// busy fractions.
+// Every run prints one result line, suitable for scripting sweeps, and with
+// --out=DIR writes its run directory: one fixed-name JSON file per recorder
+// (World::write_artifacts). `report`, `critpath`, `timeline` and `diff`
+// read a run directory back: per-category virtual-time breakdowns, critical
+// paths, flight-recorder windows, and run-to-run deltas.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <initializer_list>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -28,6 +33,7 @@
 #include "apps/cholesky.hpp"
 #include "apps/stencil.hpp"
 #include "apps/tree.hpp"
+#include "common/file.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "narma/narma.hpp"
@@ -45,10 +51,55 @@ using namespace narma;
   std::exit(2);
 }
 
+/// Rejects a flag that is misplaced rather than malformed: one diagnostic
+/// line, then exit 2.
+[[noreturn]] void bad_usage(const std::string& what) {
+  std::fprintf(stderr, "narma_cli: %s\n", what.c_str());
+  std::exit(2);
+}
+
+/// The artifact flags that took a FILE before runs wrote a directory.
+constexpr std::string_view kRemovedFileFlags =
+    " trace metrics msgtrace timeseries journal ";
+
 struct Args {
   std::string command;
-  std::map<std::string, std::string> kv;
+  std::map<std::string, std::string> kv;  // bare switches map to "1"
+  std::set<std::string> bare;             // keys given without "=value"
   std::vector<std::string> positional;
+
+  bool has(const std::string& key) const { return kv.count(key) > 0; }
+
+  /// Exits 2 on any flag the command does not accept. Each spec is a
+  /// space-separated list of flag names; a name ending in '=' takes a
+  /// value, any other is a bare switch.
+  void check_flags(std::initializer_list<std::string_view> specs) const {
+    std::string accepted = " ";
+    for (std::string_view spec : specs) (accepted += spec) += ' ';
+    auto listed = [](std::string_view list, const std::string& name) {
+      return list.find(" " + name + " ") != std::string_view::npos;
+    };
+    for (const auto& [key, value] : kv) {
+      const bool valued = !bare.count(key);
+      if (valued && listed(kRemovedFileFlags, key))
+        bad_usage("--" + key + "=FILE was removed: runs write " + key +
+                  ".json under --out=DIR, and readers take DIR");
+      const bool is_switch = listed(accepted, key);
+      const bool takes_value = listed(accepted, key + "=");
+      if (!is_switch && !takes_value)
+        bad_usage("--" + key + ": unknown flag for " + command);
+      if (is_switch && valued)
+        bad_usage("--" + key + "=" + value + ": takes no value");
+      if (takes_value && !valued)
+        bad_usage("--" + key + ": expected --" + key + "=VALUE");
+    }
+  }
+
+  /// Exits 2 when `key` is given without `needed`.
+  void require(const std::string& key, const std::string& needed) const {
+    if (has(key) && !has(needed))
+      bad_usage("--" + key + " needs --" + needed);
+  }
 
   long get(const std::string& key, long fallback) const {
     return number(key, fallback);
@@ -123,7 +174,9 @@ Args parse(int argc, char** argv) {
     const auto eq = s.find('=');
     if (eq == std::string::npos) {
       a.kv[s.substr(2)] = "1";
+      a.bare.insert(s.substr(2));
     } else {
+      a.bare.erase(s.substr(2, eq - 2));
       a.kv[s.substr(2, eq - 2)] = s.substr(eq + 1);
     }
   }
@@ -134,7 +187,7 @@ int usage() {
   std::fputs(
       "usage: narma_cli <command> [--key=value ...]\n"
       "\n"
-      "commands:\n"
+      "run commands (each prints one result line):\n"
       "  pingpong  --scheme=na|mp|os --ranks=N --bytes=B --reps=R\n"
       "            [--intranode]\n"
       "  stencil   --variant=na|mp|fence|pscw --ranks=N --rows=R --cols=C\n"
@@ -144,41 +197,43 @@ int usage() {
       "            --elems=E --reps=R [--ft ...]\n"
       "  cholesky  --variant=na|mp|os --ranks=N --nt=T --b=B [--gflops=G]\n"
       "            G: modeled kernel rate in GFlop/s, > 0 (default 10)\n"
-      "  report    [--trace=FILE] [--metrics=FILE] [--top=N]\n"
+      "\n"
+      "run directory (all run commands; DESIGN.md section 7):\n"
+      "            [--out=DIR]        write DIR (created if missing):\n"
+      "                               metrics.json and journal.json, plus\n"
+      "                               one file per recorder switched on below\n"
+      "            [--trace]          Chrome trace of the run -> trace.json\n"
+      "            [--msgtrace]       causal message trace -> msgtrace.json\n"
+      "            [--msgtrace-sample=N]  trace every Nth message (default 1)\n"
+      "            [--timeseries]     flight recorder -> timeseries.json\n"
+      "            [--timeseries-window-us=N]  snapshot cadence (default 100)\n"
+      "            [--profile]        host-time phase profiling; results land\n"
+      "                               in metrics.json as obs.phase_*\n"
+      "            [--journal-cap=N]  anomaly-journal ring capacity\n"
+      "                               (default 4096; 0 disables)\n"
+      "            [--transport=aries|ramc|verbs]  inter-node backend\n"
+      "                               (default aries)\n"
+      "\n"
+      "readers (DIR is a run directory written with --out=DIR):\n"
+      "  report    DIR [--top=N]\n"
       "            summarize a recorded run: per-category virtual time\n"
       "            (with p50/p95 span durations), longest spans, per-rank\n"
       "            busy fractions, host-time phase attribution\n"
-      "            (obs.phase_* gauges from --profile runs), per-backend\n"
-      "            notification + drain-cost rows, histogram percentiles\n"
-      "  timeline  --timeseries=FILE [--journal=FILE] [--perfetto=FILE]\n"
-      "            [--top=N]\n"
-      "            analyze a flight-recorder dump: per-window rank activity,\n"
-      "            busiest counter families, model-residual rows, flagged\n"
-      "            anomalies; --perfetto writes counter tracks for Perfetto\n"
-      "  critpath  --msgtrace=FILE [--top=N]\n"
+      "            (--profile runs), per-backend notification + drain-cost\n"
+      "            rows, histogram percentiles\n"
+      "  timeline  DIR [--perfetto=FILE] [--top=N]\n"
+      "            analyze the flight recorder and the anomaly journal:\n"
+      "            per-window rank activity, busiest counter families,\n"
+      "            model-residual rows, flagged anomalies; --perfetto writes\n"
+      "            counter tracks for Perfetto\n"
+      "  critpath  DIR [--top=N]\n"
       "            analyze a causal message trace: critical-path category\n"
       "            breakdown, per-rank share, slowest messages, per-\n"
       "            category latency statistics\n"
-      "  diff      <a.json> <b.json> [--top=N]\n"
-      "            compare two narma.metrics.v1 dumps:\n"
-      "            per-family reduced values, absolute + relative deltas,\n"
-      "            top regressions, families added/removed\n"
-      "\n"
-      "common:     [--transport=aries|ramc|verbs]  inter-node backend\n"
-      "                               (default aries)\n"
-      "            [--trace=FILE]     write a Chrome trace of the run\n"
-      "            [--metrics=FILE]   write the metrics registry dump\n"
-      "            [--msgtrace=FILE]  write the causal message trace\n"
-      "            [--msgtrace-sample=N]  trace every Nth message (default 1)\n"
-      "            [--timeseries=FILE]  record + write the flight-recorder\n"
-      "                               time-series dump (narma.timeseries.v1)\n"
-      "            [--timeseries-window-us=N]  snapshot cadence (default 100)\n"
-      "            [--profile]        host-time phase profiling; results land\n"
-      "                               in the metrics dump as obs.phase_*\n"
-      "            [--journal=FILE]   write the anomaly journal\n"
-      "                               (narma.journal.v1)\n"
-      "            [--journal-cap=N]  anomaly-journal ring capacity\n"
-      "                               (default 4096; 0 disables)\n"
+      "  diff      DIR DIR [--top=N]\n"
+      "            compare two runs' metrics: per-family reduced values,\n"
+      "            absolute + relative deltas, top regressions, families\n"
+      "            added/removed\n"
       "\n"
       "fault model (DESIGN.md sections 10-11; rates in [0, 1]):\n"
       "            [--overflow=fatal|backpressure]  queue-overflow policy\n"
@@ -205,20 +260,57 @@ int usage() {
   return 2;
 }
 
-/// Builds a run's WorldParams from the world-level flags: inter-node
-/// transport, fault model and anomaly-journal capacity. These flags are the
-/// CLI's only way to configure a World; nothing is read from the
-/// environment.
+/// The flags every run command accepts: the run directory and its
+/// recorder switches, the inter-node transport and the fault model.
+constexpr std::string_view kWorldFlags =
+    "out= trace msgtrace msgtrace-sample= timeseries timeseries-window-us= "
+    "profile journal-cap= transport= overflow= fault-seed= fault-drop= "
+    "fault-delay= fault-stall= fault-pressure=";
+/// The --ft* flags of the apps with a recovery path (stencil, tree).
+constexpr std::string_view kFtFlags =
+    "ft ft-fail-rate= ft-max-fails= ft-interval= ft-partner-offset= "
+    "ft-restart-us= ft-min-fail-epoch= ft-log-cap= ft-no-trim ft-no-recover";
+
+/// Reports an artifact that could not be written and exits 1.
+[[noreturn]] void cannot_write(const std::string& err) {
+  std::fprintf(stderr, "narma_cli: cannot write %s\n", err.c_str());
+  std::exit(1);
+}
+
+/// Builds a run's WorldParams from the world-level flags: the recorder
+/// switches, inter-node transport, fault model and anomaly-journal
+/// capacity. These flags are the CLI's only way to configure a World
+/// (nothing is read from the environment); only --profile is applied to the
+/// built World instead (World::enable_profiling). Creates the --out
+/// directory up front, so an unwritable one fails before the run rather
+/// than after it.
 WorldParams world_params(const Args& a) {
+  if (!a.positional.empty())
+    bad_usage(a.positional[0] + ": unexpected argument for " + a.command);
+  for (const char* sw : {"trace", "msgtrace", "timeseries", "profile"})
+    a.require(sw, "out");
+  a.require("msgtrace-sample", "msgtrace");
+  a.require("timeseries-window-us", "timeseries");
   WorldParams wp;
-  if (a.kv.count("transport"))
+  obs::ObsParams& o = wp.obs;
+  o.trace = a.has("trace");
+  o.msgtrace = a.has("msgtrace");
+  o.msgtrace_sample_every = static_cast<std::uint64_t>(a.at_least(
+      "msgtrace-sample", static_cast<long>(o.msgtrace_sample_every), 1));
+  o.timeseries = a.has("timeseries");
+  if (a.has("timeseries-window-us"))
+    o.timeseries_window_ps =
+        us(static_cast<Time>(a.at_least("timeseries-window-us", 0, 1)));
+  o.journal_capacity = static_cast<std::size_t>(a.at_least(
+      "journal-cap", static_cast<long>(o.journal_capacity), 0));
+  if (a.has("transport"))
     wp.fabric.inter_node =
         a.pick<net::BackendKind>("transport", "",
                                  {{"aries", net::BackendKind::kAries},
                                   {"ramc", net::BackendKind::kRamc},
                                   {"verbs", net::BackendKind::kVerbs}});
   net::FaultParams& f = wp.fabric.faults;
-  if (a.kv.count("overflow"))
+  if (a.has("overflow"))
     f.overflow_policy = a.pick<net::OverflowPolicy>(
         "overflow", "",
         {{"fatal", net::OverflowPolicy::kFatal},
@@ -229,21 +321,35 @@ WorldParams world_params(const Args& a) {
   f.delay_rate = a.rate("fault-delay", f.delay_rate);
   f.stall_rate = a.rate("fault-stall", f.stall_rate);
   f.pressure_rate = a.rate("fault-pressure", f.pressure_rate);
-  wp.obs.journal_capacity = static_cast<std::size_t>(a.at_least(
-      "journal-cap", static_cast<long>(wp.obs.journal_capacity), 0));
+  if (a.has("out")) {
+    const std::string out = a.get("out", "");
+    if (out.empty()) bad_flag("out", out, "a directory path");
+    if (const std::string err = file::make_dirs(out); !err.empty())
+      cannot_write(err);
+  }
   return wp;
+}
+
+/// Writes the run directory when --out is given. Returns `status`; a file
+/// that cannot be written exits 1.
+int write_out(const World& world, const Args& a, int status) {
+  if (a.has("out"))
+    if (const std::string err = world.write_artifacts(a.get("out", ""));
+        !err.empty())
+      cannot_write(err);
+  return status;
 }
 
 /// Applies the --ft* flags onto an app's recovery params and the fail plan
 /// onto the world's fault params. Returns whether fault tolerance is
 /// enabled.
 bool apply_ft(WorldParams& wp, ft::FtParams& p, const Args& a) {
-  if (a.kv.count("ft")) p.enabled = true;
+  if (a.has("ft")) p.enabled = true;
   p.ckpt_interval =
       static_cast<int>(a.at_least("ft-interval", p.ckpt_interval, 1));
   p.partner_offset =
       static_cast<int>(a.get("ft-partner-offset", p.partner_offset));
-  if (a.kv.count("ft-restart-us")) {
+  if (a.has("ft-restart-us")) {
     const double t = a.get_double("ft-restart-us", 0);
     if (t < 0) bad_flag("ft-restart-us", a.get("ft-restart-us", ""),
                         "a non-negative number");
@@ -253,8 +359,8 @@ bool apply_ft(WorldParams& wp, ft::FtParams& p, const Args& a) {
       "ft-min-fail-epoch", static_cast<long>(p.min_fail_epoch), 0));
   p.log_capacity = static_cast<std::size_t>(
       a.at_least("ft-log-cap", static_cast<long>(p.log_capacity), 1));
-  if (a.kv.count("ft-no-trim")) p.eager_trim = false;
-  if (a.kv.count("ft-no-recover")) p.recover = false;
+  if (a.has("ft-no-trim")) p.eager_trim = false;
+  if (a.has("ft-no-recover")) p.recover = false;
   net::FaultParams& f = wp.fabric.faults;
   f.fail_rate = a.rate("ft-fail-rate", f.fail_rate);
   f.max_fails = static_cast<int>(a.at_least("ft-max-fails", f.max_fails, 0));
@@ -278,32 +384,59 @@ void print_ft_summary(const char* app, const ft::FtStats& victim,
       static_cast<unsigned long long>(s.replay_dupes));
 }
 
-/// Enables the observability sinks a run asked for (call before run()).
-void enable_observability(World& world, const Args& a) {
-  if (a.kv.count("trace")) world.enable_tracing();
-  if (a.kv.count("msgtrace"))
-    world.enable_msgtrace(
-        static_cast<std::uint64_t>(a.at_least("msgtrace-sample", 1, 1)));
-  // Profiler before recorder: the recorder's probe charges itself to the
-  // obs phase only when the profiler already exists.
-  if (a.kv.count("profile")) world.enable_profiling();
-  if (a.kv.count("timeseries"))
-    world.enable_timeseries(
-        us(static_cast<Time>(a.at_least("timeseries-window-us", 100, 1))));
+// --- run-directory readers ---------------------------------------------------
+
+/// One artifact of a run directory, parsed and schema-checked.
+struct Artifact {
+  std::string path;
+  json::Value doc;
+};
+
+/// Loads DIR/`name`: nullopt when the file is absent; exit 1 with a
+/// diagnostic naming the file when it does not parse or carries another
+/// schema. `schema` is the expected "schema" field; the Chrome trace has
+/// none and must hold a traceEvents array instead.
+std::optional<Artifact> load(const Args& a, const std::string& dir,
+                             const char* name, const char* schema) {
+  const std::string path = dir + "/" + name;
+  if (!std::filesystem::exists(path)) return std::nullopt;
+  json::ParseResult res = json::parse_file(path);
+  if (!res.ok) {
+    std::fprintf(stderr, "%s: %s: %s (offset %zu)\n", a.command.c_str(),
+                 path.c_str(), res.error.c_str(), res.error_pos);
+    std::exit(1);
+  }
+  const std::string found = res.value.string_or("schema", "");
+  if (schema ? found != schema : !res.value["traceEvents"].is_array()) {
+    std::fprintf(stderr, "%s: %s: unknown schema '%s', expected %s\n",
+                 a.command.c_str(), path.c_str(), found.c_str(),
+                 schema ? schema : "a Chrome trace (traceEvents)");
+    std::exit(1);
+  }
+  return Artifact{path, std::move(res.value)};
 }
 
-/// Writes the requested artifacts of a finished run (trace + metrics +
-/// msgtrace).
-void dump_artifacts(World& world, const Args& a) {
-  if (a.kv.count("trace")) world.dump_trace(a.get("trace", "trace.json"));
-  if (a.kv.count("metrics"))
-    world.dump_metrics(a.get("metrics", "metrics.json"));
-  if (a.kv.count("msgtrace"))
-    world.dump_msgtrace(a.get("msgtrace", "msgtrace.json"));
-  if (a.kv.count("timeseries"))
-    world.dump_timeseries(a.get("timeseries", "timeseries.json"));
-  if (a.kv.count("journal"))
-    world.dump_journal(a.get("journal", "journal.json"));
+/// load() for an artifact the command cannot do without: absent exits 1.
+Artifact need(const Args& a, const std::string& dir, const char* name,
+              const char* schema) {
+  std::optional<Artifact> art = load(a, dir, name, schema);
+  if (!art) {
+    std::fprintf(stderr, "%s: %s/%s: no such file\n", a.command.c_str(),
+                 dir.c_str(), name);
+    std::exit(1);
+  }
+  return std::move(*art);
+}
+
+/// The run directories a reader takes as positional arguments; exits 2
+/// unless exactly `n` are given.
+const std::vector<std::string>& run_dirs(const Args& a, std::size_t n) {
+  if (a.positional.size() != n)
+    bad_usage(a.command + ": expected " +
+              (n == 1 ? "one run directory" : "two run directories") +
+              " (narma_cli " + a.command + (n == 1 ? " DIR" : " DIR DIR") +
+              ")");
+  return a.positional;
 }
 
 // --- report ------------------------------------------------------------------
@@ -311,22 +444,10 @@ void dump_artifacts(World& world, const Args& a) {
 /// Metrics-dump sections of `report`: per-rank busy fractions, host-time
 /// phase attribution (from --profile runs), per-backend notification and
 /// drain-cost rows, and interpolated histogram percentiles.
-int report_metrics(const Args& a) {
-  const std::string metrics_path = a.get("metrics", "metrics.json");
-  const json::ParseResult m = json::parse_file(metrics_path);
-  if (!m.ok) {
-    std::fprintf(stderr, "report: %s: %s (offset %zu)\n", metrics_path.c_str(),
-                 m.error.c_str(), m.error_pos);
-    return 1;
-  }
-  const std::string schema = m.value.string_or("schema", "");
-  if (schema != "narma.metrics.v1") {
-    std::fprintf(stderr, "report: %s: unknown metrics schema '%s'\n",
-                 metrics_path.c_str(), schema.c_str());
-    return 1;
-  }
-  const int nranks = static_cast<int>(m.value.number_or("nranks", 0));
-  const json::Array& fams = m.value["metrics"].as_array();
+int report_metrics(const Artifact& m) {
+  const std::string& metrics_path = m.path;
+  const int nranks = static_cast<int>(m.doc.number_or("nranks", 0));
+  const json::Array& fams = m.doc["metrics"].as_array();
   auto per_rank_of = [&](const std::string& name) -> const json::Value& {
     static const json::Value kNull;
     for (const json::Value& fam : fams)
@@ -340,27 +461,33 @@ int report_metrics(const Args& a) {
                : 0.0;
   };
 
-  // Per-rank busy fractions from the sim.* gauges.
+  // Per-rank busy fractions from the sim.* gauges, which World::run sets
+  // after the run: a crash directory ($NARMA_CRASH_DIR) has none.
   const json::Value& busy = per_rank_of("sim.busy_ns");
   const json::Value& blocked = per_rank_of("sim.blocked_ns");
   const json::Value& total = per_rank_of("sim.total_ns");
   if (!busy.is_array() || !total.is_array()) {
-    std::fprintf(stderr, "report: %s has no sim.busy_ns/sim.total_ns gauges\n",
-                 metrics_path.c_str());
-    return 1;
+    std::printf("\n%s has no sim.busy_ns/sim.total_ns gauges: the run did "
+                "not finish\n",
+                metrics_path.c_str());
+  } else {
+    Table busy_table(
+        {"rank", "busy_ms", "blocked_ms", "total_ms", "busy_frac"});
+    for (int r = 0; r < nranks; ++r) {
+      const double b = busy[static_cast<std::size_t>(r)].number_or("value", 0);
+      const double w =
+          blocked[static_cast<std::size_t>(r)].number_or("value", 0);
+      const double t =
+          total[static_cast<std::size_t>(r)].number_or("value", 0);
+      busy_table.add_row({Table::fmt(static_cast<long long>(r)),
+                          Table::fmt(b / 1e6), Table::fmt(w / 1e6),
+                          Table::fmt(t / 1e6),
+                          Table::fmt(t > 0 ? b / t : 0.0)});
+    }
+    std::printf("\nper-rank busy fraction (from %s):\n",
+                metrics_path.c_str());
+    busy_table.print();
   }
-  Table busy_table({"rank", "busy_ms", "blocked_ms", "total_ms", "busy_frac"});
-  for (int r = 0; r < nranks; ++r) {
-    const double b = busy[static_cast<std::size_t>(r)].number_or("value", 0);
-    const double w =
-        blocked[static_cast<std::size_t>(r)].number_or("value", 0);
-    const double t = total[static_cast<std::size_t>(r)].number_or("value", 0);
-    busy_table.add_row({Table::fmt(static_cast<long long>(r)),
-                        Table::fmt(b / 1e6), Table::fmt(w / 1e6),
-                        Table::fmt(t / 1e6), Table::fmt(t > 0 ? b / t : 0.0)});
-  }
-  std::printf("\nper-rank busy fraction (from %s):\n", metrics_path.c_str());
-  busy_table.print();
 
   // Host-time phase attribution (--profile runs export obs.phase_* gauges).
   // The matching/obs/plumbing split of real host wall-clock — the paper's
@@ -476,25 +603,11 @@ int report_metrics(const Args& a) {
   return 0;
 }
 
-int run_report(const Args& a) {
-  if (!a.kv.count("trace")) {
-    if (a.kv.count("metrics")) return report_metrics(a);
-    std::fputs("report: --trace=FILE and/or --metrics=FILE is required\n",
-               stderr);
-    return 2;
-  }
-  const std::string trace_path = a.get("trace", "trace.json");
-  // --top is the documented spelling; --topk stays as a fallback.
-  const auto topk = static_cast<std::size_t>(
-      a.at_least("top", a.at_least("topk", 10, 0), 0));
-
-  const json::ParseResult doc = json::parse_file(trace_path);
-  if (!doc.ok) {
-    std::fprintf(stderr, "report: %s: %s (offset %zu)\n", trace_path.c_str(),
-                 doc.error.c_str(), doc.error_pos);
-    return 1;
-  }
-  const json::Array& events = doc.value["traceEvents"].as_array();
+/// The trace sections of `report`: per-category virtual time, longest
+/// spans.
+int report_trace(const Artifact& trace, std::size_t topk) {
+  const std::string& trace_path = trace.path;
+  const json::Array& events = trace.doc["traceEvents"].as_array();
   if (events.empty()) {
     std::fprintf(stderr, "report: %s has no traceEvents\n",
                  trace_path.c_str());
@@ -596,11 +709,24 @@ int run_report(const Args& a) {
   }
   std::printf("\ntop %zu spans:\n", std::min(topk, spans.size()));
   top_table.print();
-
-  // Metrics-dump sections (busy fractions, phase attribution, backends,
-  // histogram percentiles).
-  if (a.kv.count("metrics")) return report_metrics(a);
   return 0;
+}
+
+int run_report(const Args& a) {
+  a.check_flags({"top="});
+  const std::string& dir = run_dirs(a, 1)[0];
+  const auto topk = static_cast<std::size_t>(a.at_least("top", 10, 0));
+  const std::optional<Artifact> trace = load(a, dir, obs::kTraceFile, nullptr);
+  const std::optional<Artifact> metrics =
+      load(a, dir, obs::kMetricsFile, "narma.metrics.v1");
+  if (!trace && !metrics) {
+    std::fprintf(stderr, "report: %s holds neither %s nor %s\n", dir.c_str(),
+                 obs::kTraceFile, obs::kMetricsFile);
+    return 1;
+  }
+  if (trace)
+    if (const int rc = report_trace(*trace, topk); rc != 0) return rc;
+  return metrics ? report_metrics(*metrics) : 0;
 }
 
 // --- diff --------------------------------------------------------------------
@@ -613,14 +739,8 @@ struct ReducedFamily {
   double value = 0;
 };
 
-bool reduce_metrics(const json::Value& doc,
-                    std::map<std::string, ReducedFamily>& out,
-                    std::string& err) {
-  const std::string schema = doc.string_or("schema", "");
-  if (schema != "narma.metrics.v1") {
-    err = "unknown metrics schema '" + schema + "'";
-    return false;
-  }
+std::map<std::string, ReducedFamily> reduce_metrics(const json::Value& doc) {
+  std::map<std::string, ReducedFamily> out;
   for (const json::Value& fam : doc["metrics"].as_array()) {
     const std::string name = fam.string_or("name", "?");
     ReducedFamily red;
@@ -635,32 +755,17 @@ bool reduce_metrics(const json::Value& doc,
     }
     out[name] = std::move(red);
   }
-  return true;
+  return out;
 }
 
 int run_diff(const Args& a) {
-  if (a.positional.size() != 2) {
-    std::fputs("diff: exactly two metrics dumps required: "
-               "narma_cli diff <a.json> <b.json> [--top=N]\n",
-               stderr);
-    return 2;
-  }
+  a.check_flags({"top="});
+  const std::vector<std::string>& dirs = run_dirs(a, 2);
   const auto topk = static_cast<std::size_t>(a.at_least("top", 15, 0));
-  std::map<std::string, ReducedFamily> base, cur;
-  for (int side = 0; side < 2; ++side) {
-    const std::string& path = a.positional[static_cast<std::size_t>(side)];
-    const json::ParseResult doc = json::parse_file(path);
-    if (!doc.ok) {
-      std::fprintf(stderr, "diff: %s: %s (offset %zu)\n", path.c_str(),
-                   doc.error.c_str(), doc.error_pos);
-      return 1;
-    }
-    std::string err;
-    if (!reduce_metrics(doc.value, side ? cur : base, err)) {
-      std::fprintf(stderr, "diff: %s: %s\n", path.c_str(), err.c_str());
-      return 1;
-    }
-  }
+  const std::map<std::string, ReducedFamily> base = reduce_metrics(
+      need(a, dirs[0], obs::kMetricsFile, "narma.metrics.v1").doc);
+  const std::map<std::string, ReducedFamily> cur = reduce_metrics(
+      need(a, dirs[1], obs::kMetricsFile, "narma.metrics.v1").doc);
 
   struct Row {
     std::string name, kind;
@@ -690,7 +795,7 @@ int run_diff(const Args& a) {
   std::printf(
       "diff %s -> %s: %zu families compared, %zu changed, %zu unchanged, "
       "%zu added, %zu removed\n",
-      a.positional[0].c_str(), a.positional[1].c_str(),
+      dirs[0].c_str(), dirs[1].c_str(),
       base.size() - removed.size(), rows.size(), unchanged, added.size(),
       removed.size());
 
@@ -730,34 +835,22 @@ constexpr const char* kLatCats[] = {"src_overhead", "chan_queue", "gap",
                                     "match",        "retry",      "local"};
 
 int run_critpath(const Args& a) {
-  if (!a.kv.count("msgtrace")) {
-    std::fputs("critpath: --msgtrace=FILE is required\n", stderr);
-    return 2;
-  }
-  const std::string path = a.get("msgtrace", "msgtrace.json");
+  a.check_flags({"top="});
+  const std::string& dir = run_dirs(a, 1)[0];
   const auto topk = static_cast<std::size_t>(a.at_least("top", 10, 0));
+  const Artifact mt = need(a, dir, obs::kMsgtraceFile, "narma.msgtrace.v1");
+  const std::string& path = mt.path;
+  const json::Value& doc = mt.doc;
 
-  const json::ParseResult doc = json::parse_file(path);
-  if (!doc.ok) {
-    std::fprintf(stderr, "critpath: %s: %s (offset %zu)\n", path.c_str(),
-                 doc.error.c_str(), doc.error_pos);
-    return 1;
-  }
-  if (doc.value.string_or("schema", "") != "narma.msgtrace.v1") {
-    std::fprintf(stderr, "critpath: %s: unknown msgtrace schema '%s'\n",
-                 path.c_str(), doc.value.string_or("schema", "").c_str());
-    return 1;
-  }
-
-  const json::Array& messages = doc.value["messages"].as_array();
+  const json::Array& messages = doc["messages"].as_array();
   std::printf(
       "msgtrace %s: %d ranks, sample_every=%lld, %lld injected / %lld "
       "sampled / %lld hop records dropped, %zu messages\n",
-      path.c_str(), static_cast<int>(doc.value.number_or("nranks", 0)),
-      static_cast<long long>(doc.value.number_or("sample_every", 1)),
-      static_cast<long long>(doc.value.number_or("injections", 0)),
-      static_cast<long long>(doc.value.number_or("sampled", 0)),
-      static_cast<long long>(doc.value.number_or("dropped", 0)),
+      path.c_str(), static_cast<int>(doc.number_or("nranks", 0)),
+      static_cast<long long>(doc.number_or("sample_every", 1)),
+      static_cast<long long>(doc.number_or("injections", 0)),
+      static_cast<long long>(doc.number_or("sampled", 0)),
+      static_cast<long long>(doc.number_or("dropped", 0)),
       messages.size());
 
   // Decomposition identity across all complete messages: per-message
@@ -802,7 +895,7 @@ int run_critpath(const Args& a) {
               complete, violations, violations ? " [FAIL]" : " [ok]");
 
   // Critical path: category breakdown and per-rank share.
-  const json::Value& cp = doc.value["critical_path"];
+  const json::Value& cp = doc["critical_path"];
   const double span_ps = cp.number_or("span_ps", 0);
   std::printf("\ncritical path: %.3f us across %zu messages (t=%.3f..%.3f us)\n",
               span_ps / 1e6, cp["messages"].as_array().size(),
@@ -877,30 +970,20 @@ int run_critpath(const Args& a) {
 /// Prints an anomaly-journal dump (narma.journal.v1): the bounded,
 /// virtual-time-ordered record of faults, backpressure episodes, overflow
 /// spills, stragglers, and model-residual flags.
-int print_journal(const Args& a) {
-  const std::string path = a.get("journal", "journal.json");
-  const json::ParseResult doc = json::parse_file(path);
-  if (!doc.ok) {
-    std::fprintf(stderr, "timeline: %s: %s (offset %zu)\n", path.c_str(),
-                 doc.error.c_str(), doc.error_pos);
-    return 1;
-  }
-  if (doc.value.string_or("schema", "") != "narma.journal.v1") {
-    std::fprintf(stderr, "timeline: %s: unknown journal schema '%s'\n",
-                 path.c_str(), doc.value.string_or("schema", "").c_str());
-    return 1;
-  }
-  const json::Array& records = doc.value["records"].as_array();
+void print_journal(const Artifact& journal) {
+  const std::string& path = journal.path;
+  const json::Value& doc = journal.doc;
+  const json::Array& records = doc["records"].as_array();
   std::printf(
       "\njournal %s: %lld appended, %lld dropped (capacity %lld), "
       "%zu retained\n",
-      path.c_str(), static_cast<long long>(doc.value.number_or("appended", 0)),
-      static_cast<long long>(doc.value.number_or("dropped", 0)),
-      static_cast<long long>(doc.value.number_or("capacity", 0)),
+      path.c_str(), static_cast<long long>(doc.number_or("appended", 0)),
+      static_cast<long long>(doc.number_or("dropped", 0)),
+      static_cast<long long>(doc.number_or("capacity", 0)),
       records.size());
   if (records.empty()) {
     std::printf("journal: clean run (no anomalies recorded)\n");
-    return 0;
+    return;
   }
   Table j_table({"t_us", "kind", "rank", "peer", "detail"});
   for (const json::Value& r : records)
@@ -920,41 +1003,23 @@ int print_journal(const Args& a) {
     counts += k + "=" + Table::fmt(n);
   }
   std::printf("by kind: %s\n", counts.c_str());
-  return 0;
 }
 
-int run_timeline(const Args& a) {
-  if (!a.kv.count("timeseries")) {
-    if (a.kv.count("journal")) return print_journal(a);
-    std::fputs("timeline: --timeseries=FILE and/or --journal=FILE is "
-               "required\n",
-               stderr);
-    return 2;
-  }
-  const std::string path = a.get("timeseries", "timeseries.json");
-  const auto topk = static_cast<std::size_t>(a.at_least("top", 20, 0));
-
-  const json::ParseResult doc = json::parse_file(path);
-  if (!doc.ok) {
-    std::fprintf(stderr, "timeline: %s: %s (offset %zu)\n", path.c_str(),
-                 doc.error.c_str(), doc.error_pos);
-    return 1;
-  }
-  if (doc.value.string_or("schema", "") != "narma.timeseries.v1") {
-    std::fprintf(stderr, "timeline: %s: unknown timeseries schema '%s'\n",
-                 path.c_str(), doc.value.string_or("schema", "").c_str());
-    return 1;
-  }
-
-  const json::Array& families = doc.value["families"].as_array();
-  const json::Array& windows = doc.value["windows"].as_array();
+/// Flight-recorder sections of `timeline`; with a `perfetto_path`, also
+/// writes the windows as Perfetto counter tracks.
+void print_timeseries(const Artifact& ts, std::size_t topk,
+                      const std::string& perfetto_path) {
+  const std::string& path = ts.path;
+  const json::Value& doc = ts.doc;
+  const json::Array& families = doc["families"].as_array();
+  const json::Array& windows = doc["windows"].as_array();
   std::printf(
       "timeseries %s: %d ranks, window=%.1f us, %lld snapshots "
       "(%lld downsampling merges) -> %zu windows\n",
-      path.c_str(), static_cast<int>(doc.value.number_or("nranks", 0)),
-      doc.value.number_or("window_ps", 0) / 1e6,
-      static_cast<long long>(doc.value.number_or("snapshots", 0)),
-      static_cast<long long>(doc.value.number_or("merges", 0)),
+      path.c_str(), static_cast<int>(doc.number_or("nranks", 0)),
+      doc.number_or("window_ps", 0) / 1e6,
+      static_cast<long long>(doc.number_or("snapshots", 0)),
+      static_cast<long long>(doc.number_or("merges", 0)),
       windows.size());
 
   auto family_name = [&](std::size_t idx) -> std::string {
@@ -1020,7 +1085,7 @@ int run_timeline(const Args& a) {
 
   // Model residuals: measured channel latency vs the LogGP prediction of
   // the backend that carried each sampled message, grouped per window.
-  const json::Array& residuals = doc.value["residuals"].as_array();
+  const json::Array& residuals = doc["residuals"].as_array();
   if (!residuals.empty()) {
     Table res_table({"window", "backend", "msgs", "model_ns", "residual_ns",
                      "max_|resid|_ns", "flag"});
@@ -1038,7 +1103,7 @@ int run_timeline(const Args& a) {
   }
 
   // Flagged anomalies (stragglers, flagged residual groups).
-  const json::Array& anomalies = doc.value["anomalies"].as_array();
+  const json::Array& anomalies = doc["anomalies"].as_array();
   if (!anomalies.empty()) {
     Table an_table({"window", "kind", "rank", "detail"});
     for (const json::Value& an : anomalies)
@@ -1056,8 +1121,7 @@ int run_timeline(const Args& a) {
   // Perfetto counter tracks: one counter event per (family, rank) at each
   // window end, same event shape as the live Tracer's gauge tracks, plus a
   // busy-fraction track per recorded rank.
-  if (a.kv.count("perfetto")) {
-    const std::string out_path = a.get("perfetto", "timeline_perfetto.json");
+  if (!perfetto_path.empty()) {
     std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
     auto emit = [&](const std::string& fields) {
@@ -1096,20 +1160,38 @@ int run_timeline(const Args& a) {
       }
     }
     out += "]}";
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "timeline: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote Perfetto counter tracks to %s\n", out_path.c_str());
+    if (const std::string err = file::write(perfetto_path, out); !err.empty())
+      cannot_write(err);
+    std::printf("\nwrote Perfetto counter tracks to %s\n",
+                perfetto_path.c_str());
   }
-  if (a.kv.count("journal")) return print_journal(a);
-  return 0;
 }
 
+int run_timeline(const Args& a) {
+  a.check_flags({"top= perfetto="});
+  const std::string& dir = run_dirs(a, 1)[0];
+  const auto topk = static_cast<std::size_t>(a.at_least("top", 20, 0));
+  const std::optional<Artifact> ts =
+      load(a, dir, obs::kTimeseriesFile, "narma.timeseries.v1");
+  const std::optional<Artifact> journal =
+      load(a, dir, obs::kJournalFile, "narma.journal.v1");
+  if (!ts && !journal) {
+    std::fprintf(stderr, "timeline: %s holds neither %s nor %s\n",
+                 dir.c_str(), obs::kTimeseriesFile, obs::kJournalFile);
+    return 1;
+  }
+  const std::string perfetto = a.get("perfetto", "");
+  if (a.has("perfetto") && perfetto.empty())
+    bad_flag("perfetto", perfetto, "a file path");
+  if (a.has("perfetto") && !ts)
+    bad_usage("timeline: --perfetto needs " + dir + "/" +
+              obs::kTimeseriesFile);
+  if (ts) print_timeseries(*ts, topk, perfetto);
+  if (journal) print_journal(*journal);
+  return 0;
+}
 int run_pingpong(const Args& a) {
+  a.check_flags({kWorldFlags, "ranks= bytes= reps= scheme= intranode"});
   const int ranks = static_cast<int>(a.at_least("ranks", 2, 1));
   const std::size_t bytes = static_cast<std::size_t>(a.at_least("bytes", 8, 0));
   const int reps = static_cast<int>(a.at_least("reps", 100, 1));
@@ -1121,9 +1203,9 @@ int run_pingpong(const Args& a) {
   NARMA_CHECK(ranks == 2) << "pingpong needs exactly 2 ranks";
 
   WorldParams wp = world_params(a);
-  if (a.kv.count("intranode")) wp.fabric.ranks_per_node = ranks;
+  if (a.has("intranode")) wp.fabric.ranks_per_node = ranks;
   World world(2, wp);
-  enable_observability(world, a);
+  if (a.has("profile")) world.enable_profiling();
 
   std::vector<double> samples;
   world.run([&](Rank& self) {
@@ -1187,11 +1269,12 @@ int run_pingpong(const Args& a) {
   });
   std::printf("pingpong scheme=%s bytes=%zu reps=%d half_rtt_us=%.3f\n",
               scheme.c_str(), bytes, reps, stats::median(samples));
-  dump_artifacts(world, a);
-  return 0;
+  return write_out(world, a, 0);
 }
 
 int run_stencil(const Args& a) {
+  a.check_flags(
+      {kWorldFlags, kFtFlags, "ranks= rows= cols= iters= per-point= variant="});
   const int ranks = static_cast<int>(a.at_least("ranks", 4, 1));
   apps::StencilConfig cfg;
   cfg.rows = static_cast<int>(a.at_least("rows", 256, 1));
@@ -1210,7 +1293,7 @@ int run_stencil(const Args& a) {
   WorldParams wp = world_params(a);
   const bool ft_on = apply_ft(wp, cfg.ft, a);
   World world(ranks, wp);
-  enable_observability(world, a);
+  if (a.has("profile")) world.enable_profiling();
   apps::StencilResult res;
   ft::FtStats victim;
   world.run([&](Rank& self) {
@@ -1223,11 +1306,12 @@ int run_stencil(const Args& a) {
       v.c_str(), ranks, cfg.rows, cfg.total_cols, res.gmops,
       res.verified ? "yes" : "NO");
   if (ft_on) print_ft_summary("stencil", victim, res.ft);
-  dump_artifacts(world, a);
-  return res.verified ? 0 : 1;
+  return write_out(world, a, res.verified ? 0 : 1);
 }
 
 int run_tree(const Args& a) {
+  a.check_flags(
+      {kWorldFlags, kFtFlags, "ranks= arity= elems= reps= variant="});
   const int ranks = static_cast<int>(a.at_least("ranks", 17, 1));
   apps::TreeConfig cfg;
   cfg.arity = static_cast<int>(a.at_least("arity", 16, 2));
@@ -1243,7 +1327,7 @@ int run_tree(const Args& a) {
   WorldParams wp = world_params(a);
   const bool ft_on = apply_ft(wp, cfg.ft, a);
   World world(ranks, wp);
-  enable_observability(world, a);
+  if (a.has("profile")) world.enable_profiling();
   apps::TreeResult res;
   ft::FtStats victim;
   world.run([&](Rank& self) {
@@ -1257,11 +1341,11 @@ int run_tree(const Args& a) {
       v.c_str(), ranks, cfg.arity, cfg.elems, res.per_op_us,
       res.verified ? "yes" : "NO");
   if (ft_on) print_ft_summary("tree", victim, res.ft);
-  dump_artifacts(world, a);
-  return res.verified ? 0 : 1;
+  return write_out(world, a, res.verified ? 0 : 1);
 }
 
 int run_cholesky(const Args& a) {
+  a.check_flags({kWorldFlags, "ranks= nt= b= gflops= variant="});
   const int ranks = static_cast<int>(a.at_least("ranks", 4, 1));
   apps::CholeskyConfig cfg;
   cfg.nt = static_cast<int>(a.at_least("nt", 12, 1));
@@ -1277,7 +1361,7 @@ int run_cholesky(const Args& a) {
        {"os", apps::CholeskyVariant::kOneSided}});
   WorldParams wp = world_params(a);
   World world(ranks, wp);
-  enable_observability(world, a);
+  if (a.has("profile")) world.enable_profiling();
   apps::CholeskyResult res;
   world.run([&](Rank& self) {
     const auto r = apps::run_cholesky(self, cfg);
@@ -1288,8 +1372,7 @@ int run_cholesky(const Args& a) {
       "residual=%.2e verified=%s\n",
       v.c_str(), ranks, cfg.nt, cfg.b, to_ms(res.elapsed), res.gflops,
       res.residual, res.verified ? "yes" : "NO");
-  dump_artifacts(world, a);
-  return res.verified ? 0 : 1;
+  return write_out(world, a, res.verified ? 0 : 1);
 }
 
 }  // namespace
