@@ -302,15 +302,11 @@ CholeskyResult CholeskyRun::run() {
     // column j / b: the strictly-lower factor tiles it reads were broadcast
     // to every rank, and the diagonal one is its own. The partial sums are
     // combined in rank order, so every rank reports the same residual.
-    const auto l_tile = [&](int ti, int tk) -> const double* {
-      return tile(ti, tk);
-    };
-    linalg::ResidualSums mine;
-    linalg::for_each_residual_entry(nt_ * b_, [&](int row, int col) {
-      const int i = std::max(row, col), j = std::min(row, col);
-      if (owner(j / b_) != p_) return;
-      mine.add(gen_.entry(i, j), linalg::llt_entry(i, j, b_, l_tile));
-    });
+    // residual_sums does not yield, so the ranks' fibers share its scratch.
+    const linalg::ResidualSums mine = linalg::residual_sums(
+        nt_ * b_, b_, [&](int, int j) { return owner(j / b_) == p_; },
+        [&](int i, int j) { return gen_.entry(i, j); },
+        [&](int ti, int tk) -> const double* { return tile(ti, tk); });
     std::vector<linalg::ResidualSums> parts(static_cast<std::size_t>(n_));
     mp::allgather(self_.mp(), &mine, sizeof(mine), parts.data());
     linalg::ResidualSums total;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace narma::json {
 
@@ -93,8 +94,19 @@ class Parser {
       return {};
     }
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Each level recurses once: bound it so hostile input cannot
+      // exhaust the stack.
+      if (depth_ == kMaxNesting) {
+        fail("arrays and objects nested deeper than " +
+             std::to_string(kMaxNesting) + " levels");
+        return {};
+      }
+      ++depth_;
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Value(parse_string());
     if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
     if (literal("true")) return Value(true);
@@ -260,6 +272,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
   bool ok_ = true;
   std::string error_;
   std::size_t error_pos_ = 0;

@@ -78,7 +78,11 @@ struct ParseResult {
   std::size_t error_pos = 0;  // byte offset of the error
 };
 
-/// Parses a complete JSON document (trailing whitespace allowed).
+/// Deepest nesting of arrays and objects parse() accepts.
+constexpr int kMaxNesting = 256;
+
+/// Parses a complete JSON document (trailing whitespace allowed). Deeper
+/// nesting than kMaxNesting is an error, not a stack overflow.
 ParseResult parse(std::string_view text);
 
 /// Reads and parses a file; error mentions the path on I/O failure.

@@ -27,6 +27,17 @@ void syrk_lower(const double* a, double* c, int b);
 /// General update: C -= A * B^T.
 void gemm_nt(const double* a, const double* bt, double* c, int b);
 
+/// Instruction-set paths of the SYRK/GEMM update. Every path is
+/// bit-identical to the naive ascending-k loop; syrk_lower and gemm_nt run
+/// the widest one the CPU supports (kAvx2 only on x86-64).
+enum class KernelIsa { kBaseline, kAvx2 };
+bool kernel_isa_supported(KernelIsa isa);
+
+/// gemm_nt on one given path (tests and microbenchmarks); `isa` must be
+/// supported.
+void gemm_nt_isa(KernelIsa isa, const double* a, const double* bt, double* c,
+                 int b);
+
 /// Approximate flop counts (used to report GFLOP rates).
 double flops_potrf(int b);
 double flops_trsm(int b);

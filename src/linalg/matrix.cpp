@@ -96,15 +96,22 @@ double ResidualSums::relative() const {
   return ref2 == 0 ? 0 : std::sqrt(diff2 / ref2);
 }
 
+namespace detail {
+
+ResidualScratch& residual_scratch() {
+  thread_local ResidualScratch scratch;
+  return scratch;
+}
+
+}  // namespace detail
+
 double cholesky_residual(const TiledMatrix& a, const TiledMatrix& l) {
   NARMA_CHECK(a.dim() == l.dim() && a.tile_dim() == l.tile_dim());
-  const auto l_tile = [&](int ti, int tk) { return l.tile(ti, tk); };
-  ResidualSums sums;
-  for_each_residual_entry(a.dim(), [&](int row, int col) {
-    const int i = std::max(row, col), j = std::min(row, col);
-    sums.add(a.at(i, j), llt_entry(i, j, a.tile_dim(), l_tile));
-  });
-  return sums.relative();
+  return residual_sums(
+             a.dim(), a.tile_dim(), [](int, int) { return true; },
+             [&](int i, int j) { return a.at(i, j); },
+             [&](int ti, int tk) { return l.tile(ti, tk); })
+      .relative();
 }
 
 double max_lower_diff(const TiledMatrix& a, const TiledMatrix& b) {

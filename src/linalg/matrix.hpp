@@ -4,6 +4,7 @@
 // variant.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -84,15 +85,18 @@ struct ResidualSums {
   double relative() const;
 };
 
+/// Above this order the residual check samples entries instead of checking
+/// all n^2 (reconstructing L L^T exactly is O(n^3)).
+constexpr int kResidualExactLimit = 384;
+
 /// Calls fn(row, col) for every entry of an n x n matrix the residual check
-/// covers. Reconstructing L L^T exactly is O(n^3), so above n = 384 this is
-/// a fixed pseudo-random sample of 2^16 entries, deterministic in n; below,
-/// all n^2 entries in row-major order.
+/// covers: above kResidualExactLimit a fixed pseudo-random sample of 2^16
+/// entries, deterministic in n; otherwise all n^2 entries in row-major
+/// order.
 template <class Fn>
 void for_each_residual_entry(int n, Fn&& fn) {
-  constexpr int kExactLimit = 384;
   constexpr int kSamples = 1 << 16;
-  if (n <= kExactLimit) {
+  if (n <= kResidualExactLimit) {
     for (int row = 0; row < n; ++row)
       for (int col = 0; col < n; ++col) fn(row, col);
     return;
@@ -123,6 +127,60 @@ double llt_entry(int i, int j, int b, TileOf&& tile) {
     for (int k = 0; k < kend; ++k) s += li[k] * lj[k];
   }
   return s;
+}
+
+namespace detail {
+
+/// Scratch of residual_sums: the kept samples in sample order and their
+/// evaluation order. One per thread, reused by every call; a caller must
+/// not let another residual_sums run on its thread (another rank's fiber)
+/// before it returns.
+struct ResidualScratch {
+  struct Sample {
+    int i, j;
+    double llt;
+  };
+  std::vector<Sample> samples;
+  std::vector<std::uint64_t> by_row;  // (i << 32) | index into samples
+};
+ResidualScratch& residual_scratch();
+
+}  // namespace detail
+
+/// Sums (A - L L^T)(i, j) over the for_each_residual_entry(n) entries with
+/// i = max(row, col), j = min(row, col) for which keep(i, j) holds.
+/// `a(i, j)` returns A(i, j); `tile` is as for llt_entry. Sampled entries
+/// are evaluated in ascending i, so consecutive ones read the same band of
+/// factor tiles, and added in sample order: the sums are bit-identical to
+/// evaluating each entry as it is drawn.
+template <class Keep, class EntryOfA, class TileOf>
+ResidualSums residual_sums(int n, int b, Keep&& keep, EntryOfA&& a,
+                           TileOf&& tile) {
+  ResidualSums sums;
+  if (n <= kResidualExactLimit) {
+    for_each_residual_entry(n, [&](int row, int col) {
+      const int i = std::max(row, col), j = std::min(row, col);
+      if (keep(i, j)) sums.add(a(i, j), llt_entry(i, j, b, tile));
+    });
+    return sums;
+  }
+  detail::ResidualScratch& s = detail::residual_scratch();
+  s.samples.clear();
+  s.by_row.clear();
+  for_each_residual_entry(n, [&](int row, int col) {
+    const int i = std::max(row, col), j = std::min(row, col);
+    if (!keep(i, j)) return;
+    s.by_row.push_back(static_cast<std::uint64_t>(i) << 32 | s.samples.size());
+    s.samples.push_back({i, j, 0.0});
+  });
+  std::sort(s.by_row.begin(), s.by_row.end());
+  for (const std::uint64_t key : s.by_row) {
+    detail::ResidualScratch::Sample& e = s.samples[key & 0xffffffffu];
+    e.llt = llt_entry(e.i, e.j, b, tile);
+  }
+  for (const detail::ResidualScratch::Sample& e : s.samples)
+    sums.add(a(e.i, e.j), e.llt);
+  return sums;
 }
 
 /// || A - L * L^T ||_F / || A ||_F over the for_each_residual_entry entries,

@@ -111,6 +111,27 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.b);
     });
 
+// Sampled mode (n = 416 > 384): 2^16 pseudo-random entries, each checked by
+// the owner of its column. The residual is pinned to its bits: evaluating
+// the samples in another order must not change how they are summed.
+TEST(CholSampled, ResidualBitsPinned) {
+  World world(4);
+  std::vector<CholeskyResult> res(4);
+  world.run([&](Rank& self) {
+    CholeskyConfig cfg;
+    cfg.nt = 13;
+    cfg.b = 32;
+    cfg.variant = CholeskyVariant::kNotified;
+    res[static_cast<std::size_t>(self.id())] = run_cholesky(self, cfg);
+  });
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_TRUE(res[static_cast<std::size_t>(r)].verified) << "rank " << r;
+    EXPECT_EQ(res[static_cast<std::size_t>(r)].residual,
+              0x1.cdb938e894142p-53)
+        << "rank " << r;
+  }
+}
+
 TEST(CholPerf, NotifiedNotSlowerThanOneSidedRing) {
   // The paper's Fig. 5 ordering: NA beats the ring-buffer+CAS one-sided
   // scheme (which pays fetch_and_op + flush + coordinate put per message).

@@ -225,6 +225,33 @@ TEST(Json, LoneSurrogatesAreParseErrors) {
   EXPECT_NE(r.error.find("surrogate"), std::string::npos) << r.error;
 }
 
+TEST(Json, DeepNestingIsAnErrorNotACrash) {
+  const auto r = json::parse(std::string(200000, '['));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("nested deeper than 256 levels"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(r.error_pos, static_cast<std::size_t>(json::kMaxNesting));
+  const auto keyed = json::parse([] {
+    std::string s;
+    for (int i = 0; i < 100000; ++i) s += "{\"k\":";
+    return s;
+  }());
+  EXPECT_FALSE(keyed.ok);
+  EXPECT_NE(keyed.error.find("nested deeper"), std::string::npos)
+      << keyed.error;
+}
+
+TEST(Json, NestingUpToTheLimitParses) {
+  const int n = json::kMaxNesting;
+  const auto ok = json::parse(std::string(static_cast<std::size_t>(n), '[') +
+                              std::string(static_cast<std::size_t>(n), ']'));
+  EXPECT_TRUE(ok.ok) << ok.error;
+  const auto over =
+      json::parse(std::string(static_cast<std::size_t>(n) + 1, '[') +
+                  std::string(static_cast<std::size_t>(n) + 1, ']'));
+  EXPECT_FALSE(over.ok);
+}
+
 TEST(File, WriteRoundTripsAndNamesThePathOnFailure) {
   const std::string dir = testing::TempDir() + "file_test/a/b";
   ASSERT_EQ(file::make_dirs(dir), "");

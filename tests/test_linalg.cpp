@@ -92,6 +92,12 @@ std::vector<double> random_tile(int b, narma::Xoshiro256& rng) {
 
 }  // namespace
 
+// Tile dimensions for the bit-identity checks: b % 4 and b % 8 != 0 cover
+// the blocked kernels' edge rows and columns, b > 64 tiles wider than the
+// benchmarks use, and b = 257 a k loop longer than one packed panel (256).
+constexpr int kTileDims[] = {1,  2,  3,  4,  5,  7,  8,   9,
+                             16, 31, 32, 33, 64, 65, 100, 257};
+
 class UpdateKernels : public ::testing::TestWithParam<int> {};
 
 TEST_P(UpdateKernels, BitIdenticalToNaiveLoop) {
@@ -114,9 +120,64 @@ TEST_P(UpdateKernels, BitIdenticalToNaiveLoop) {
       << "syrk_lower b=" << b;
 }
 
-// b % 4 != 0 covers the remainder columns.
+namespace {
+
+// Each instruction-set path on its own, whichever one the dispatch picks on
+// this CPU.
+void expect_isa_bit_identical(KernelIsa isa, int b) {
+  narma::Xoshiro256 rng(static_cast<std::uint64_t>(b) + 1000);
+  const auto a = random_tile(b, rng), bt = random_tile(b, rng);
+  auto c = random_tile(b, rng);
+  auto ref = c;
+  gemm_nt_isa(isa, a.data(), bt.data(), c.data(), b);
+  naive_update_nt(a.data(), bt.data(), ref.data(), b);
+  EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(double)), 0)
+      << "b=" << b;
+}
+
+}  // namespace
+
+TEST_P(UpdateKernels, BaselinePathBitIdentical) {
+  expect_isa_bit_identical(KernelIsa::kBaseline, GetParam());
+}
+
+TEST_P(UpdateKernels, Avx2PathBitIdentical) {
+  if (!kernel_isa_supported(KernelIsa::kAvx2))
+    GTEST_SKIP() << "CPU lacks AVX2";
+  expect_isa_bit_identical(KernelIsa::kAvx2, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(TileDims, UpdateKernels,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 32));
+                         ::testing::ValuesIn(kTileDims));
+
+namespace {
+
+// Reference: one row at a time, as the kernel solved before it blocked rows.
+void naive_trsm(const double* l, double* a, int b) {
+  for (int r = 0; r < b; ++r)
+    for (int j = 0; j < b; ++j) {
+      double s = a[r * b + j];
+      for (int k = 0; k < j; ++k) s -= a[r * b + k] * l[j * b + k];
+      a[r * b + j] = s / l[j * b + j];
+    }
+}
+
+}  // namespace
+
+TEST(Kernels, TrsmBitIdenticalToNaiveLoop) {
+  for (const int b : kTileDims) {
+    narma::Xoshiro256 rng(static_cast<std::uint64_t>(b) + 2000);
+    auto l = random_tile(b, rng);
+    // A well-conditioned lower factor: diagonal in [b - 1, b + 1).
+    for (int i = 0; i < b; ++i) l[static_cast<std::size_t>(i) * b + i] += b;
+    auto a = random_tile(b, rng);
+    auto ref = a;
+    trsm_right_lower_trans(l.data(), a.data(), b);
+    naive_trsm(l.data(), ref.data(), b);
+    EXPECT_EQ(std::memcmp(a.data(), ref.data(), a.size() * sizeof(double)), 0)
+        << "b=" << b;
+  }
+}
 
 TEST(Matrix, GenerateSpdPinnedBits) {
   // Pinned bits at seed 1 (FNV-1a over every entry, row-major): the test
