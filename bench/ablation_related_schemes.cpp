@@ -156,7 +156,7 @@ Result run(SchemeKind kind, int producers, int msgs, std::size_t bytes) {
 int main() {
   header("Ablation",
          "notification schemes on the dataflow pattern (paper Sec. VII)");
-  const int msgs = static_cast<int>(env::get_int("NARMA_MSGS", 16));
+  const int msgs = 16;
   const std::size_t bytes = 1024;
   note("P producers x " + std::to_string(msgs) +
        " buffers of 1 KiB to one consumer; consumer must identify each");

@@ -17,22 +17,18 @@ int main() {
   const double sc = scale();
   const int rows = std::max(32, static_cast<int>(1280 * sc));
   const int cols = std::max(64, static_cast<int>(12800 * sc));
-  const int iters = static_cast<int>(env::get_int("NARMA_ITERS", 2));
-  const int n = reps(3);
+  // Iterations and the per-point compute charge are StencilConfig's
+  // defaults, the same the CLI and the tests run.
+  const StencilConfig defaults;
 
   header("Figure 1", "strong-scaling pipelined stencil (GMOPS, higher=better)");
   note("domain " + std::to_string(rows) + " x " + std::to_string(cols) +
-       ", " + std::to_string(iters) + " iterations, mean of " +
-       std::to_string(n) + " runs");
+       ", " + std::to_string(defaults.iters) + " iterations");
+  note("compute: " + Table::fmt(to_ns(defaults.per_point), 2) + " ns/point");
 
   const std::vector<StencilVariant> variants{
       StencilVariant::kMessagePassing, StencilVariant::kFence,
       StencilVariant::kPscw, StencilVariant::kNotified};
-
-  // Calibrated compute charge keeps the virtual timings deterministic.
-  const Time per_point = calibrate_stencil_point();
-  note("calibrated compute: " + Table::fmt(to_ns(per_point), 2) +
-       " ns/point");
 
   Table t({"ranks", "MsgPassing", "OS-Fence", "OS-PSCW", "NotifiedAccess",
            "NA/MP", "wall_ms", "verified"});
@@ -40,35 +36,28 @@ int main() {
     std::vector<std::string> row{Table::fmt(static_cast<long long>(ranks))};
     double mp_g = 0, na_g = 0;
     bool all_ok = true;
-    // Host wall-clock of the whole row (all variants x reps): the
-    // simulator-cost number the apps regression gate tracks.
+    // Host wall-clock of the whole row (all variants): the simulator-cost
+    // number the apps regression gate tracks.
     const std::uint64_t wall0 = wallclock_ns();
     for (StencilVariant v : variants) {
-      std::vector<double> gs;
-      for (int r = 0; r < n; ++r) {
-        World world(ranks);
-        double g = 0;
-        bool ok = false;
-        world.run([&](Rank& self) {
-          StencilConfig cfg;
-          cfg.rows = rows;
-          cfg.total_cols = cols;
-          cfg.iters = iters;
-          cfg.variant = v;
-          cfg.per_point = per_point;
-          const auto res = run_stencil(self, cfg);
-          if (self.id() == 0) {
-            g = res.gmops;
-            ok = res.verified;
-          }
-        });
-        gs.push_back(g);
-        all_ok = all_ok && ok;
-      }
-      const double mean = stats::mean(gs);
-      row.push_back(Table::fmt(mean, 4));
-      if (v == StencilVariant::kMessagePassing) mp_g = mean;
-      if (v == StencilVariant::kNotified) na_g = mean;
+      World world(ranks);
+      double g = 0;
+      bool ok = false;
+      world.run([&](Rank& self) {
+        StencilConfig cfg;
+        cfg.rows = rows;
+        cfg.total_cols = cols;
+        cfg.variant = v;
+        const auto res = run_stencil(self, cfg);
+        if (self.id() == 0) {
+          g = res.gmops;
+          ok = res.verified;
+        }
+      });
+      all_ok = all_ok && ok;
+      row.push_back(Table::fmt(g, 4));
+      if (v == StencilVariant::kMessagePassing) mp_g = g;
+      if (v == StencilVariant::kNotified) na_g = g;
     }
     row.push_back(Table::fmt(na_g / mp_g, 2));
     row.push_back(

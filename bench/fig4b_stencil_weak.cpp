@@ -1,5 +1,5 @@
 // Figure 4b — weak-scaling pipelined stencil, constant 1280 x 1280 block
-// per PE (paper), GMOPS with 99% confidence intervals.
+// per PE (paper), GMOPS.
 //
 // Paper result: Notified Access improves the pipelined stencil by more than
 // 2.17x over Message Passing; PSCW beats fence (pairwise vs global
@@ -14,23 +14,18 @@ using namespace narma::bench;
 int main() {
   const double sc = scale();
   const int per_pe = std::max(64, static_cast<int>(1280 * sc));
-  const int iters = static_cast<int>(env::get_int("NARMA_ITERS", 2));
-  const int n = reps(3);
+  // Iterations and the per-point compute charge are StencilConfig's
+  // defaults, the same the CLI and the tests run.
+  const StencilConfig defaults;
 
-  header("Figure 4b",
-         "weak-scaling pipelined stencil (GMOPS, mean ± 99% CI)");
+  header("Figure 4b", "weak-scaling pipelined stencil (GMOPS, higher=better)");
   note("block " + std::to_string(per_pe) + " x " + std::to_string(per_pe) +
-       " per PE, " + std::to_string(iters) + " iterations, " +
-       std::to_string(n) + " runs");
+       " per PE, " + std::to_string(defaults.iters) + " iterations");
+  note("compute: " + Table::fmt(to_ns(defaults.per_point), 2) + " ns/point");
 
   const std::vector<StencilVariant> variants{
       StencilVariant::kMessagePassing, StencilVariant::kFence,
       StencilVariant::kPscw, StencilVariant::kNotified};
-
-  // Calibrated compute charge keeps the virtual timings deterministic.
-  const Time per_point = calibrate_stencil_point();
-  note("calibrated compute: " + Table::fmt(to_ns(per_point), 2) +
-       " ns/point");
 
   Table t({"ranks", "MsgPassing", "OS-Fence", "OS-PSCW", "NotifiedAccess",
            "NA/MP"});
@@ -38,30 +33,22 @@ int main() {
     std::vector<std::string> row{Table::fmt(static_cast<long long>(ranks))};
     double mp_g = 0, na_g = 0;
     for (StencilVariant v : variants) {
-      std::vector<double> gs;
-      for (int r = 0; r < n; ++r) {
-        World world(ranks);
-        double g = 0;
-        world.run([&](Rank& self) {
-          StencilConfig cfg;
-          cfg.rows = per_pe;
-          cfg.total_cols = per_pe * ranks;
-          cfg.iters = iters;
-          cfg.variant = v;
-          cfg.per_point = per_point;
-          const auto res = run_stencil(self, cfg);
-          if (self.id() == 0) {
-            NARMA_CHECK(res.verified) << "stencil verification failed";
-            g = res.gmops;
-          }
-        });
-        gs.push_back(g);
-      }
-      const double mean = stats::mean(gs);
-      const double ci = stats::ci_halfwidth(gs, 0.99);
-      row.push_back(Table::fmt(mean, 4) + "±" + Table::fmt(ci, 4));
-      if (v == StencilVariant::kMessagePassing) mp_g = mean;
-      if (v == StencilVariant::kNotified) na_g = mean;
+      World world(ranks);
+      double g = 0;
+      world.run([&](Rank& self) {
+        StencilConfig cfg;
+        cfg.rows = per_pe;
+        cfg.total_cols = per_pe * ranks;
+        cfg.variant = v;
+        const auto res = run_stencil(self, cfg);
+        if (self.id() == 0) {
+          NARMA_CHECK(res.verified) << "stencil verification failed";
+          g = res.gmops;
+        }
+      });
+      row.push_back(Table::fmt(g, 4));
+      if (v == StencilVariant::kMessagePassing) mp_g = g;
+      if (v == StencilVariant::kNotified) na_g = g;
     }
     row.push_back(Table::fmt(na_g / mp_g, 2));
     t.add_row(std::move(row));

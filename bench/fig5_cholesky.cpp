@@ -14,21 +14,22 @@ using namespace narma::apps;
 using namespace narma::bench;
 
 int main() {
-  const int n = reps(2);
   const int cols_per_rank =
       static_cast<int>(env::get_int("NARMA_CHOL_COLS", 3));
-  const int b = static_cast<int>(env::get_int("NARMA_CHOL_B", 32));
-  // Kernel rate of the paper's testbed class (tuned BLAS on a Xeon E5
-  // core); keeps the compute/communication balance of Fig. 5 independent of
-  // this host's naive kernels.
-  const double gflops = env::get_double("NARMA_CHOL_GFLOPS", 10.0);
+  // Tile size and kernel rate are CholeskyConfig's defaults: the paper's 32
+  // x 32 tiles, and the rate of its testbed class (tuned BLAS on a Xeon E5
+  // core), which keeps the compute/communication balance of Fig. 5
+  // independent of this host's kernels.
+  const CholeskyConfig defaults;
+  const int b = defaults.b;
 
-  header("Figure 5", "weak-scaling task Cholesky (total time, ms; mean ± "
-                     "99% CI)");
+  header("Figure 5", "weak-scaling task Cholesky (total time, ms)");
   note("tiles " + std::to_string(b) + "x" + std::to_string(b) +
        " doubles (" + std::to_string(b * b * 8 / 1024) +
        " KB transfers), " + std::to_string(cols_per_rank) +
-       " tile columns per rank, " + std::to_string(n) + " runs");
+       " tile columns per rank");
+  note("compute: kernels at " + Table::fmt(defaults.model_gflops, 1) +
+       " GF/s");
 
   const std::vector<CholeskyVariant> variants{
       CholeskyVariant::kMessagePassing, CholeskyVariant::kOneSided,
@@ -46,32 +47,23 @@ int main() {
     // Host wall-clock of the row, for the apps regression gate.
     const std::uint64_t wall0 = wallclock_ns();
     for (CholeskyVariant v : variants) {
-      std::vector<double> times;
-      for (int r = 0; r < n; ++r) {
-        World world(ranks);
-        double ms_elapsed = 0;
-        bool ok = false;
-        world.run([&](Rank& self) {
-          CholeskyConfig cfg;
-          cfg.nt = nt;
-          cfg.b = b;
-          cfg.variant = v;
-          cfg.model_gflops = gflops;
-          cfg.verify = r == 0;  // residual check once per cell
-          const auto res = run_cholesky(self, cfg);
-          if (self.id() == 0) {
-            ms_elapsed = to_ms(res.elapsed);
-            ok = !cfg.verify || res.verified;
-          }
-        });
-        times.push_back(ms_elapsed);
-        all_ok = all_ok && ok;
-      }
-      const double mean = stats::mean(times);
-      const double ci = stats::ci_halfwidth(times, 0.99);
-      row.push_back(Table::fmt(mean, 2) + "±" + Table::fmt(ci, 2));
-      if (v == CholeskyVariant::kMessagePassing) mp_t = mean;
-      if (v == CholeskyVariant::kNotified) na_t = mean;
+      World world(ranks);
+      double ms_elapsed = 0;
+      bool ok = false;
+      world.run([&](Rank& self) {
+        CholeskyConfig cfg;
+        cfg.nt = nt;
+        cfg.variant = v;
+        const auto res = run_cholesky(self, cfg);
+        if (self.id() == 0) {
+          ms_elapsed = to_ms(res.elapsed);
+          ok = res.verified;
+        }
+      });
+      all_ok = all_ok && ok;
+      row.push_back(Table::fmt(ms_elapsed, 2));
+      if (v == CholeskyVariant::kMessagePassing) mp_t = ms_elapsed;
+      if (v == CholeskyVariant::kNotified) na_t = ms_elapsed;
     }
     row.push_back(Table::fmt(mp_t / na_t, 2));
     row.push_back(

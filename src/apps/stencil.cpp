@@ -98,17 +98,6 @@ Topo topo_of(Rank& self) {
 
 }  // namespace
 
-Time calibrate_stencil_point() {
-  constexpr int kRows = 64, kCols = 4096;
-  LocalGrid g(kRows, kCols, 0);
-  const std::uint64_t t0 = wallclock_ns();
-  for (int r = 1; r < kRows; ++r) g.update_row(r, 2);
-  const std::uint64_t t1 = wallclock_ns();
-  const double per_point =
-      static_cast<double>(t1 - t0) / ((kRows - 1.0) * (kCols - 1.0));
-  return ns(per_point);
-}
-
 StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   const Topo t = topo_of(self);
   if (cfg.ft.enabled) {

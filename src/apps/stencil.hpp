@@ -44,19 +44,15 @@ struct StencilConfig {
   int total_cols = 256;  // split across ranks
   int iters = 2;
   StencilVariant variant = StencilVariant::kNotified;
-  /// Virtual compute cost charged per point update (calibrate_stencil_point
-  /// measures the host's). The update itself always runs for verification;
-  /// virtual time never depends on how long it takes on the host.
+  /// Virtual compute cost charged per point update. The update itself
+  /// always runs for verification; virtual time never depends on how long
+  /// it takes on the host.
   Time per_point = ns(2);
   /// Fault-tolerant execution (DESIGN.md §15). When ft.enabled the notified
   /// puts go through a ft::RecoveryManager — kNotified variant only — with
   /// one recovery epoch per iteration; otherwise this field is inert.
   ft::FtParams ft;
 };
-
-/// Measures the host's stencil update cost (virtual ns per point), for use
-/// as StencilConfig::per_point.
-Time calibrate_stencil_point();
 
 struct StencilResult {
   double corner = 0;           // computed corner value (valid on rank 0)

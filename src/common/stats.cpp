@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 
@@ -13,16 +12,6 @@ double mean(const std::vector<double>& xs) {
   for (double x : xs) s += x;
   return s / static_cast<double>(xs.size());
 }
-
-double variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size() - 1);
-}
-
-double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
 
 double quantile(std::vector<double> xs, double q) {
   NARMA_CHECK(!xs.empty());
@@ -45,34 +34,6 @@ double min(const std::vector<double>& xs) {
 double max(const std::vector<double>& xs) {
   NARMA_CHECK(!xs.empty());
   return *std::max_element(xs.begin(), xs.end());
-}
-
-double ci_halfwidth(const std::vector<double>& xs, double level) {
-  if (xs.size() < 2) return 0.0;
-  double z = 1.96;
-  if (level >= 0.99) z = 2.576;
-  else if (level >= 0.95) z = 1.96;
-  else if (level >= 0.90) z = 1.645;
-  else z = 1.0;
-  return z * stddev(xs) / std::sqrt(static_cast<double>(xs.size()));
-}
-
-Summary summarize(const std::vector<double>& xs) {
-  Summary s;
-  s.n = xs.size();
-  if (xs.empty()) return s;
-  s.mean = mean(xs);
-  s.median = median(xs);
-  s.min = min(xs);
-  s.max = max(xs);
-  s.stddev = stddev(xs);
-  s.ci99 = ci_halfwidth(xs, 0.99);
-  s.p10 = quantile(xs, 0.10);
-  s.p50 = s.median;
-  s.p90 = quantile(xs, 0.90);
-  s.p95 = quantile(xs, 0.95);
-  s.p99 = quantile(xs, 0.99);
-  return s;
 }
 
 }  // namespace narma::stats

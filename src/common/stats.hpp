@@ -1,35 +1,17 @@
-// Small statistics helpers for benchmark reporting: median, mean, quantiles,
-// and the normal-approximation confidence interval the paper uses for its
-// shaded 99% bands (Figs. 4b and 5).
+// Small statistics helpers for benchmark reporting: mean, median,
+// quantiles, min and max.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace narma::stats {
 
 double mean(const std::vector<double>& xs);
-double variance(const std::vector<double>& xs);  // sample variance (n-1)
-double stddev(const std::vector<double>& xs);
 
 /// Quantile with linear interpolation; q in [0,1]. Sorts a copy.
 double quantile(std::vector<double> xs, double q);
 double median(const std::vector<double>& xs);
 double min(const std::vector<double>& xs);
 double max(const std::vector<double>& xs);
-
-/// Half-width of the normal-approximation confidence interval around the
-/// mean. level selects the z value: 0.95 → 1.96, 0.99 → 2.576.
-double ci_halfwidth(const std::vector<double>& xs, double level = 0.99);
-
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0, median = 0, min = 0, max = 0, stddev = 0, ci99 = 0;
-  // Tail quantiles (see quantile()); p50 duplicates median for callers that
-  // index the percentile family uniformly.
-  double p10 = 0, p50 = 0, p90 = 0, p95 = 0, p99 = 0;
-};
-
-Summary summarize(const std::vector<double>& xs);
 
 }  // namespace narma::stats

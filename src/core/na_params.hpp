@@ -69,12 +69,9 @@ struct NaParams {
   /// the inline transfer avoids (paper Sec. IV-C).
   Time shm_noninline_commit = ns(35);
 
-  /// Largest payload folded into a shared-memory notification entry
-  /// ("inline transfer", paper Sec. IV-C).
-  std::size_t shm_inline_max = net::kShmInlineCapacity;
-
-  /// When false, intra-node notified puts use the CQE path even when they
-  /// could inline (ablation knob).
+  /// When false, intra-node notified puts use the put + notification path
+  /// even for payloads that fit a shared-memory notification entry
+  /// (net::kShmInlineCapacity bytes; ablation knob).
   bool enable_shm_inline = true;
 };
 

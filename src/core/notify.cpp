@@ -276,7 +276,7 @@ void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
     n.offset = offset;
     n.bytes = static_cast<std::uint32_t>(bytes);
     n.msg = mid;
-    if (params_.enable_shm_inline && bytes <= params_.shm_inline_max) {
+    if (params_.enable_shm_inline && bytes <= net::kShmInlineCapacity) {
       // Inline transfer: the payload rides inside the notification entry
       // and is committed by the target at match time.
       n.inline_len = static_cast<std::uint8_t>(bytes);

@@ -252,7 +252,7 @@ std::vector<obs::TimeSeries::ResidualRow> World::residual_rows() const {
     r.mean_residual_ps = acc.resid / static_cast<double>(acc.msgs);
     r.max_abs_residual_ps = acc.max_abs;
     r.flagged = r.mean_residual_ps >
-                params_.obs.residual_threshold * r.mean_model_ps;
+                obs::TimeSeries::kResidualThreshold * r.mean_model_ps;
     rows.push_back(std::move(r));
   }
   return rows;

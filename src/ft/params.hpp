@@ -41,11 +41,6 @@ struct FtParams {
   /// pin the failure instant while sweeping the checkpoint interval.
   std::uint64_t min_fail_epoch = 1;
 
-  /// Upper bound on logged-but-untrimmed notifications per rank; exceeding
-  /// it is fatal (the log is the recovery guarantee, silently dropping
-  /// entries would corrupt a future replay).
-  std::size_t log_capacity = 4096;
-
   /// Trim the notification log at each checkpoint (entries from
   /// checkpointed epochs can never be replayed again). Disabling keeps
   /// stale entries around, which the replay dedupe must then reject —

@@ -30,8 +30,6 @@ RecoveryManager::RecoveryManager(Rank& self, const FtParams& params,
   NARMA_CHECK(!protect_.empty()) << "ft: no protected windows";
   NARMA_CHECK(params_.ckpt_interval >= 1)
       << "ft: FtParams::ckpt_interval must be >= 1";
-  NARMA_CHECK(params_.log_capacity >= 1)
-      << "ft: FtParams::log_capacity must be >= 1";
   NARMA_CHECK(params_.partner_offset % n != 0)
       << "ft: partner_offset " << params_.partner_offset
       << " maps every rank onto itself at " << n << " ranks";
@@ -83,11 +81,11 @@ void RecoveryManager::put_notify(std::size_t win_idx,
   NARMA_CHECK(win_idx < protect_.size())
       << "ft: bad protected-window index " << win_idx;
   rma::Window& w = *protect_[win_idx];
-  NARMA_CHECK(log_entries_ < params_.log_capacity)
+  NARMA_CHECK(log_entries_ < kLogCapacity)
       << "ft: notification log overflow at rank " << self_.id() << " ("
-      << params_.log_capacity
-      << " entries) — lower the checkpoint interval or raise "
-         "FtParams::log_capacity (--ft-log-cap)";
+      << kLogCapacity
+      << " entries since the last checkpoint) — lower the checkpoint "
+         "interval";
   DstLog& log = log_[static_cast<std::size_t>(target)];
   const std::uint64_t header[] = {
       epoch_ + 1,  // the epoch boundary this notification precedes

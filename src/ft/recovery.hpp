@@ -55,6 +55,10 @@ class RecoveryManager {
   static constexpr int kAnnounceTag = 1001;
   static constexpr int kLogCountTag = 1002;
   static constexpr int kLogDataTag = 1003;
+  /// Upper bound on logged-but-untrimmed notifications per rank; exceeding
+  /// it is fatal (the log is the recovery guarantee, silently dropping
+  /// entries would corrupt a future replay).
+  static constexpr std::size_t kLogCapacity = 4096;
 
   /// Entries of one lost epoch, sorted by (source rank, seq), as handed to
   /// the recompute callback. Their payload views last only for the call.

@@ -58,7 +58,7 @@ FaultInjector::TransferFaults FaultInjector::next_transfer(int src) {
                             u * static_cast<double>(params_.delay_max - 1));
   }
   if (params_.stall_rate > 0 && uniform(r, seq, 3) < params_.stall_rate)
-    f.stall = params_.stall_time;
+    f.stall = FaultParams::kStallTime;
   return f;
 }
 

@@ -119,9 +119,9 @@ struct FaultParams {
   double delay_rate = 0.0;
   Time delay_max = us(2);
   /// Probability of a transient NIC stall: the source channel is held busy
-  /// for stall_time before the injection starts.
+  /// for kStallTime before the injection starts.
   double stall_rate = 0.0;
-  Time stall_time = us(10);
+  static constexpr Time kStallTime = us(10);
   /// Probability that a delivery queue reports "full" on first attempt even
   /// when it is not (forced-overflow pressure; exercises the retry path).
   /// Only meaningful under kBackpressure — the fatal policy ignores it so a
@@ -146,18 +146,18 @@ struct FaultParams {
   /// hangs silently, and a drop plan that outlives the budget is reported,
   /// not silently forgiven.
   int max_retries = 1000;
-  Time backoff_base = us(1);
-  Time backoff_max = ms(1);
+  static constexpr Time kBackoffBase = us(1);
+  static constexpr Time kBackoffMax = ms(1);
 
   bool any_faults() const {
     return drop_rate > 0 || delay_rate > 0 || stall_rate > 0 ||
            pressure_rate > 0;
   }
 
-  /// Exponential backoff: base << attempt, capped at backoff_max.
-  Time backoff(int attempt) const {
+  /// Exponential backoff: base << attempt, capped at kBackoffMax.
+  static Time backoff(int attempt) {
     const int sh = std::min(attempt, 20);
-    return std::min(backoff_base << sh, backoff_max);
+    return std::min(kBackoffBase << sh, kBackoffMax);
   }
 };
 

@@ -68,6 +68,8 @@ struct ShmNotification {
   std::uint64_t msg = 0;  // obs::MsgId of the originating op (0 = untraced)
 };
 
+/// Largest payload folded into a shared-memory notification entry
+/// ("inline transfer", paper Sec. IV-C).
 constexpr std::size_t kShmInlineCapacity =
     sizeof(ShmNotification::inline_data);
 

@@ -11,7 +11,7 @@
 // dropped; append order is the deterministic simulation order, so two runs
 // of the same schedule produce bit-identical journals, and a fault-free run
 // under default thresholds produces an *empty* one (asserted in
-// tests/test_obs_aggregate.cpp).
+// tests/test_obs_reductions.cpp).
 //
 // Export schema (narma.journal.v1):
 //   {"schema":"narma.journal.v1","capacity":C,"appended":A,"dropped":D,

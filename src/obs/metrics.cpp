@@ -70,21 +70,6 @@ double HistData::quantile(double q) const {
   return static_cast<double>(max);
 }
 
-stats::Summary HistData::summary() const {
-  stats::Summary s;
-  s.n = count;
-  if (count == 0) return s;
-  s.mean = static_cast<double>(sum) / static_cast<double>(count);
-  s.min = static_cast<double>(min);
-  s.max = static_cast<double>(max);
-  s.p10 = quantile(0.10);
-  s.median = s.p50 = quantile(0.50);
-  s.p90 = quantile(0.90);
-  s.p95 = quantile(0.95);
-  s.p99 = quantile(0.99);
-  return s;
-}
-
 bool is_host_time_family(std::string_view name) {
   return name.starts_with("obs.phase_") || name.starts_with("obs.profile_") ||
          name == "sim.run_wall_ns" || name == "sim.events_per_sec";

@@ -48,7 +48,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/time.hpp"
 
 namespace narma::sim {
@@ -93,9 +92,6 @@ struct HistData {
   /// [min, max] — so a one-bucket distribution of equal samples reports the
   /// exact value at every q instead of collapsing to the bucket floor.
   double quantile(double q) const;
-  /// Percentile summary derived from the buckets via quantile(). stddev and
-  /// ci99 stay 0 — log2 buckets carry no sum of squares.
-  stats::Summary summary() const;
 };
 
 /// One rank's gauge state.

@@ -67,15 +67,6 @@ struct ObsParams {
   /// ring pairwise (geometric downsampling): memory stays O(capacity) for
   /// arbitrarily long runs, and telescoping sums are preserved exactly.
   std::size_t timeseries_capacity = 512;
-
-  /// A rank is flagged a straggler in a window when its busy fraction
-  /// falls this far (absolute) below the window's median busy fraction.
-  double straggler_threshold = 0.25;
-
-  /// A (window, backend) channel is flagged when its mean measured
-  /// channel-stage latency exceeds the single-leg LogGP floor by more than
-  /// this relative margin.
-  double residual_threshold = 0.50;
 };
 
 }  // namespace narma::obs

@@ -30,8 +30,7 @@ TimeSeries::TimeSeries(Registry& reg, sim::Engine& eng,
       eng_(eng),
       window_ps_(params.timeseries_window_ps ? params.timeseries_window_ps
                                              : us(100)),
-      capacity_(params.timeseries_capacity),
-      straggler_threshold_(params.straggler_threshold) {
+      capacity_(params.timeseries_capacity) {
   NARMA_CHECK(window_ps_ > 0);
   NARMA_CHECK(capacity_ >= 4) << "flight recorder needs >= 4 windows";
   const int nranks = eng.nranks();
@@ -93,10 +92,10 @@ void TimeSeries::snapshot(Time boundary) {
     w.agg.min_busy = min_busy;
     w.agg.min_rank = min_rank;
     for (double f : fracs)
-      if (f < median - straggler_threshold_) ++w.agg.stragglers;
+      if (f < median - kStragglerThreshold) ++w.agg.stragglers;
     // At most one journal record per window: the worst rank, if it crosses
     // the threshold. Busy fractions travel as parts-per-million integers.
-    if (journal_ && min_busy < median - straggler_threshold_)
+    if (journal_ && min_busy < median - kStragglerThreshold)
       journal_->append(JournalKind::kStraggler, boundary, min_rank, -1,
                        static_cast<std::uint64_t>(min_busy * 1e6),
                        static_cast<std::uint64_t>(median * 1e6));
@@ -248,7 +247,7 @@ std::vector<TimeSeries::Anomaly> TimeSeries::anomalies() const {
     for (std::size_t i = 0; i < w.ranks.size(); ++i) {
       if (w.ranks[i].d_total <= 0) continue;
       const double f = fracs[fi++];
-      if (f < median - straggler_threshold_) {
+      if (f < median - kStragglerThreshold) {
         Anomaly a;
         a.window = static_cast<std::uint32_t>(wi);
         a.kind = "straggler";

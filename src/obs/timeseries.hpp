@@ -40,12 +40,12 @@
 //
 // Monitors: per window the recorder flags straggler ranks among the
 // recorded ones (busy fraction far below their median —
-// ObsParams::straggler_threshold) and, when msgtrace is on, World::run
+// kStragglerThreshold) and, when msgtrace is on, World::run
 // feeds it per-(window, backend) LogGP residual rows: mean measured
 // channel-stage latency (queue + gap + ser + wire) minus the single-leg
 // model floor (g + G*bytes + L). Persistent large residuals mean
 // congestion, faults, or multi-leg notification overhead the base model
-// does not carry; rows past ObsParams::residual_threshold are flagged.
+// does not carry; rows past kResidualThreshold are flagged.
 // Both surface in the narma.timeseries.v1 JSON (a run directory's
 // timeseries.json) and render via `narma_cli timeline`. When an anomaly
 // Journal is attached (set_journal), each window's worst straggler over all
@@ -73,6 +73,15 @@ class TimeSeries {
  public:
   /// Ranks with per-rank rows (`ranks`, `cells`) in every window.
   static constexpr int kMaxRecordedRanks = 64;
+
+  /// A rank is flagged a straggler in a window when its busy fraction
+  /// falls this far (absolute) below the window's median busy fraction.
+  static constexpr double kStragglerThreshold = 0.25;
+
+  /// A (window, backend) channel is flagged when its mean measured
+  /// channel-stage latency exceeds the single-leg LogGP floor by more than
+  /// this relative margin.
+  static constexpr double kResidualThreshold = 0.50;
 
   /// Per-rank virtual-time advance inside one window.
   struct RankDelta {
@@ -197,7 +206,6 @@ class TimeSeries {
   sim::Engine& eng_;
   Time window_ps_;
   std::size_t capacity_;
-  double straggler_threshold_;
   Journal* journal_ = nullptr;
 
   Time last_boundary_ = 0;

@@ -32,42 +32,6 @@ TEST(Stats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(stats::quantile(xs, 1.0), 10.0);
 }
 
-TEST(Stats, VarianceOfConstantIsZero) {
-  std::vector<double> xs{5, 5, 5, 5};
-  EXPECT_DOUBLE_EQ(stats::variance(xs), 0.0);
-  EXPECT_DOUBLE_EQ(stats::ci_halfwidth(xs), 0.0);
-}
-
-TEST(Stats, CiShrinksWithSamples) {
-  std::vector<double> small{1, 3}, large;
-  for (int i = 0; i < 100; ++i) large.push_back(i % 2 ? 1.0 : 3.0);
-  EXPECT_GT(stats::ci_halfwidth(small, 0.99), stats::ci_halfwidth(large, 0.99));
-}
-
-TEST(Stats, SummarizeFillsAllFields) {
-  std::vector<double> xs{2, 4, 6};
-  const auto s = stats::summarize(xs);
-  EXPECT_EQ(s.n, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 4.0);
-  EXPECT_DOUBLE_EQ(s.median, 4.0);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 6.0);
-  EXPECT_GT(s.stddev, 0.0);
-}
-
-TEST(Stats, SummarizeTailQuantiles) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(static_cast<double>(i));
-  const auto s = stats::summarize(xs);
-  EXPECT_DOUBLE_EQ(s.p10, stats::quantile(xs, 0.10));
-  EXPECT_DOUBLE_EQ(s.p90, stats::quantile(xs, 0.90));
-  EXPECT_DOUBLE_EQ(s.p99, stats::quantile(xs, 0.99));
-  EXPECT_LT(s.p10, s.median);
-  EXPECT_LT(s.median, s.p90);
-  EXPECT_LT(s.p90, s.p99);
-  EXPECT_LE(s.p99, s.max);
-}
-
 TEST(RingBuffer, PushPopFifo) {
   RingBuffer<int> rb(4);
   for (int i = 0; i < 4; ++i) rb.push(i);

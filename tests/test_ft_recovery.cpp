@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -221,6 +222,32 @@ TEST(FtRecovery, NoRecoverVictimStaysDown) {
         world.run([&](Rank& self) { apps::run_stencil(self, cfg); });
       },
       "simulation deadlock");
+}
+
+TEST(FtRecovery, LogOverflowPastTheBoundIsFatal) {
+  // With no checkpoint to trim it, the log holds exactly kLogCapacity
+  // entries; the next logged put aborts instead of dropping an entry a
+  // future replay would need.
+  const std::string diagnostic =
+      "notification log overflow at rank 0 \\(" +
+      std::to_string(ft::RecoveryManager::kLogCapacity) + " entries";
+  EXPECT_DEATH(
+      {
+        World world(2);
+        world.run([](Rank& self) {
+          auto win = self.win_allocate(8, 1);
+          ft::FtParams fp;
+          fp.enabled = true;
+          ft::RecoveryManager mgr(self, fp, {win.get()});
+          if (self.id() == 0) {
+            for (std::size_t i = 0; i <= ft::RecoveryManager::kLogCapacity;
+                 ++i)
+              mgr.put_notify(0, {}, 1, 0, 1);
+          }
+          self.barrier();
+        });
+      },
+      diagnostic);
 }
 
 TEST(FtRecovery, DeadRankDeliveriesAreDropped) {

@@ -5,6 +5,7 @@
 // inline-transfer path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/world.hpp"
@@ -434,6 +435,59 @@ TEST(NaShm, InlineDisabledStillCorrect) {
         self.barrier();
       },
       p);
+}
+
+namespace {
+
+struct ShmPutOutcome {
+  Time latency = 0;  // rank 0's issue to rank 1's completed wait
+  std::uint64_t data_transfers = 0;
+  bool payload_ok = false;
+};
+
+/// One intra-node put_notify of `bytes` distinct bytes from rank 0 to 1.
+ShmPutOutcome shm_put_notify(std::size_t bytes) {
+  std::vector<std::byte> payload(bytes);
+  for (std::size_t i = 0; i < bytes; ++i)
+    payload[i] = static_cast<std::byte>(i + 1);
+  World world(2, WorldParams::single_node(2));
+  ShmPutOutcome out;
+  Time t_issue = 0;
+  world.run([&](Rank& self) {
+    auto win = self.win_allocate(bytes, 1);
+    self.barrier();
+    if (self.id() == 0) {
+      t_issue = self.now();
+      self.na().put_notify(*win, payload, 1, 0, 3);
+      win->flush(1);
+    } else {
+      auto req = self.na().notify_init(*win, na::MatchSpec{0, 3}, 1);
+      self.na().start(req);
+      self.na().wait(req);
+      out.latency = self.now() - t_issue;
+      out.payload_ok = std::equal(payload.begin(), payload.end(),
+                                  static_cast<const std::byte*>(win->base()));
+    }
+    self.barrier();
+  });
+  out.data_transfers = world.fabric().counters().data_transfers;
+  return out;
+}
+
+}  // namespace
+
+TEST(NaShm, InlineBoundaryIsTheEntryCapacity) {
+  // A payload of exactly the entry's inline capacity rides inside the
+  // notification; one byte more takes the separate put, and its consumer
+  // pays the non-inline commit (fetching the remotely written line).
+  const na::NaParams costs;
+  const ShmPutOutcome fits = shm_put_notify(net::kShmInlineCapacity);
+  const ShmPutOutcome over = shm_put_notify(net::kShmInlineCapacity + 1);
+  EXPECT_TRUE(fits.payload_ok);
+  EXPECT_TRUE(over.payload_ok);
+  EXPECT_EQ(over.data_transfers, fits.data_transfers + 1);
+  EXPECT_GE(over.latency,
+            fits.latency + costs.shm_noninline_commit - costs.inline_commit);
 }
 
 TEST(NaShm, MixedTransportsBothQueuesPolled) {

@@ -95,19 +95,19 @@ std::uint64_t reductions_hash(std::uint64_t n) {
 constexpr std::uint64_t kReductionsHashShort = 0x780a8aedadc73c27ull;
 constexpr std::uint64_t kReductionsHashFull = 0x49a6342debb4198full;
 
-TEST(ObsAggregate, PinnedReductionsShort) {
+TEST(ObsReductions, PinnedReductionsShort) {
   EXPECT_EQ(reductions_hash(golden::kGoldenScheduleCountShort),
             kReductionsHashShort);
 }
 
-TEST(ObsAggregateSlow, PinnedReductionsFull) {
+TEST(ObsReductionsSlow, PinnedReductionsFull) {
   EXPECT_EQ(reductions_hash(golden::kGoldenScheduleCount),
             kReductionsHashFull);
 }
 
 // Forcing metrics on must not perturb the seeded configuration draw: a
 // kNone run still reproduces the committed golden fold.
-TEST(ObsAggregate, GoldenDrawSequenceUnchanged) {
+TEST(ObsReductions, GoldenDrawSequenceUnchanged) {
   ASSERT_EQ(golden::all_schedules_hash(golden::kGoldenScheduleCountShort),
             golden::kGoldenScheduleHashShort);
 }

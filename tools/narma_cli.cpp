@@ -253,7 +253,6 @@ int usage() {
       "            [--ft-partner-offset=K]  checkpoint partner (rank+K)%n\n"
       "            [--ft-restart-us=T]      victim downtime before rejoin\n"
       "            [--ft-min-fail-epoch=E]  earliest epoch the plan fires\n"
-      "            [--ft-log-cap=N]         notification-log bound per rank\n"
       "            [--ft-no-trim]           keep logs across checkpoints\n"
       "            [--ft-no-recover]        victims stay down (crash mode)\n",
       stderr);
@@ -269,7 +268,7 @@ constexpr std::string_view kWorldFlags =
 /// The --ft* flags of the apps with a recovery path (stencil, tree).
 constexpr std::string_view kFtFlags =
     "ft ft-fail-rate= ft-max-fails= ft-interval= ft-partner-offset= "
-    "ft-restart-us= ft-min-fail-epoch= ft-log-cap= ft-no-trim ft-no-recover";
+    "ft-restart-us= ft-min-fail-epoch= ft-no-trim ft-no-recover";
 
 /// Reports an artifact that could not be written and exits 1.
 [[noreturn]] void cannot_write(const std::string& err) {
@@ -357,8 +356,6 @@ bool apply_ft(WorldParams& wp, ft::FtParams& p, const Args& a) {
   }
   p.min_fail_epoch = static_cast<std::uint64_t>(a.at_least(
       "ft-min-fail-epoch", static_cast<long>(p.min_fail_epoch), 0));
-  p.log_capacity = static_cast<std::size_t>(
-      a.at_least("ft-log-cap", static_cast<long>(p.log_capacity), 1));
   if (a.has("ft-no-trim")) p.eager_trim = false;
   if (a.has("ft-no-recover")) p.recover = false;
   net::FaultParams& f = wp.fabric.faults;
