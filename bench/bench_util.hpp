@@ -23,12 +23,20 @@
 
 namespace narma::bench {
 
+/// Repetitions per configuration; NARMA_REPS must be at least 1.
 inline int reps(int fallback) {
-  return static_cast<int>(env::get_int("NARMA_REPS", fallback));
+  return env::get_int("NARMA_REPS", fallback, 1);
 }
 
-/// Global problem-size multiplier (1.0 = paper-shaped defaults).
-inline double scale() { return env::get_double("NARMA_SCALE", 1.0); }
+/// Largest NARMA_SCALE: the biggest scaled size, fig1's 12800 columns,
+/// stays far inside int at 1.28e8.
+inline constexpr double kMaxScale = 1e4;
+
+/// Global problem-size multiplier (1.0 = paper-shaped defaults); a finite
+/// value in (0, kMaxScale].
+inline double scale() {
+  return env::get_double("NARMA_SCALE", 1.0, 0.0, kMaxScale);
+}
 
 namespace detail {
 

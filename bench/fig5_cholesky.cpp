@@ -6,6 +6,8 @@
 // Sided (ring buffer + fetch_and_op + flush + coordinate put), Notified
 // Access (coordinate in the notification tag). Paper result: up to 2x
 // speedup of NA over Message Passing; One Sided trails both.
+#include <limits>
+
 #include "apps/cholesky.hpp"
 #include "bench_util.hpp"
 
@@ -14,8 +16,11 @@ using namespace narma::apps;
 using namespace narma::bench;
 
 int main() {
-  const int cols_per_rank =
-      static_cast<int>(env::get_int("NARMA_CHOL_COLS", 3));
+  // At least one tile column per rank, and few enough that the 16-rank
+  // row's cols_per_rank * 16 tiles stay inside int.
+  constexpr int kMaxRanks = 16;
+  const int cols_per_rank = env::get_int(
+      "NARMA_CHOL_COLS", 3, 1, std::numeric_limits<int>::max() / kMaxRanks);
   // Tile size and kernel rate are CholeskyConfig's defaults: the paper's 32
   // x 32 tiles, and the rate of its testbed class (tuned BLAS on a Xeon E5
   // core), which keeps the compute/communication balance of Fig. 5
@@ -37,7 +42,7 @@ int main() {
 
   Table t({"ranks", "tiles", "MsgPassing", "OneSided", "NotifiedAccess",
            "MP/NA", "wall_ms", "residual ok"});
-  for (int ranks : {2, 4, 8, 16}) {
+  for (int ranks : {2, 4, 8, kMaxRanks}) {
     const int nt = cols_per_rank * ranks;
     std::vector<std::string> row{Table::fmt(static_cast<long long>(ranks)),
                                  std::to_string(nt) + "x" +

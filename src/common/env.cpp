@@ -1,6 +1,9 @@
 #include "common/env.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 #include "common/fatal.hpp"
 
@@ -16,21 +19,36 @@ namespace {
 
 }  // namespace
 
-std::int64_t get_int(const char* name, std::int64_t fallback) {
+int get_int(const char* name, int fallback, int lo, int hi) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v, &end, 10);
   if (*end != '\0') bad_value(name, v, "an integer");
-  return parsed;
+  if (errno == ERANGE || parsed < lo || parsed > hi)
+    bad_value(name, v,
+              ("an integer in [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + "]")
+                  .c_str());
+  return static_cast<int>(parsed);
 }
 
-double get_double(const char* name, double fallback) {
+double get_double(const char* name, double fallback, double above,
+                  double at_most) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v, &end);
   if (*end != '\0') bad_value(name, v, "a number");
+  if (!std::isfinite(parsed) || !(parsed > above && parsed <= at_most)) {
+    std::ostringstream os;
+    os << "a finite number";
+    if (above != std::numeric_limits<double>::lowest() ||
+        at_most != std::numeric_limits<double>::max())
+      os << " in (" << above << ", " << at_most << "]";
+    bad_value(name, v, os.str().c_str());
+  }
   return parsed;
 }
 

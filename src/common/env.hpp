@@ -6,13 +6,20 @@
 // WorldParams or an app config.
 #pragma once
 
-#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace narma::env {
 
-std::int64_t get_int(const char* name, std::int64_t fallback);
-double get_double(const char* name, double fallback);
+/// An integer in [lo, hi]. A value strtoll saturates, or one outside the
+/// range, is fatal like a malformed one, so no knob wraps through a cast.
+int get_int(const char* name, int fallback,
+            int lo = std::numeric_limits<int>::min(),
+            int hi = std::numeric_limits<int>::max());
+/// A finite number in (above, at_most]: NaN and infinities are fatal too.
+double get_double(const char* name, double fallback,
+                  double above = std::numeric_limits<double>::lowest(),
+                  double at_most = std::numeric_limits<double>::max());
 std::string get_string(const char* name, const std::string& fallback);
 bool get_bool(const char* name, bool fallback);
 

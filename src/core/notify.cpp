@@ -262,12 +262,7 @@ void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
   const std::uint64_t offset = win.byte_offset(target_disp);
   net::Fabric& fabric = nic.fabric();
 
-  // The routed backend decides how the notification surfaces; only the
-  // shm-ring model takes the XPMEM software path below — every other model
-  // (dest-CQ CQE, counting completion, write-with-immediate) is handled
-  // inside the NIC behind the backend-neutral NotifyAttr.
-  if (fabric.backend_for(nic.rank(), target).notify_model() ==
-      net::NotifyModel::kShmRing) {
+  if (fabric.same_node(nic.rank(), target)) {
     // XPMEM path (paper Sec. IV-C): a cache-line notification ring entry.
     net::ShmNotification n;
     n.imm = imm;
@@ -293,9 +288,8 @@ void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
     return;
   }
 
-  // Hardware notification path: RDMA put with the immediate surfaced by
-  // the routed backend (uGNI dest-CQ CQE, RAMC counting completion, verbs
-  // write-with-immediate).
+  // Hardware notification path: RDMA put whose immediate lands on the
+  // target's destination CQ (uGNI).
   net::NotifyAttr na{true, imm, win.id()};
   na.msg = mid;
   nic.put(target, win.remote_key(target), offset, src.data(), bytes, na,
@@ -463,12 +457,6 @@ bool NaEngine::pop_hw(net::HwNotification& out) {
   }
   c_hw_drained_.inc();
   nic.ctx().advance(params_.cq_poll);
-  // Backend-specific drain cost (RAMC ring-slot pop, verbs RQE repost);
-  // zero for shm/aries, so the default path advances by nothing.
-  if (const Time c = nic.fabric().consume_overhead(out.backend)) {
-    nic.ctx().advance(c);
-    nic.fabric().note_drain(rank(), out.backend, c);
-  }
   if (out.msg)
     if (auto* mt = nic.fabric().msgtrace())
       mt->hop(out.msg, rank(), obs::HopKind::kPop, nic.ctx().now());
@@ -484,16 +472,6 @@ std::span<const net::HwNotification> NaEngine::drain_hw() {
   if (n == 0) return {};
   c_hw_drained_.inc(n);
   nic.ctx().advance(params_.cq_poll + (n - 1) * params_.cq_poll_batch);
-  // Backend-specific per-entry drain costs (RAMC ring-slot pop, verbs RQE
-  // repost); zero on the default shm/aries path.
-  Time consume = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (const Time c = nic.fabric().consume_overhead(out[i].backend)) {
-      consume += c;
-      nic.fabric().note_drain(rank(), out[i].backend, c);
-    }
-  }
-  if (consume) nic.ctx().advance(consume);
   if (auto* mt = nic.fabric().msgtrace()) {
     const Time now = nic.ctx().now();
     for (std::size_t i = 0; i < n; ++i)

@@ -201,13 +201,13 @@ void World::run(const std::function<void(Rank&)>& rank_main) {
 }
 
 std::vector<obs::TimeSeries::ResidualRow> World::residual_rows() const {
-  // Group completed traced messages by (window containing t_end, backend)
-  // and compare the measured channel stage — queueing + gap + serialization
-  // + wire, straight from the hop decomposition — against the single-leg
-  // LogGP floor g + G*bytes + L of the lane the backend routes that size
-  // to. The residual is nonnegative in a clean run; persistently large
-  // means congestion, retries, or multi-leg notification overhead (RAMC's
-  // descriptor leg) the base model does not carry.
+  // Group completed traced messages by (window containing t_end, backend:
+  // "shm" within a node, "aries" across nodes) and compare the measured
+  // channel stage — queueing + gap + serialization + wire, straight from
+  // the hop decomposition — against the single-leg LogGP floor
+  // g + G*bytes + L of the lane that size uses. The residual is nonnegative
+  // in a clean run; persistently large means congestion or retries the
+  // base model does not carry.
   std::vector<obs::TimeSeries::ResidualRow> rows;
   const auto& windows = timeseries_->windows();
   if (windows.empty()) return rows;
@@ -227,8 +227,8 @@ std::vector<obs::TimeSeries::ResidualRow> World::residual_rows() const {
     // t_end (the last window absorbs anything at/after its end).
     std::uint32_t wi = 0;
     while (wi + 1 < windows.size() && windows[wi].t_end <= m.t_end) ++wi;
-    const net::TransportBackend& be = fabric_->backend_for(m.src, m.dst);
-    const net::TransportTiming& tm = be.timing(be.lane(m.bytes));
+    const net::TransportTiming& tm =
+        fabric_->timing(fabric_->transport_for(m.src, m.dst, m.bytes));
     const double model = static_cast<double>(tm.L) +
                          static_cast<double>(tm.g) +
                          tm.G_ps_per_byte * static_cast<double>(m.bytes);
@@ -236,7 +236,8 @@ std::vector<obs::TimeSeries::ResidualRow> World::residual_rows() const {
         cat(m, obs::LatCat::kChanQueue) + cat(m, obs::LatCat::kGap) +
         cat(m, obs::LatCat::kSer) + cat(m, obs::LatCat::kWire);
     const double resid = measured - model;
-    Acc& acc = groups[{wi, be.name()}];
+    const char* backend = fabric_->same_node(m.src, m.dst) ? "shm" : "aries";
+    Acc& acc = groups[{wi, backend}];
     ++acc.msgs;
     acc.model += model;
     acc.resid += resid;

@@ -19,97 +19,28 @@ Fabric::Fabric(sim::Engine& engine, FabricParams params,
   if (engine_.nranks() <= kDenseChannelRankLimit)
     channels_.resize(2 * n * n);  // else: sparse_channels_, filled on use
 
-  // Node map, then the backend route of every ordered rank pair: intra-node
-  // pairs always use the shared-memory backend; inter-node pairs use the
-  // heterogeneous `route` policy when set, `inter_node` otherwise. Only the
-  // policy case materializes the n² table — without a policy route_kind()
-  // computes the same answer from the node map alone.
   node_of_.resize(n);
   for (std::size_t r = 0; r < n; ++r)
     node_of_[r] = static_cast<int>(r) / params_.ranks_per_node;
-  bool used[kNumBackends] = {};
-  if (params_.route) {
-    route_.resize(n * n);
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t d = 0; d < n; ++d) {
-        BackendKind k = BackendKind::kShm;
-        if (node_of_[s] != node_of_[d]) {
-          k = params_.route(node_of_[s], node_of_[d]);
-          NARMA_CHECK(k != BackendKind::kShm)
-              << "routing policy assigned the shm backend to inter-node pair "
-              << s << " -> " << d << " (nodes " << node_of_[s] << ", "
-              << node_of_[d] << ")";
-        }
-        route_[s * n + d] = k;
-        used[static_cast<std::size_t>(k)] = true;
-      }
-    }
-  } else {
-    used[static_cast<std::size_t>(BackendKind::kShm)] = true;  // diagonal
-    // node_of_ is nondecreasing, so "any inter-node pair exists" reduces to
-    // comparing the ends.
-    if (node_of_.front() != node_of_.back()) {
-      NARMA_CHECK(params_.inter_node != BackendKind::kShm)
-          << "FabricParams::inter_node must not be the shm backend when "
-             "ranks span multiple nodes";
-      used[static_cast<std::size_t>(params_.inter_node)] = true;
-    }
-  }
-
-  // Instantiate exactly the backends some pair routes to, and resolve each
-  // lane's LogGP row through its owning backend. Lanes of uninstantiated
-  // backends fall back to the parameter blocks so Fabric::timing stays
-  // total (ablation tools iterate over all lanes).
-  for (int t = 0; t < kNumTransports; ++t)
-    lane_timing_[static_cast<std::size_t>(t)] =
-        &params_.timing(static_cast<Transport>(t));
-  for (int b = 0; b < kNumBackends; ++b) {
-    if (!used[b]) continue;
-    const auto kind = static_cast<BackendKind>(b);
-    backends_[static_cast<std::size_t>(b)] = make_backend(kind, params_);
-    const TransportBackend& be = *backends_[static_cast<std::size_t>(b)];
-    for (const Transport lane : be.lanes())
-      lane_timing_[static_cast<std::size_t>(lane)] = &be.timing(lane);
-    const NotifyCosts nc = be.notify_costs();
-    consume_overhead_[static_cast<std::size_t>(b)] = nc.consume;
-    graceful_overflow_[static_cast<std::size_t>(b)] = nc.graceful_overflow;
-  }
 
   if (metrics_) {
-    // Lane counters indexed by Transport, notification counters by
-    // BackendKind; only what the route uses is registered.
+    // Only the lanes some pair can use are registered: node_of_ is
+    // nondecreasing, so an inter-node pair exists iff the ends differ.
     static const char* kOpNames[kNumTransports] = {
-        "net.shm_ops",  "net.fma_ops", "net.bte_ops",
-        "net.idc_ops",  "net.dma_ops", "net.rdma_ops"};
+        "net.shm_ops", "net.fma_ops", "net.bte_ops"};
     static const char* kByteNames[kNumTransports] = {
-        "net.shm_bytes", "net.fma_bytes", "net.bte_bytes",
-        "net.idc_bytes", "net.dma_bytes", "net.rdma_bytes"};
-    static const char* kNotifNames[kNumBackends] = {
-        "net.shm_notifs", "net.aries_notifs", "net.ramc_notifs",
-        "net.verbs_notifs"};
-    static const char* kDrainNames[kNumBackends] = {
-        "net.shm_drain_ps", "net.aries_drain_ps", "net.ramc_drain_ps",
-        "net.verbs_drain_ps"};
-    bool lane_used[kNumTransports] = {};
-    for (int b = 0; b < kNumBackends; ++b) {
-      if (!used[b]) continue;
-      for (const Transport lane : backends_[static_cast<std::size_t>(b)]
-                                      ->lanes())
-        lane_used[static_cast<std::size_t>(lane)] = true;
-    }
+        "net.shm_bytes", "net.fma_bytes", "net.bte_bytes"};
+    const bool spans_nodes = node_of_.front() != node_of_.back();
     rank_metrics_.resize(n);
     for (int r = 0; r < engine_.nranks(); ++r) {
       RankNetMetrics& m = rank_metrics_[static_cast<std::size_t>(r)];
       for (int t = 0; t < kNumTransports; ++t) {
-        if (!lane_used[t]) continue;
+        if (t != static_cast<int>(Transport::kShm) && !spans_nodes) continue;
         m.ops[t] = metrics_->counter(kOpNames[t], r);
         m.bytes[t] = metrics_->counter(kByteNames[t], r);
       }
-      for (int b = 0; b < kNumBackends; ++b) {
-        if (!used[b]) continue;
-        m.notifs[b] = metrics_->counter(kNotifNames[b], r);
-        m.drain_ps[b] = metrics_->counter(kDrainNames[b], r);
-      }
+      m.notifs[0] = metrics_->counter("net.shm_notifs", r);
+      if (spans_nodes) m.notifs[1] = metrics_->counter("net.aries_notifs", r);
       m.queue_delay = metrics_->histogram("net.chan_queue_ns", r);
     }
   }

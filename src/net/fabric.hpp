@@ -1,17 +1,14 @@
 // The simulated interconnect.
 //
-// A Fabric owns one Nic per rank, the per-(source, destination) channel
-// state used to serialize injections, and the transport backends
-// (net/backend.hpp) that rank pairs are routed to: intra-node pairs to the
-// shared-memory backend, inter-node pairs to the backend named by
-// FabricParams::inter_node or the per-node-pair FabricParams::route policy.
-// Only backends that some pair actually routes to are instantiated, so the
-// default configuration carries exactly the shm + Aries pair it always has.
+// A Fabric owns one Nic per rank and the per-(source, destination) channel
+// state used to serialize injections. Intra-node pairs use the shared-memory
+// lane; inter-node pairs use Aries FMA below FabricParams::aries
+// .fma_bte_threshold and BTE at or above it (the paper's Table I).
 //
-// Transfers are charged LogGP costs from the owning backend's lane table: a
-// transfer of b bytes issued at local time t on a channel whose previous
-// injection ends at time f starts at max(t, f), occupies the channel for
-// g + G*b, and is delivered L later. Because each channel is only ever
+// Transfers are charged the LogGP costs of their lane: a transfer of b
+// bytes issued at local time t on a channel whose previous injection ends
+// at time f starts at max(t, f), occupies the channel for g + G*b, and is
+// delivered L later. Because each channel is only ever
 // injected into in nondecreasing virtual time, deliveries on a channel are
 // FIFO — the in-order guarantee of deterministically routed fabrics that
 // the paper's notification ordering relies on.
@@ -31,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/backend.hpp"
 #include "net/faults.hpp"
 #include "net/params.hpp"
 #include "net/types.hpp"
@@ -76,65 +72,27 @@ class Fabric {
 
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
 
-  /// Backend kind serving one ordered rank pair. A dense [src][dst] table
-  /// exists only under a heterogeneous route policy; the homogeneous case
-  /// (the default) is computed from the node map — an n² table would cost
-  /// 16 MB at 4096 ranks for two possible answers.
-  BackendKind route_kind(int src, int dst) const {
-    if (!route_.empty())
-      return route_[static_cast<std::size_t>(src) *
-                        static_cast<std::size_t>(nranks()) +
-                    static_cast<std::size_t>(dst)];
-    return same_node(src, dst) ? BackendKind::kShm : params_.inter_node;
-  }
-
-  /// The transport backend serving one ordered rank pair.
-  const TransportBackend& backend_for(int src, int dst) const {
-    return *backends_[static_cast<std::size_t>(route_kind(src, dst))];
-  }
-
-  /// Lane selection, delegated to the pair's backend routing policy
-  /// (intra-node pairs → shm; inter-node pairs → the routed backend's
-  /// size-based lane choice).
+  /// Lane of a transfer of `bytes` from `src` to `dst`: shm within a node,
+  /// else FMA below the FMA/BTE threshold and BTE at or above it.
   Transport transport_for(int src, int dst, std::size_t bytes) const {
-    return backend_for(src, dst).lane(bytes);
+    if (same_node(src, dst)) return Transport::kShm;
+    return bytes >= params_.aries.fma_bte_threshold ? Transport::kBte
+                                                    : Transport::kFma;
   }
 
-  /// LogGP row of one lane, resolved through the owning backend (falls back
-  /// to the parameter block when that backend is not instantiated).
+  /// LogGP row of one lane.
   const TransportTiming& timing(Transport lane) const {
-    return *lane_timing_[static_cast<std::size_t>(lane)];
+    return params_.timing(lane);
   }
 
-  /// Consumer-side cost of draining one notification delivered by `k`
-  /// (RAMC ring pop, verbs RQE repost; zero for shm/aries).
-  Time consume_overhead(BackendKind k) const {
-    return consume_overhead_[static_cast<std::size_t>(k)];
-  }
-
-  /// True when `k` absorbs a full notification queue (spill + retry)
-  /// instead of treating it as a fatal hardware error.
-  bool graceful_overflow(BackendKind k) const {
-    return graceful_overflow_[static_cast<std::size_t>(k)];
-  }
-
-  /// Per-rank, backend-tagged notification-delivery counter hook
-  /// (net.<backend>_notifs); called by the NICs at commit time.
-  void note_notify(int rank, BackendKind k) {
+  /// Per-rank notification-delivery counter hook, by the pair the
+  /// notification crossed: net.shm_notifs within a node, net.aries_notifs
+  /// across nodes. Called by the NICs at commit time.
+  void note_notify(int rank, bool intra_node) {
     if (!rank_metrics_.empty())
       rank_metrics_[static_cast<std::size_t>(rank)]
-          .notifs[static_cast<std::size_t>(k)]
+          .notifs[intra_node ? 0 : 1]
           .inc();
-  }
-
-  /// Per-rank, backend-tagged consumer drain-cost hook
-  /// (net.<backend>_drain_ps, virtual picoseconds); called by the matching
-  /// engine where it charges consume_overhead().
-  void note_drain(int rank, BackendKind k, Time cost) {
-    if (!rank_metrics_.empty())
-      rank_metrics_[static_cast<std::size_t>(rank)]
-          .drain_ps[static_cast<std::size_t>(k)]
-          .inc(static_cast<std::uint64_t>(cost));
   }
 
   /// Charges the channel-serialization and LogGP costs of a transfer of
@@ -236,15 +194,12 @@ class Fabric {
     Time last_deliver = 0;
   };
 
-  /// Per-source-rank transfer metrics. Lane arrays are indexed by
-  /// Transport, notification counters by BackendKind; only the lanes and
-  /// backends some route actually uses are registered — the rest stay
-  /// disengaged no-op handles.
+  /// Per-source-rank transfer metrics, lane arrays indexed by Transport.
+  /// Lanes no pair can use stay disengaged no-op handles.
   struct RankNetMetrics {
     obs::Counter ops[kNumTransports];    // net.<lane>_ops
     obs::Counter bytes[kNumTransports];  // net.<lane>_bytes
-    obs::Counter notifs[kNumBackends];   // net.<backend>_notifs
-    obs::Counter drain_ps[kNumBackends];  // net.<backend>_drain_ps
+    obs::Counter notifs[2];              // net.shm_notifs, net.aries_notifs
     obs::Histogram queue_delay;  // net.chan_queue_ns (injection serialization)
   };
 
@@ -276,11 +231,6 @@ class Fabric {
   std::vector<Channel> channels_;  // [class][src][dst]; empty at scale
   std::unordered_map<std::uint64_t, Channel> sparse_channels_;
   std::vector<int> node_of_;       // rank -> node, validated at construction
-  std::vector<BackendKind> route_;  // [src][dst]; empty without a route policy
-  std::array<std::unique_ptr<TransportBackend>, kNumBackends> backends_;
-  std::array<const TransportTiming*, kNumTransports> lane_timing_{};
-  std::array<Time, kNumBackends> consume_overhead_{};
-  std::array<bool, kNumBackends> graceful_overflow_{};
   std::vector<std::unique_ptr<Nic>> nics_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<FlowControl> flow_;  // after nics_: sized to their queues

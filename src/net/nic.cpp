@@ -92,7 +92,6 @@ std::size_t Nic::pop_hw_batch(std::span<HwNotification> out) {
       o.bytes = c.bytes;
       o.time = c.time;
       o.msg = c.msg;
-      o.backend = c.backend;
     } else {
       o.queue_slot = &shm_ring_.front();
       const ShmNotification s = shm_ring_.pop();
@@ -103,7 +102,6 @@ std::size_t Nic::pop_hw_batch(std::span<HwNotification> out) {
       o.time = s.time;
       o.msg = s.msg;
       o.from_shm = true;
-      o.backend = BackendKind::kShm;
       o.key = s.key;
       o.offset = s.offset;
       o.inline_len = s.inline_len;
@@ -134,7 +132,10 @@ NetMsg Nic::pop_mailbox() {
 
 void Nic::commit(const Cqe& cqe) {
   ++fabric_.counters().notifications;
-  fabric_.note_notify(rank(), cqe.backend);
+  // An intra-node get or atomic notification also lands on the CQ; it
+  // counts as shm traffic, by the pair it crossed.
+  fabric_.note_notify(rank(),
+                      fabric_.same_node(imm_source(cqe.imm), rank()));
   if (cqe.msg)
     if (auto* mt = fabric_.msgtrace())
       mt->hop(cqe.msg, rank(), obs::HopKind::kDeliver, cqe.time);
@@ -144,7 +145,7 @@ void Nic::commit(const Cqe& cqe) {
 
 void Nic::commit(const ShmNotification& n) {
   ++fabric_.counters().notifications;
-  fabric_.note_notify(rank(), BackendKind::kShm);
+  fabric_.note_notify(rank(), true);
   if (n.msg)
     if (auto* mt = fabric_.msgtrace())
       mt->hop(n.msg, rank(), obs::HopKind::kDeliver, n.time);
@@ -210,36 +211,15 @@ void Nic::drain_spill(RingBuffer<T>& q, Spill<T>& sp, const char* what,
     // The entry lands now, not at its first (refused) arrival, so consumers
     // and the msgtrace see the redelivery instant.
     if (head.time < t) head.time = t;
-    if (q.try_push(head)) {
-      commit(head);
-      sp.entries.pop_front();
-      sp.head_failures = 0;
-      continue;
-    }
-    // Still no slot. Credited traffic cannot reach this (a spilled entry's
-    // slot is reserved), so this is an uncredited push racing a full queue;
-    // retry with bounded exponential backoff.
-    ++fabric_.counters().retries;
-    ++sp.head_failures;
-    // head_failures counts failed *retries* (the refused first delivery was
-    // charged in graceful_deliver); `<` keeps this path's attempt count
-    // identical to the credit-stall path below — fatal when the
-    // max_retries-th retry also finds no slot.
-    NARMA_CHECK(sp.head_failures < fabric_.params().faults.max_retries)
-        << what << " redelivery retry budget exhausted after "
-        << fabric_.params().faults.max_retries << " retries at rank "
-        << rank() << ": depth " << q.size() << " of capacity " << q.capacity()
-        << " — the consumer is not draining; raise the queue capacity or "
-           "FaultParams::max_retries";
-    if (head.msg)
-      if (auto* mt = fabric_.msgtrace())
-        mt->hop(head.msg, rank(), obs::HopKind::kRetry, t);
-    const Time next = t + fabric_.params().faults.backoff(sp.head_failures);
-    sp.scheduled = true;
-    fabric_.engine().post(next, [this, &q, &sp, what, next] {
-      drain_spill(q, sp, what, next);
-    });
-    return;
+    // Every spilled entry holds the queue-slot credit its sender acquired
+    // before issue, and credits return only as entries leave the queue, so
+    // queue + spill never outgrow the capacity: the reserved slot is free.
+    NARMA_CHECK(q.try_push(head))
+        << what << " redelivery found no free slot at rank " << rank()
+        << ": depth " << q.size() << " of capacity " << q.capacity()
+        << " — an entry reached the queue without a credit";
+    commit(head);
+    sp.entries.pop_front();
   }
 }
 
@@ -289,11 +269,7 @@ bool Nic::drop_if_dead(FlowControl::Queue q, Time t) {
 
 void Nic::push_cqe(const Cqe& cqe) {
   if (drop_if_dead(FlowControl::Queue::kDestCq, cqe.time)) return;
-  // Backends that own their overflow behavior (RAMC, verbs — see
-  // NotifyCosts::graceful_overflow) absorb a full CQ through the spill +
-  // bounded-retry path even under the global fatal policy; the uGNI-style
-  // abort below is Aries semantics, not a fabric invariant.
-  if (fabric_.flow().active() || fabric_.graceful_overflow(cqe.backend)) {
+  if (fabric_.flow().active()) {
     graceful_deliver(cqe, dest_cq_, spill_cq_, "destination completion queue");
     return;
   }
@@ -384,63 +360,16 @@ void Nic::put(int target, MemKey key, std::uint64_t offset, const void* src,
 void Nic::put_at(Time issue, int target, MemKey key, std::uint64_t offset,
                  const void* src, std::size_t bytes, NotifyAttr na,
                  PendingOps* pending) {
-  const TransportBackend& be = fabric_.backend_for(rank(), target);
-  const Transport tr = be.lane(bytes);
+  const Transport tr = fabric_.transport_for(rank(), target, bytes);
   Nic* tgt = &fabric_.nic(target);
   if (pending) ++pending->issued;
   ++fabric_.counters().data_transfers;
   g_src_pending_.add(1, issue);
 
   const int src_rank = rank();
-  if (na.notify && be.notify_model() == NotifyModel::kCounting) {
-    // RAMC-style counting completion: the data leg moves the payload with
-    // no completion of its own; a ring-entry descriptor write follows on
-    // the same channel, and its counting-counter update at the target
-    // makes the notification visible. The channel serializes the two legs
-    // in injection order, but the descriptor rides the (lower-latency) IDC
-    // lane, so visibility is additionally clamped to the data commit — a
-    // notification must never precede its payload.
-    const Time data_deliver = fabric_.schedule_transfer(
-        src_rank, target, issue, bytes, tr, Fabric::ChannelClass::kData,
-        [tgt, key, offset, src, bytes, na](Time t) {
-          if (bytes > 0) {
-            std::byte* dst = tgt->resolve(key, offset, bytes);
-            std::memcpy(dst, src, bytes);
-          } else {
-            (void)tgt->resolve(key, offset, 0);
-          }
-          if (na.remote_delivered) {
-            ++na.remote_delivered->completed;
-            tgt->progress_.notify(tgt->fabric_.engine(), t);
-          }
-        },
-        na.msg);
-    const NotifyCosts nc = be.notify_costs();
-    ++fabric_.counters().ctrl_transfers;
-    const Time desc_deliver = fabric_.reserve_transfer(
-        src_rank, target, issue, nc.desc_bytes, be.lane(nc.desc_bytes),
-        Fabric::ChannelClass::kData, na.msg);
-    const Time visible = std::max(desc_deliver, data_deliver) + nc.commit;
-    Cqe cqe{CqeKind::kPutNotify,
-            na.imm,
-            static_cast<std::uint32_t>(bytes),
-            na.window,
-            visible,
-            na.msg,
-            be.kind()};
-    fabric_.engine().post(visible, [tgt, cqe] { tgt->push_cqe(cqe); });
-    if (auto* tracer = fabric_.tracer())
-      tracer->flow(src_rank, target, "rdma",
-                   "put " + std::to_string(bytes) + "B+desc", issue, visible,
-                   na.msg ? obs::MsgTrace::flow_id(na.msg) : 0);
-    post_ack(src_rank, data_deliver, tr, pending);
-    return;
-  }
-
-  const BackendKind bk = be.kind();
   const Time deliver = fabric_.schedule_transfer(
       src_rank, target, issue, bytes, tr, Fabric::ChannelClass::kData,
-      [tgt, target, key, offset, src, bytes, na, bk](Time t) {
+      [tgt, target, key, offset, src, bytes, na](Time t) {
         if (bytes > 0) {
           std::byte* dst = tgt->resolve(key, offset, bytes);
           std::memcpy(dst, src, bytes);
@@ -452,7 +381,7 @@ void Nic::put_at(Time issue, int target, MemKey key, std::uint64_t offset,
         if (na.notify) {
           tgt->push_cqe(Cqe{CqeKind::kPutNotify, na.imm,
                             static_cast<std::uint32_t>(bytes), na.window, t,
-                            na.msg, bk});
+                            na.msg});
         } else if (na.msg) {
           // Plain put: the lifecycle's delivery hop is the data commit.
           if (auto* mt = tgt->fabric_.msgtrace())
@@ -477,34 +406,29 @@ void Nic::put_iov(int target, MemKey key,
   std::size_t total = 0;
   for (const auto& s : segments) total += s.bytes;
   if (na.notify) acquire_credit(target, FlowControl::Queue::kDestCq, na.msg);
-  const TransportBackend& be = fabric_.backend_for(rank(), target);
-  const Transport tr = be.lane(total);
-  const BackendKind bk = be.kind();
+  const Transport tr = fabric_.transport_for(rank(), target, total);
   Nic* tgt = &fabric_.nic(target);
   if (pending) ++pending->issued;
   ++fabric_.counters().data_transfers;
   g_src_pending_.add(1, ctx_.now());
 
-  const bool counting =
-      na.notify && be.notify_model() == NotifyModel::kCounting;
   const int src_rank = rank();
   // Segment list captured by value: the descriptors are consumed at issue,
   // the referenced payloads at delivery (standard RDMA source semantics).
   std::vector<IoSegment> segs(segments.begin(), segments.end());
   const Time deliver = fabric_.schedule_transfer(
       src_rank, target, ctx_.now(), total, tr, Fabric::ChannelClass::kData,
-      [tgt, target, key, segs = std::move(segs), na, total, bk,
-       counting](Time t) {
+      [tgt, target, key, segs = std::move(segs), na, total](Time t) {
         for (const auto& s : segs) {
           if (s.bytes == 0) continue;
           std::byte* dst = tgt->resolve(key, s.offset, s.bytes);
           std::memcpy(dst, s.src, s.bytes);
         }
-        if (na.notify && !counting) {
+        if (na.notify) {
           tgt->push_cqe(Cqe{CqeKind::kPutNotify, na.imm,
                             static_cast<std::uint32_t>(total), na.window, t,
-                            na.msg, bk});
-        } else if (!na.notify && na.msg) {
+                            na.msg});
+        } else if (na.msg) {
           if (auto* mt = tgt->fabric_.msgtrace())
             mt->hop(na.msg, target, obs::HopKind::kDeliver, t);
         }
@@ -514,24 +438,6 @@ void Nic::put_iov(int target, MemKey key,
         }
       },
       na.msg);
-  if (counting) {
-    // Same counting-completion shape as put_at: descriptor leg on the same
-    // channel, visibility clamped to the data commit.
-    const NotifyCosts nc = be.notify_costs();
-    ++fabric_.counters().ctrl_transfers;
-    const Time desc_deliver = fabric_.reserve_transfer(
-        src_rank, target, ctx_.now(), nc.desc_bytes, be.lane(nc.desc_bytes),
-        Fabric::ChannelClass::kData, na.msg);
-    const Time visible = std::max(desc_deliver, deliver) + nc.commit;
-    Cqe cqe{CqeKind::kPutNotify,
-            na.imm,
-            static_cast<std::uint32_t>(total),
-            na.window,
-            visible,
-            na.msg,
-            bk};
-    fabric_.engine().post(visible, [tgt, cqe] { tgt->push_cqe(cqe); });
-  }
   if (auto* tracer = fabric_.tracer())
     tracer->flow(src_rank, target, "rdma",
                  "put_iov " + std::to_string(segments.size()) + "x",
@@ -543,9 +449,7 @@ void Nic::put_iov(int target, MemKey key,
 void Nic::get(int target, MemKey key, std::uint64_t offset, void* dst,
               std::size_t bytes, NotifyAttr na, PendingOps* pending) {
   if (na.notify) acquire_credit(target, FlowControl::Queue::kDestCq, na.msg);
-  const TransportBackend& be = fabric_.backend_for(rank(), target);
-  const Transport tr = be.lane(bytes);
-  const BackendKind bk = be.kind();
+  const Transport tr = fabric_.transport_for(rank(), target, bytes);
   Nic* tgt = &fabric_.nic(target);
   Nic* self = this;
   if (pending) ++pending->issued;
@@ -564,7 +468,7 @@ void Nic::get(int target, MemKey key, std::uint64_t offset, void* dst,
   // later writes.
   fabric_.schedule_transfer(
       origin, target, ctx_.now(), 0, tr, Fabric::ChannelClass::kData,
-      [self, tgt, origin, target, key, offset, dst, bytes, na, tr, bk,
+      [self, tgt, origin, target, key, offset, dst, bytes, na, tr,
        pending](Time t_req) {
         auto wire = std::make_shared<std::vector<std::byte>>();
         if (bytes > 0) {
@@ -574,7 +478,7 @@ void Nic::get(int target, MemKey key, std::uint64_t offset, void* dst,
         if (na.notify)
           tgt->push_cqe(Cqe{CqeKind::kGetNotify, na.imm,
                             static_cast<std::uint32_t>(bytes), na.window,
-                            t_req, na.msg, bk});
+                            t_req, na.msg});
         ++self->fabric_.counters().responses;
         // A notified get's consumer path ends at the target CQ; a plain
         // get's lifecycle follows the response leg back to the origin.
@@ -600,9 +504,8 @@ void Nic::atomic(int target, MemKey key, std::uint64_t offset, AtomicOp op,
                  std::int64_t operand, std::int64_t compare,
                  std::int64_t* result, NotifyAttr na, PendingOps* pending) {
   if (na.notify) acquire_credit(target, FlowControl::Queue::kDestCq, na.msg);
-  const TransportBackend& be = fabric_.backend_for(rank(), target);
-  const Transport tr = be.lane(sizeof(std::int64_t));
-  const BackendKind bk = be.kind();
+  const Transport tr =
+      fabric_.transport_for(rank(), target, sizeof(std::int64_t));
   Nic* tgt = &fabric_.nic(target);
   Nic* self = this;
   if (pending) ++pending->issued;
@@ -615,7 +518,7 @@ void Nic::atomic(int target, MemKey key, std::uint64_t offset, AtomicOp op,
       origin, target, ctx_.now(), sizeof(std::int64_t), tr,
       Fabric::ChannelClass::kData,
       [self, tgt, origin, target, key, offset, op, operand, compare, result,
-       na, tr, bk, pending, exec_cost](Time t_req) {
+       na, tr, pending, exec_cost](Time t_req) {
         std::byte* loc = tgt->resolve(key, offset, sizeof(std::int64_t));
         std::int64_t old;
         std::memcpy(&old, loc, sizeof(old));
@@ -637,8 +540,8 @@ void Nic::atomic(int target, MemKey key, std::uint64_t offset, AtomicOp op,
         const Time t_done = t_req + exec_cost;
         if (na.notify)
           tgt->push_cqe(Cqe{CqeKind::kAtomicNotify, na.imm,
-                            sizeof(std::int64_t), na.window, t_done, na.msg,
-                            bk});
+                            sizeof(std::int64_t), na.window, t_done,
+                            na.msg});
         ++self->fabric_.counters().responses;
         const std::uint64_t resp_msg = na.notify ? 0 : na.msg;
         self->fabric_.schedule_transfer(

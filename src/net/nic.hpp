@@ -57,10 +57,6 @@ class Nic {
 
   // --- RDMA data movement -------------------------------------------------
 
-  // Notification attributes ride in the backend-neutral net::NotifyAttr
-  // (types.hpp); how a notification surfaces at the target is the routed
-  // backend's choice (net/backend.hpp).
-
   /// Nonblocking RDMA write of the caller's buffer into (target, key,
   /// offset). The source buffer must remain valid and unmodified until the
   /// operation completes locally (standard RDMA semantics).
@@ -234,18 +230,19 @@ class Nic {
   void acquire_credit(int target, FlowControl::Queue q, std::uint64_t msg);
 
   /// Deferred deliveries parked while their queue reported full (injected
-  /// pressure, or an uncredited push racing a full queue). Arrival order is
-  /// preserved: fresh deliveries queue behind the spill so per-source FIFO —
-  /// which the NA matching order relies on — survives retries.
+  /// pressure). Arrival order is preserved: fresh deliveries queue behind
+  /// the spill so per-source FIFO — which the NA matching order relies on —
+  /// survives the redelivery. Every parked entry holds a credited slot, so
+  /// one redelivery lands them all.
   template <class T>
   struct Spill {
     std::deque<T> entries;
     bool scheduled = false;  // a drain event is pending
-    int head_failures = 0;   // consecutive failed redeliveries of the head
   };
 
-  /// Delivery with retry instead of abort: push now if the queue accepts and
-  /// nothing is parked ahead, otherwise spill and schedule a redelivery.
+  /// Delivery with a deferred retry instead of abort: push now if the queue
+  /// accepts and nothing is parked ahead, otherwise spill and schedule the
+  /// redelivery.
   template <class T>
   void graceful_deliver(T entry, RingBuffer<T>& q, Spill<T>& sp,
                         const char* what);

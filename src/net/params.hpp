@@ -1,83 +1,39 @@
-// Fabric timing and sizing parameters.
-//
-// Timing is organized per transport *backend* (see net/backend.hpp): each
-// backend owns a block of LogGP lane tables plus its notification-model
-// knobs, and FabricParams aggregates one block per supported backend plus
-// the backend routing policy. The Aries block mirrors the paper's Table I:
+// Fabric timing and sizing parameters. The lane table mirrors the paper's
+// Table I:
 //
 //            |  Shared memory |  uGNI FMA   |  uGNI BTE
 //   L        |  0.25 us       |  1.02 us    |  1.32 us
 //   G        |  0.08 ns/B     |  0.105 ns/B |  0.101 ns/B
 //
-// FMA (Fast Memory Access) serves small transfers; BTE (Block Transfer
-// Engine) serves large ones and is selected above `fma_bte_threshold`, as on
-// Cray XC30. Intra-node pairs always use the shared-memory (XPMEM-like)
-// backend; inter-node pairs use the backend named by `inter_node` or, for
-// heterogeneous jobs, the per-node-pair `route` policy.
+// Intra-node pairs use the shared-memory (XPMEM-like) lane. Inter-node pairs
+// use FMA (Fast Memory Access) for small transfers and BTE (Block Transfer
+// Engine) at or above `fma_bte_threshold`, as on Cray XC30.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "common/time.hpp"
 
 namespace narma::net {
 
-/// Physical injection lane. Each lane belongs to exactly one backend (shm →
-/// shared memory; fma/bte → Aries; idc/dma → RAMC; rdma → verbs) and has its
-/// own LogGP row; a backend picks among its lanes by payload size.
+/// Physical injection lane, each with its own LogGP row.
 enum class Transport : std::uint8_t {
-  kShm = 0,   // intra-node shared memory (XPMEM-like)
-  kFma = 1,   // Aries Fast Memory Access (small transfers)
-  kBte = 2,   // Aries Block Transfer Engine (large transfers)
-  kIdc = 3,   // RAMC immediate-data channel (small ring-buffer writes)
-  kDma = 4,   // RAMC bulk DMA leg (large transfers)
-  kRdma = 5,  // verbs/libfabric RDMA write path (single lane)
+  kShm = 0,  // intra-node shared memory (XPMEM-like)
+  kFma = 1,  // Aries Fast Memory Access (small transfers)
+  kBte = 2,  // Aries Block Transfer Engine (large transfers)
 };
-inline constexpr int kNumTransports = 6;
+inline constexpr int kNumTransports = 3;
 
 inline const char* to_string(Transport t) {
   switch (t) {
     case Transport::kShm: return "shm";
     case Transport::kFma: return "fma";
     case Transport::kBte: return "bte";
-    case Transport::kIdc: return "idc";
-    case Transport::kDma: return "dma";
-    case Transport::kRdma: return "rdma";
   }
   return "?";
 }
-
-/// Transport backend families (net/backend.hpp). kShm serves intra-node
-/// pairs; the other three are the selectable inter-node fabrics.
-enum class BackendKind : std::uint8_t {
-  kShm = 0,
-  kAries = 1,
-  kRamc = 2,
-  kVerbs = 3,
-};
-inline constexpr int kNumBackends = 4;
-
-inline const char* to_string(BackendKind k) {
-  switch (k) {
-    case BackendKind::kShm: return "shm";
-    case BackendKind::kAries: return "aries";
-    case BackendKind::kRamc: return "ramc";
-    case BackendKind::kVerbs: return "verbs";
-  }
-  return "?";
-}
-
-/// How a backend surfaces a notified access at the target (backend.hpp has
-/// the full semantics table).
-enum class NotifyModel : std::uint8_t {
-  kShmRing = 0,   // cache-line entries in a shared-memory notification ring
-  kDestCqe = 1,   // per-message CQE on the destination CQ (uGNI immediates)
-  kCounting = 2,  // counting completion: data leg + ring-entry descriptor leg
-  kWriteImm = 3,  // RDMA write-with-immediate CQE, consumer reposts RQEs
-};
 
 struct TransportTiming {
   Time L;                 // zero-byte one-way latency
@@ -139,12 +95,13 @@ struct FaultParams {
   OverflowPolicy overflow_policy = OverflowPolicy::kFatal;
 
   /// Retry budget: the number of *retry* attempts allowed after an
-  /// operation's initial failure, on every bounded-retry path — queue
-  /// redeliveries, credit stalls, and drop retransmits all count attempts
-  /// the same way. The budget exhausts fatally (with full diagnostics) when
-  /// the final retry also fails: backpressure degrades gracefully but never
-  /// hangs silently, and a drop plan that outlives the budget is reported,
-  /// not silently forgiven.
+  /// operation's initial failure, on both bounded-retry paths — sender
+  /// credit stalls and drop retransmits count attempts the same way. The
+  /// budget exhausts fatally (with full diagnostics) when the final retry
+  /// also fails: backpressure degrades gracefully but never hangs silently,
+  /// and a drop plan that outlives the budget is reported, not silently
+  /// forgiven. (A queue entry deferred by forced pressure needs no budget:
+  /// it holds a credited slot, so its one redelivery always lands.)
   int max_retries = 1000;
   static constexpr Time kBackoffBase = us(1);
   static constexpr Time kBackoffMax = ms(1);
@@ -161,14 +118,14 @@ struct FaultParams {
   }
 };
 
-/// Shared-memory (XPMEM-like) backend: one lane, coherent completion (no
-/// hardware ack), notifications through the shm ring.
-struct ShmBackendParams {
+/// Shared-memory (XPMEM-like) lane: coherent completion (no hardware ack),
+/// notifications through the shm ring.
+struct ShmParams {
   TransportTiming timing{us(0.25), 80.0, ns(5), ps(0)};
 };
 
-/// Aries/uGNI backend (the paper's Table I machine): FMA below the
-/// threshold, BTE at or above it, per-message CQEs on the destination CQ.
+/// Aries/uGNI lanes (the paper's Table I machine): FMA below the threshold,
+/// BTE at or above it, per-message CQEs on the destination CQ.
 struct AriesParams {
   TransportTiming fma{us(1.02), 105.0, ns(20), us(1.02)};
   TransportTiming bte{us(1.32), 101.0, ns(50), us(1.32)};
@@ -177,51 +134,11 @@ struct AriesParams {
   std::size_t fma_bte_threshold = 4096;
 };
 
-/// RAMC-style remote-memory-channel backend (Slingshot flavor): small
-/// payloads ride the immediate-data channel, bulk ones the DMA leg, and a
-/// notified access is a data leg plus a ring-entry descriptor write whose
-/// counting completion makes the notification visible.
-struct RamcParams {
-  TransportTiming idc{us(1.10), 98.0, ns(15), us(1.10)};
-  TransportTiming dma{us(1.45), 92.0, ns(45), us(1.45)};
-
-  /// Transfers up to this many bytes use the IDC lane; larger ones use DMA.
-  std::size_t idc_max_bytes = 2048;
-  /// Wire size of the ring-entry descriptor leg of a notified access.
-  std::size_t desc_bytes = 64;
-  /// Target-NIC counting-counter update charged before the notification is
-  /// visible to the consumer.
-  Time counter_update = ns(18);
-  /// Consumer-side ring-slot pop/advance cost per notification drained.
-  Time ring_pop = ns(9);
-};
-
-/// Verbs/libfabric-flavored backend: one RDMA lane, write-with-immediate
-/// CQEs, and a receive-queue-entry repost charged to the consumer per
-/// notification (the RQE the immediate consumed must be replenished).
-struct VerbsParams {
-  TransportTiming rdma{us(1.70), 110.0, ns(35), us(1.70)};
-
-  /// Consumer-side RQE repost cost per notification drained.
-  Time rq_repost = ns(28);
-};
-
 struct FabricParams {
-  ShmBackendParams shm;
+  ShmParams shm;
   AriesParams aries;
-  RamcParams ramc;
-  VerbsParams verbs;
 
-  /// Backend used by every inter-node pair unless `route` overrides it.
-  /// narma_cli selects it with --transport=aries|ramc|verbs.
-  BackendKind inter_node = BackendKind::kAries;
-
-  /// Optional heterogeneous routing policy: called once per ordered node
-  /// pair (a != b) at fabric construction; returning kShm is invalid.
-  /// Unset → every inter-node pair uses `inter_node`.
-  std::function<BackendKind(int node_a, int node_b)> route;
-
-  /// Ranks r and s share a node (and use the shm backend) iff
+  /// Ranks r and s share a node (and use the shm lane) iff
   /// r / ranks_per_node == s / ranks_per_node. Must be >= 1 (validated
   /// fatally at fabric construction).
   int ranks_per_node = 1;
@@ -240,16 +157,12 @@ struct FabricParams {
   /// --overflow, --fault-seed, --fault-{drop,delay,stall,pressure}).
   FaultParams faults;
 
-  /// LogGP row of one lane, independent of routing (parameter-level lookup;
-  /// the fabric resolves lanes through its instantiated backends instead).
+  /// LogGP row of one lane.
   const TransportTiming& timing(Transport t) const {
     switch (t) {
       case Transport::kShm: return shm.timing;
       case Transport::kFma: return aries.fma;
       case Transport::kBte: return aries.bte;
-      case Transport::kIdc: return ramc.idc;
-      case Transport::kDma: return ramc.dma;
-      case Transport::kRdma: return verbs.rdma;
     }
     return aries.fma;
   }

@@ -38,11 +38,8 @@ enum class CqeKind : std::uint8_t {
   kAtomicNotify,  // a notified atomic committed to local memory
 };
 
-/// Destination-completion-queue entry. Every non-shm backend delivers its
-/// notifications through this queue — a uGNI destination-CQ CQE, a RAMC
-/// counting completion, or a verbs write-with-immediate CQE — and tags the
-/// entry with the backend that produced it so consumers can charge
-/// backend-specific drain costs without knowing the route.
+/// Destination-completion-queue entry: the uGNI destination-CQ CQE through
+/// which every inter-node notification arrives.
 struct Cqe {
   CqeKind kind;
   std::uint32_t imm;    // encoded <source, tag>
@@ -50,7 +47,6 @@ struct Cqe {
   std::uint64_t window; // protocol-layer cookie (window id)
   Time time;            // virtual delivery time
   std::uint64_t msg = 0;  // obs::MsgId of the originating op (0 = untraced)
-  BackendKind backend = BackendKind::kAries;  // producing transport backend
 };
 
 /// Shared-memory notification ring entry (the XPMEM-like path, paper
@@ -93,9 +89,6 @@ struct HwNotification {
   /// about the cache simulator.
   const void* queue_slot = nullptr;
   std::uint64_t msg = 0;  // obs::MsgId of the originating op (0 = untraced)
-  /// Transport backend that delivered the notification (kShm for ring
-  /// entries); consumers use it to charge per-backend drain costs.
-  BackendKind backend = BackendKind::kAries;
 };
 
 /// Small typed control message (mailbox entry). The protocol layers define
@@ -119,10 +112,8 @@ struct PendingOps {
   bool all_done() const { return issued == completed; }
 };
 
-/// Notification attributes for one-sided operations, shared by every
-/// transport backend. When `notify` is set, completion surfaces a
-/// notification at the *target* through the route's backend mechanism (CQE,
-/// counting completion, write-with-immediate — see net/backend.hpp); for
+/// Notification attributes for one-sided operations. When `notify` is set,
+/// completion posts a CQE to the *target's* destination CQ; for
 /// puts/atomics when the data is committed at the target, for gets when the
 /// data has been read (the reliable-network case of paper Sec. VIII).
 struct NotifyAttr {

@@ -39,7 +39,7 @@ enum class JournalKind : std::uint8_t {
   kOverflowSpill,   // graceful overflow spill; a=queue depth, b=spill depth
   kStraggler,       // flight-recorder straggler; a=busy ppm, b=median ppm
   kResidual,        // model residual;         peer=window, a=residual_ps,
-                    //                         b=model_ps, aux=backend kind
+                    //                         b=model_ps
   kRankFail,        // fail-stop fired;        a=epoch
   kRankRejoin,      // rank back up;           peer=ckpt partner,
                     //                         a=restored epoch, b=outage_ps

@@ -41,11 +41,11 @@
 // Monitors: per window the recorder flags straggler ranks among the
 // recorded ones (busy fraction far below their median —
 // kStragglerThreshold) and, when msgtrace is on, World::run
-// feeds it per-(window, backend) LogGP residual rows: mean measured
-// channel-stage latency (queue + gap + ser + wire) minus the single-leg
-// model floor (g + G*bytes + L). Persistent large residuals mean
-// congestion, faults, or multi-leg notification overhead the base model
-// does not carry; rows past kResidualThreshold are flagged.
+// feeds it per-(window, backend) LogGP residual rows, backend "shm" or
+// "aries": mean measured channel-stage latency (queue + gap + ser + wire)
+// minus the single-leg model floor (g + G*bytes + L). Persistent large
+// residuals mean congestion or faults the base model does not carry; rows
+// past kResidualThreshold are flagged.
 // Both surface in the narma.timeseries.v1 JSON (a run directory's
 // timeseries.json) and render via `narma_cli timeline`. When an anomaly
 // Journal is attached (set_journal), each window's worst straggler over all

@@ -11,7 +11,7 @@
 //    in-thread control transfer.
 //  * Deterministic execution — events are ordered by (virtual time, issue
 //    sequence number) and ready ranks by (resume time, rank id); the golden
-//    schedule hashes (tests/test_transport_backends.cpp) pin the result.
+//    schedule hashes (tests/golden_schedule.hpp) pin the result.
 //    Compute is charged explicitly (`advance`), never timed on the host.
 //
 // A block/resume costs two in-process context switches, and a rank's stack

@@ -1,6 +1,7 @@
-# Runs narma_cli and checks its exit status and output.
+# Runs narma_cli (or another program, such as a bench binary) and checks its
+# exit status and output.
 #
-#   cmake -DCLI=<narma_cli> -DARGS="<space-separated args>" -DEXIT=<status>
+#   cmake -DCLI=<program> -DARGS="<space-separated args>" -DEXIT=<status>
 #         -DEXPECT=<substring>[;<substring>...] -P cli_expect.cmake
 #
 # Passes when the exit status equals EXIT and stdout+stderr contain every
@@ -12,11 +13,11 @@ execute_process(COMMAND "${CLI}" ${args}
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE out)
 if(NOT rc STREQUAL "${EXIT}")
-  message(FATAL_ERROR "narma_cli ${ARGS}: exit status ${rc}, expected ${EXIT}\n${out}")
+  message(FATAL_ERROR "${CLI} ${ARGS}: exit status ${rc}, expected ${EXIT}\n${out}")
 endif()
 foreach(expect IN LISTS EXPECT)
   string(FIND "${out}" "${expect}" pos)
   if(pos EQUAL -1)
-    message(FATAL_ERROR "narma_cli ${ARGS}: output lacks \"${expect}\"\n${out}")
+    message(FATAL_ERROR "${CLI} ${ARGS}: output lacks \"${expect}\"\n${out}")
   endif()
 endforeach()

@@ -1,4 +1,4 @@
-// Shared randomized-schedule harness for the transport-backend bit-identity
+// Shared randomized-schedule harness for the transport bit-identity
 // property test (tests/test_transport_backends.cpp).
 //
 // schedule_hash(seed) runs one seeded producer/consumer workload — random
@@ -9,17 +9,22 @@
 // deterministic, so the fold over many seeds pins the simulator's timing
 // behavior down to the bit.
 //
-// kGoldenScheduleHash below was generated from the pre-TransportBackend
-// tree (PR 5 head, commit 9ca08a6) over seeds 1..kGoldenScheduleCount. The
-// backend refactor must reproduce it exactly: the default Aries backend is
-// required to be bit-identical to the hard-coded fabric it replaced.
+// kGoldenScheduleHash below is the fold over seeds 1..kGoldenScheduleCount,
+// first captured from the hard-coded shm + Aries FMA/BTE fabric (commit
+// 9ca08a6) and reproduced by every fabric since; golden_seed_hashes.hpp
+// holds the per-seed values, so a mismatch names the first schedule that
+// moved.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/world.hpp"
+#include "golden_seed_hashes.hpp"
 
 namespace narma::golden {
 
@@ -40,6 +45,39 @@ inline std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
 /// every virtual time is identical either way.
 enum class ObsOverride { kNone, kMetricsOn };
 
+/// The first draws of a schedule: its rank count and the World it runs on.
+struct ScheduleShape {
+  int nranks = 0;
+  WorldParams wp;
+};
+
+inline ScheduleShape draw_shape(Xoshiro256& rng) {
+  ScheduleShape s;
+  s.nranks = 2 + static_cast<int>(rng.next_below(4));  // 2..5
+  static constexpr int kRpn[] = {1, 2, 4};
+  s.wp.fabric.ranks_per_node = kRpn[rng.next_below(3)];
+  s.wp.fabric.aries.fma_bte_threshold = rng.next_below(2) ? 4096 : 1024;
+  s.wp.na.matcher = rng.next_below(3) ? na::Matcher::kIndexed
+                                      : na::Matcher::kLinear;
+  s.wp.na.enable_shm_inline = rng.next_below(4) != 0;
+  s.wp.obs.metrics = rng.next_below(2) != 0;
+  return s;
+}
+
+/// "seed 7: 3 ranks, ranks_per_node=2, fma_bte_threshold=1024, linear
+/// matcher, shm inline on" — what a golden failure reports.
+inline std::string describe_seed(std::uint64_t seed) {
+  Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ull + 1);
+  const ScheduleShape s = draw_shape(rng);
+  std::ostringstream os;
+  os << "seed " << seed << ": " << s.nranks
+     << " ranks, ranks_per_node=" << s.wp.fabric.ranks_per_node
+     << ", fma_bte_threshold=" << s.wp.fabric.aries.fma_bte_threshold << ", "
+     << (s.wp.na.matcher == na::Matcher::kLinear ? "linear" : "indexed")
+     << " matcher, shm inline " << (s.wp.na.enable_shm_inline ? "on" : "off");
+  return os.str();
+}
+
 /// One randomized schedule: ranks 1..n-1 produce notified accesses into
 /// rank 0's window; rank 0 consumes them all with a wildcard counting
 /// request. Returns the FNV fold of per-rank finish times and counters.
@@ -48,19 +86,9 @@ template <class Inspect>
 inline std::uint64_t schedule_hash_with(std::uint64_t seed, ObsOverride ov,
                                         Inspect&& inspect) {
   Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ull + 1);
-
-  const int nranks = 2 + static_cast<int>(rng.next_below(4));  // 2..5
-  static constexpr int kRpn[] = {1, 2, 4};
-  WorldParams wp;
-  wp.fabric.ranks_per_node = kRpn[rng.next_below(3)];
-  // NOTE: pre-refactor this knob was wp.fabric.fma_bte_threshold; the
-  // per-backend parameter split moved it into the Aries block. The value —
-  // and therefore every virtual time — is unchanged.
-  wp.fabric.aries.fma_bte_threshold = rng.next_below(2) ? 4096 : 1024;
-  wp.na.matcher = rng.next_below(3) ? na::Matcher::kIndexed
-                                    : na::Matcher::kLinear;
-  wp.na.enable_shm_inline = rng.next_below(4) != 0;
-  wp.obs.metrics = rng.next_below(2) != 0;
+  const ScheduleShape shape = draw_shape(rng);
+  const int nranks = shape.nranks;
+  WorldParams wp = shape.wp;
   if (ov == ObsOverride::kMetricsOn) wp.obs.metrics = true;
 
   // Per-producer op plans, drawn up front so rank fibers never share RNG
@@ -141,18 +169,19 @@ inline std::uint64_t schedule_hash(std::uint64_t seed) {
 }
 
 inline constexpr std::uint64_t kGoldenScheduleCount = 1000;
+static_assert(std::size(kGoldenSeedHashes) == kGoldenScheduleCount);
 
 /// Fold of schedule_hash over seeds 1..n (the committed golden value below
-/// was produced with n = kGoldenScheduleCount on the pre-refactor tree).
+/// was produced with n = kGoldenScheduleCount).
 inline std::uint64_t all_schedules_hash(std::uint64_t n) {
   std::uint64_t h = kFnvOffset;
   for (std::uint64_t s = 1; s <= n; ++s) h = fnv_fold(h, schedule_hash(s));
   return h;
 }
 
-/// Generated from the pre-TransportBackend tree; see file comment. The
-/// short fold (seeds 1..100) exists so Debug/sanitizer builds can assert
-/// bit-identity without paying for the full thousand.
+/// See the file comment. The short fold (seeds 1..100) exists so
+/// Debug/sanitizer builds can assert bit-identity without paying for the
+/// full thousand.
 inline constexpr std::uint64_t kGoldenScheduleHash = 0x30db7fcc5f99eca0ull;
 inline constexpr std::uint64_t kGoldenScheduleCountShort = 100;
 inline constexpr std::uint64_t kGoldenScheduleHashShort =

@@ -124,6 +124,24 @@ TEST(Env, MalformedValueIsFatal) {
                "NARMA_TEST_BAD=xyz: expected one of");
 }
 
+// A value outside the caller's range is fatal and names the range: strtoll
+// saturates 99999999999999999999, which an int cast would then wrap, and
+// NaN would pass a plain `> 0` test.
+TEST(Env, OutOfRangeValueIsFatal) {
+  ::setenv("NARMA_TEST_HUGE", "99999999999999999999", 1);
+  ::setenv("NARMA_TEST_ZERO", "0", 1);
+  ::setenv("NARMA_TEST_NAN", "nan", 1);
+  EXPECT_DEATH(env::get_int("NARMA_TEST_HUGE", 7),
+               "NARMA_TEST_HUGE=99999999999999999999: expected an integer in");
+  EXPECT_DEATH(env::get_int("NARMA_TEST_ZERO", 7, 1),
+               "NARMA_TEST_ZERO=0: expected an integer in \\[1, 2147483647\\]");
+  EXPECT_DEATH(env::get_double("NARMA_TEST_NAN", 1.0),
+               "NARMA_TEST_NAN=nan: expected a finite number");
+  EXPECT_DEATH(env::get_double("NARMA_TEST_ZERO", 1.0, 0.0, 10.0),
+               "NARMA_TEST_ZERO=0: expected a finite number in \\(0, 10\\]");
+  EXPECT_EQ(env::get_int("NARMA_TEST_ZERO", 7, 0, 0), 0);
+}
+
 TEST(Table, RendersAlignedColumns) {
   Table t({"name", "value"});
   t.add_row({"alpha", "1.5"});

@@ -6,13 +6,12 @@
 // OverflowPolicy::kBackpressure must complete, with the stalls surfaced in
 // the fabric counters. The seeded fault plan (FaultParams) is checked for
 // determinism, a property test pins the fault-free path to bit-identical
-// virtual times, and a backend x overflow-policy matrix runs the stencil
-// under injected faults.
+// virtual times, and an overflow-policy matrix runs the stencil under
+// injected faults.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -429,24 +428,22 @@ TEST(FailureInjection, DelayRateWithZeroDelayMaxAborts) {
   EXPECT_DEATH({ World world(2, wp); }, "delay_max must be >= 1");
 }
 
-// --- Transport x overflow-policy fault matrix --------------------------------
+// --- Overflow-policy fault matrix ---------------------------------------------
 //
-// The 4-rank notified stencil on every inter-node backend under both
-// overflow policies, each cell with seeded drops, delays and stalls (plus
-// forced queue pressure under backpressure). Injected faults never overflow
-// a queue by themselves, so the fatal cells are legal. Every cell must
-// verify, every complete traced message must decompose exactly into its
-// end-to-end latency (across retry hops and RAMC's multi-leg notifications),
-// and the backpressure cells must record retry time.
+// The 4-rank notified stencil over Aries under both overflow policies, each
+// cell with seeded drops, delays and stalls (plus forced queue pressure
+// under backpressure). Injected faults never overflow a queue by
+// themselves, so the fatal cell is legal. Every cell must verify, every
+// complete traced message must decompose exactly into its end-to-end
+// latency (across retry hops), and the backpressure cell must record retry
+// time.
 
-class FaultMatrix : public ::testing::TestWithParam<
-                        std::tuple<net::BackendKind, net::OverflowPolicy>> {};
+class FaultMatrix : public ::testing::TestWithParam<net::OverflowPolicy> {};
 
 TEST_P(FaultMatrix, StencilVerifiesAndDecomposes) {
-  const auto [backend, policy] = GetParam();
+  const net::OverflowPolicy policy = GetParam();
   const bool backpressure = policy == net::OverflowPolicy::kBackpressure;
   WorldParams wp;
-  wp.fabric.inter_node = backend;
   net::FaultParams& f = wp.fabric.faults;
   f.overflow_policy = policy;
   f.seed = 42;
@@ -480,47 +477,16 @@ TEST_P(FaultMatrix, StencilVerifiesAndDecomposes) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BackendByPolicy, FaultMatrix,
-    ::testing::Combine(::testing::Values(net::BackendKind::kAries,
-                                         net::BackendKind::kRamc,
-                                         net::BackendKind::kVerbs),
-                       ::testing::Values(net::OverflowPolicy::kFatal,
-                                         net::OverflowPolicy::kBackpressure)));
+INSTANTIATE_TEST_SUITE_P(AriesByPolicy, FaultMatrix,
+                         ::testing::Values(net::OverflowPolicy::kFatal,
+                                           net::OverflowPolicy::kBackpressure));
 
-// --- Retry-budget parity (redelivery vs credit stall vs retransmit) ----------
+// --- Retry-budget parity (credit stall vs retransmit) ------------------------
 //
 // FaultParams::max_retries is the number of *retry* attempts after the first
-// failure, on all three bounded-retry paths. The redelivery path used to
-// allow one more attempt than the other two (`<=` vs `<`); these death tests
-// pin the unified budget, down to the count in the message.
-
-TEST(FailureInjection, RedeliveryRetryBudgetExhaustionIsFatal) {
-  // Spill + redelivery runs when flow control is inactive (default kFatal
-  // policy) but the backend absorbs overflow gracefully — RAMC here. The
-  // consumer sleeps far past the whole backoff budget, so the spilled head
-  // entry fails all of its retries.
-  WorldParams wp;
-  wp.fabric.inter_node = net::BackendKind::kRamc;
-  wp.fabric.dest_cq_capacity = 8;
-  wp.fabric.faults.max_retries = 3;
-  EXPECT_DEATH(
-      {
-        World world(2, wp);
-        world.run([](Rank& self) {
-          auto win = self.win_allocate(8, 1);
-          if (self.id() == 0) {
-            for (int i = 0; i < 32; ++i)
-              self.na().put_notify(*win, na::as_bytes(nullptr, 0), 1, 0, 1);
-            win->flush(1);
-          } else {
-            self.ctx().yield_until(ms(10), "sleep");
-          }
-          self.barrier();
-        });
-      },
-      "redelivery retry budget exhausted after 3 retries");
-}
+// failure, on both bounded-retry paths; these death tests pin the budget,
+// down to the count in the message. (A spilled queue entry needs no budget:
+// it holds a credited slot, so its one redelivery always lands.)
 
 TEST(FailureInjection, CreditStallRetryBudgetExhaustionIsFatal) {
   // The same traffic under backpressure exhausts the sender-side credit

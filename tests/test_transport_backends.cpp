@@ -1,10 +1,9 @@
-// Tests of the TransportBackend layer (src/net/backend.*): routing of rank
-// pairs onto per-channel backends, heterogeneous jobs mixing three fabrics,
-// backend-tagged notification metrics, per-backend notification semantics
-// (RAMC counting completions, verbs write-with-immediate), and the headline
-// refactor invariant — the default shm+Aries configuration is bit-identical
-// to the pre-backend fabric over the 1000-schedule property harness — and
-// the hermeticity of World: no environment variable overrides its params.
+// Tests of the fabric's transport routing: shm within a node, Aries FMA/BTE
+// across nodes (the paper's Table I); per-channel FIFO and per-backend
+// notification metrics in a job that mixes the two; and the headline
+// invariant — every one of the 1000 randomized schedules reproduces its
+// pinned hash, bit for bit — plus the hermeticity of World: no environment
+// variable overrides its params.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,20 +19,31 @@
 using namespace narma;
 
 // ---------------------------------------------------------------------------
-// Bit-identity: the backend refactor must not move a single virtual-time
-// tick on the default path. The golden hash was captured from the
-// pre-refactor tree over 1000 randomized schedules (see golden_schedule.hpp);
-// sanitizer/debug builds run the 100-schedule prefix to stay fast.
+// Bit-identity: no fabric change may move a single virtual-time tick. Each
+// of the 1000 randomized schedules is checked against its pinned hash (see
+// golden_schedule.hpp), so a failure names the first schedule that moved
+// and its shape; the fold of all of them is the golden hash. Sanitizer and
+// debug builds run the 100-schedule prefix to stay fast.
 // ---------------------------------------------------------------------------
 
-TEST(TransportGolden, DefaultBackendBitIdenticalToPreRefactorFabric) {
+TEST(TransportGolden, EverySeedMatchesItsPinnedHash) {
 #ifdef NDEBUG
-  EXPECT_EQ(golden::all_schedules_hash(golden::kGoldenScheduleCount),
-            golden::kGoldenScheduleHash);
+  constexpr std::uint64_t n = golden::kGoldenScheduleCount;
+  constexpr std::uint64_t want_fold = golden::kGoldenScheduleHash;
 #else
-  EXPECT_EQ(golden::all_schedules_hash(golden::kGoldenScheduleCountShort),
-            golden::kGoldenScheduleHashShort);
+  constexpr std::uint64_t n = golden::kGoldenScheduleCountShort;
+  constexpr std::uint64_t want_fold = golden::kGoldenScheduleHashShort;
 #endif
+  std::uint64_t fold = golden::kFnvOffset;
+  for (std::uint64_t seed = 1; seed <= n; ++seed) {
+    const std::uint64_t h = golden::schedule_hash(seed);
+    const std::uint64_t want = golden::kGoldenSeedHashes[seed - 1];
+    ASSERT_EQ(h, want) << "first diverging schedule: "
+                       << golden::describe_seed(seed) << std::hex
+                       << " (hash 0x" << h << ", pinned 0x" << want << ")";
+    fold = golden::fnv_fold(fold, h);
+  }
+  EXPECT_EQ(fold, want_fold);
 }
 
 // A World runs on exactly the params it is given: with every variable that
@@ -44,7 +54,7 @@ TEST(TransportGolden, EnvironmentOverridesNothing) {
   static constexpr std::pair<const char*, const char*> kEnv[] = {
       {"NARMA_STACK_KB", "64"},
       {"NARMA_OVERFLOW", "backpressure"},
-      {"NARMA_TRANSPORT", "verbs"},
+      {"NARMA_TRANSPORT", "shm"},
       {"NARMA_FAULT_SEED", "7"},
       {"NARMA_FAULT_DROP", "0.05"},
       {"NARMA_FAULT_DELAY", "0.3"},
@@ -68,7 +78,8 @@ TEST(TransportGolden, EnvironmentOverridesNothing) {
     World world(2, given);
     const WorldParams& p = world.params();
     EXPECT_EQ(p.sim.stack_bytes, given.sim.stack_bytes);
-    EXPECT_EQ(p.fabric.inter_node, given.fabric.inter_node);
+    EXPECT_EQ(p.fabric.aries.fma_bte_threshold,
+              given.fabric.aries.fma_bte_threshold);
     const net::FaultParams& f = p.fabric.faults;
     const net::FaultParams& g = given.fabric.faults;
     EXPECT_EQ(f.overflow_policy, g.overflow_policy);
@@ -87,92 +98,17 @@ TEST(TransportGolden, EnvironmentOverridesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing policy.
+// Mixed job: six ranks on three nodes, so rank 0 hears from one shm peer
+// and four Aries peers. Per-source FIFO must hold on every channel, and
+// each backend's notification counter must account for exactly its own
+// traffic.
 // ---------------------------------------------------------------------------
 
-TEST(TransportRouting, ExplicitAriesRouteMatchesDefault) {
-  // Forcing every inter-node pair through the route callback (returning the
-  // same backend the default would pick) must not change any virtual time:
-  // the route map only *selects* backends, it is not a cost.
-  const auto run = [](bool with_route) {
-    WorldParams wp;
-    wp.fabric.ranks_per_node = 2;
-    if (with_route)
-      wp.fabric.route = [](int, int) { return net::BackendKind::kAries; };
-    World world(4, wp);
-    std::vector<Time> finals(4, 0);
-    world.run([&finals](Rank& self) {
-      auto win = self.win_allocate(4096, 1);
-      const int right = (self.id() + 1) % self.size();
-      const int left = (self.id() + 3) % self.size();
-      std::vector<double> buf(512, 1.0 + self.id());
-      for (int it = 0; it < 3; ++it) {
-        self.na().put_notify(*win, na::as_bytes(buf.data(), 4096), right, 0,
-                             it);
-        win->flush(right);
-        auto req = self.na().notify_init(*win, na::MatchSpec{left, it}, 1);
-        self.na().start(req);
-        self.na().wait(req);
-        self.na().free(req);
-      }
-      self.barrier();
-      finals[static_cast<std::size_t>(self.id())] = self.now();
-    });
-    return finals;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(TransportRouting, RamcAndVerbsDifferFromAries) {
-  // Each backend carries its own LogGP table and notification costs, so the
-  // same workload must finish at distinct virtual times per backend.
-  const auto run = [](net::BackendKind inter) {
-    WorldParams wp;
-    wp.fabric.inter_node = inter;
-    World world(2, wp);
-    Time complete = 0;
-    world.run([&complete](Rank& self) {
-      auto win = self.win_allocate(8192, 1);
-      std::vector<double> buf(1024, 2.0);
-      auto req = self.na().notify_init(*win, na::MatchSpec{0, 7}, 1);
-      self.barrier();
-      if (self.id() == 0) {
-        self.na().put_notify(*win, na::as_bytes(buf.data(), 8192), 1, 0, 7);
-        win->flush(1);
-      } else {
-        self.na().start(req);
-        self.na().wait(req);
-        complete = self.now();
-      }
-      self.barrier();
-    });
-    return complete;
-  };
-  const Time aries = run(net::BackendKind::kAries);
-  const Time ramc = run(net::BackendKind::kRamc);
-  const Time verbs = run(net::BackendKind::kVerbs);
-  EXPECT_NE(aries, ramc);
-  EXPECT_NE(aries, verbs);
-  EXPECT_NE(ramc, verbs);
-}
-
-// ---------------------------------------------------------------------------
-// Heterogeneous three-fabric job: six ranks on three nodes, shm inside a
-// node, RAMC between nodes 0 and 1, verbs for every pair touching node 2 —
-// all in one World. Per-source FIFO must hold on every channel regardless
-// of which backend carries it, and each backend's notification counter must
-// account for exactly its own traffic.
-// ---------------------------------------------------------------------------
-
-TEST(TransportHeterogeneous, ThreeFabricFifoAndMetrics) {
+TEST(TransportMixed, ShmAndAriesFifoAndMetrics) {
   constexpr int kRanks = 6;
   constexpr int kMsgs = 8;
   WorldParams wp;
   wp.fabric.ranks_per_node = 2;  // nodes {0,1} {2,3} {4,5}
-  wp.fabric.route = [](int a, int b) {
-    return (a <= 1 && b <= 1) ? net::BackendKind::kRamc
-                              : net::BackendKind::kVerbs;
-  };
   World world(kRanks, wp);
   // tags_seen[src][i]: i-th notification tag rank 0 matched from src.
   std::array<std::vector<int>, kRanks> tags_seen;
@@ -218,34 +154,26 @@ TEST(TransportHeterogeneous, ThreeFabricFifoAndMetrics) {
       EXPECT_EQ(tags_seen[static_cast<std::size_t>(src)][i], i)
           << "FIFO violated on channel " << src << " -> 0";
   }
-  // Backend-tagged notification counters at the consumer: rank 1 is
-  // intra-node (shm), ranks 2-3 arrive via RAMC, ranks 4-5 via verbs. The
-  // Aries family is not even registered in this route.
+  // Per-backend notification counters at the consumer: rank 1 is
+  // intra-node (shm ring), ranks 2-5 arrive on the destination CQ.
   obs::Registry* reg = world.metrics();
   ASSERT_NE(reg, nullptr);
   EXPECT_EQ(reg->counter_value("net.shm_notifs", 0), 1u * kMsgs);
-  EXPECT_EQ(reg->counter_value("net.ramc_notifs", 0), 2u * kMsgs);
-  EXPECT_EQ(reg->counter_value("net.verbs_notifs", 0), 2u * kMsgs);
-  EXPECT_EQ(reg->counter_value("net.aries_notifs", 0), 0u);
+  EXPECT_EQ(reg->counter_value("net.aries_notifs", 0), 4u * kMsgs);
   // And the fabric-wide notification counter sees every one of them.
   EXPECT_EQ(world.fabric().counters().notifications,
             static_cast<std::uint64_t>((kRanks - 1) * kMsgs));
 }
 
 // ---------------------------------------------------------------------------
-// Per-backend LogGP decomposition: the msgtrace telescoping identity
-// (cat_sum == end-to-end latency) must hold for RAMC's two-leg counting
-// notifications and verbs write-with-immediate exactly as it does for
-// Aries CQEs.
+// Per-lane LogGP decomposition: the msgtrace telescoping identity
+// (cat_sum == end-to-end latency) must hold on the shm ring and on both
+// Aries lanes.
 // ---------------------------------------------------------------------------
 
-TEST(TransportHeterogeneous, MsgTraceIdentityHoldsPerBackend) {
+TEST(TransportMixed, MsgTraceIdentityHoldsPerLane) {
   WorldParams wp;
   wp.fabric.ranks_per_node = 2;
-  wp.fabric.route = [](int a, int b) {
-    return (a <= 1 && b <= 1) ? net::BackendKind::kRamc
-                              : net::BackendKind::kVerbs;
-  };
   wp.obs.msgtrace = true;
   World world(6, wp);
   world.run([](Rank& self) {
@@ -258,9 +186,8 @@ TEST(TransportHeterogeneous, MsgTraceIdentityHoldsPerBackend) {
       self.na().wait(req);
       self.na().free(req);
     } else {
-      // Three sizes per producer: small (RAMC IDC / shm inline), medium,
-      // and large (RAMC DMA lane) so both lanes of the two-lane backend
-      // get decomposed.
+      // Three sizes per producer: small (shm inline / FMA), medium, and
+      // large (BTE at the default 4096-byte threshold).
       std::vector<double> buf(1024, 1.5);
       const std::size_t sizes[3] = {8, 512, 4096};
       for (int i = 0; i < 3; ++i) {
@@ -289,11 +216,4 @@ TEST(TransportRouting, ZeroRanksPerNodeIsFatal) {
   WorldParams wp;
   wp.fabric.ranks_per_node = 0;
   EXPECT_DEATH({ World world(2, wp); }, "ranks_per_node");
-}
-
-TEST(TransportRouting, ShmForInterNodePairIsFatal) {
-  WorldParams wp;
-  wp.fabric.ranks_per_node = 1;
-  wp.fabric.route = [](int, int) { return net::BackendKind::kShm; };
-  EXPECT_DEATH({ World world(2, wp); }, "shm backend");
 }

@@ -211,16 +211,14 @@ int usage() {
       "                               in metrics.json as obs.phase_*\n"
       "            [--journal-cap=N]  anomaly-journal ring capacity\n"
       "                               (default 4096; 0 disables)\n"
-      "            [--transport=aries|ramc|verbs]  inter-node backend\n"
-      "                               (default aries)\n"
       "\n"
       "readers (DIR is a run directory written with --out=DIR):\n"
       "  report    DIR [--top=N]\n"
       "            summarize a recorded run: per-category virtual time\n"
       "            (with p50/p95 span durations), longest spans, per-rank\n"
       "            busy fractions, host-time phase attribution\n"
-      "            (--profile runs), per-backend notification + drain-cost\n"
-      "            rows, histogram percentiles\n"
+      "            (--profile runs), per-backend notification counts,\n"
+      "            histogram percentiles\n"
       "  timeline  DIR [--perfetto=FILE] [--top=N]\n"
       "            analyze the flight recorder and the anomaly journal:\n"
       "            per-window rank activity, busiest counter families,\n"
@@ -260,10 +258,10 @@ int usage() {
 }
 
 /// The flags every run command accepts: the run directory and its
-/// recorder switches, the inter-node transport and the fault model.
+/// recorder switches and the fault model.
 constexpr std::string_view kWorldFlags =
     "out= trace msgtrace msgtrace-sample= timeseries timeseries-window-us= "
-    "profile journal-cap= transport= overflow= fault-seed= fault-drop= "
+    "profile journal-cap= overflow= fault-seed= fault-drop= "
     "fault-delay= fault-stall= fault-pressure=";
 /// The --ft* flags of the apps with a recovery path (stencil, tree).
 constexpr std::string_view kFtFlags =
@@ -277,7 +275,7 @@ constexpr std::string_view kFtFlags =
 }
 
 /// Builds a run's WorldParams from the world-level flags: the recorder
-/// switches, inter-node transport, fault model and anomaly-journal
+/// switches, fault model and anomaly-journal
 /// capacity. These flags are the CLI's only way to configure a World
 /// (nothing is read from the environment); only --profile is applied to the
 /// built World instead (World::enable_profiling). Creates the --out
@@ -302,12 +300,6 @@ WorldParams world_params(const Args& a) {
         us(static_cast<Time>(a.at_least("timeseries-window-us", 0, 1)));
   o.journal_capacity = static_cast<std::size_t>(a.at_least(
       "journal-cap", static_cast<long>(o.journal_capacity), 0));
-  if (a.has("transport"))
-    wp.fabric.inter_node =
-        a.pick<net::BackendKind>("transport", "",
-                                 {{"aries", net::BackendKind::kAries},
-                                  {"ramc", net::BackendKind::kRamc},
-                                  {"verbs", net::BackendKind::kVerbs}});
   net::FaultParams& f = wp.fabric.faults;
   if (a.has("overflow"))
     f.overflow_policy = a.pick<net::OverflowPolicy>(
@@ -439,8 +431,8 @@ const std::vector<std::string>& run_dirs(const Args& a, std::size_t n) {
 // --- report ------------------------------------------------------------------
 
 /// Metrics-dump sections of `report`: per-rank busy fractions, host-time
-/// phase attribution (from --profile runs), per-backend notification and
-/// drain-cost rows, and interpolated histogram percentiles.
+/// phase attribution (from --profile runs), per-backend notification
+/// counts, and interpolated histogram percentiles.
 int report_metrics(const Artifact& m) {
   const std::string& metrics_path = m.path;
   const int nranks = static_cast<int>(m.doc.number_or("nranks", 0));
@@ -520,32 +512,24 @@ int report_metrics(const Artifact& m) {
                 100.0 * obs_ns / prof_total);
   }
 
-  // Per-backend notification delivery + consumer drain cost. Rows appear
-  // only for backends the run's routes actually used (the registry never
-  // registers the rest).
+  // Notification deliveries by the pair they crossed: shm within a node,
+  // aries across nodes (the registry has no net.aries_notifs family when
+  // the run fits on one node).
   {
-    static const char* kBackends[] = {"shm", "aries", "ramc", "verbs"};
-    Table be_table({"backend", "notifs", "drain_ms", "drain_ns/notif"});
+    Table be_table({"backend", "notifs"});
     bool any = false;
-    for (const char* be : kBackends) {
+    for (const char* be : {"shm", "aries"}) {
       const json::Value& notifs =
           per_rank_of(std::string("net.") + be + "_notifs");
       if (!notifs.is_array()) continue;
       any = true;
-      double n = 0, drain_ps = 0;
+      double n = 0;
       for (const json::Value& cell : notifs.as_array())
         n += cell.number_or("value", 0);
-      const json::Value& drain =
-          per_rank_of(std::string("net.") + be + "_drain_ps");
-      if (drain.is_array())
-        for (const json::Value& cell : drain.as_array())
-          drain_ps += cell.number_or("value", 0);
-      be_table.add_row({be, Table::fmt(static_cast<long long>(n)),
-                        Table::fmt(drain_ps / 1e9),
-                        Table::fmt(n > 0 ? drain_ps / 1e3 / n : 0.0)});
+      be_table.add_row({be, Table::fmt(static_cast<long long>(n))});
     }
     if (any) {
-      std::printf("\nper-backend notifications (virtual drain cost):\n");
+      std::printf("\nper-backend notifications:\n");
       be_table.print();
     }
   }
