@@ -14,8 +14,8 @@
 //    (ns/post, ns/pop+dispatch).
 //
 // NARMA_SCALE shrinks the event counts for smoke runs; NARMA_REPS sets the
-// repetitions (best-of is reported). CI regression gating:
-// tools/check_engine_baseline.py holds the NARMA_JSON export to an absolute
+// repetitions (best-of is reported). CI regression gating: the micro_engine
+// rule of tools/check_bench.py holds the NARMA_JSON export to an absolute
 // events/s floor derived from the committed bench/BENCH_engine.json.
 #include <algorithm>
 #include <cstdint>

@@ -11,9 +11,9 @@
 // through a pipe; virtual-time results are checked for correctness (the
 // sweep must not trade verification for scale).
 //
-// CI regression gating: tools/check_scale_baseline.py compares the
-// NARMA_JSON export against the committed bench/BENCH_scale.json (events/s
-// floor, RSS ceiling, wall-clock ceiling).
+// CI regression gating: the scale_sweep rules of tools/check_bench.py hold
+// the NARMA_JSON export to the committed bench/BENCH_scale.json (events/s
+// floor, RSS ceiling, wall-clock ceiling, observability-cost pair).
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -103,8 +103,8 @@ Sample run_tree_child(int nranks) {
 /// Observability-cost pair (DESIGN.md §14): the same stencil once with
 /// everything off and once with the full observability stack — the metrics
 /// registry, the flight recorder, and the anomaly journal.
-/// tools/check_scale_baseline.py gates the wall-clock factor and RSS delta
-/// between the two rows at the largest rank count.
+/// The Pair rule of tools/check_bench.py gates the wall-clock factor and
+/// RSS delta between the two rows at the largest rank count.
 Sample run_stencil_obs_pair(int nranks, bool obs_on) {
   apps::StencilConfig cfg;  // same shape as run_stencil_child
   cfg.rows = 64;

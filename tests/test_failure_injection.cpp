@@ -489,8 +489,9 @@ INSTANTIATE_TEST_SUITE_P(AriesByPolicy, FaultMatrix,
 // it holds a credited slot, so its one redelivery always lands.)
 
 TEST(FailureInjection, CreditStallRetryBudgetExhaustionIsFatal) {
-  // The same traffic under backpressure exhausts the sender-side credit
-  // budget instead — with the identical attempt count.
+  // A burst of 32 notifications into a CQ of 8 whose consumer sleeps for
+  // 10 ms: under backpressure the sender stalls on credits, retries the
+  // stall max_retries = 3 times, and the run aborts naming that count.
   WorldParams wp = backpressure_params();
   wp.fabric.dest_cq_capacity = 8;
   wp.fabric.faults.max_retries = 3;
