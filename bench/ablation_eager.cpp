@@ -9,33 +9,6 @@
 using namespace narma;
 using namespace narma::bench;
 
-namespace {
-
-double one_way_us(std::size_t eager_threshold, std::size_t bytes, int n) {
-  WorldParams wp;
-  wp.mp.eager_threshold = eager_threshold;
-  World world(2, wp);
-  std::vector<double> samples;
-  Time t_issue = 0;  // sender timestamp; clocks are globally comparable
-  world.run([&](Rank& self) {
-    std::vector<std::byte> buf(bytes);
-    for (int r = 0; r < n + 2; ++r) {
-      self.barrier();
-      if (self.id() == 0) {
-        t_issue = self.now();
-        self.send(buf.data(), bytes, 1, 1);
-      } else {
-        self.recv(buf.data(), bytes, 0, 1);
-        if (r >= 2) samples.push_back(to_us(self.now() - t_issue));
-      }
-    }
-    self.barrier();
-  });
-  return stats::median(samples);
-}
-
-}  // namespace
-
 int main() {
   const int n = reps(9);
   header("Ablation", "MP eager/rendezvous crossover, one-way latency (us)");
@@ -44,32 +17,13 @@ int main() {
   Table t({"size", "thr=2KiB", "thr=8KiB", "thr=64KiB", "NotifiedAccess"});
   for (std::size_t s : fig3_sizes()) {
     std::vector<std::string> row{fmt_bytes(s)};
-    for (std::size_t thr : thresholds)
-      row.push_back(Table::fmt(one_way_us(thr, s, n), 2));
+    for (std::size_t thr : thresholds) {
+      WorldParams wp;
+      wp.mp.eager_threshold = thr;
+      row.push_back(Table::fmt(one_way_us(wp, s, n, true), 2));
+    }
     // Reference: the NA one-way for the same size.
-    WorldParams wp;
-    World world(2, wp);
-    std::vector<double> na_samples;
-    Time t_na_issue = 0;
-    world.run([&](Rank& self) {
-      auto win = self.win_allocate(s + 16, 1);
-      std::vector<std::byte> snd(s, std::byte{1});
-      auto req = self.na().notify_init(*win, na::MatchSpec{0, 1}, 1);
-      for (int r = 0; r < n + 2; ++r) {
-        self.barrier();
-        if (self.id() == 0) {
-          t_na_issue = self.now();
-          self.na().put_notify(*win, na::as_bytes(snd.data(), s), 1, 0, 1);
-          win->flush(1);
-        } else {
-          self.na().start(req);
-          self.na().wait(req);
-          if (r >= 2) na_samples.push_back(to_us(self.now() - t_na_issue));
-        }
-      }
-      self.barrier();
-    });
-    row.push_back(Table::fmt(stats::median(na_samples), 2));
+    row.push_back(Table::fmt(one_way_us({}, s, n), 2));
     t.add_row(std::move(row));
   }
   narma::bench::print(t);

@@ -9,45 +9,16 @@
 using namespace narma;
 using namespace narma::bench;
 
-namespace {
-
-double one_way_us(bool inline_enabled, std::size_t bytes, int n) {
-  WorldParams wp = WorldParams::single_node(2);
-  wp.na.enable_shm_inline = inline_enabled;
-  World world(2, wp);
-  std::vector<double> samples;
-  Time t_issue = 0;  // sender timestamp; clocks are globally comparable
-  world.run([&](Rank& self) {
-    auto win = self.win_allocate(bytes + 64, 1);
-    std::vector<std::byte> snd(bytes, std::byte{3});
-    auto req = self.na().notify_init(*win, na::MatchSpec{0, 1}, 1);
-    for (int r = 0; r < n + 2; ++r) {
-      self.barrier();
-      if (self.id() == 0) {
-        t_issue = self.now();
-        self.na().put_notify(*win, na::as_bytes(snd.data(), bytes), 1, 0, 1);
-        win->flush(1);
-      } else {
-        self.na().start(req);
-        self.na().wait(req);
-        if (r >= 2) samples.push_back(to_us(self.now() - t_issue));
-      }
-    }
-    self.barrier();
-  });
-  return stats::median(samples);
-}
-
-}  // namespace
-
 int main() {
   const int n = reps(9);
   header("Ablation", "shm inline transfer on/off, one-way latency (us)");
 
   Table t({"size", "inline on", "inline off", "speedup"});
   for (std::size_t s : {1u, 8u, 16u, 32u, 64u, 256u, 4096u}) {
-    const double on = one_way_us(true, s, n);
-    const double off = one_way_us(false, s, n);
+    WorldParams wp = WorldParams::single_node(2);
+    const double on = one_way_us(wp, s, n);
+    wp.na.enable_shm_inline = false;
+    const double off = one_way_us(wp, s, n);
     t.add_row({fmt_bytes(s), Table::fmt(on, 3), Table::fmt(off, 3),
                Table::fmt(off / on, 2)});
   }

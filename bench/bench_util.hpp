@@ -15,8 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "apps/pingpong.hpp"
 #include "common/env.hpp"
 #include "common/fatal.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "narma/narma.hpp"
@@ -61,28 +63,6 @@ struct JsonSink {
     return sink;
   }
 
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out.push_back(c);
-          }
-      }
-    }
-    return out;
-  }
-
   void flush() const {
     if (path.empty() || tables.empty()) return;
     std::ofstream out(path);
@@ -90,19 +70,19 @@ struct JsonSink {
     out << "{\n  \"schema\": \"narma.bench.v1\",\n  \"tables\": [\n";
     for (std::size_t t = 0; t < tables.size(); ++t) {
       const Recorded& r = tables[t];
-      out << "    {\n      \"artifact\": \"" << escape(r.artifact)
-          << "\",\n      \"what\": \"" << escape(r.what)
-          << "\",\n      \"notes\": [";
+      out << "    {\n      \"artifact\": " << json::quote(r.artifact)
+          << ",\n      \"what\": " << json::quote(r.what)
+          << ",\n      \"notes\": [";
       for (std::size_t i = 0; i < r.notes.size(); ++i)
-        out << (i ? ", " : "") << '"' << escape(r.notes[i]) << '"';
+        out << (i ? ", " : "") << json::quote(r.notes[i]);
       out << "],\n      \"headers\": [";
       for (std::size_t i = 0; i < r.headers.size(); ++i)
-        out << (i ? ", " : "") << '"' << escape(r.headers[i]) << '"';
+        out << (i ? ", " : "") << json::quote(r.headers[i]);
       out << "],\n      \"rows\": [\n";
       for (std::size_t i = 0; i < r.rows.size(); ++i) {
         out << "        [";
         for (std::size_t j = 0; j < r.rows[i].size(); ++j)
-          out << (j ? ", " : "") << '"' << escape(r.rows[i][j]) << '"';
+          out << (j ? ", " : "") << json::quote(r.rows[i][j]);
         out << (i + 1 < r.rows.size() ? "],\n" : "]\n");
       }
       out << (t + 1 < tables.size() ? "      ]\n    },\n" : "      ]\n    }\n");
@@ -164,6 +144,60 @@ inline std::vector<std::size_t> fig3_sizes() {
   std::vector<std::size_t> sizes;
   for (std::size_t s = 8; s <= (512u << 10); s <<= 2) sizes.push_back(s);
   return sizes;
+}
+
+/// One Fig. 3 cell: a fresh 2-rank World running apps::run_pingpong; the
+/// client's median half round trip in microseconds.
+inline double pingpong_half_rtt_us(const WorldParams& wp, std::size_t bytes,
+                                   apps::PingPongScheme scheme, int reps) {
+  World world(2, wp);
+  double us = 0;
+  world.run([&](Rank& self) {
+    const apps::PingPongResult r =
+        apps::run_pingpong(self, {bytes, scheme, reps});
+    if (self.id() == 0) us = r.half_rtt_us;
+  });
+  return us;
+}
+
+/// One-way latency in microseconds, the median of `reps` rounds after two
+/// untimed ones: rank 0 sends `bytes` to rank 1 by a notified put (or, with
+/// `message_passing`, a send), timed from the send's issue to the
+/// receiver's completion. The issue time is shared through program memory:
+/// virtual clocks are globally comparable, and the cooperative scheduler
+/// orders the write (before the send) before the read (after the wait).
+inline double one_way_us(const WorldParams& wp, std::size_t bytes, int reps,
+                         bool message_passing = false) {
+  World world(2, wp);
+  std::vector<double> samples;
+  Time t_issue = 0;
+  world.run([&](Rank& self) {
+    auto win = self.win_allocate(bytes + 64, 1);
+    std::vector<std::byte> buf(bytes, std::byte{1});
+    auto req = self.na().notify_init(*win, na::MatchSpec{0, 1}, 1);
+    for (int r = 0; r < reps + 2; ++r) {
+      self.barrier();
+      if (self.id() == 0) {
+        t_issue = self.now();
+        if (message_passing) {
+          self.send(buf.data(), bytes, 1, 1);
+        } else {
+          self.na().put_notify(*win, na::as_bytes(buf.data(), bytes), 1, 0, 1);
+          win->flush(1);
+        }
+        continue;
+      }
+      if (message_passing) {
+        self.recv(buf.data(), bytes, 0, 1);
+      } else {
+        self.na().start(req);
+        self.na().wait(req);
+      }
+      if (r >= 2) samples.push_back(to_us(self.now() - t_issue));
+    }
+    self.barrier();
+  });
+  return stats::median(samples);
 }
 
 }  // namespace narma::bench

@@ -6,10 +6,10 @@
 // of the One Sided time on small transfers and beats eager message passing
 // (which pays the staging copies).
 #include "bench_util.hpp"
-#include "pingpong.hpp"
 
 using namespace narma;
 using namespace narma::bench;
+using Scheme = narma::apps::PingPongScheme;
 
 int main() {
   header("Figure 3a", "put ping-pong latency, inter-node (half RTT, us)");
@@ -22,11 +22,11 @@ int main() {
   for (std::size_t s : fig3_sizes()) {
     WorldParams wp;  // defaults: one rank per node
     const double mp =
-        pingpong_half_rtt_us(wp, s, PpScheme::kMessagePassing, n);
-    const double os = pingpong_half_rtt_us(wp, s, PpScheme::kOneSidedPscw, n);
-    const double na = pingpong_half_rtt_us(wp, s, PpScheme::kNotifiedPut, n);
+        pingpong_half_rtt_us(wp, s, Scheme::kMessagePassing, n);
+    const double os = pingpong_half_rtt_us(wp, s, Scheme::kOneSidedPscw, n);
+    const double na = pingpong_half_rtt_us(wp, s, Scheme::kNotifiedPut, n);
     const double lb =
-        pingpong_half_rtt_us(wp, s, PpScheme::kUnsynchronized, n);
+        pingpong_half_rtt_us(wp, s, Scheme::kUnsynchronized, n);
     t.add_row({fmt_bytes(s), Table::fmt(mp), Table::fmt(os), Table::fmt(na),
                Table::fmt(lb), Table::fmt(na / mp, 2), Table::fmt(na / os, 2)});
   }

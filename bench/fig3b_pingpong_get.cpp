@@ -3,10 +3,10 @@
 // Series: Message Passing (single transfer, an inherent advantage over the
 // request/response get), MPI One Sided get under PSCW, and notified get.
 #include "bench_util.hpp"
-#include "pingpong.hpp"
 
 using namespace narma;
 using namespace narma::bench;
+using Scheme = narma::apps::PingPongScheme;
 
 int main() {
   header("Figure 3b", "get ping-pong latency, inter-node (half RTT, us)");
@@ -19,10 +19,10 @@ int main() {
   for (std::size_t s : fig3_sizes()) {
     WorldParams wp;
     const double mp =
-        pingpong_half_rtt_us(wp, s, PpScheme::kMessagePassing, n);
+        pingpong_half_rtt_us(wp, s, Scheme::kMessagePassing, n);
     const double osg =
-        pingpong_half_rtt_us(wp, s, PpScheme::kOneSidedGetPscw, n);
-    const double ng = pingpong_half_rtt_us(wp, s, PpScheme::kNotifiedGet, n);
+        pingpong_half_rtt_us(wp, s, Scheme::kOneSidedGetPscw, n);
+    const double ng = pingpong_half_rtt_us(wp, s, Scheme::kNotifiedGet, n);
     t.add_row({fmt_bytes(s), Table::fmt(mp), Table::fmt(osg), Table::fmt(ng),
                Table::fmt(ng / osg, 2)});
   }

@@ -5,10 +5,10 @@
 // NA performs similarly to message passing here — the round-trip latency is
 // negligible in shared memory and the notification overhead dominates.
 #include "bench_util.hpp"
-#include "pingpong.hpp"
 
 using namespace narma;
 using namespace narma::bench;
+using Scheme = narma::apps::PingPongScheme;
 
 int main() {
   header("Figure 3c", "put ping-pong latency, intra-node shm (half RTT, us)");
@@ -21,11 +21,11 @@ int main() {
   for (std::size_t s : fig3_sizes()) {
     WorldParams wp = WorldParams::single_node(2);
     const double mp =
-        pingpong_half_rtt_us(wp, s, PpScheme::kMessagePassing, n);
-    const double os = pingpong_half_rtt_us(wp, s, PpScheme::kOneSidedPscw, n);
-    const double na = pingpong_half_rtt_us(wp, s, PpScheme::kNotifiedPut, n);
+        pingpong_half_rtt_us(wp, s, Scheme::kMessagePassing, n);
+    const double os = pingpong_half_rtt_us(wp, s, Scheme::kOneSidedPscw, n);
+    const double na = pingpong_half_rtt_us(wp, s, Scheme::kNotifiedPut, n);
     const double lb =
-        pingpong_half_rtt_us(wp, s, PpScheme::kUnsynchronized, n);
+        pingpong_half_rtt_us(wp, s, Scheme::kUnsynchronized, n);
     t.add_row({fmt_bytes(s), Table::fmt(mp), Table::fmt(os), Table::fmt(na),
                Table::fmt(lb)});
   }

@@ -18,36 +18,6 @@ using namespace narma::bench;
 
 namespace {
 
-/// One-way latency: client put_notify -> server notification completion,
-/// measured across the globally comparable virtual clocks.
-double one_way_us(WorldParams wp, std::size_t bytes, int n) {
-  World world(2, wp);
-  std::vector<double> samples;
-  // The sender's issue timestamp, shared through program memory: virtual
-  // clocks are globally comparable, and the cooperative scheduler orders
-  // the write (before the put) before the read (after the matching wait).
-  Time t_issue = 0;
-  world.run([&](Rank& self) {
-    auto win = self.win_allocate(bytes + 64, 1);
-    std::vector<std::byte> snd(bytes, std::byte{1});
-    auto req = self.na().notify_init(*win, na::MatchSpec{0, 5}, 1);
-    for (int r = 0; r < n + 2; ++r) {
-      self.barrier();
-      if (self.id() == 0) {
-        t_issue = self.now();
-        self.na().put_notify(*win, na::as_bytes(snd.data(), bytes), 1, 0, 5);
-        win->flush(1);
-      } else {
-        self.na().start(req);
-        self.na().wait(req);
-        if (r >= 2) samples.push_back(to_us(self.now() - t_issue));
-      }
-    }
-    self.barrier();
-  });
-  return stats::median(samples);
-}
-
 struct TransportResult {
   model::LogGPParams fit;
   double r2;

@@ -334,10 +334,8 @@ Writer& Writer::end_array() {
   return *this;
 }
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
+std::string quote(std::string_view s) {
+  std::string out = "\"";
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -356,13 +354,12 @@ void append_escaped(std::string& out, std::string_view s) {
     }
   }
   out += '"';
+  return out;
 }
-
-}  // namespace
 
 Writer& Writer::key(std::string_view k) {
   separate();
-  append_escaped(out_, k);
+  out_ += quote(k);
   out_ += ':';
   after_key_ = true;
   return *this;
@@ -370,7 +367,7 @@ Writer& Writer::key(std::string_view k) {
 
 Writer& Writer::value(std::string_view s) {
   separate();
-  append_escaped(out_, s);
+  out_ += quote(s);
   return *this;
 }
 

@@ -88,6 +88,10 @@ ParseResult parse(std::string_view text);
 /// Reads and parses a file; error mentions the path on I/O failure.
 ParseResult parse_file(const std::string& path);
 
+/// `s` as a JSON string literal: quoted, with quotes, backslashes and
+/// control characters escaped.
+std::string quote(std::string_view s);
+
 /// Minimal streaming writer — the emit counterpart of parse() for the
 /// repository's machine-readable outputs (flight-recorder time series).
 /// Tracks nesting and comma placement; integers are emitted exactly (the

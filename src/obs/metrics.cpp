@@ -87,6 +87,15 @@ void Gauge::mirror(std::int64_t v, Time at) const {
       static_cast<double>(v));
 }
 
+const char* to_string(Kind k) {
+  switch (k) {
+    case Kind::kCounter: return "counter";
+    case Kind::kGauge: return "gauge";
+    case Kind::kHistogram: return "histogram";
+  }
+  return "?";
+}
+
 // -------------------------------------------------------------- Registry --
 
 Registry::Registry(int nranks) : nranks_(nranks) {
@@ -249,11 +258,8 @@ std::string Registry::to_json() const {
   for (const auto& [name, fam] : families_) {
     if (!first_fam) os << ',';
     first_fam = false;
-    const char* kind = fam->kind == Kind::kCounter   ? "counter"
-                       : fam->kind == Kind::kGauge   ? "gauge"
-                                                     : "histogram";
-    os << "{\"name\":\"" << name << "\",\"kind\":\"" << kind
-       << "\",\"per_rank\":[";
+    os << "{\"name\":\"" << name << "\",\"kind\":\""
+       << to_string(fam->kind) << "\",\"per_rank\":[";
     for (int r = 0; r < nranks_; ++r) {
       if (r) os << ',';
       const auto ri = static_cast<std::size_t>(r);

@@ -58,6 +58,9 @@ namespace narma::obs {
 
 enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 
+/// The "kind" a metrics or timeseries document gives a family.
+const char* to_string(Kind k);
+
 /// Gauge changes are mirrored into the Perfetto trace only for ranks below
 /// this limit: every rank's gauge change emitting a "C" event floods the
 /// trace at 4096+ ranks.

@@ -1,0 +1,63 @@
+// Run-directory readers: `report`, `critpath`, `timeline` and `diff` over
+// the files World::write_artifacts writes (DESIGN.md §7). Each prints its
+// tables to `out` and returns a status plus, on failure, one diagnostic
+// line naming the file. Whatever a file holds, a reader ends in a report or
+// a diagnostic: it loops over the arrays a document holds, never over its
+// header counts, and turns a document number into an integer only through
+// one range check.
+//
+//   obs::ReadResult r = obs::report("run", {.top = 10}, stdout);
+//   if (r.status != obs::ReadStatus::kOk)
+//     std::fprintf(stderr, "%s\n", r.diagnostic.c_str());
+#pragma once
+
+#include <cstddef>
+#include <cstdio>
+#include <string>
+
+namespace narma::obs {
+
+/// How a reader ended. The values are narma_cli's exit statuses.
+enum class ReadStatus {
+  kOk = 0,
+  kFailed = 1,  // a file is missing, unreadable or malformed
+  kUsage = 2,   // the options ask for something the directory cannot give
+};
+
+struct ReadResult {
+  ReadStatus status = ReadStatus::kOk;
+  std::string diagnostic;  // one line; empty on success
+};
+
+struct ReadOptions {
+  std::size_t top = 10;  // rows of each top-N table
+  /// timeline only: also write the flight-recorder windows to this file as
+  /// Perfetto counter tracks (empty: no export).
+  std::string perfetto;
+};
+
+/// trace.json: per-category virtual time and the longest spans;
+/// metrics.json: per-rank busy fractions, host-time phase attribution,
+/// per-backend notifications, histogram percentiles and obs self-cost.
+/// Either file may be absent, not both.
+ReadResult report(const std::string& dir, const ReadOptions& opt,
+                  std::FILE* out);
+
+/// msgtrace.json: the decomposition identity, the critical path by latency
+/// category and by rank, per-category latency statistics and the slowest
+/// messages. Fails when a complete message breaks the identity.
+ReadResult critpath(const std::string& dir, const ReadOptions& opt,
+                    std::FILE* out);
+
+/// timeseries.json: per-window rank activity, busiest families, model
+/// residuals and anomalies; journal.json: the anomaly journal. Either file
+/// may be absent, not both.
+ReadResult timeline(const std::string& dir, const ReadOptions& opt,
+                    std::FILE* out);
+
+/// Two runs' metrics.json, each family reduced to one number: the largest
+/// movers and the families added or removed.
+ReadResult diff(const std::string& base_dir, const std::string& dir,
+                const ReadOptions& opt, std::FILE* out);
+
+}  // namespace narma::obs

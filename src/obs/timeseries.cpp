@@ -11,19 +11,6 @@
 
 namespace narma::obs {
 
-namespace {
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kCounter: return "counter";
-    case Kind::kGauge: return "gauge";
-    case Kind::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
-}  // namespace
-
 TimeSeries::TimeSeries(Registry& reg, sim::Engine& eng,
                        const ObsParams& params)
     : reg_(reg),
@@ -292,7 +279,7 @@ std::string TimeSeries::to_json() const {
   for (const FamilyInfo& f : families_) {
     w.begin_object();
     w.kv("name", f.name);
-    w.kv("kind", kind_name(f.kind));
+    w.kv("kind", to_string(f.kind));
     w.end_object();
   }
   w.end_array();

@@ -279,22 +279,22 @@ TEST(MsgTrace, JsonSchemaRoundTripsWithExactSums) {
   EXPECT_EQ(doc.value.number_or("nranks", 0), 2.0);
   const json::Array& msgs = doc.value["messages"].as_array();
   EXPECT_FALSE(msgs.empty());
-  constexpr const char* kCats[] = {"src_overhead", "chan_queue", "gap",  "ser",
-                                   "wire", "blocked", "match", "retry", "local"};
   for (const json::Value& m : msgs) {
     if (!m["complete"].as_bool()) continue;
     const double latency = m.number_or("latency_ps", -1);
     EXPECT_EQ(latency,
               m.number_or("t_end_ps", 0) - m.number_or("t_begin_ps", 0));
     double sum = 0;
-    for (const char* c : kCats) sum += m["decomp_ps"].number_or(c, 0);
+    for (std::size_t c = 0; c < obs::kNumCats; ++c)
+      sum += m["decomp_ps"].number_or(obs::to_string(obs::LatCat(c)), 0);
     EXPECT_EQ(sum, latency);
     EXPECT_FALSE(m["hops"].as_array().empty());
   }
   // Critical path block partitions its span too.
   const json::Value& cp = doc.value["critical_path"];
   double cp_sum = 0;
-  for (const char* c : kCats) cp_sum += cp["decomp_ps"].number_or(c, 0);
+  for (std::size_t c = 0; c < obs::kNumCats; ++c)
+    cp_sum += cp["decomp_ps"].number_or(obs::to_string(obs::LatCat(c)), 0);
   EXPECT_EQ(cp_sum,
             cp.number_or("t_end_ps", 0) - cp.number_or("t_begin_ps", 0));
 }

@@ -377,10 +377,9 @@ TEST(Profiler, ExportedGaugesCoverRunAndRespectObsBudget) {
       static_cast<double>(reg.gauge_value("obs.profile_total_ns", 0));
   ASSERT_GT(total, 0.0);
   double attributed = 0;
-  for (const char* ph : {"engine_pop", "callback", "rank_exec", "match",
-                         "transfer", "app_compute", "obs"})
-    attributed += static_cast<double>(
-        reg.gauge_value(std::string("obs.phase_") + ph + "_ns", 0));
+  for (std::size_t p = 0; p < obs::kNumPhases; ++p)
+    attributed += static_cast<double>(reg.gauge_value(
+        std::string("obs.phase_") + obs::to_string(obs::Phase(p)) + "_ns", 0));
   const auto unattr = static_cast<double>(
       reg.gauge_value("obs.profile_unattributed_ns", 0));
   // The exported gauges partition the measured host run.
