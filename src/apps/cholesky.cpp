@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "linalg/kernels.hpp"
@@ -25,7 +26,7 @@ class CholeskyRun {
         tile_bytes_(tile_elems_ * sizeof(double)),
         gen_(cfg.nt * cfg.b, cfg.seed),
         present_(static_cast<std::size_t>(cfg.nt) * cfg.nt, 0),
-        tiles_(lower_tiles() * tile_elems_) {
+        tiles_(new double[lower_tiles() * tile_elems_]) {
     NARMA_CHECK(nt_ * nt_ < mp::kMaxUserTag)
         << "tile coordinate does not fit the tag encoding (nt too large)";
     // Generate only the tiles of the owned columns; every other slot is
@@ -35,9 +36,8 @@ class CholeskyRun {
       for (int i = j; i < nt_; ++i) gen_.fill_tile(i, j, b_, tile(i, j));
     }
 
-    tile_win_ = self_.rma().create(tiles_.data(),
-                                   tiles_.size() * sizeof(double),
-                                   sizeof(double));
+    tile_win_ = self_.rma().create(
+        tiles_.get(), lower_tiles() * tile_bytes_, sizeof(double));
     // One-sided notification window: slot 0 is the reservation counter,
     // slots 1.. hold coordinates (+1 so 0 means empty). Sized for every
     // broadcast arrival; the paper uses a ring buffer — with a full-size
@@ -71,7 +71,7 @@ class CholeskyRun {
     NARMA_ASSERT(i >= k);
     return static_cast<std::size_t>(i) * (i + 1) / 2 + k;
   }
-  double* tile(int i, int k) { return tiles_.data() + packed(i, k) * tile_elems_; }
+  double* tile(int i, int k) { return tiles_.get() + packed(i, k) * tile_elems_; }
   std::uint64_t tile_disp(int i, int k) const {
     return packed(i, k) * tile_elems_;  // disp unit = double
   }
@@ -204,7 +204,10 @@ class CholeskyRun {
   std::size_t tile_elems_, tile_bytes_;
   linalg::SpdGenerator gen_;  // regenerates A's entries for verification
   std::vector<char> present_;
-  std::vector<double> tiles_;  // packed lower-triangle tile storage
+  // Packed lower-triangle tile storage, default-initialized: a slot is
+  // written (generated or received) before it is read, and the pages of
+  // tiles a rank never touches are never mapped.
+  std::unique_ptr<double[]> tiles_;
   std::unique_ptr<rma::Window> tile_win_;
   std::unique_ptr<rma::Window> notif_win_;
   // Staging area for in-flight coordinate puts. A deque: elements must stay

@@ -38,12 +38,6 @@ class Cache {
     return touch(reinterpret_cast<std::uint64_t>(obj), sizeof(T));
   }
 
-  /// Convenience for touching an arbitrary host-address range (e.g. a
-  /// queue header or a hardware-queue slot of a known modeled size).
-  std::uint64_t touch_span(const void* p, std::size_t bytes) {
-    return touch(reinterpret_cast<std::uint64_t>(p), bytes);
-  }
-
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CacheStats{}; }
 

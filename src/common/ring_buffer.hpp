@@ -66,6 +66,10 @@ class RingBuffer {
     return slots_[head_ & mask_];
   }
 
+  /// Slot of the oldest element in a ring of capacity() slots (the
+  /// logical layout, independent of how much storage has been grown).
+  std::size_t front_slot() const { return head_ & (cap_ - 1); }
+
   /// Element i positions from the head (0 = oldest).
   const T& peek(std::size_t i) const {
     NARMA_CHECK(i < size());

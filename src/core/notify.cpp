@@ -79,6 +79,16 @@ void SlotPool::release(RequestSlot* slot) {
   --stats_.live;
 }
 
+std::size_t SlotPool::index_of(const RequestSlot* slot) const {
+  for (std::size_t i = 0; i < slabs_.size(); ++i) {
+    const RequestSlot* base = slabs_[i].get();
+    if (slot >= base && slot < base + kSlabSlots)
+      return i * kSlabSlots + static_cast<std::size_t>(slot - base);
+  }
+  NARMA_CHECK(false) << "request slot not owned by this pool";
+  return 0;
+}
+
 // -------------------------------------------------------------- UqIndex --
 
 namespace {
@@ -164,9 +174,13 @@ const net::HwNotification* UqIndex::find_oldest(std::uint64_t window,
   return &store_[list.head];
 }
 
+std::size_t UqIndex::position(const net::HwNotification* e) const {
+  return static_cast<std::size_t>(static_cast<const Slot*>(e) -
+                                  store_.data());
+}
+
 void UqIndex::erase(const net::HwNotification* e) {
-  const auto pos = static_cast<std::size_t>(static_cast<const Slot*>(e) -
-                                            store_.data());
+  const std::size_t pos = position(e);
   NARMA_ASSERT(pos < store_.size() && store_[pos].live);
   store_[pos].live = false;
   --live_;
@@ -388,6 +402,46 @@ void NaEngine::compare_swap_notify_i64(rma::Window& win, int target,
 
 // --- Target side ----------------------------------------------------------------
 
+namespace {
+
+// Modelled addresses for the cache model (paper Sec. V). Each structure the
+// matching engine touches has its own line-aligned base, far from the
+// others, and its element i sits at base + i x the element's size. The miss
+// counts then follow the matching logic alone, never where the host
+// allocator happened to place the structures.
+constexpr std::uint64_t kModelRequestSlots = 1ull << 32;
+constexpr std::uint64_t kModelUqHeader = 2ull << 32;
+constexpr std::uint64_t kModelUqEntries = 3ull << 32;
+constexpr std::uint64_t kModelDestCq = 4ull << 32;
+constexpr std::uint64_t kModelShmRing = 5ull << 32;
+// One hardware-queue entry is one cache line, as the shm ring's entry is.
+constexpr std::size_t kModelHwEntryBytes = 64;
+
+}  // namespace
+
+void NaEngine::charge_request(const RequestSlot& s) {
+  const std::uint64_t m = cache_->touch(
+      kModelRequestSlots + pool_.index_of(&s) * sizeof(RequestSlot),
+      sizeof(RequestSlot));
+  misses_.request += m;
+  c_miss_request_.inc(m);
+}
+
+void NaEngine::charge_uq(std::uint64_t addr, std::size_t bytes) {
+  const std::uint64_t m = cache_->touch(addr, bytes);
+  misses_.uq += m;
+  c_miss_uq_.inc(m);
+}
+
+void NaEngine::charge_hw(const net::HwNotification& e) {
+  const std::uint64_t m = cache_->touch(
+      (e.from_shm ? kModelShmRing : kModelDestCq) +
+          std::uint64_t{e.queue_slot} * kModelHwEntryBytes,
+      kModelHwEntryBytes);
+  misses_.hw_cq += m;
+  c_miss_hw_.inc(m);
+}
+
 NotifyRequest NaEngine::notify_init(rma::Window& win, MatchSpec match,
                                     std::uint32_t expected) {
   NARMA_CHECK(match.any_source() ||
@@ -449,12 +503,8 @@ void NaEngine::consume(RequestSlot& s, NaStatus& st,
 bool NaEngine::pop_hw(net::HwNotification& out) {
   net::Nic& nic = router_.nic();
   if (nic.pop_hw_batch({&out, 1}) == 0) return false;
-  if (cache_) {
-    // Hardware-queue access; tracked but not counted as matching overhead.
-    const std::uint64_t m = cache_->touch_span(out.queue_slot, 64);
-    misses_.hw_cq += m;
-    c_miss_hw_.inc(m);
-  }
+  // Hardware-queue access; tracked but not counted as matching overhead.
+  if (cache_) charge_hw(out);
   c_hw_drained_.inc();
   nic.ctx().advance(params_.cq_poll);
   if (out.msg)
@@ -477,13 +527,8 @@ std::span<const net::HwNotification> NaEngine::drain_hw() {
     for (std::size_t i = 0; i < n; ++i)
       if (out[i].msg) mt->hop(out[i].msg, rank(), obs::HopKind::kPop, now);
   }
-  if (cache_) {
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      m += cache_->touch_span(out[i].queue_slot, 64);
-    misses_.hw_cq += m;
-    c_miss_hw_.inc(m);
-  }
+  if (cache_)
+    for (std::size_t i = 0; i < n; ++i) charge_hw(out[i]);
   return out.first(n);
 }
 
@@ -491,20 +536,16 @@ void NaEngine::test_linear(RequestSlot& s, NaStatus& st) {
   net::Nic& nic = router_.nic();
   // Second compulsory access: the UQ header (head pointer + first entries
   // share a cache line in the paper's layout; we model the header access).
-  if (cache_) {
-    const std::uint64_t m = cache_->touch_span(&uq_, 8);
-    misses_.uq += m;
-    c_miss_uq_.inc(m);
-  }
+  if (cache_) charge_uq(kModelUqHeader, 8);
 
   // 1) Scan the unexpected queue in arrival order.
   for (auto it = uq_.begin(); it != uq_.end() && s.matched < s.expected;) {
     nic.ctx().advance(params_.uq_scan);
     ++pass_probes_;
     if (cache_ && it != uq_.begin()) {
-      const std::uint64_t m = cache_->touch_object(&*it);
-      misses_.uq += m;
-      c_miss_uq_.inc(m);
+      const auto i = static_cast<std::uint64_t>(it - uq_.begin());
+      charge_uq(kModelUqEntries + i * sizeof(net::HwNotification),
+                sizeof(net::HwNotification));
     }
     if (matches(s, it->imm, it->window)) {
       consume(s, st, *it);
@@ -530,11 +571,7 @@ void NaEngine::test_linear(RequestSlot& s, NaStatus& st) {
 void NaEngine::test_indexed(RequestSlot& s, NaStatus& st) {
   net::Nic& nic = router_.nic();
   // Second compulsory access: the UQ-index header (bucket array head).
-  if (cache_) {
-    const std::uint64_t m = cache_->touch_span(&uq_index_, 8);
-    misses_.uq += m;
-    c_miss_uq_.inc(m);
-  }
+  if (cache_) charge_uq(kModelUqHeader, 8);
 
   // 1) Consume from the indexed UQ: one hash probe finds the oldest
   //    matching notification regardless of queue depth.
@@ -546,11 +583,10 @@ void NaEngine::test_indexed(RequestSlot& s, NaStatus& st) {
       ++pass_probes_;
       h_index_list_len_.record(uq_index_.last_list_len());
       if (!e) break;
-      if (cache_) {
-        const std::uint64_t m = cache_->touch_object(e);
-        misses_.uq += m;
-        c_miss_uq_.inc(m);
-      }
+      if (cache_)
+        charge_uq(kModelUqEntries +
+                      uq_index_.position(e) * UqIndex::slot_bytes(),
+                  sizeof(net::HwNotification));
       consume(s, st, *e);
       uq_index_.erase(e);
     }
@@ -598,11 +634,7 @@ bool NaEngine::test(NotifyRequest& req, NaStatus* status) {
   nic.ctx().drain();
 
   // First compulsory access: the request slot itself.
-  if (cache_) {
-    const std::uint64_t m = cache_->touch_object(&s);
-    misses_.request += m;
-    c_miss_request_.inc(m);
-  }
+  if (cache_) charge_request(s);
 
   c_tests_.inc();
   pass_probes_ = 0;

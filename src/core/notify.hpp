@@ -92,6 +92,9 @@ class SlotPool {
   void release(RequestSlot* slot);
   const Stats& stats() const { return stats_; }
 
+  /// Position of `slot` among all slots ever carved, in carving order.
+  std::size_t index_of(const RequestSlot* slot) const;
+
  private:
   static constexpr std::size_t kSlabSlots = 64;  // 64 * 32 B = 2 KiB slabs
 
@@ -136,6 +139,11 @@ class UqIndex {
 
   /// Consumes `e`, which find_oldest() returned.
   void erase(const net::HwNotification* e);
+
+  /// Store position of `e`, which find_oldest() returned, and the size of
+  /// one store slot: together they place `e` in the store's layout.
+  std::size_t position(const net::HwNotification* e) const;
+  static constexpr std::size_t slot_bytes() { return sizeof(Slot); }
 
   std::size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
@@ -350,6 +358,13 @@ class NaEngine {
   /// additional one, and records hardware-queue cache lines. Valid until
   /// the end of the caller's matching pass.
   std::span<const net::HwNotification> drain_hw();
+
+  /// Cache-model charges of the request slot, of `bytes` of the unexpected
+  /// queue at modelled address `addr`, and of a hardware-queue entry.
+  /// Callers check cache_ first.
+  void charge_request(const RequestSlot& s);
+  void charge_uq(std::uint64_t addr, std::size_t bytes);
+  void charge_hw(const net::HwNotification& e);
 
   /// test()/iprobe() bodies of the two matching engines.
   void test_linear(RequestSlot& s, NaStatus& st);

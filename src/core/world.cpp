@@ -109,7 +109,6 @@ void World::run(const std::function<void(Rank&)>& rank_main) {
   // counter tracks.
   metrics_->counter("sim.events_executed", 0).inc(engine_->events_executed());
   metrics_->counter("sim.events_posted", 0).inc(engine_->events_posted());
-  metrics_->counter("sim.batched_posts", 0).inc(engine_->batched_posts());
   metrics_->counter("sim.stale_heap_skips", 0).inc(engine_->stale_heap_skips());
   // Fault-model and flow-control outcomes (DESIGN.md §10). All zero in a
   // fault-free fatal-policy run.

@@ -98,8 +98,8 @@ class Fabric {
   /// Charges the channel-serialization and LogGP costs of a transfer of
   /// `bytes` from `src` to `dst` issued at virtual time `t_issue` and
   /// returns its delivery time — without scheduling anything. Callers that
-  /// need several events at the delivery instant (e.g. the NIC's
-  /// shm-notification path) pair this with Engine::post_batch. A nonzero
+  /// need more than the delivery argument at that instant (e.g. the NIC's
+  /// shm-notification path) post their own event with it. A nonzero
   /// `msg` records the channel-stage hops (chan_start / gap_end / ser_end)
   /// for that sampled message; delivery hops are recorded at commit sites.
   Time reserve_transfer(int src, int dst, Time t_issue, std::size_t bytes,

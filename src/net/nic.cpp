@@ -84,7 +84,7 @@ std::size_t Nic::pop_hw_batch(std::span<HwNotification> out) {
     HwNotification& o = out[n++];
     o = HwNotification{};
     if (take_cq) {
-      o.queue_slot = &dest_cq_.front();
+      o.queue_slot = static_cast<std::uint32_t>(dest_cq_.front_slot());
       const Cqe c = dest_cq_.pop();
       ++cq_popped;
       o.imm = c.imm;
@@ -93,7 +93,7 @@ std::size_t Nic::pop_hw_batch(std::span<HwNotification> out) {
       o.time = c.time;
       o.msg = c.msg;
     } else {
-      o.queue_slot = &shm_ring_.front();
+      o.queue_slot = static_cast<std::uint32_t>(shm_ring_.front_slot());
       const ShmNotification s = shm_ring_.pop();
       ++shm_popped;
       o.imm = s.imm;
@@ -601,26 +601,22 @@ void Nic::send_shm_notification(int target, ShmNotification n,
   g_src_pending_.add(1, ctx_.now());
   // One cache line on the intra-node interconnect. Delivery at the target
   // and local completion (coherent shared memory completes at delivery)
-  // happen at the same instant, so both are posted as one event batch.
+  // happen at the same instant, so one event does both, in that order.
   const Time deliver = fabric_.reserve_transfer(
       rank(), target, ctx_.now(), 64, Transport::kShm,
       Fabric::ChannelClass::kData, n.msg);
   if (auto* tracer = fabric_.tracer())
     tracer->flow(rank(), target, "shm", "notification", ctx_.now(), deliver,
                  n.msg ? obs::MsgTrace::flow_id(n.msg) : 0);
-  Nic* self = this;
-  fabric_.engine().post_batch(
-      deliver,
-      [tgt, n, deliver] {
-        ShmNotification entry = n;
-        entry.time = deliver;
-        tgt->push_shm(entry);
-      },
-      [self, pending, deliver] {
-        if (pending) ++pending->completed;
-        self->g_src_pending_.add(-1, deliver);
-        self->progress_.notify(self->fabric_.engine(), deliver);
-      });
+  n.time = deliver;
+  auto deliver_and_complete = [this, tgt, n, pending] {
+    tgt->push_shm(n);
+    if (pending) ++pending->completed;
+    g_src_pending_.add(-1, n.time);
+    progress_.notify(fabric_.engine(), n.time);
+  };
+  static_assert(sizeof(deliver_and_complete) <= sim::EventPool::kBlockBytes);
+  fabric_.engine().post(deliver, deliver_and_complete);
 }
 
 }  // namespace narma::net

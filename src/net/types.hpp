@@ -84,10 +84,10 @@ struct HwNotification {
   std::uint64_t offset = 0;
   std::uint8_t inline_len = 0;
   std::array<std::byte, kShmInlineCapacity> inline_data{};
-  /// Address of the hardware-queue slot this entry was popped from; lets
-  /// the cache model charge the queue's lines without the NIC knowing
-  /// about the cache simulator.
-  const void* queue_slot = nullptr;
+  /// Slot of the hardware queue (the CQ, or the shm ring if from_shm) this
+  /// entry was popped from; lets the cache model charge the queue's lines
+  /// without the NIC knowing about the cache simulator.
+  std::uint32_t queue_slot = 0;
   std::uint64_t msg = 0;  // obs::MsgId of the originating op (0 = untraced)
 };
 

@@ -171,8 +171,14 @@ class Window {
   /// Completion counters for one target, materialized on first use. The NIC
   /// holds the returned pointer until the operations complete, which is why
   /// the map must be node-based (unordered_map references are never
-  /// invalidated by inserts).
-  net::PendingOps& pending(int target) { return pending_[target]; }
+  /// invalidated by inserts) — and why the last lookup can be memoized.
+  net::PendingOps& pending(int target) {
+    if (target != last_target_) {
+      last_pending_ = &pending_[target];
+      last_target_ = target;
+    }
+    return *last_pending_;
+  }
   std::uint64_t byte_offset(std::uint64_t disp) const {
     return disp * disp_unit_;
   }
@@ -200,6 +206,8 @@ class Window {
   // targets actually touched (a 4096-rank window would otherwise carry
   // ~n-sized vectors per rank — n² aggregate).
   std::unordered_map<int, net::PendingOps> pending_;  // completion counters
+  int last_target_ = -1;                   // memo of the last pending() hit
+  net::PendingOps* last_pending_ = nullptr;
 
   // Passive-target lock word: 0 free, -1 exclusively held, n > 0 shared by
   // n readers. Registered separately; keys exchanged at creation. A map

@@ -182,25 +182,12 @@ class Engine {
 
   /// Schedules `fn` to execute at virtual time `t`. Callable from rank
   /// contexts and from event handlers. The closure is stored inline (or in
-  /// the slab EventPool when oversized) — no per-event heap allocation.
+  /// the slab EventPool when oversized or not trivially copyable) — no
+  /// per-event heap allocation. One hardware action is one event: parties
+  /// it completes at one instant are served by one closure, in order.
   template <class F>
   void post(Time t, F&& fn) {
     calendar_.push(t, next_seq_++, InlineFn(std::forward<F>(fn), &pool_));
-    note_push();
-  }
-
-  /// Schedules several closures at the *same* timestamp with consecutive
-  /// sequence numbers; they execute in argument order. The NIC delivery
-  /// paths use this where one hardware action completes multiple parties
-  /// at one instant (e.g. shm-notification delivery + local completion);
-  /// the calendar queue locates the target segment once for the batch.
-  template <class... Fs>
-  void post_batch(Time t, Fs&&... fns) {
-    static_assert(sizeof...(Fs) >= 1);
-    InlineFn batch[] = {InlineFn(std::forward<Fs>(fns), &pool_)...};
-    calendar_.push_batch(t, next_seq_, batch, sizeof...(Fs));
-    next_seq_ += sizeof...(Fs);
-    ++batched_posts_;
     note_push();
   }
 
@@ -225,15 +212,13 @@ class Engine {
   std::uint64_t run_wall_ns() const { return run_wall_ns_; }
   /// High-water mark of the pending-event queue.
   std::size_t queue_high_water() const { return queue_high_water_; }
-  /// Number of post_batch() calls.
-  std::uint64_t batched_posts() const { return batched_posts_; }
   /// Ready-heap pops discarded because the rank's generation moved on (the
   /// losing half of a wait_deadline timeout/wake pair). Exported as
   /// sim.stale_heap_skips.
   std::uint64_t stale_heap_skips() const { return stale_heap_skips_; }
   /// Queue depth sampled at every pop (log2 buckets).
   const Log2Hist& pop_depth_hist() const { return pop_depth_hist_; }
-  /// Occupancy of the oversized-closure slab pool.
+  /// Occupancy of the slab pool of out-of-place closures.
   const EventPool::Stats& pool_stats() const { return pool_.stats(); }
 
   // --- Flight-recorder hooks (src/obs; see DESIGN.md §12) -------------------
@@ -323,7 +308,6 @@ class Engine {
   const std::function<void(RankCtx&)>* rank_main_ = nullptr;  // live in run()
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t batched_posts_ = 0;
   std::uint64_t stale_heap_skips_ = 0;
   std::uint64_t run_wall_ns_ = 0;
   std::size_t queue_high_water_ = 0;

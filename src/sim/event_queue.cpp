@@ -67,27 +67,6 @@ std::size_t CalendarQueue::bottom_pos(Time t, std::uint64_t seq) const {
   return i;
 }
 
-void CalendarQueue::push_batch(Time t, std::uint64_t first_seq, InlineFn* fns,
-                               std::size_t n) {
-  size_ += n;
-  if (t < bottom_end_) {
-    // One position search for the whole batch; inserting each item at the
-    // same index leaves them in descending-seq order, i.e. the lowest seq
-    // nearest the back, which pops (executes) first.
-    const std::size_t pos = bottom_pos(t, first_seq);
-    for (std::size_t i = 0; i < n; ++i)
-      bottom_.insert(bottom_.begin() + static_cast<std::ptrdiff_t>(pos),
-                     CalEvent{t, first_seq + i, std::move(fns[i])});
-    return;
-  }
-  std::vector<CalEvent>* dst =
-      t < cal_end_
-          ? &buckets_[static_cast<std::size_t>((t - cal_start_) / width_)]
-          : &overflow_;
-  for (std::size_t i = 0; i < n; ++i)
-    dst->push_back(CalEvent{t, first_seq + i, std::move(fns[i])});
-}
-
 void CalendarQueue::settle() {
   NARMA_ASSERT(size_ > 0);
   while (bottom_.empty()) {

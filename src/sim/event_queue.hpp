@@ -4,12 +4,13 @@
 //
 //  * InlineFn — a move-only callable with 48 bytes of inline storage. The
 //    common NIC-delivery closures (a handful of pointers and integers) are
-//    stored in place; larger ones fall back to a slab EventPool block, so
-//    steady-state posting performs no heap allocation either way.
-//  * EventPool — slab allocator for oversized closures, the SlotPool idiom
-//    from core/notify.hpp: 128-byte blocks carved from 64-block slabs with
-//    free-list reuse. Blocks larger than one slot go to ::operator new and
-//    are counted (Stats::oversize).
+//    stored in place when they are trivially copyable; everything else
+//    goes to a slab EventPool block, so steady-state posting performs no
+//    heap allocation either way, and moving an event is a plain copy.
+//  * EventPool — slab allocator for the closures InlineFn does not keep in
+//    place, the SlotPool idiom from core/notify.hpp: 128-byte blocks carved
+//    from 64-block slabs with free-list reuse. Blocks larger than one slot
+//    go to ::operator new and are counted (Stats::oversize).
 //  * CalendarQueue — a bucketed calendar/ladder queue keyed on (time, seq).
 //    Future events land in an unsorted bucket in O(1); a bucket is sorted
 //    only when it becomes current ("bottom"), from which pop is a move-out
@@ -37,8 +38,8 @@
 
 namespace narma::sim {
 
-/// Slab allocator for event closures that overflow InlineFn's inline
-/// buffer. Single-threaded by the engine's one-runnable-thread invariant.
+/// Slab allocator for the event closures InlineFn does not keep in place.
+/// Single-threaded by the engine's one-runnable-thread invariant.
 class EventPool {
  public:
   struct Stats {
@@ -63,9 +64,12 @@ class EventPool {
 };
 
 /// Move-only type-erased `void()` with small-buffer-optimized storage.
-/// Closures up to kInlineBytes live inside the object (no allocation at
-/// all); larger ones are placed in an EventPool block (slab-recycled) or,
-/// without a pool, in ::operator new memory.
+/// A closure that is trivially copyable and at most kInlineBytes lives
+/// inside the object; any other is placed in an EventPool block
+/// (slab-recycled) or, without a pool, in ::operator new memory. Either
+/// way the object's bytes are all its state, so a move copies them and
+/// disarms the source: the calendar queue's sorts and inserts never call
+/// through a function pointer. `destroy_` is null for inline closures.
 class InlineFn {
  public:
   static constexpr std::size_t kInlineBytes = 48;
@@ -78,24 +82,23 @@ class InlineFn {
     using Fn = std::remove_cvref_t<F>;
     static_assert(alignof(Fn) <= alignof(std::max_align_t));
     if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+                  std::is_trivially_copyable_v<Fn>) {
       ::new (static_cast<void*>(storage_.inl)) Fn(std::forward<F>(f));
       invoke_ = &invoke_inline<Fn>;
-      manage_ = &manage_inline<Fn>;
     } else {
       void* p = pool ? pool->alloc(sizeof(Fn)) : ::operator new(sizeof(Fn));
       ::new (p) Fn(std::forward<F>(f));
       storage_.heap = {p, pool, sizeof(Fn)};
       invoke_ = &invoke_heap<Fn>;
-      manage_ = &manage_heap<Fn>;
+      destroy_ = &destroy_heap<Fn>;
     }
   }
 
-  InlineFn(InlineFn&& o) noexcept { move_from(o); }
+  InlineFn(InlineFn&& o) noexcept { take(o); }
   InlineFn& operator=(InlineFn&& o) noexcept {
     if (this != &o) {
       reset();
-      move_from(o);
+      take(o);
     }
     return *this;
   }
@@ -105,8 +108,6 @@ class InlineFn {
   explicit operator bool() const { return invoke_ != nullptr; }
 
  private:
-  enum class Op : std::uint8_t { kMoveTo, kDestroy };
-
   struct HeapRef {
     void* ptr;
     EventPool* pool;
@@ -122,22 +123,11 @@ class InlineFn {
     (*std::launder(reinterpret_cast<Fn*>(self.storage_.inl)))();
   }
   template <class Fn>
-  static void manage_inline(Op op, InlineFn& self, InlineFn* dst) {
-    Fn* f = std::launder(reinterpret_cast<Fn*>(self.storage_.inl));
-    if (op == Op::kMoveTo)
-      ::new (static_cast<void*>(dst->storage_.inl)) Fn(std::move(*f));
-    f->~Fn();
-  }
-  template <class Fn>
   static void invoke_heap(InlineFn& self) {
     (*static_cast<Fn*>(self.storage_.heap.ptr))();
   }
   template <class Fn>
-  static void manage_heap(Op op, InlineFn& self, InlineFn* dst) {
-    if (op == Op::kMoveTo) {
-      dst->storage_.heap = self.storage_.heap;  // pointer steal
-      return;
-    }
+  static void destroy_heap(InlineFn& self) {
     const HeapRef h = self.storage_.heap;
     static_cast<Fn*>(h.ptr)->~Fn();
     if (h.pool)
@@ -146,22 +136,22 @@ class InlineFn {
       ::operator delete(h.ptr);
   }
 
-  void move_from(InlineFn& o) noexcept {
+  void take(InlineFn& o) noexcept {
+    storage_ = o.storage_;  // the union's bytes: a trivial copy
     invoke_ = o.invoke_;
-    manage_ = o.manage_;
-    if (manage_) manage_(Op::kMoveTo, o, this);
+    destroy_ = o.destroy_;
     o.invoke_ = nullptr;
-    o.manage_ = nullptr;
+    o.destroy_ = nullptr;
   }
   void reset() {
-    if (manage_) manage_(Op::kDestroy, *this, nullptr);
+    if (destroy_) destroy_(*this);
     invoke_ = nullptr;
-    manage_ = nullptr;
+    destroy_ = nullptr;
   }
 
-  Storage storage_;
+  Storage storage_{};  // zeroed, so a move never copies indeterminate bytes
   void (*invoke_)(InlineFn&) = nullptr;
-  void (*manage_)(Op, InlineFn&, InlineFn*) = nullptr;
+  void (*destroy_)(InlineFn&) = nullptr;
 };
 
 /// A scheduled event: (time, seq) key plus the pooled closure.
@@ -194,21 +184,15 @@ class CalendarQueue {
     ++size_;
   }
 
-  /// Posts `n` closures at one timestamp with consecutive sequence numbers;
-  /// the target segment (bucket, bottom position, or overflow) is located
-  /// once for the whole batch.
-  void push_batch(Time t, std::uint64_t first_seq, InlineFn* fns,
-                  std::size_t n);
-
   /// Smallest pending (time); requires !empty().
   Time top_time() {
-    settle();
+    if (bottom_.empty()) settle();
     return bottom_.back().time;
   }
 
   /// Move-out pop of the minimum (time, seq) event; requires !empty().
   CalEvent pop() {
-    settle();
+    if (bottom_.empty()) settle();
     CalEvent ev = std::move(bottom_.back());
     bottom_.pop_back();
     --size_;

@@ -392,6 +392,46 @@ TEST(NaShm, InlineTransferSmallPut) {
       p);
 }
 
+namespace {
+
+// One hardware action is one engine event. Within a node the notified put
+// is one shm-ring delivery that also completes the origin (coherent memory
+// completes at delivery); across nodes it is the delivery plus the ack.
+std::uint64_t events_per_put_notify(int ranks_per_node) {
+  WorldParams p;
+  p.fabric.ranks_per_node = ranks_per_node;
+  std::uint64_t events = 0;
+  run2(
+      [&events](Rank& self) {
+        auto win = self.win_allocate(64, 1);
+        self.barrier();
+        if (self.id() == 0) {
+          // Let rank 1 reach the closing barrier, so that only this put's
+          // events run inside the measured span.
+          self.ctx().yield_until(self.now() + ms(1));
+          const sim::Engine& eng = self.ctx().engine();
+          const std::uint64_t before = eng.events_executed();
+          const double v = 1;
+          self.na().put_notify(*win, na::as_bytes(&v, 8), 1, 0, 3);
+          win->flush(1);
+          events = eng.events_executed() - before;
+        }
+        self.barrier();
+      },
+      p);
+  return events;
+}
+
+}  // namespace
+
+TEST(NaShm, IntraNodePutNotifyIsOneEvent) {
+  EXPECT_EQ(events_per_put_notify(2), 1u);
+}
+
+TEST(Na, InterNodePutNotifyIsDeliveryAndAck) {
+  EXPECT_EQ(events_per_put_notify(1), 2u);
+}
+
 TEST(NaShm, LargePutUsesCopyThenNotify) {
   WorldParams p = WorldParams::single_node(2);
   run2(

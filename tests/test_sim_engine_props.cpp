@@ -230,25 +230,6 @@ TEST(EngineEdge, PostFromHandlerAtSameTimestamp) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 99}));
 }
 
-// post_batch schedules at one timestamp in argument order, interleaving
-// correctly with singly-posted events at the same time.
-TEST(EngineEdge, PostBatchKeepsArgumentOrder) {
-  sim::Engine eng(1);
-  std::vector<int> order;
-  eng.run([&](sim::RankCtx& r) {
-    r.engine().post(us(1), [&] { order.push_back(0); });
-    r.engine().post_batch(
-        us(1), [&] { order.push_back(1); }, [&] { order.push_back(2); },
-        [&] { order.push_back(3); });
-    r.engine().post(us(1), [&] { order.push_back(4); });
-    r.engine().post_batch(us(1), [&] { order.push_back(5); });
-    r.yield_until(us(2));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(eng.events_posted(), 6u);
-  EXPECT_EQ(eng.events_executed(), 6u);
-}
-
 // A waiter woken inside a handler that immediately re-waits must not be
 // lost when the trigger is notified again (the notify scratch-buffer swap
 // must leave the waiter list usable during the wake sweep).
