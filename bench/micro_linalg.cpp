@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the Cholesky tile kernels on the real
-// CPU: the SYRK/GEMM update on each instruction-set path, and the panel
-// solve. Virtual time charges these kernels by flop count, so their host
-// speed moves only the Fig. 5 Cholesky's wall time; the GF/s counters show
+// CPU: the SYRK/GEMM update on each instruction-set path, the panel solve,
+// and one rank's residual check. Virtual time charges none of this, so its
+// host speed moves only the Fig. 5 Cholesky's wall time; the counters show
 // that speed outside the whole-app benchmarks.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/matrix.hpp"
 
 using namespace narma;
 using linalg::KernelIsa;
@@ -67,5 +68,34 @@ static void BM_TrsmRight(benchmark::State& state) {
   set_rate(state, linalg::flops_trsm(b));
 }
 BENCHMARK(BM_TrsmRight)->Arg(8)->Arg(32)->Arg(64);
+
+// One owner's share of the panel residual check of an order-n factor whose
+// 32 x 32 tile columns are dealt round-robin to 16 ranks (the Fig. 5
+// layout): the columns tj = 0, 16, 32, ... tiles/s counts the lower-triangle
+// tiles of A - L L^T those columns cover.
+static void BM_ResidualCheck(benchmark::State& state) {
+  constexpr int kB = 32, kRanks = 16;
+  const int nt = static_cast<int>(state.range(0)) / kB;
+  const linalg::TiledMatrix a = linalg::generate_spd(nt, kB, 1);
+  linalg::TiledMatrix l = a;
+  if (!linalg::cholesky_tiled_reference(l)) {
+    state.SkipWithError("test matrix not positive definite");
+    return;
+  }
+  const auto owns = [](int tj) { return tj % kRanks == 0; };
+  double tiles = 0;
+  for (int tj = 0; tj < nt; ++tj)
+    if (owns(tj)) tiles += nt - tj;
+  for (auto _ : state) {
+    const linalg::ResidualSums sums = linalg::residual_sums(
+        a.dim(), kB, owns, [&](int i, int j) { return a.at(i, j); },
+        [&](int ti, int tk) { return l.tile(ti, tk); });
+    benchmark::DoNotOptimize(sums);
+  }
+  state.counters["tiles/s"] = benchmark::Counter(
+      tiles * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ResidualCheck)->Arg(416)->Arg(1536)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -1,10 +1,12 @@
 #include "apps/cholesky.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <vector>
 
+#include "common/pages.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 
@@ -26,9 +28,16 @@ class CholeskyRun {
         tile_bytes_(tile_elems_ * sizeof(double)),
         gen_(cfg.nt * cfg.b, cfg.seed),
         present_(static_cast<std::size_t>(cfg.nt) * cfg.nt, 0),
-        tiles_(new double[lower_tiles() * tile_elems_]) {
+        tiles_(static_cast<double*>(std::aligned_alloc(
+            page_size(), round_up_to_pages(lower_tiles() * tile_bytes_)))) {
     NARMA_CHECK(nt_ * nt_ < mp::kMaxUserTag)
         << "tile coordinate does not fit the tag encoding (nt too large)";
+    NARMA_CHECK(tiles_ != nullptr) << "out of memory for the tile slots";
+    // Every rank writes each strictly-lower slot, by generating or receiving
+    // it: map those pages now, one call per tile row, instead of faulting
+    // them in on delivery. Diagonal slots of other ranks' columns are never
+    // written and stay unmapped.
+    for (int i = 1; i < nt_; ++i) commit_pages(tile(i, 0), tile(i, i));
     // Generate only the tiles of the owned columns; every other slot is
     // filled by the broadcast before it is read.
     for (int j = 0; j < nt_; ++j) {
@@ -204,10 +213,14 @@ class CholeskyRun {
   std::size_t tile_elems_, tile_bytes_;
   linalg::SpdGenerator gen_;  // regenerates A's entries for verification
   std::vector<char> present_;
-  // Packed lower-triangle tile storage, default-initialized: a slot is
-  // written (generated or received) before it is read, and the pages of
-  // tiles a rank never touches are never mapped.
-  std::unique_ptr<double[]> tiles_;
+  // Packed lower-triangle tile storage, page-aligned (8 KB slots are page
+  // pairs) and uninitialized: a slot is written (generated or received)
+  // before it is read, and the pages of tiles a rank never touches are
+  // never mapped.
+  struct Free {
+    void operator()(double* p) const { std::free(p); }
+  };
+  std::unique_ptr<double[], Free> tiles_;
   std::unique_ptr<rma::Window> tile_win_;
   std::unique_ptr<rma::Window> notif_win_;
   // Staging area for in-flight coordinate puts. A deque: elements must stay
@@ -301,13 +314,12 @@ CholeskyResult CholeskyRun::run() {
   res.gflops = (dim * dim * dim / 3.0) / el_max / 1e9;
 
   if (cfg_.verify) {
-    // Each sampled entry (i, j), i >= j, is checked by the owner of tile
-    // column j / b: the strictly-lower factor tiles it reads were broadcast
-    // to every rank, and the diagonal one is its own. The partial sums are
-    // combined in rank order, so every rank reports the same residual.
-    // residual_sums does not yield, so the ranks' fibers share its scratch.
+    // Each tile column is checked by its owner: the strictly-lower factor
+    // tiles it reads were broadcast to every rank, and the diagonal one is
+    // its own. The partial sums are combined in rank order, so every rank
+    // reports the same residual.
     const linalg::ResidualSums mine = linalg::residual_sums(
-        nt_ * b_, b_, [&](int, int j) { return owner(j / b_) == p_; },
+        nt_ * b_, b_, [&](int tj) { return owner(tj) == p_; },
         [&](int i, int j) { return gen_.entry(i, j); },
         [&](int ti, int tk) -> const double* { return tile(ti, tk); });
     std::vector<linalg::ResidualSums> parts(static_cast<std::size_t>(n_));

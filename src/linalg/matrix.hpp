@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "common/assert.hpp"
 
 namespace narma::linalg {
 
@@ -66,12 +66,14 @@ TiledMatrix generate_spd(int nt, int b, std::uint64_t seed);
 /// the matrix is not positive definite.
 bool cholesky_tiled_reference(TiledMatrix& a);
 
-/// Running sums of the relative residual || A - L L^T ||_F / || A ||_F.
+/// Running sums of a relative residual ||R||_F / ||A||_F, one term at a
+/// time: an entry of R = A - L L^T in the exact check, a row of the probed
+/// panel R = (A - L L^T) P in the panel check.
 struct ResidualSums {
-  double diff2 = 0;  // sum of (A - L L^T)(i, j)^2
-  double ref2 = 0;   // sum of A(i, j)^2
+  double diff2 = 0;  // sum of the squared terms of R
+  double ref2 = 0;   // sum of the squared terms of A (or A P)
 
-  /// Adds one entry: `a` = A(i, j), `llt` = (L L^T)(i, j).
+  /// Adds one term: `a` from A (or A P), `llt` the same term of L L^T.
   void add(double a, double llt) {
     const double d = a - llt;
     diff2 += d * d;
@@ -85,107 +87,115 @@ struct ResidualSums {
   double relative() const;
 };
 
-/// Above this order the residual check samples entries instead of checking
-/// all n^2 (reconstructing L L^T exactly is O(n^3)).
+/// Up to this order the residual check reads every entry of A - L L^T
+/// (n^3 / 3 multiply-adds in all); above it, the panel check.
 constexpr int kResidualExactLimit = 384;
 
-/// Calls fn(row, col) for every entry of an n x n matrix the residual check
-/// covers: above kResidualExactLimit a fixed pseudo-random sample of 2^16
-/// entries, deterministic in n; otherwise all n^2 entries in row-major
-/// order.
-template <class Fn>
-void for_each_residual_entry(int n, Fn&& fn) {
-  constexpr int kSamples = 1 << 16;
-  if (n <= kResidualExactLimit) {
-    for (int row = 0; row < n; ++row)
-      for (int col = 0; col < n; ++col) fn(row, col);
-    return;
-  }
-  Xoshiro256 rng(0x5eedu + static_cast<std::uint64_t>(n));
-  const auto un = static_cast<std::uint64_t>(n);
-  for (int s = 0; s < kSamples; ++s) {
-    const int row = static_cast<int>(rng.next_below(un));
-    const int col = static_cast<int>(rng.next_below(un));
-    fn(row, col);
-  }
+namespace detail {
+
+/// Index of lower-triangle tile (ti, tk), ti >= tk, in row-major packing.
+inline std::size_t packed_lower(int ti, int tk) {
+  return static_cast<std::size_t>(ti) * (ti + 1) / 2 +
+         static_cast<std::size_t>(tk);
 }
 
 /// (L L^T)(i, j) for i >= j: the inner product of factor rows i and j over
 /// k = 0..j, in ascending k order, walking contiguous tile rows.
-/// `tile(ti, tk)` returns the b x b row-major factor tile (ti, tk); only
-/// tiles with tk <= j / b are read.
-template <class TileOf>
-double llt_entry(int i, int j, int b, TileOf&& tile) {
-  const int ti = i / b, tj = j / b;
-  const std::size_t ri = static_cast<std::size_t>(i % b) * b;
-  const std::size_t rj = static_cast<std::size_t>(j % b) * b;
-  double s = 0;
-  for (int tk = 0; tk <= tj; ++tk) {
-    const double* li = tile(ti, tk) + ri;
-    const double* lj = tile(tj, tk) + rj;
-    const int kend = tk == tj ? j % b + 1 : b;
-    for (int k = 0; k < kend; ++k) s += li[k] * lj[k];
+/// `lower[packed_lower(ti, tk)]` is the b x b row-major factor tile
+/// (ti, tk); only tiles with tk <= j / b are read.
+double llt_entry(int i, int j, int b, const double* const* lower);
+
+/// The factor side of the panel check for one caller's tile columns. Each
+/// column tj gets a probe v (b entries drawn from Xoshiro256 seeded by
+/// (n, tj), so every caller that checks tj draws the same v). For every row
+/// i >= tj * b it holds (L L^T)(i, block tj) v = L(i, <= tj) (L(tj, <= tj)^T
+/// v), with each sum in ascending k whichever other columns are checked
+/// alongside. The L(tj, tk)^T v of all columns are stacked, so each factor
+/// tile is read once however many columns it serves.
+class PanelProducts {
+ public:
+  /// `cols`: the checked tile columns, ascending, non-empty. `lower` as
+  /// for llt_entry. Only lower triangles are read.
+  PanelProducts(int n, int b, const std::vector<int>& cols,
+                const double* const* lower);
+
+  /// Probe of cols[m].
+  const double* probe(std::size_t m) const {
+    return probes_.data() + m * static_cast<std::size_t>(b_);
   }
-  return s;
-}
+  /// Row i of (L L^T)(:, block cols[m]) v; i >= cols[m] * b.
+  double llt(int i, std::size_t m) const {
+    return llt_[static_cast<std::size_t>(i - row0_) * cols_ + m];
+  }
 
-namespace detail {
-
-/// Scratch of residual_sums: the kept samples in sample order and their
-/// evaluation order. One per thread, reused by every call; a caller must
-/// not let another residual_sums run on its thread (another rank's fiber)
-/// before it returns.
-struct ResidualScratch {
-  struct Sample {
-    int i, j;
-    double llt;
-  };
-  std::vector<Sample> samples;
-  std::vector<std::uint64_t> by_row;  // (i << 32) | index into samples
+ private:
+  int b_;
+  int row0_;          // first row held: cols.front() * b
+  std::size_t cols_;  // number of checked columns
+  std::vector<double> probes_;
+  std::vector<double> llt_;  // (n - row0_) x cols_, row-major
 };
-ResidualScratch& residual_scratch();
 
 }  // namespace detail
 
-/// Sums (A - L L^T)(i, j) over the for_each_residual_entry(n) entries with
-/// i = max(row, col), j = min(row, col) for which keep(i, j) holds.
-/// `a(i, j)` returns A(i, j); `tile` is as for llt_entry. Sampled entries
-/// are evaluated in ascending i, so consecutive ones read the same band of
-/// factor tiles, and added in sample order: the sums are bit-identical to
-/// evaluating each entry as it is drawn.
-template <class Keep, class EntryOfA, class TileOf>
-ResidualSums residual_sums(int n, int b, Keep&& keep, EntryOfA&& a,
+/// Sums the residual terms of the tile columns tj for which owns(tj) holds;
+/// n is a multiple of b. `a(i, j)` returns A(i, j) for i >= j, and
+/// `tile(ti, tk)` the b x b row-major factor tile (ti, tk); it is asked
+/// only for tiles with an owned column in [tk, ti], and only their lower
+/// triangles are read.
+///
+/// Up to kResidualExactLimit every entry (i, j), i >= j, of an owned column
+/// is one term, in row-major order over the whole n x n matrix.
+///
+/// Above it, the panel check: for each owned column tj with probe v and
+/// each row i >= tj * b, one term (A(i, block tj) v, (L L^T)(i, block tj)
+/// v), columns ascending, rows ascending. Every lower-triangle entry of
+/// A - L L^T in the column enters the terms, so any error in it moves them
+/// (Freivalds); the probe's entries have magnitude in [1, 2), so an error
+/// alone in its row moves a term by at least itself. O(n^3 / (6 b))
+/// multiply-adds over all columns, where the exact check takes O(n^3 / 3).
+template <class Owns, class EntryOfA, class TileOf>
+ResidualSums residual_sums(int n, int b, Owns&& owns, EntryOfA&& a,
                            TileOf&& tile) {
+  NARMA_CHECK(b >= 1 && n % b == 0) << "the residual check needs whole tiles";
   ResidualSums sums;
+  const int nt = n / b;
+  std::vector<int> cols;
+  for (int tj = 0; tj < nt; ++tj)
+    if (owns(tj)) cols.push_back(tj);
+  if (cols.empty()) return sums;
+  std::vector<const double*> lower(detail::packed_lower(nt, 0));
+  for (int ti = cols.front(); ti < nt; ++ti) {
+    const int last = *(std::upper_bound(cols.begin(), cols.end(), ti) - 1);
+    for (int tk = 0; tk <= last; ++tk)
+      lower[detail::packed_lower(ti, tk)] = tile(ti, tk);
+  }
   if (n <= kResidualExactLimit) {
-    for_each_residual_entry(n, [&](int row, int col) {
-      const int i = std::max(row, col), j = std::min(row, col);
-      if (keep(i, j)) sums.add(a(i, j), llt_entry(i, j, b, tile));
-    });
+    for (int row = 0; row < n; ++row)
+      for (int col = 0; col < n; ++col) {
+        const int i = std::max(row, col), j = std::min(row, col);
+        if (owns(j / b))
+          sums.add(a(i, j), detail::llt_entry(i, j, b, lower.data()));
+      }
     return sums;
   }
-  detail::ResidualScratch& s = detail::residual_scratch();
-  s.samples.clear();
-  s.by_row.clear();
-  for_each_residual_entry(n, [&](int row, int col) {
-    const int i = std::max(row, col), j = std::min(row, col);
-    if (!keep(i, j)) return;
-    s.by_row.push_back(static_cast<std::uint64_t>(i) << 32 | s.samples.size());
-    s.samples.push_back({i, j, 0.0});
-  });
-  std::sort(s.by_row.begin(), s.by_row.end());
-  for (const std::uint64_t key : s.by_row) {
-    detail::ResidualScratch::Sample& e = s.samples[key & 0xffffffffu];
-    e.llt = llt_entry(e.i, e.j, b, tile);
+  const detail::PanelProducts products(n, b, cols, lower.data());
+  for (std::size_t m = 0; m < cols.size(); ++m) {
+    const int c0 = cols[m] * b;
+    const double* v = products.probe(m);
+    for (int i = c0; i < n; ++i) {
+      double av = 0;
+      for (int c = 0; c < b; ++c)
+        av += a(std::max(i, c0 + c), std::min(i, c0 + c)) * v[c];
+      sums.add(av, products.llt(i, m));
+    }
   }
-  for (const detail::ResidualScratch::Sample& e : s.samples)
-    sums.add(a(e.i, e.j), e.llt);
   return sums;
 }
 
-/// || A - L * L^T ||_F / || A ||_F over the for_each_residual_entry entries,
-/// where `a` is symmetric and `l` holds the factor in its lower tiles. Only
-/// the lower triangles of both are read.
+/// The relative residual of residual_sums over every tile column, where
+/// `a` is symmetric and `l` holds the factor in its lower tiles. Only the
+/// lower triangles of both are read.
 double cholesky_residual(const TiledMatrix& a, const TiledMatrix& l);
 
 /// Frobenius norm of the full matrix.

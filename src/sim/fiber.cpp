@@ -1,11 +1,11 @@
 #include "sim/fiber.hpp"
 
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/pages.hpp"
 
 #if defined(NARMA_FIBER_UCONTEXT)
 #include <ucontext.h>
@@ -30,20 +30,6 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
 #endif
 
 namespace narma::sim {
-
-namespace {
-
-std::size_t page_size() {
-  static const std::size_t p = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  return p;
-}
-
-std::size_t round_up_pages(std::size_t bytes) {
-  const std::size_t p = page_size();
-  return (bytes + p - 1) / p * p;
-}
-
-}  // namespace
 
 #if !defined(NARMA_FIBER_UCONTEXT)
 
@@ -137,7 +123,7 @@ void fiber_entry_point(Fiber* f) { f->run_entry(); }
 Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
     : entry_(entry), arg_(arg) {
   if (stack_bytes < kMinStackBytes) stack_bytes = kMinStackBytes;
-  stack_bytes_ = round_up_pages(stack_bytes);
+  stack_bytes_ = round_up_to_pages(stack_bytes);
   map_bytes_ = stack_bytes_ + page_size();  // + guard page at the low end
 
   // MAP_NORESERVE + demand paging keep RSS proportional to pages touched,

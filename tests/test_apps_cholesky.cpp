@@ -111,24 +111,38 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.b);
     });
 
-// Sampled mode (n = 416 > 384): 2^16 pseudo-random entries, each checked by
-// the owner of its column. The residual is pinned to its bits: evaluating
-// the samples in another order must not change how they are summed.
+// Panel mode (n = 416 > 384): each tile column is checked by its owner
+// with a seeded probe. The residual is pinned to its bits, on every rank of
+// every variant. The sequential reference checks every column in one pass
+// and adds the same terms in another order, so it agrees to 1e-12.
 TEST(CholSampled, ResidualBitsPinned) {
-  World world(4);
-  std::vector<CholeskyResult> res(4);
-  world.run([&](Rank& self) {
-    CholeskyConfig cfg;
-    cfg.nt = 13;
-    cfg.b = 32;
-    cfg.variant = CholeskyVariant::kNotified;
-    res[static_cast<std::size_t>(self.id())] = run_cholesky(self, cfg);
-  });
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_TRUE(res[static_cast<std::size_t>(r)].verified) << "rank " << r;
-    EXPECT_EQ(res[static_cast<std::size_t>(r)].residual,
-              0x1.cdb938e894142p-53)
-        << "rank " << r;
+  constexpr int kRanks = 4, kNt = 13, kB = 32;
+  constexpr double kResidual = 0x1.bcd614884f8c9p-52;
+  const auto a = linalg::generate_spd(kNt, kB, CholeskyConfig{}.seed);
+  auto l = a;
+  ASSERT_TRUE(linalg::cholesky_tiled_reference(l));
+  const double ref = linalg::cholesky_residual(a, l);
+  ASSERT_GT(ref, 0.0);
+  for (CholeskyVariant variant :
+       {CholeskyVariant::kMessagePassing, CholeskyVariant::kOneSided,
+        CholeskyVariant::kNotified}) {
+    World world(kRanks);
+    std::vector<CholeskyResult> res(kRanks);
+    world.run([&](Rank& self) {
+      CholeskyConfig cfg;
+      cfg.nt = kNt;
+      cfg.b = kB;
+      cfg.variant = variant;
+      res[static_cast<std::size_t>(self.id())] = run_cholesky(self, cfg);
+    });
+    for (int r = 0; r < kRanks; ++r) {
+      const CholeskyResult& got = res[static_cast<std::size_t>(r)];
+      EXPECT_TRUE(got.verified) << to_string(variant) << " rank " << r;
+      EXPECT_EQ(got.residual, kResidual) << to_string(variant) << " rank " << r;
+      EXPECT_LE(std::fabs(got.residual - ref), 1e-12 * ref)
+          << to_string(variant) << " rank " << r << ": " << got.residual
+          << " vs " << ref;
+    }
   }
 }
 

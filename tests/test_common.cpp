@@ -1,6 +1,8 @@
 // Unit tests of the common utilities: statistics, ring buffer, RNG, time
-// conversions, env parsing, the table printer, and checked file output.
+// conversions, env parsing, the table printer, checked file output, and
+// page commits.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -9,6 +11,7 @@
 #include "common/env.hpp"
 #include "common/file.hpp"
 #include "common/json.hpp"
+#include "common/pages.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -255,4 +258,20 @@ TEST(File, WriteReportsAFailedFlush) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const std::string err = file::write("/dev/full", "{}");
   EXPECT_EQ(err.rfind("/dev/full: ", 0), 0u) << err;
+}
+
+TEST(Pages, CommitMapsOnlyTheWholePagesInside) {
+  const std::size_t page = page_size();
+  void* map = mmap(nullptr, 8 * page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(map, MAP_FAILED);
+  char* base = static_cast<char*>(map);
+  const bool committed = commit_pages(base + 100, base + 5 * page + 10);
+  unsigned char resident[8] = {};
+  const int rc = mincore(base, 8 * page, resident);
+  munmap(map, 8 * page);
+  if (!committed) GTEST_SKIP() << "kernel refuses MADV_POPULATE_WRITE";
+  ASSERT_EQ(rc, 0);
+  for (int i = 0; i < 8; ++i)
+    EXPECT_EQ(resident[i] & 1, i >= 1 && i <= 4 ? 1 : 0) << "page " << i;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -239,6 +240,61 @@ INSTANTIATE_TEST_SUITE_P(Shapes, CholeskyRef,
                          ::testing::Values(std::pair{1, 4}, std::pair{2, 8},
                                            std::pair{4, 8}, std::pair{6, 16},
                                            std::pair{8, 32}));
+
+// Above n = 384 the panel check covers every lower-triangle entry of
+// A - L L^T. A 1e-6 error in one factor entry, or 1e-5 in one entry of A,
+// must lift the residual far above the clean factor's; among these the
+// 2^16-entry sample it replaced caught only the entries its draws happened
+// to land near ((415, 415) read 2.1e-16 there).
+TEST(PanelCheck, CatchesSingleEntryErrors) {
+  const TiledMatrix a = generate_spd(13, 32, 5);
+  TiledMatrix l = a;
+  ASSERT_TRUE(cholesky_tiled_reference(l));
+  ASSERT_EQ(l.dim(), 416);
+  EXPECT_LT(cholesky_residual(a, l), 1e-13);
+  const std::pair<int, int> factor_errors[] = {
+      {0, 0},    {5, 3},    {31, 31},  {32, 31},
+      {100, 99}, {200, 17}, {415, 0},  {415, 415}};
+  for (const auto& [i, j] : factor_errors) {
+    TiledMatrix bad = l;
+    bad.at(i, j) += 1e-6;
+    EXPECT_GT(cholesky_residual(a, bad), 1e-10) << "L(" << i << "," << j << ")";
+  }
+  TiledMatrix bad_a = a;
+  bad_a.at(300, 7) += 1e-5;
+  bad_a.at(7, 300) += 1e-5;
+  EXPECT_GT(cholesky_residual(bad_a, l), 1e-10) << "A(300,7)";
+}
+
+// The panel check reads only lower triangles, and each column's products
+// are the same bits whichever other columns are stacked beside it.
+TEST(PanelCheck, ReadsLowerTrianglesAndColumnsAreIndependent) {
+  const TiledMatrix a = generate_spd(13, 32, 5);
+  TiledMatrix l = a;
+  ASSERT_TRUE(cholesky_tiled_reference(l));
+  const double clean = cholesky_residual(a, l);
+  TiledMatrix a_poisoned = a, l_poisoned = l;
+  for (int i = 0; i < a.dim(); ++i)
+    for (int j = i + 1; j < a.dim(); ++j) {
+      a_poisoned.at(i, j) = std::nan("");
+      l_poisoned.at(i, j) = std::nan("");
+    }
+  EXPECT_EQ(cholesky_residual(a_poisoned, l_poisoned), clean);
+
+  std::vector<const double*> lower(detail::packed_lower(l.nt(), 0));
+  for (int ti = 0; ti < l.nt(); ++ti)
+    for (int tk = 0; tk <= ti; ++tk)
+      lower[detail::packed_lower(ti, tk)] = l.tile(ti, tk);
+  std::vector<int> all(static_cast<std::size_t>(l.nt()));
+  for (int tj = 0; tj < l.nt(); ++tj) all[static_cast<std::size_t>(tj)] = tj;
+  const detail::PanelProducts stacked(l.dim(), 32, all, lower.data());
+  for (int tj : {0, 5, 12}) {
+    const detail::PanelProducts alone(l.dim(), 32, {tj}, lower.data());
+    for (int i = tj * 32; i < l.dim(); ++i)
+      ASSERT_EQ(alone.llt(i, 0), stacked.llt(i, static_cast<std::size_t>(tj)))
+          << "column " << tj << " row " << i;
+  }
+}
 
 TEST(CholeskyRefMore, MatchesUntiledOnSmall) {
   // Tiled (2x2 tiles of 2) vs untiled (1 tile of 4) factorization of the
