@@ -18,7 +18,7 @@
 namespace narma::detail {
 
 // Defined in common/fatal.cpp: flushes registered crash hooks (bench sink,
-// metrics dumps, tracers) before aborting, so a failed check still leaves
+// run directories) before aborting, so a failed check still leaves
 // telemetry on disk.
 [[noreturn]] void fatal_exit() noexcept;
 

@@ -2,8 +2,9 @@
 //
 // NARMA aborts on violated invariants (see assert.hpp), but an abort must not
 // silently discard the observability artifacts a run has accumulated: the
-// NARMA_JSON bench sink, the metrics registry, and the tracers are all
-// flushed by destructors that never run under std::abort. Components that own
+// NARMA_JSON bench sink and a World's run directory (metrics, journal,
+// msgtrace, flight recorder) are written by code that never runs under
+// std::abort. Components that own
 // flushable state register a crash hook; every fatal path (NARMA_CHECK /
 // NARMA_FATAL failures, fatal_error(), the engine's deadlock detector) runs
 // the hooks exactly once before terminating, so a crashed run still leaves

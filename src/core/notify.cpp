@@ -661,11 +661,7 @@ bool NaEngine::test(NotifyRequest& req, NaStatus* status) {
 }
 
 void NaEngine::wait(NotifyRequest& req, NaStatus* status) {
-  sim::Tracer* tracer = router_.nic().fabric().tracer();
-  const Time begin = router_.nic().ctx().now();
   router_.wait_progress([this, &req] { return test(req); }, "na-wait");
-  if (tracer)
-    tracer->span(rank(), "na", "wait", begin, router_.nic().ctx().now());
   if (status) *status = req.status_;
 }
 

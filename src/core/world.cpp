@@ -43,11 +43,6 @@ World::World(int nranks, WorldParams params)
     journal_ = std::make_unique<obs::Journal>(op.journal_capacity);
     fabric_->set_journal(journal_.get());
   }
-  if (op.trace) {
-    tracer_ = std::make_unique<sim::Tracer>(nranks);
-    fabric_->set_tracer(tracer_.get());
-    if (metrics_) metrics_->set_tracer(tracer_.get());
-  }
   if (op.msgtrace) {
     msgtrace_ = std::make_unique<obs::MsgTrace>(nranks, op);
     fabric_->set_msgtrace(msgtrace_.get());
@@ -87,7 +82,6 @@ std::string World::write_artifacts(const std::string& dir) const {
   };
   write(obs::kMetricsFile, metrics_);
   write(obs::kJournalFile, journal_);
-  write(obs::kTraceFile, tracer_);
   write(obs::kMsgtraceFile, msgtrace_);
   write(obs::kTimeseriesFile, timeseries_);
   return err;

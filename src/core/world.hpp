@@ -49,8 +49,8 @@ struct WorldParams {
   na::NaParams na;
 
   /// The observability switchboard: which recorders World builds at
-  /// construction (metrics and journal on by default; trace, msgtrace and
-  /// the flight recorder off) and their knobs. Recorders only read clocks
+  /// construction (metrics and journal on by default; msgtrace and the
+  /// flight recorder off) and their knobs. Recorders only read clocks
   /// and state, so virtual times are bit-identical whatever is switched on.
   obs::ObsParams obs;
 
@@ -84,7 +84,6 @@ class World {
   /// Each accessor is nullptr when its recorder is switched off.
   obs::Registry* metrics() { return metrics_.get(); }
   obs::Journal* journal() { return journal_.get(); }
-  sim::Tracer* tracer() { return tracer_.get(); }
   obs::MsgTrace* msgtrace() { return msgtrace_.get(); }
   obs::TimeSeries* timeseries() { return timeseries_.get(); }
   obs::Profiler* profiler() { return profiler_.get(); }
@@ -96,10 +95,10 @@ class World {
   void enable_profiling();
 
   /// Writes the run directory: creates `dir` if missing, then writes
-  /// metrics.json, journal.json, trace.json, msgtrace.json and
-  /// timeseries.json (obs::k*File), one for each recorder this World holds.
-  /// Returns "" on success, else a diagnostic naming the first path that
-  /// could not be written. Also the crash hook's writer ($NARMA_CRASH_DIR).
+  /// metrics.json, journal.json, msgtrace.json and timeseries.json
+  /// (obs::k*File), one for each recorder this World holds. Returns "" on
+  /// success, else a diagnostic naming the first path that could not be
+  /// written. Also the crash hook's writer ($NARMA_CRASH_DIR).
   std::string write_artifacts(const std::string& dir) const;
 
  private:
@@ -111,7 +110,6 @@ class World {
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<obs::Registry> metrics_;  // before fabric_: Nics bind here
   std::unique_ptr<net::Fabric> fabric_;
-  std::unique_ptr<sim::Tracer> tracer_;
   std::unique_ptr<obs::MsgTrace> msgtrace_;
   std::unique_ptr<obs::TimeSeries> timeseries_;
   std::unique_ptr<obs::Profiler> profiler_;

@@ -378,20 +378,12 @@ void Endpoint::wait_all(const std::vector<Request>& reqs) {
 }
 
 void Endpoint::send(const void* buf, std::size_t bytes, int dst, int tag) {
-  sim::Tracer* tracer = router_.nic().fabric().tracer();
-  const Time begin = router_.nic().ctx().now();
   wait(isend(buf, bytes, dst, tag));
-  if (tracer)
-    tracer->span(rank(), "mp", "send", begin, router_.nic().ctx().now());
 }
 
 void Endpoint::recv(void* buf, std::size_t capacity, int src, int tag,
                     Status* status) {
-  sim::Tracer* tracer = router_.nic().fabric().tracer();
-  const Time begin = router_.nic().ctx().now();
   wait(irecv(buf, capacity, src, tag), status);
-  if (tracer)
-    tracer->span(rank(), "mp", "recv", begin, router_.nic().ctx().now());
 }
 
 // --- Probe ----------------------------------------------------------------------

@@ -34,7 +34,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace narma::obs {
 class Journal;
@@ -160,10 +159,6 @@ class Fabric {
     }
   }
 
-  /// Optional tracer; nullptr (default) disables all recording.
-  sim::Tracer* tracer() const { return tracer_; }
-  void set_tracer(sim::Tracer* t) { tracer_ = t; }
-
   /// Optional metrics registry (attached at construction).
   obs::Registry* metrics() const { return metrics_; }
 
@@ -235,7 +230,6 @@ class Fabric {
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<FlowControl> flow_;  // after nics_: sized to their queues
   FabricCounters counters_;
-  sim::Tracer* tracer_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   obs::MsgTrace* msgtrace_ = nullptr;
   obs::Profiler* profiler_ = nullptr;

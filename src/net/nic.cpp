@@ -393,10 +393,6 @@ void Nic::put_at(Time issue, int target, MemKey key, std::uint64_t offset,
         }
       },
       na.msg);
-  if (auto* tracer = fabric_.tracer())
-    tracer->flow(src_rank, target, "rdma",
-                 "put " + std::to_string(bytes) + "B", issue, deliver,
-                 na.msg ? obs::MsgTrace::flow_id(na.msg) : 0);
   post_ack(src_rank, deliver, tr, pending);
 }
 
@@ -438,11 +434,6 @@ void Nic::put_iov(int target, MemKey key,
         }
       },
       na.msg);
-  if (auto* tracer = fabric_.tracer())
-    tracer->flow(src_rank, target, "rdma",
-                 "put_iov " + std::to_string(segments.size()) + "x",
-                 ctx_.now(), deliver,
-                 na.msg ? obs::MsgTrace::flow_id(na.msg) : 0);
   post_ack(src_rank, deliver, tr, pending);
 }
 
@@ -571,21 +562,15 @@ void Nic::send_msg(int target, NetMsg msg) {
   Nic* tgt = &fabric_.nic(target);
   ++fabric_.counters().ctrl_transfers;
   msg.src = rank();
-  const std::uint32_t kind = msg.kind;
   const std::uint64_t mid = msg.msg;
   auto shared = std::make_shared<NetMsg>(std::move(msg));
-  const Time issue = ctx_.now();
-  const Time deliver = fabric_.schedule_transfer(
-      rank(), target, issue, wire, tr, Fabric::ChannelClass::kData,
+  fabric_.schedule_transfer(
+      rank(), target, ctx_.now(), wire, tr, Fabric::ChannelClass::kData,
       [tgt, shared](Time t) {
         shared->time = t;
         tgt->push_msg(std::move(*shared));
       },
       mid);
-  if (auto* tracer = fabric_.tracer())
-    tracer->flow(rank(), target, "ctrl",
-                 "msg kind=0x" + std::to_string(kind), issue, deliver,
-                 mid ? obs::MsgTrace::flow_id(mid) : 0);
 }
 
 // --- Shared-memory notification ring ------------------------------------------
@@ -605,9 +590,6 @@ void Nic::send_shm_notification(int target, ShmNotification n,
   const Time deliver = fabric_.reserve_transfer(
       rank(), target, ctx_.now(), 64, Transport::kShm,
       Fabric::ChannelClass::kData, n.msg);
-  if (auto* tracer = fabric_.tracer())
-    tracer->flow(rank(), target, "shm", "notification", ctx_.now(), deliver,
-                 n.msg ? obs::MsgTrace::flow_id(n.msg) : 0);
   n.time = deliver;
   auto deliver_and_complete = [this, tgt, n, pending] {
     tgt->push_shm(n);

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "sim/trace.hpp"
 
 namespace narma::obs {
 
@@ -75,18 +74,6 @@ bool is_host_time_family(std::string_view name) {
          name == "sim.run_wall_ns" || name == "sim.events_per_sec";
 }
 
-// ----------------------------------------------------------------- Gauge --
-
-void Gauge::mirror(std::int64_t v, Time at) const {
-  // Sampled on change: one counter-track point per distinct level.
-  const auto rank = static_cast<int>(cell_ - fam_->gauges.data());
-  if (rank >= kPerfettoGaugeRankLimit || is_host_time_family(fam_->name))
-    return;
-  fam_->reg->tracer()->counter(
-      rank, "obs", fam_->name + " (rank " + std::to_string(rank) + ")", at,
-      static_cast<double>(v));
-}
-
 const char* to_string(Kind k) {
   switch (k) {
     case Kind::kCounter: return "counter";
@@ -106,7 +93,6 @@ detail::Family& Registry::family(const std::string& name, Kind kind) {
   auto it = families_.find(name);
   if (it == families_.end()) {
     auto fam = std::make_unique<detail::Family>();
-    fam->reg = this;
     fam->name = name;
     fam->kind = kind;
     const auto n = static_cast<std::size_t>(nranks_);
@@ -143,7 +129,7 @@ Counter Registry::counter(const std::string& name, int rank) {
 Gauge Registry::gauge(const std::string& name, int rank) {
   NARMA_CHECK(rank >= 0 && rank < nranks_) << "bad metric rank " << rank;
   detail::Family& fam = family(name, Kind::kGauge);
-  return Gauge(&fam.gauges[static_cast<std::size_t>(rank)], &fam);
+  return Gauge(&fam.gauges[static_cast<std::size_t>(rank)]);
 }
 
 Histogram Registry::histogram(const std::string& name, int rank) {

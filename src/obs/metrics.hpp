@@ -14,13 +14,10 @@
 // construction: a disengaged handle (metrics off) makes every hook a single
 // branch, an engaged one a branch plus a plain increment. Plain (non-atomic)
 // arithmetic is correct here because every rank is a fiber on the single
-// engine thread, and at most one of them runs at any instant.
-//
-// When a sim::Tracer is attached, every gauge change of a rank below
-// kPerfettoGaugeRankLimit is mirrored as a Chrome trace-event "C" (counter)
-// sample, so Perfetto shows CQ/UQ depth tracks aligned with the span
-// timeline. Host-time gauges are not mirrored, so the trace of a run is a
-// function of virtual time alone. Counters and histograms are export-only.
+// engine thread, and at most one of them runs at any instant. Values are
+// export-only: the flight recorder (src/obs/timeseries) snapshots them on a
+// virtual-time cadence, and `narma_cli timeline --perfetto` draws those
+// snapshots as counter tracks.
 //
 // Registry::to_json() emits the stable schema consumed by `narma_cli report`
 // (see DESIGN.md §7):
@@ -50,10 +47,6 @@
 
 #include "common/time.hpp"
 
-namespace narma::sim {
-class Tracer;
-}
-
 namespace narma::obs {
 
 enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
@@ -61,16 +54,10 @@ enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 /// The "kind" a metrics or timeseries document gives a family.
 const char* to_string(Kind k);
 
-/// Gauge changes are mirrored into the Perfetto trace only for ranks below
-/// this limit: every rank's gauge change emitting a "C" event floods the
-/// trace at 4096+ ranks.
-inline constexpr int kPerfettoGaugeRankLimit = 1024;
-
 /// Families whose values depend on host wall time (the profiler's
 /// obs.phase_* / obs.profile_* gauges, sim.run_wall_ns, sim.events_per_sec).
-/// The flight recorder and the trace mirror skip them, so both of those
-/// artifacts are bit-identical across same-seed runs; the metrics dump
-/// still carries them.
+/// The flight recorder skips them, so timeseries.json is bit-identical
+/// across same-seed runs; the metrics dump still carries them.
 bool is_host_time_family(std::string_view name);
 
 /// Log2-bucketed histogram state. Bucket 0 counts zero-valued samples;
@@ -104,15 +91,12 @@ struct GaugeCell {
   Time last_set = 0;  // virtual time of the last set()
 };
 
-class Registry;
-
 namespace detail {
 
 /// One metric family: a column with an exact value per rank. Only the
 /// column of the family's kind is sized (once, at creation, so handle
 /// pointers stay valid); the other two stay empty.
 struct Family {
-  Registry* reg = nullptr;
   std::string name;
   Kind kind = Kind::kCounter;
   std::vector<std::uint64_t> counts;
@@ -139,11 +123,16 @@ class Counter {
 };
 
 /// Level gauge handle with high-water tracking. `at` is the virtual time of
-/// the change (used for the tracer counter-track sample).
+/// the change.
 class Gauge {
  public:
   Gauge() = default;
-  void set(std::int64_t v, Time at);
+  void set(std::int64_t v, Time at) {
+    if (!cell_) return;
+    cell_->level = v;
+    cell_->last_set = at;
+    if (v > cell_->high_water) cell_->high_water = v;
+  }
   void add(std::int64_t d, Time at) {
     if (cell_) set(cell_->level + d, at);
   }
@@ -153,15 +142,10 @@ class Gauge {
 
  private:
   friend class Registry;
-  Gauge(GaugeCell* c, const detail::Family* f) : cell_(c), fam_(f) {}
-  /// Mirrors a changed level into the registry's tracer when the rank is
-  /// below kPerfettoGaugeRankLimit and the family is not host-time. Out of
-  /// line, and reached only with a tracer attached, so untraced runs never
-  /// touch its string-building stack frame.
-  void mirror(std::int64_t v, Time at) const;
+  explicit Gauge(GaugeCell* c) : cell_(c) {}
   GaugeCell* cell_ = nullptr;
-  const detail::Family* fam_ = nullptr;  // tracer mirroring: name + rank
 };
+static_assert(sizeof(Gauge) == sizeof(void*), "a gauge handle is a pointer");
 
 /// Log2-bucketed histogram handle.
 class Histogram {
@@ -198,11 +182,6 @@ class Registry {
   Counter counter(const std::string& name, int rank);
   Gauge gauge(const std::string& name, int rank);
   Histogram histogram(const std::string& name, int rank);
-
-  /// Mirrors gauge changes into `t` as Chrome "C" counter events (one track
-  /// per (metric, rank), sampled on change). nullptr detaches.
-  void set_tracer(sim::Tracer* t) { tracer_ = t; }
-  sim::Tracer* tracer() const { return tracer_; }
 
   // --- Introspection (tests, exporters) ------------------------------------
 
@@ -262,16 +241,6 @@ class Registry {
   int nranks_;
   // Sorted map: stable pointer per family and deterministic JSON order.
   std::map<std::string, std::unique_ptr<detail::Family>> families_;
-  sim::Tracer* tracer_ = nullptr;
 };
-
-inline void Gauge::set(std::int64_t v, Time at) {
-  if (!cell_) return;
-  const bool changed = v != cell_->level;
-  cell_->level = v;
-  cell_->last_set = at;
-  if (v > cell_->high_water) cell_->high_water = v;
-  if (changed && fam_->reg->tracer()) mirror(v, at);
-}
 
 }  // namespace narma::obs

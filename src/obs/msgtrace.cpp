@@ -22,6 +22,7 @@ const char* to_string(MsgOp op) {
     case MsgOp::kAtomicNotify: return "atomic_notify";
     case MsgOp::kEagerSend: return "eager_send";
     case MsgOp::kRdzvSend: return "rdzv_send";
+    case MsgOp::kPscwSync: return "pscw_sync";
   }
   return "?";
 }

@@ -1,8 +1,8 @@
 // Causal message tracing: per-message lifecycle records, LogGP latency
 // decomposition, and critical-path extraction (DESIGN.md §9).
 //
-// Every injection site (rma::Window put/get/atomics, NaEngine *_notify,
-// mp::Endpoint eager/rendezvous send) asks the MsgTrace for a MsgId; the id
+// Every injection site (rma::Window put/get/atomics and PSCW post/complete,
+// NaEngine *_notify, mp::Endpoint eager/rendezvous send) asks the MsgTrace for a MsgId; the id
 // rides along the simulated wire structures (NotifyAttr, Cqe,
 // ShmNotification, HwNotification, NetMsg) and each layer appends a
 // fixed-size HopRecord — msg id, hop kind, rank, virtual time, bytes — into
@@ -44,8 +44,9 @@
 //
 // Exports: to_json() renders the stable narma.msgtrace.v1 document (times as
 // integer picoseconds so sums can be checked exactly downstream);
-// flow_id(msg) gives the Perfetto flow id the Nic uses for sampled messages,
-// letting `narma_cli critpath` correlate the JSON with the trace arrows.
+// flow_id(msg) gives each message's Perfetto flow id, which keys the arrows
+// `narma_cli timeline --perfetto` draws and the rows `narma_cli critpath`
+// prints.
 #pragma once
 
 #include <array>
@@ -77,6 +78,7 @@ enum class MsgOp : std::uint8_t {
   kAtomicNotify,
   kEagerSend,
   kRdzvSend,
+  kPscwSync,  // appended: ordinals above are stable in narma.msgtrace.v1
 };
 
 const char* to_string(MsgOp op);
@@ -148,9 +150,9 @@ class MsgTrace {
   /// cost to Phase::kObs so the recorder's self-overhead budget covers them.
   void set_profiler(Profiler* p) { profiler_ = p; }
 
-  /// Perfetto flow id for a sampled message: a high-bit namespace clear of
-  /// the Tracer's small sequential auto-ids, yet exact in a double (< 2^53)
-  /// so JSON round-trips losslessly.
+  /// Perfetto flow id for a sampled message: the id under a high bit, so a
+  /// flow id is never 0, yet exact in a double (< 2^53) so JSON round-trips
+  /// losslessly.
   static std::uint64_t flow_id(MsgId id) { return (1ull << 52) | id; }
 
   // --- Introspection --------------------------------------------------------

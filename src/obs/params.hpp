@@ -17,10 +17,10 @@ namespace narma::obs {
 
 /// The file names of a run directory, one per recorder (DESIGN.md §7).
 /// World::write_artifacts writes them and `narma_cli report|critpath|
-/// timeline|diff DIR` reads them.
+/// timeline|diff DIR` reads them; `timeline DIR --perfetto=FILE` renders
+/// msgtrace.json and timeseries.json as a Chrome trace.
 inline constexpr const char* kMetricsFile = "metrics.json";
 inline constexpr const char* kJournalFile = "journal.json";
-inline constexpr const char* kTraceFile = "trace.json";
 inline constexpr const char* kMsgtraceFile = "msgtrace.json";
 inline constexpr const char* kTimeseriesFile = "timeseries.json";
 
@@ -34,11 +34,6 @@ struct ObsParams {
   /// journal.json; 0 disables the journal entirely. The ring keeps the most
   /// recent records and counts what it dropped. narma_cli: --journal-cap.
   std::size_t journal_capacity = 4096;
-
-  /// Virtual-time Chrome trace (src/sim/trace), written as trace.json. Off
-  /// by default; with metrics on, gauge changes also appear as Perfetto
-  /// counter tracks. narma_cli: --trace.
-  bool trace = false;
 
   /// Causal message tracing (src/obs/msgtrace), written as msgtrace.json.
   /// Off by default. narma_cli: --msgtrace.

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <map>
 #include <optional>
-#include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -93,9 +92,8 @@ struct Artifact {
 
 /// Loads DIR/`name`: nullopt when the file is absent (a diagnostic when it
 /// is `required`); a diagnostic naming the file when it does not parse,
-/// carries another schema, or holds a number past kMaxMagnitude. `schema`
-/// is the expected "schema" field; the Chrome trace has none and must hold
-/// a traceEvents array instead.
+/// carries another "schema" than `schema`, or holds a number past
+/// kMaxMagnitude.
 std::optional<Artifact> load(const char* reader, const std::string& dir,
                              const char* name, const char* schema,
                              bool required = false) {
@@ -109,9 +107,8 @@ std::optional<Artifact> load(const char* reader, const std::string& dir,
   if (!res.ok)
     art.fail(res.error + " (offset " + std::to_string(res.error_pos) + ")");
   const std::string found = res.value.string_or("schema", "");
-  if (schema ? found != schema : !res.value["traceEvents"].is_array())
-    art.fail("unknown schema '" + found + "', expected " +
-             (schema ? schema : "a Chrome trace (traceEvents)"));
+  if (found != schema)
+    art.fail("unknown schema '" + found + "', expected " + schema);
   if (const char* err = check_magnitudes(res.value)) art.fail(err);
   art.doc = std::move(res.value);
   return art;
@@ -133,7 +130,11 @@ void print(std::FILE* out, const std::string& title, const Table& t) {
   std::fprintf(out, "\n%s:\n%s", title.c_str(), t.render().c_str());
 }
 
-bool is(const std::string& kind, Kind k) { return kind == to_string(k); }
+/// Whether a document's kind string names `k` (a metric Kind or a HopKind).
+template <class K>
+bool is(const std::string& kind, K k) {
+  return kind == to_string(k);
+}
 
 // --- metrics.json ------------------------------------------------------------
 
@@ -294,92 +295,6 @@ void report_metrics(const Artifact& m, std::FILE* out) {
                  m.integer(journal_depth, "obs.journal_depth"));
 }
 
-// --- trace.json --------------------------------------------------------------
-
-/// The trace sections of `report`: per-category virtual time, longest
-/// spans.
-void report_trace(const Artifact& trace, std::size_t topk, std::FILE* out) {
-  const json::Array& events = trace.doc["traceEvents"].as_array();
-  if (events.empty())
-    throw Stop{ReadStatus::kFailed,
-               "report: " + trace.path + " has no traceEvents"};
-
-  struct Span {
-    std::string name, cat;
-    long long rank;
-    double ts_us, dur_us;
-  };
-  struct CatAgg {
-    double total_us = 0;
-    std::vector<double> durs_us;
-  };
-  std::vector<Span> spans;
-  std::map<std::string, CatAgg> by_cat;
-  std::set<long long> ranks;
-  std::vector<double> all_durs_us;
-  double trace_end_us = 0, traced_total_us = 0;
-  std::uint64_t counter_events = 0;
-
-  for (const json::Value& e : events) {
-    const std::string ph = e.string_or("ph", "");
-    counter_events += ph == "C";
-    if (ph != "X") continue;
-    Span s{e.string_or("name", "?"), e.string_or("cat", "?"),
-           trace.integer(e, "tid", 0), e.number_or("ts", 0),
-           e.number_or("dur", 0)};
-    CatAgg& agg = by_cat[s.cat];
-    agg.total_us += s.dur_us;
-    agg.durs_us.push_back(s.dur_us);
-    all_durs_us.push_back(s.dur_us);
-    ranks.insert(s.rank);
-    trace_end_us = std::max(trace_end_us, s.ts_us + s.dur_us);
-    spans.push_back(std::move(s));
-  }
-
-  std::fprintf(out,
-               "trace %s: %zu events (%zu spans, %llu counter points), "
-               "end of last span at %.3f us\n",
-               trace.path.c_str(), events.size(), spans.size(),
-               static_cast<unsigned long long>(counter_events), trace_end_us);
-
-  // Per-category breakdown: span time summed over all ranks; the percent
-  // column is relative to (ranks x trace end), i.e. total rank-time.
-  const double rank_time_us =
-      trace_end_us *
-      static_cast<double>(std::max<std::size_t>(ranks.size(), 1));
-  auto row = [&](const std::string& cat, double total_us,
-                 const std::vector<double>& durs_us) {
-    auto quantile = [&](double q) {
-      return Table::fmt(durs_us.empty() ? 0.0 : stats::quantile(durs_us, q));
-    };
-    return std::vector<std::string>{
-        cat, Table::fmt(durs_us.size()), Table::fmt(total_us / 1e3),
-        quantile(0.50), quantile(0.95),
-        Table::fmt(rank_time_us > 0 ? 100.0 * total_us / rank_time_us : 0.0,
-                   1)};
-  };
-  Table cat_table(
-      {"category", "spans", "total_ms", "p50_us", "p95_us", "% of rank-time"});
-  for (const auto& [cat, agg] : by_cat) {
-    traced_total_us += agg.total_us;
-    cat_table.add_row(row(cat, agg.total_us, agg.durs_us));
-  }
-  cat_table.add_row(row("(all)", traced_total_us, all_durs_us));
-  print(out, "per-category virtual time", cat_table);
-
-  // Top-k spans by duration.
-  std::sort(spans.begin(), spans.end(),
-            [](const Span& x, const Span& y) { return x.dur_us > y.dur_us; });
-  Table top_table({"span", "category", "rank", "start_us", "dur_us"});
-  const std::size_t shown = std::min(topk, spans.size());
-  for (std::size_t i = 0; i < shown; ++i) {
-    const Span& s = spans[i];
-    top_table.add_row({s.name, s.cat, Table::fmt(s.rank), Table::fmt(s.ts_us),
-                       Table::fmt(s.dur_us)});
-  }
-  print(out, "top " + std::to_string(shown) + " spans", top_table);
-}
-
 // --- journal.json and timeseries.json ----------------------------------------
 
 /// Prints an anomaly-journal dump (narma.journal.v1): the bounded,
@@ -423,50 +338,6 @@ void print_journal(const Artifact& journal, std::FILE* out) {
 const json::Value& family_of(const Artifact& ts, const json::Value& cell) {
   return ts.doc["families"][static_cast<std::size_t>(
       ts.integer(cell, "family", 0, 0, kExact))];
-}
-
-/// Writes the flight-recorder windows as Perfetto counter tracks through a
-/// sim::Tracer: one counter per (family, rank) at each window end, the same
-/// event shape as the live Tracer's gauge tracks, plus a busy-fraction
-/// track per recorded rank. The Tracer's lanes are the ranks the windows
-/// name, so a rank id past kMaxRanks (or the document's own count) is a
-/// diagnostic.
-void write_perfetto(const Artifact& ts, const std::string& path) {
-  const json::Value& doc = ts.doc;
-  const long long max_rank =
-      std::min(ts.integer(doc, "nranks", 0, 0, kExact), kMaxRanks) - 1;
-  // Calls `emit(rank, name, at, value)` for every sample of the windows.
-  auto each_sample = [&](auto&& emit) {
-    for (const json::Value& win : doc["windows"].as_array()) {
-      const Time at = ts.integer(win, "t_end_ps", 0, 0, kExact);
-      for (const json::Value& r : win["ranks"].as_array()) {
-        const double tot = r.number_or("total_ps", 0);
-        emit(ts.integer(r, "rank", 0, 0, max_rank), "ts.busy_frac", at,
-             tot > 0 ? r.number_or("busy_ps", 0) / tot : 0.0);
-      }
-      for (const json::Value& c : win["cells"].as_array()) {
-        const json::Value& fam = family_of(ts, c);
-        const std::string kind = fam.string_or("kind", "");
-        emit(ts.integer(c, "rank", 0, 0, max_rank),
-             "ts." + fam.string_or("name", "?"), at,
-             is(kind, Kind::kCounter) ? c.number_or("delta", 0)
-             : is(kind, Kind::kGauge) ? c.number_or("value", 0)
-                                      : c.number_or("delta_count", 0));
-      }
-    }
-  };
-  long long lanes = 0;
-  each_sample([&](long long rank, const std::string&, Time, double) {
-    lanes = std::max(lanes, rank + 1);
-  });
-  sim::Tracer tracer(static_cast<int>(lanes));
-  each_sample([&](long long rank, std::string name, Time at, double value) {
-    tracer.counter(static_cast<int>(rank), "timeseries", std::move(name), at,
-                   value);
-  });
-  if (const std::string err = file::write(path, tracer.to_json());
-      !err.empty())
-    throw Stop{ReadStatus::kFailed, "timeline: cannot write " + err};
 }
 
 /// Flight-recorder sections of `timeline`.
@@ -564,22 +435,128 @@ void print_timeseries(const Artifact& ts, std::size_t topk, std::FILE* out) {
           an_table);
 }
 
+// --- the Perfetto view ------------------------------------------------------
+
+/// What `timeline --perfetto` draws, gathered before the sim::Tracer that
+/// writes it is sized: the Tracer's lanes are the ranks the documents name.
+/// A rank past its document's own count (or kMaxRanks) is a diagnostic,
+/// never the Tracer's abort.
+struct PerfettoView {
+  struct Slice {
+    int rank;
+    std::string name;
+    Time at;
+  };
+  struct Arrow {
+    int from, to;
+    std::string name;
+    Time begin, end;
+    std::uint64_t id;
+  };
+  struct Sample {
+    int rank;
+    std::string name;
+    Time at;
+    double value;
+  };
+  std::vector<Slice> slices;
+  std::vector<Arrow> arrows;
+  std::vector<Sample> samples;
+  int lanes = 0;
+
+  /// `obj`'s "rank" as a lane of `art`'s ranks.
+  int lane(const Artifact& art, const json::Value& obj) {
+    const long long max_rank =
+        std::min(art.integer(art.doc, "nranks", 0, 0, kExact), kMaxRanks) - 1;
+    const auto rank =
+        static_cast<int>(art.integer(obj, "rank", 0, 0, max_rank));
+    lanes = std::max(lanes, rank + 1);
+    return rank;
+  }
+};
+
+/// msgtrace.json's messages: a zero-length slice per hop on the rank that
+/// recorded it, named "<op> <hop>", and one arrow per leg, keyed by the
+/// message's flow_id. A leg runs from a chan_start to the next deliver. It
+/// departs at the last issue or match_hit (the send call) its rank recorded
+/// before the chan_start, else at the chan_start itself: a NIC-generated
+/// response has no send call, and a match_hit in the same picosecond as the
+/// CTS it sends sorts after that CTS's chan_start.
+void add_messages(const Artifact& mt, PerfettoView& view) {
+  struct Hop {
+    int rank = -1;  // -1: none
+    Time t = 0;
+  };
+  for (const json::Value& m : mt.doc["messages"].as_array()) {
+    const std::string op = m.string_or("op", "?");
+    const auto id =
+        static_cast<std::uint64_t>(mt.integer(m, "flow_id", 0, 1, kExact));
+    Hop send, leg;
+    for (const json::Value& h : m["hops"].as_array()) {
+      const std::string kind = h.string_or("kind", "?");
+      const Hop hop{view.lane(mt, h),
+                    static_cast<Time>(mt.integer(h, "t_ps", 0, 0, kExact))};
+      view.slices.push_back({hop.rank, op + " " + kind, hop.t});
+      if (is(kind, HopKind::kIssue) || is(kind, HopKind::kMatchHit)) {
+        send = hop;
+      } else if (is(kind, HopKind::kChanStart)) {
+        leg = send.rank == hop.rank ? send : hop;
+        send = {};
+      } else if (is(kind, HopKind::kDeliver) && leg.rank >= 0) {
+        view.arrows.push_back({leg.rank, hop.rank, op, leg.t, hop.t, id});
+        leg = {};
+      }
+    }
+  }
+}
+
+/// timeseries.json's windows as counter tracks: one sample per (family,
+/// rank) at each window end, plus a busy-fraction track per recorded rank.
+void add_windows(const Artifact& ts, PerfettoView& view) {
+  for (const json::Value& win : ts.doc["windows"].as_array()) {
+    const Time at = ts.integer(win, "t_end_ps", 0, 0, kExact);
+    for (const json::Value& r : win["ranks"].as_array()) {
+      const double tot = r.number_or("total_ps", 0);
+      view.samples.push_back(
+          {view.lane(ts, r), "ts.busy_frac", at,
+           tot > 0 ? r.number_or("busy_ps", 0) / tot : 0.0});
+    }
+    for (const json::Value& c : win["cells"].as_array()) {
+      const json::Value& fam = family_of(ts, c);
+      const std::string kind = fam.string_or("kind", "");
+      view.samples.push_back(
+          {view.lane(ts, c), "ts." + fam.string_or("name", "?"), at,
+           is(kind, Kind::kCounter) ? c.number_or("delta", 0)
+           : is(kind, Kind::kGauge) ? c.number_or("value", 0)
+                                    : c.number_or("delta_count", 0)});
+    }
+  }
+}
+
+/// Writes `view` to `path` as a Chrome trace. Slices go in first, so at
+/// equal timestamps each arrow end follows the slice it binds to.
+void write_perfetto(const PerfettoView& view, const std::string& path) {
+  sim::Tracer tracer(view.lanes);
+  for (const PerfettoView::Slice& s : view.slices)
+    tracer.span(s.rank, "msgtrace", s.name, s.at, s.at);
+  for (const PerfettoView::Arrow& a : view.arrows)
+    tracer.flow(a.from, a.to, "msgtrace", a.name, a.begin, a.end, a.id);
+  for (const PerfettoView::Sample& c : view.samples)
+    tracer.counter(c.rank, "timeseries", c.name, c.at, c.value);
+  if (const std::string err = file::write(path, tracer.to_json());
+      !err.empty())
+    throw Stop{ReadStatus::kFailed, "timeline: cannot write " + err};
+}
+
 }  // namespace
 
 // --- the readers -------------------------------------------------------------
 
-ReadResult report(const std::string& dir, const ReadOptions& opt,
+ReadResult report(const std::string& dir, const ReadOptions& /*opt*/,
                   std::FILE* out) {
   return guarded([&] {
-    const std::optional<Artifact> trace =
-        load("report", dir, kTraceFile, nullptr);
-    const std::optional<Artifact> metrics =
-        load("report", dir, kMetricsFile, "narma.metrics.v1");
-    if (!trace && !metrics)
-      throw Stop{ReadStatus::kFailed, "report: " + dir + " holds neither " +
-                                          kTraceFile + " nor " + kMetricsFile};
-    if (trace) report_trace(*trace, opt.top, out);
-    if (metrics) report_metrics(*metrics, out);
+    report_metrics(
+        *load("report", dir, kMetricsFile, "narma.metrics.v1", true), out);
   });
 }
 
@@ -688,7 +665,7 @@ ReadResult critpath(const std::string& dir, const ReadOptions& opt,
     print(out, "per-category latency across messages", stat_table);
 
     // Top-k slowest messages. flow_id lets the reader jump from a row to the
-    // matching Perfetto flow arrow in the --trace output (same id
+    // message's arrows in the trace `timeline --perfetto` writes (same id
     // namespace).
     std::sort(msgs.begin(), msgs.end(),
               [](const Msg& x, const Msg& y) { return x.lat_us > y.lat_us; });
@@ -712,22 +689,33 @@ ReadResult critpath(const std::string& dir, const ReadOptions& opt,
 ReadResult timeline(const std::string& dir, const ReadOptions& opt,
                     std::FILE* out) {
   return guarded([&] {
+    const bool perfetto = !opt.perfetto.empty();
     const std::optional<Artifact> ts =
         load("timeline", dir, kTimeseriesFile, "narma.timeseries.v1");
     const std::optional<Artifact> journal =
         load("timeline", dir, kJournalFile, "narma.journal.v1");
-    if (!ts && !journal)
+    const std::optional<Artifact> mt =
+        perfetto ? load("timeline", dir, kMsgtraceFile, "narma.msgtrace.v1")
+                 : std::nullopt;
+    if (!ts && !journal && !mt)
       throw Stop{ReadStatus::kFailed, "timeline: " + dir + " holds neither " +
                                           kTimeseriesFile + " nor " +
                                           kJournalFile};
-    if (!opt.perfetto.empty() && !ts)
+    if (perfetto && !ts && !mt)
       throw Stop{ReadStatus::kUsage, "timeline: --perfetto needs " + dir +
-                                         "/" + kTimeseriesFile};
+                                         "/" + kMsgtraceFile + " or " +
+                                         kTimeseriesFile};
     if (ts) print_timeseries(*ts, opt.top, out);
-    if (ts && !opt.perfetto.empty()) {
-      write_perfetto(*ts, opt.perfetto);
-      std::fprintf(out, "\nwrote Perfetto counter tracks to %s\n",
-                   opt.perfetto.c_str());
+    if (perfetto) {
+      PerfettoView view;
+      if (mt) add_messages(*mt, view);
+      if (ts) add_windows(*ts, view);
+      write_perfetto(view, opt.perfetto);
+      std::fprintf(out,
+                   "\nwrote Perfetto trace to %s: %zu message-leg arrows, "
+                   "%zu counter samples\n",
+                   opt.perfetto.c_str(), view.arrows.size(),
+                   view.samples.size());
     }
     if (journal) print_journal(*journal, out);
   });

@@ -6,7 +6,7 @@
 // header counts, and turns a document number into an integer only through
 // one range check.
 //
-//   obs::ReadResult r = obs::report("run", {.top = 10}, stdout);
+//   obs::ReadResult r = obs::critpath("run", {.top = 10}, stdout);
 //   if (r.status != obs::ReadStatus::kOk)
 //     std::fprintf(stderr, "%s\n", r.diagnostic.c_str());
 #pragma once
@@ -31,15 +31,14 @@ struct ReadResult {
 
 struct ReadOptions {
   std::size_t top = 10;  // rows of each top-N table
-  /// timeline only: also write the flight-recorder windows to this file as
-  /// Perfetto counter tracks (empty: no export).
+  /// timeline only: also write a Chrome trace for Perfetto to this file
+  /// (empty: no export): an arrow per message leg of msgtrace.json and
+  /// counter tracks of timeseries.json.
   std::string perfetto;
 };
 
-/// trace.json: per-category virtual time and the longest spans;
 /// metrics.json: per-rank busy fractions, host-time phase attribution,
 /// per-backend notifications, histogram percentiles and obs self-cost.
-/// Either file may be absent, not both.
 ReadResult report(const std::string& dir, const ReadOptions& opt,
                   std::FILE* out);
 
@@ -51,7 +50,9 @@ ReadResult critpath(const std::string& dir, const ReadOptions& opt,
 
 /// timeseries.json: per-window rank activity, busiest families, model
 /// residuals and anomalies; journal.json: the anomaly journal. Either file
-/// may be absent, not both.
+/// may be absent, not both. With ReadOptions::perfetto, also renders
+/// msgtrace.json and timeseries.json, whichever the directory holds, as a
+/// Chrome trace (a usage error when it holds neither).
 ReadResult timeline(const std::string& dir, const ReadOptions& opt,
                     std::FILE* out);
 

@@ -272,15 +272,12 @@ void Window::compare_swap_i64(int target, std::uint64_t target_disp,
 }
 
 void Window::flush(int target) {
-  sim::Tracer* tracer = nic().fabric().tracer();
   const Time begin = router_.nic().ctx().now();
   router_.nic().ctx().advance(mgr_.params().o_flush);
   router_.wait_progress(
       [this, target] { return pending(target).all_done(); }, "rma-flush");
   mgr_.c_flushes_.inc();
   mgr_.h_flush_wait_ns_.record_time(router_.nic().ctx().now() - begin);
-  if (tracer)
-    tracer->span(rank(), "rma", "flush", begin, router_.nic().ctx().now());
 }
 
 void Window::flush_all() {
@@ -307,17 +304,24 @@ void Window::fence() {
 
 // PSCW ------------------------------------------------------------------------
 
+void Window::send_pscw(int peer, std::uint64_t sub) {
+  // The o_sync overhead is charged once per call, before the loop, so each
+  // sync message is injected and issued at the same instant.
+  const obs::MsgId mid = trace_begin(nic(), obs::MsgOp::kPscwSync, peer, 0);
+  trace_issue(nic(), mid);
+  net::NetMsg m;
+  m.kind = kPscwKind;
+  m.h0 = id_;
+  m.h1 = sub;
+  m.msg = mid;
+  router_.nic().send_msg(peer, std::move(m));
+}
+
 void Window::post(std::span<const int> origin_group) {
   router_.nic().ctx().advance(mgr_.params().o_sync);
   mgr_.c_pscw_syncs_.inc();
   exposure_group_.assign(origin_group.begin(), origin_group.end());
-  for (int origin : exposure_group_) {
-    net::NetMsg m;
-    m.kind = kPscwKind;
-    m.h0 = id_;
-    m.h1 = kSubPost;
-    router_.nic().send_msg(origin, std::move(m));
-  }
+  for (int origin : exposure_group_) send_pscw(origin, kSubPost);
 }
 
 void Window::start(std::span<const int> target_group) {
@@ -341,13 +345,7 @@ void Window::complete() {
   router_.nic().ctx().advance(mgr_.params().o_sync);
   mgr_.c_pscw_syncs_.inc();
   for (int t : access_group_) flush(t);
-  for (int t : access_group_) {
-    net::NetMsg m;
-    m.kind = kPscwKind;
-    m.h0 = id_;
-    m.h1 = kSubComplete;
-    router_.nic().send_msg(t, std::move(m));
-  }
+  for (int t : access_group_) send_pscw(t, kSubComplete);
   access_group_.clear();
 }
 

@@ -190,6 +190,9 @@ class Window {
 
   void on_post(int src);
   void on_complete(int src);
+  /// Sends one PSCW sync message (post or complete, `sub`) to `peer`,
+  /// traced as a MsgOp::kPscwSync message.
+  void send_pscw(int peer, std::uint64_t sub);
 
   WinManager& mgr_;
   net::MsgRouter& router_;

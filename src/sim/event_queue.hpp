@@ -230,9 +230,9 @@ class CalendarQueue {
 
 /// Dependency-free log2 histogram matching obs::HistData's bucket
 /// convention (bucket index = bit_width(v); zero-valued samples in bucket
-/// 0). sim cannot link obs — obs mirrors gauges into sim::Tracer — so the
-/// engine records locally and World::run merges the buckets into the
-/// metrics registry via obs::Histogram::record_multi.
+/// 0). sim cannot link obs — obs links sim — so the engine records locally
+/// and World::run merges the buckets into the metrics registry via
+/// obs::Histogram::record_multi.
 struct Log2Hist {
   std::array<std::uint64_t, 64> buckets{};
   std::uint64_t count = 0;

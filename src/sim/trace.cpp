@@ -3,27 +3,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace narma::sim {
-
-namespace {
-
-/// Minimal JSON string escaping (names are library-generated; quotes and
-/// backslashes are the realistic risks).
-std::string escape(const char* s) {
-  std::string out;
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Tracer::to_json() const {
   std::ostringstream os;
@@ -41,16 +23,14 @@ std::string Tracer::to_json() const {
          std::to_string(r) + "\"}");
     for (const auto& e : ranks_[r]) {
       const std::string common =
-          "\"pid\":0,\"tid\":" + std::to_string(r) + ",\"cat\":\"" +
-          e.category + "\",\"name\":\"" + escape(e.name) + "\",\"ts\":" +
-          std::to_string(to_us(e.begin));
+          "\"pid\":0,\"tid\":" + std::to_string(r) +
+          ",\"cat\":" + json::quote(e.category) +
+          ",\"name\":" + json::quote(e.name) +
+          ",\"ts\":" + std::to_string(to_us(e.begin));
       switch (e.kind) {
         case Kind::kSpan:
           emit("\"ph\":\"X\"," + common +
                ",\"dur\":" + std::to_string(to_us(e.end - e.begin)));
-          break;
-        case Kind::kInstant:
-          emit("\"ph\":\"i\",\"s\":\"t\"," + common);
           break;
         case Kind::kFlowStart:
           emit("\"ph\":\"s\",\"id\":" + std::to_string(e.flow_id) + "," +

@@ -1,21 +1,19 @@
-// Virtual-time tracing.
+// Chrome trace-event writer.
 //
-// When enabled, the communication layers record spans (begin/end in virtual
-// time, per rank) and instant events. The trace dumps in the Chrome
-// trace-event JSON format, so a simulated run can be inspected on a real
-// timeline in chrome://tracing or Perfetto:
+// Collects spans, flow arrows and counter samples per rank lane in virtual
+// time and renders them as Chrome trace-event JSON, which chrome://tracing
+// and Perfetto open. No simulator layer records into it: `narma_cli
+// timeline DIR --perfetto=FILE` (obs::timeline) builds one from a run
+// directory's msgtrace.json and timeseries.json and writes it out.
 //
-//   narma::WorldParams wp;
-//   wp.obs.trace = true;
-//   narma::World world(4, wp);
-//   world.run(...);
-//   world.write_artifacts("run");  // run/trace.json
+//   sim::Tracer t(2);
+//   t.span(0, "msg", "put issue", us(1), us(1));
+//   t.flow(0, 1, "msg", "put", us(1), us(2), /*id=*/7);
+//   std::string json = t.to_json();
 //
-// Recording is append-only into per-rank buffers; with tracing disabled the
-// hooks cost one pointer test. Events store `const char*` names: static-name
-// call sites (string literals — all the hot paths) pay nothing, and the
-// owned-string overloads intern into a node-based set so each distinct
-// dynamic name is stored once for the tracer's lifetime.
+// Events store `const char*` names: string-literal call sites pay nothing,
+// and the owned-string overloads intern into a node-based set so each
+// distinct dynamic name is stored once for the tracer's lifetime.
 #pragma once
 
 #include <cstdint>
@@ -44,35 +42,24 @@ class Tracer {
     span(rank, category, intern(std::move(name)), begin, end);
   }
 
-  /// Zero-duration marker.
-  void instant(int rank, const char* category, const char* name, Time at) {
-    lane(rank).push_back({name, category, at, at, Kind::kInstant});
-  }
-  void instant(int rank, const char* category, std::string name, Time at) {
-    instant(rank, category, intern(std::move(name)), at);
-  }
-
-  /// Arrow between two ranks' timelines (message flow). `id` 0 (default)
-  /// allocates a fresh internal flow id; callers carrying their own id
-  /// space (obs::MsgTrace::flow_id) pass it explicitly so external tooling
-  /// can correlate the arrows.
+  /// Arrow between two ranks' timelines, keyed by the caller's `id`
+  /// (obs::MsgTrace::flow_id for message legs). Its end binds to the
+  /// enclosing slice ("bp":"e"), so a span should cover `arrive`.
   void flow(int from_rank, int to_rank, const char* category,
-            const char* name, Time depart, Time arrive, std::uint64_t id = 0) {
-    if (id == 0) id = next_flow_id_++;
+            const char* name, Time depart, Time arrive, std::uint64_t id) {
     lane(from_rank).push_back(
         {name, category, depart, depart, Kind::kFlowStart, id});
     lane(to_rank).push_back(
         {name, category, arrive, arrive, Kind::kFlowEnd, id});
   }
   void flow(int from_rank, int to_rank, const char* category,
-            std::string name, Time depart, Time arrive, std::uint64_t id = 0) {
+            std::string name, Time depart, Time arrive, std::uint64_t id) {
     flow(from_rank, to_rank, category, intern(std::move(name)), depart,
          arrive, id);
   }
 
   /// One sample of a counter track ("C" phase). Perfetto renders all samples
-  /// with the same name as one track; the metrics registry emits one track
-  /// per (metric, rank) and samples it on change.
+  /// with the same name as one track.
   void counter(int rank, const char* category, const char* name, Time at,
                double value) {
     lane(rank).push_back({name, category, at, at, Kind::kCounter, 0, value});
@@ -95,13 +82,7 @@ class Tracer {
   std::string to_json() const;
 
  private:
-  enum class Kind : std::uint8_t {
-    kSpan,
-    kInstant,
-    kFlowStart,
-    kFlowEnd,
-    kCounter
-  };
+  enum class Kind : std::uint8_t { kSpan, kFlowStart, kFlowEnd, kCounter };
 
   struct Event {
     const char* name;
@@ -128,31 +109,6 @@ class Tracer {
 
   std::vector<std::vector<Event>> ranks_;
   std::unordered_set<std::string> interned_;
-  std::uint64_t next_flow_id_ = 1;
-};
-
-/// RAII span helper: records [construction, destruction] on the rank's
-/// virtual clock when a tracer is attached (nullptr tracer = no-op).
-template <class Clock>
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, const Clock& clock, int rank,
-             const char* category, const char* name)
-      : tracer_(tracer), clock_(clock), rank_(rank), category_(category),
-        name_(name), begin_(tracer ? clock() : 0) {}
-  ~ScopedSpan() {
-    if (tracer_) tracer_->span(rank_, category_, name_, begin_, clock_());
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Tracer* tracer_;
-  Clock clock_;
-  int rank_;
-  const char* category_;
-  const char* name_;
-  Time begin_;
 };
 
 }  // namespace narma::sim

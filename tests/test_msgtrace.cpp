@@ -1,11 +1,14 @@
 // Tests of causal message tracing (src/obs/msgtrace): the LogGP latency
 // decomposition identity, cycle-identity of instrumented vs bare runs,
 // causal ordering of consumer-side hops, sampling, ring wrap accounting,
-// critical-path extraction, and the narma.msgtrace.v1 JSON schema.
+// critical-path extraction, the narma.msgtrace.v1 JSON schema, and the
+// PSCW sync messages.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -297,4 +300,42 @@ TEST(MsgTrace, JsonSchemaRoundTripsWithExactSums) {
     cp_sum += cp["decomp_ps"].number_or(obs::to_string(obs::LatCat(c)), 0);
   EXPECT_EQ(cp_sum,
             cp.number_or("t_end_ps", 0) - cp.number_or("t_begin_ps", 0));
+}
+
+// PSCW's post and complete are messages on the wire like any other: a
+// 2-rank epoch's msgtrace.json holds one pscw_sync from the target to the
+// origin (post) and one back (complete), each decomposing exactly.
+TEST(MsgTrace, PscwSyncMessagesAreTraced) {
+  World world(2, traced());
+  world.run([](Rank& self) {
+    auto win = self.win_allocate(64, 1);
+    const int peer = 1 - self.id();
+    if (self.id() == 1) {
+      win->post(std::span<const int>(&peer, 1));
+      win->wait();
+    } else {
+      win->start(std::span<const int>(&peer, 1));
+      double v = 2.0;
+      win->put(&v, 8, peer, 0);
+      win->complete();
+    }
+  });
+  const std::string dir = testing::TempDir() + "msgtrace_pscw";
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  const json::ParseResult doc = json::parse_file(dir + "/msgtrace.json");
+  ASSERT_TRUE(doc.ok) << doc.error;
+  std::vector<std::pair<int, int>> syncs;  // (src, dst)
+  for (const json::Value& m : doc.value["messages"].as_array()) {
+    if (m.string_or("op", "") != "pscw_sync") continue;
+    syncs.push_back({static_cast<int>(m.number_or("src", -1)),
+                     static_cast<int>(m.number_or("dst", -1))});
+    EXPECT_TRUE(m["complete"].as_bool());
+    EXPECT_GT(m.number_or("latency_ps", 0), 0.0);
+    double sum = 0;
+    for (std::size_t c = 0; c < obs::kNumCats; ++c)
+      sum += m["decomp_ps"].number_or(obs::to_string(obs::LatCat(c)), 0);
+    EXPECT_EQ(sum, m.number_or("latency_ps", -1));
+  }
+  const std::vector<std::pair<int, int>> want = {{1, 0}, {0, 1}};
+  EXPECT_EQ(syncs, want);  // post, then complete
 }

@@ -1,6 +1,6 @@
 // Tests of the unified metrics layer: registry/handle semantics, the stable
-// narma.metrics.v1 JSON schema, the gauge -> tracer counter-track bridge,
-// and the fully disabled path (ObsParams::metrics = false).
+// narma.metrics.v1 JSON schema, and the fully disabled path
+// (ObsParams::metrics = false).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include "common/json.hpp"
 #include "core/world.hpp"
 #include "obs/metrics.hpp"
-#include "sim/trace.hpp"
 
 using namespace narma;
 
@@ -194,21 +193,6 @@ TEST(ObsRegistry, JsonCarriesHistogramPercentiles) {
   EXPECT_EQ(cell.number_or("p99", -1), 100.0);
 }
 
-TEST(ObsRegistry, GaugeChangesMirrorToTracerCounterTrack) {
-  sim::Tracer tracer(2);
-  obs::Registry reg(2);
-  reg.set_tracer(&tracer);
-  obs::Gauge g = reg.gauge("q.depth", 1);
-  g.set(2, us(1));
-  g.set(2, us(2));  // unchanged -> no extra sample
-  g.set(7, us(3));
-  EXPECT_EQ(tracer.event_count(), 2u);
-  const std::string json = tracer.to_json();
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("q.depth (rank 1)"), std::string::npos);
-  EXPECT_NE(json.find("\"value\":7"), std::string::npos);
-}
-
 TEST(ObsWorld, RunPopulatesLayerMetricsAndDump) {
   World world(2);
   run_small_exchange(world);
@@ -245,16 +229,6 @@ TEST(ObsWorld, RunPopulatesLayerMetricsAndDump) {
     names.insert(fam.string_or("name", ""));
   EXPECT_TRUE(names.count("na.uq_depth"));
   EXPECT_TRUE(names.count("net.dest_cq_depth"));
-}
-
-TEST(ObsWorld, TracedRunEmitsGaugeCounterTracks) {
-  WorldParams wp;
-  wp.obs.trace = true;
-  World world(2, wp);
-  run_small_exchange(world);
-  const std::string json = world.tracer()->to_json();
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("net.dest_cq_depth (rank 1)"), std::string::npos);
 }
 
 // Full round trip: write_artifacts -> file -> json reader -> every family and

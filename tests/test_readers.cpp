@@ -3,7 +3,8 @@
 // Readers trust the arrays a document holds, not its header counts: a
 // metrics.json claiming 100,000 ranks over empty arrays prints no rank rows,
 // header numbers no integer holds are diagnostics, and a Perfetto rank
-// outside the export's lanes is a diagnostic, not the Tracer's abort.
+// outside the export's lanes is a diagnostic, not the Tracer's abort. The
+// Perfetto export draws one arrow per leg of each msgtrace.json message.
 //
 // ReaderMutations applies a fixed, seeded set of mutations to a real small
 // run directory (a profiled NA stencil with every recorder on) and to a
@@ -12,20 +13,25 @@
 // among them), out-of-range numbers, nesting past json::kMaxNesting, a
 // wrong schema and wrong member types. Every case must end in a report or
 // a returned diagnostic; an abort or undefined behaviour (under the
-// sanitizer build) fails the suite.
+// sanitizer build) fails the suite. msgtrace.json cases run through
+// `critpath` and through `timeline --perfetto`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <random>
+#include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "apps/stencil.hpp"
@@ -184,13 +190,147 @@ TEST(Readers, PerfettoLanesAreTheRanksTheWindowsName) {
   EXPECT_EQ(timeline(dir, perfetto).result.status, obs::ReadStatus::kFailed);
 }
 
-TEST(Readers, PerfettoWithoutTimeseriesIsAUsageError) {
+TEST(Readers, PerfettoWithNeitherFileIsAUsageError) {
   const std::string dir = fresh_dir("readers_usage");
   put(dir + "/journal.json",
       R"({"schema":"narma.journal.v1","records":[]})");
   const Outcome o = timeline(dir, dir + "/perfetto.json");
   EXPECT_EQ(o.result.status, obs::ReadStatus::kUsage);
   EXPECT_NE(o.result.diagnostic.find("--perfetto needs"), std::string::npos);
+  EXPECT_FALSE(fs::exists(dir + "/perfetto.json"));
+}
+
+// --- the Perfetto arrows -----------------------------------------------------
+
+/// An arrow of a Chrome trace: (from tid, to tid, begin ps, end ps, id).
+using Arrow = std::tuple<long long, long long, long long, long long,
+                         std::int64_t>;
+
+/// The arrows of a rendered trace, each flow start paired with the end of
+/// the same id that follows it in time (ids repeat across a message's legs).
+std::multiset<Arrow> rendered_arrows(const json::Value& doc) {
+  std::map<std::int64_t, std::vector<const json::Value*>> starts, ends;
+  for (const json::Value& e : doc["traceEvents"].as_array()) {
+    const std::string ph = e.string_or("ph", "");
+    if (ph == "s") starts[e["id"].as_int()].push_back(&e);
+    if (ph == "f") ends[e["id"].as_int()].push_back(&e);
+  }
+  auto ps = [](const json::Value* e) {
+    return std::llround(e->number_or("ts", 0) * 1e6);
+  };
+  std::multiset<Arrow> out;
+  for (auto& [id, ss] : starts) {
+    std::vector<const json::Value*>& fs = ends[id];
+    auto by_time = [&](const json::Value* a, const json::Value* b) {
+      return ps(a) < ps(b);
+    };
+    std::sort(ss.begin(), ss.end(), by_time);
+    std::sort(fs.begin(), fs.end(), by_time);
+    EXPECT_EQ(ss.size(), fs.size()) << "flow id " << id;
+    for (std::size_t i = 0; i < std::min(ss.size(), fs.size()); ++i)
+      out.insert({ss[i]->number_or("tid", -1), fs[i]->number_or("tid", -1),
+                  ps(ss[i]), ps(fs[i]), id});
+  }
+  return out;
+}
+
+/// The legs of one msgtrace.json message, by the rule the export documents:
+/// a leg runs from a chan_start to the next deliver, and departs at the
+/// latest issue or match_hit its rank recorded since the previous leg, at
+/// or before the chan_start's time, else at the chan_start.
+std::vector<Arrow> legs_of(const json::Value& m) {
+  const json::Array& hops = m["hops"].as_array();
+  const auto id = static_cast<std::int64_t>(m.number_or("flow_id", 0));
+  auto num = [](const json::Value& h, const char* key) {
+    return static_cast<long long>(h.number_or(key, -1));
+  };
+  std::vector<Arrow> out;
+  std::size_t after = 0;  // first hop past the previous leg's chan_start
+  for (std::size_t c = 0; c < hops.size(); ++c) {
+    if (hops[c].string_or("kind", "") != "chan_start") continue;
+    const long long rank = num(hops[c], "rank"), t = num(hops[c], "t_ps");
+    long long begin = t, sent = -1;
+    for (std::size_t i = after; i < hops.size(); ++i) {
+      const std::string kind = hops[i].string_or("kind", "");
+      if ((kind == "issue" || kind == "match_hit") &&
+          num(hops[i], "rank") == rank && num(hops[i], "t_ps") <= t)
+        sent = std::max(sent, num(hops[i], "t_ps"));
+    }
+    if (sent >= 0) begin = sent;
+    after = c + 1;
+    for (std::size_t d = c + 1; d < hops.size(); ++d) {
+      const std::string kind = hops[d].string_or("kind", "");
+      if (kind == "chan_start") break;
+      if (kind != "deliver") continue;
+      out.push_back({rank, num(hops[d], "rank"), begin, num(hops[d], "t_ps"),
+                     id});
+      break;
+    }
+  }
+  return out;
+}
+
+// A 2-rank run of every message shape the paper's schemes put on the wire:
+// a notified put, an eager send, a rendezvous send (RTS, CTS and data legs)
+// and a PSCW epoch (post and complete). Its rendered arrows are exactly the
+// legs of its msgtrace.json.
+TEST(Readers, PerfettoArrowsAreTheMsgtraceLegs) {
+  const std::string dir = fresh_dir("readers_arrows");
+  WorldParams wp;
+  wp.obs.msgtrace = true;
+  World world(2, wp);
+  world.run([](Rank& self) {
+    auto win = self.win_allocate(64, 1);
+    const int peer = 1 - self.id();
+    std::vector<double> big(4096, 1.0);  // 32 KiB: past the eager threshold
+    double v = 1.0;
+    if (self.id() == 0) {
+      self.na().put_notify(*win, na::as_bytes(&v, 8), 1, 0, 3);
+      win->flush(1);
+      self.send(&v, 8, 1, 4);
+      self.send(big.data(), big.size() * 8, 1, 5);
+      win->start(std::span<const int>(&peer, 1));
+      win->put(&v, 8, peer, 0);
+      win->complete();
+    } else {
+      auto req = self.na().notify_init(*win, na::MatchSpec{0, 3}, 1);
+      self.na().start(req);
+      self.na().wait(req);
+      self.na().free(req);
+      self.recv(&v, 8, 0, 4);
+      self.recv(big.data(), big.size() * 8, 0, 5);
+      win->post(std::span<const int>(&peer, 1));
+      win->wait();
+    }
+  });
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  const std::string perfetto = dir + "/perfetto.json";
+  const Outcome o = timeline(dir, perfetto);
+  ASSERT_EQ(o.result.status, obs::ReadStatus::kOk) << o.result.diagnostic;
+  EXPECT_NE(o.out.find("wrote Perfetto trace to " + perfetto),
+            std::string::npos)
+      << o.out;
+
+  const json::ParseResult mt = json::parse_file(dir + "/msgtrace.json");
+  const json::ParseResult rendered = json::parse_file(perfetto);
+  ASSERT_TRUE(mt.ok) << mt.error;
+  ASSERT_TRUE(rendered.ok) << rendered.error;
+  std::multiset<Arrow> legs;
+  std::map<std::string, std::set<std::size_t>> legs_per_msg;  // by op
+  for (const json::Value& m : mt.value["messages"].as_array()) {
+    const std::vector<Arrow> l = legs_of(m);
+    legs.insert(l.begin(), l.end());
+    legs_per_msg[m.string_or("op", "?")].insert(l.size());
+  }
+  EXPECT_EQ(rendered_arrows(rendered.value), legs);
+
+  // One leg per one-way message, three for the rendezvous (RTS, CTS, data).
+  const std::set<std::size_t> one{1}, three{3};
+  EXPECT_EQ(legs_per_msg["put_notify"], one);
+  EXPECT_EQ(legs_per_msg["put"], one);
+  EXPECT_EQ(legs_per_msg["pscw_sync"], one);
+  EXPECT_EQ(legs_per_msg["rdzv_send"], three);
+  EXPECT_TRUE(legs_per_msg["eager_send"].count(1));
 }
 
 // --- seeded mutations over real run directories -----------------------------
@@ -200,7 +340,7 @@ TEST(Readers, PerfettoWithoutTimeseriesIsAUsageError) {
 std::string run_directory() {
   const std::string dir = fresh_dir("readers_run");
   WorldParams wp;
-  wp.obs.trace = wp.obs.msgtrace = wp.obs.timeseries = true;
+  wp.obs.msgtrace = wp.obs.timeseries = true;
   wp.obs.timeseries_window_ps = us(2);
   wp.fabric.faults.seed = 7;
   wp.fabric.faults.drop_rate = 0.05;
@@ -331,11 +471,9 @@ std::vector<std::string> mutations(const std::string& text,
   if (!lx.numbers.empty())
     out.push_back(text.substr(0, lx.numbers[0].first) + open + "0" + close +
                   text.substr(lx.numbers[0].second));
-  // A wrong schema (the Chrome trace has none: its traceEvents key).
-  for (const char* from : {".v1\"", "\"traceEvents\""})
-    if (const auto p = text.find(from); p != std::string::npos)
-      out.push_back(text.substr(0, p) + (from[0] == '.' ? ".v0\"" : "\"tE\"") +
-                    text.substr(p + std::string_view(from).size()));
+  // A wrong schema.
+  if (const auto p = text.find(".v1\""); p != std::string::npos)
+    out.push_back(text.substr(0, p) + ".v0\"" + text.substr(p + 4));
   // Wrong member types: the first occurrence of every key, its value
   // replaced by each other kind.
   std::set<std::string> seen;
@@ -388,10 +526,13 @@ Tally sweep(const std::string& dir, const char* name, std::uint64_t seed,
     if (n == "metrics.json") {
       check(obs::report(mut, {}, sink), "report", i);
       if (i >= truncations) check(obs::diff(dir, mut, {}, sink), "diff", i);
-    } else if (n == "trace.json") {
-      check(obs::report(mut, {}, sink), "report", i);
     } else if (n == "msgtrace.json") {
       check(obs::critpath(mut, {}, sink), "critpath", i);
+      if (i >= truncations) {
+        obs::ReadOptions opt;
+        opt.perfetto = perfetto;
+        check(obs::timeline(mut, opt, sink), "timeline", i);
+      }
     } else {
       obs::ReadOptions opt;
       if (n == "timeseries.json") opt.perfetto = perfetto;
@@ -412,8 +553,7 @@ TEST(ReaderMutations, SeededSweepEndsInReportOrDiagnostic) {
   };
   // The crash files share the run's structure: they skip the truncations.
   std::uint64_t seed = 0x6e61726d61;  // fixed: the sweep is reproducible
-  for (const File& f : {File{run, "metrics.json"}, File{run, "trace.json"},
-                        File{run, "msgtrace.json"},
+  for (const File& f : {File{run, "metrics.json"}, File{run, "msgtrace.json"},
                         File{run, "timeseries.json"},
                         File{run, "journal.json"}, File{crash, "metrics.json"},
                         File{crash, "journal.json"}}) {

@@ -115,19 +115,17 @@ TEST(RunDir, WritesOneFixedNameFilePerRecorder) {
     ASSERT_EQ(world.write_artifacts(dir), "");
     EXPECT_TRUE(fs::exists(dir + "/metrics.json"));
     EXPECT_TRUE(fs::exists(dir + "/journal.json"));
-    EXPECT_FALSE(fs::exists(dir + "/trace.json"));
     EXPECT_FALSE(fs::exists(dir + "/msgtrace.json"));
     EXPECT_FALSE(fs::exists(dir + "/timeseries.json"));
   }
   WorldParams wp;
-  wp.obs.trace = wp.obs.msgtrace = wp.obs.timeseries = true;
+  wp.obs.msgtrace = wp.obs.timeseries = true;
   World world(2, wp);
   tiny_run(world);
   const std::string dir = fresh_dir("run_all") + "/nested";  // created
   ASSERT_EQ(world.write_artifacts(dir), "");
   for (const char* name : {obs::kMetricsFile, obs::kJournalFile,
-                           obs::kTraceFile, obs::kMsgtraceFile,
-                           obs::kTimeseriesFile})
+                           obs::kMsgtraceFile, obs::kTimeseriesFile})
     EXPECT_TRUE(json::parse_file(dir + "/" + name).ok) << name;
   EXPECT_EQ(slurp(dir + "/msgtrace.json"), world.msgtrace()->to_json());
 }

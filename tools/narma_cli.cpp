@@ -6,15 +6,15 @@
 //   narma_cli pingpong --scheme=na --ranks=2 --bytes=8 --reps=100
 //   narma_cli stencil  --variant=na --ranks=16 --rows=512 --cols=2048
 //   narma_cli tree     --variant=na --ranks=64 --arity=16 --elems=8
-//   narma_cli cholesky --variant=mp --ranks=8 --nt=24 --b=32 --out=run --trace
+//   narma_cli cholesky --variant=mp --ranks=8 --nt=24 --b=32 --out=run
 //
 // Every run prints one result line, suitable for scripting sweeps, and with
 // --out=DIR writes its run directory: one fixed-name JSON file per recorder
 // (World::write_artifacts). `report`, `critpath`, `timeline` and `diff`
 // read a run directory back through the obs readers (obs/readers.hpp):
-// per-category virtual-time breakdowns, critical paths, flight-recorder
-// windows, and run-to-run deltas. This file holds only the flags, the usage
-// text, the four run commands and the dispatch.
+// per-rank busy fractions, critical paths, flight-recorder windows, a
+// Perfetto trace, and run-to-run deltas. This file holds only the flags,
+// the usage text, the four run commands and the dispatch.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -58,7 +58,7 @@ using namespace narma;
 
 /// The artifact flags that took a FILE before runs wrote a directory.
 constexpr std::string_view kRemovedFileFlags =
-    " trace metrics msgtrace timeseries journal ";
+    " metrics msgtrace timeseries journal ";
 
 struct Args {
   std::string command;
@@ -201,7 +201,6 @@ int usage() {
       "            [--out=DIR]        write DIR (created if missing):\n"
       "                               metrics.json and journal.json, plus\n"
       "                               one file per recorder switched on below\n"
-      "            [--trace]          Chrome trace of the run -> trace.json\n"
       "            [--msgtrace]       causal message trace -> msgtrace.json\n"
       "            [--msgtrace-sample=N]  trace every Nth message (default 1)\n"
       "            [--timeseries]     flight recorder -> timeseries.json\n"
@@ -212,17 +211,16 @@ int usage() {
       "                               (default 4096; 0 disables)\n"
       "\n"
       "readers (DIR is a run directory written with --out=DIR):\n"
-      "  report    DIR [--top=N]\n"
-      "            summarize a recorded run: per-category virtual time\n"
-      "            (with p50/p95 span durations), longest spans, per-rank\n"
-      "            busy fractions, host-time phase attribution\n"
-      "            (--profile runs), per-backend notification counts,\n"
-      "            histogram percentiles\n"
+      "  report    DIR\n"
+      "            summarize a recorded run's metrics: per-rank busy\n"
+      "            fractions, host-time phase attribution (--profile runs),\n"
+      "            per-backend notification counts, histogram percentiles\n"
       "  timeline  DIR [--perfetto=FILE] [--top=N]\n"
       "            analyze the flight recorder and the anomaly journal:\n"
       "            per-window rank activity, busiest counter families,\n"
       "            model-residual rows, flagged anomalies; --perfetto writes\n"
-      "            counter tracks for Perfetto\n"
+      "            a Chrome trace for Perfetto: one arrow per message leg\n"
+      "            of msgtrace.json, counter tracks from timeseries.json\n"
       "  critpath  DIR [--top=N]\n"
       "            analyze a causal message trace: critical-path category\n"
       "            breakdown, per-rank share, slowest messages, per-\n"
@@ -259,7 +257,7 @@ int usage() {
 /// The flags every run command accepts: the run directory and its
 /// recorder switches and the fault model.
 constexpr std::string_view kWorldFlags =
-    "out= trace msgtrace msgtrace-sample= timeseries timeseries-window-us= "
+    "out= msgtrace msgtrace-sample= timeseries timeseries-window-us= "
     "profile journal-cap= overflow= fault-seed= fault-drop= "
     "fault-delay= fault-stall= fault-pressure=";
 /// The --ft* flags of the apps with a recovery path (stencil, tree).
@@ -283,13 +281,12 @@ constexpr std::string_view kFtFlags =
 WorldParams world_params(const Args& a) {
   if (!a.positional.empty())
     bad_usage(a.positional[0] + ": unexpected argument for " + a.command);
-  for (const char* sw : {"trace", "msgtrace", "timeseries", "profile"})
+  for (const char* sw : {"msgtrace", "timeseries", "profile"})
     a.require(sw, "out");
   a.require("msgtrace-sample", "msgtrace");
   a.require("timeseries-window-us", "timeseries");
   WorldParams wp;
   obs::ObsParams& o = wp.obs;
-  o.trace = a.has("trace");
   o.msgtrace = a.has("msgtrace");
   o.msgtrace_sample_every = static_cast<std::uint64_t>(a.at_least(
       "msgtrace-sample", static_cast<long>(o.msgtrace_sample_every), 1));
@@ -380,7 +377,8 @@ void print_ft_summary(const char* app, const ft::FtStats& victim,
 int run_reader(const Args& a) {
   const bool is_diff = a.command == "diff";
   const bool is_timeline = a.command == "timeline";
-  a.check_flags({is_timeline ? "top= perfetto=" : "top="});
+  const bool is_report = a.command == "report";
+  a.check_flags({is_timeline ? "top= perfetto=" : is_report ? "" : "top="});
   const std::size_t ndirs = is_diff ? 2 : 1;
   if (a.positional.size() != ndirs)
     bad_usage(a.command + ": expected " +
