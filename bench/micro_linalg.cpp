@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the Cholesky tile kernels on the real
-// CPU: the SYRK/GEMM update on each instruction-set path, the panel solve,
-// and one rank's residual check. Virtual time charges none of this, so its
+// CPU: the SYRK/GEMM update on each instruction-set path, one column step of
+// it with per-call packing against one packed panel, the panel solve, and
+// one rank's residual check. Virtual time charges none of this, so its
 // host speed moves only the Fig. 5 Cholesky's wall time; the counters show
 // that speed outside the whole-app benchmarks.
 #include <benchmark/benchmark.h>
@@ -49,6 +50,54 @@ static void BM_GemmNt(benchmark::State& state, KernelIsa isa) {
 BENCHMARK_CAPTURE(BM_GemmNt, baseline, KernelIsa::kBaseline)
     ->Arg(8)->Arg(32)->Arg(64);
 BENCHMARK_CAPTURE(BM_GemmNt, avx2, KernelIsa::kAvx2)->Arg(8)->Arg(32)->Arg(64);
+BENCHMARK_CAPTURE(BM_GemmNt, avx512, KernelIsa::kAvx512)
+    ->Arg(8)->Arg(32)->Arg(64);
+
+// One column step (j, k) of the left-looking Cholesky at the Fig. 5 shape
+// (b = 32, nt = 48, j = 0 after the first column): a SYRK into the
+// diagonal tile and 47 GEMMs below it, all against B^T = tile(j, k).
+// Arg 0 packs B^T on every call (gemm_nt_isa); arg 1 packs it once into a
+// PackedPanel that serves all 48 updates.
+static void BM_ColumnStep(benchmark::State& state, KernelIsa isa) {
+  if (!linalg::kernel_isa_supported(isa)) {
+    state.SkipWithError("instruction set not supported by this CPU");
+    return;
+  }
+  constexpr int kB = 32, kGemms = 47;
+  const bool pack_once = state.range(0) != 0;
+  const auto bt = random_tile(kB, 1);
+  std::vector<std::vector<double>> a, c;
+  for (int i = 0; i < kGemms; ++i) {
+    a.push_back(random_tile(kB, 10 + static_cast<std::uint64_t>(i)));
+    c.push_back(random_tile(kB, 100 + static_cast<std::uint64_t>(i)));
+  }
+  auto diag = random_tile(kB, 2);
+  linalg::PackedPanel panel(isa);
+  for (auto _ : state) {
+    if (pack_once) {
+      panel.pack(bt.data(), kB);
+      panel.update(bt.data(), diag.data());
+      for (int i = 0; i < kGemms; ++i)
+        panel.update(a[static_cast<std::size_t>(i)].data(),
+                     c[static_cast<std::size_t>(i)].data());
+    } else {
+      linalg::gemm_nt_isa(isa, bt.data(), bt.data(), diag.data(), kB);
+      for (int i = 0; i < kGemms; ++i)
+        linalg::gemm_nt_isa(isa, a[static_cast<std::size_t>(i)].data(),
+                            bt.data(), c[static_cast<std::size_t>(i)].data(),
+                            kB);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_rate(state, linalg::flops_syrk(kB) + kGemms * linalg::flops_gemm(kB));
+}
+BENCHMARK_CAPTURE(BM_ColumnStep, baseline, KernelIsa::kBaseline)
+    ->ArgName("pack_once")->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_ColumnStep, avx2, KernelIsa::kAvx2)
+    ->ArgName("pack_once")->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_ColumnStep, avx512, KernelIsa::kAvx512)
+    ->ArgName("pack_once")->Arg(0)->Arg(1);
 
 static void BM_TrsmRight(benchmark::State& state) {
   const int b = static_cast<int>(state.range(0));

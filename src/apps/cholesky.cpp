@@ -231,6 +231,7 @@ class CholeskyRun {
   std::size_t next_ring_slot_ = 1;
   std::size_t received_ = 0;
   na::NotifyRequest req_;
+  linalg::PackedPanel panel_;  // tile(j, k)^T of the current column step
 
   // App-level observability; disengaged handles are no-ops.
   obs::Counter c_kernels_;
@@ -266,15 +267,19 @@ CholeskyResult CholeskyRun::run() {
   for (int j = 0; j < nt_; ++j) {
     if (owner(j) != p_) continue;
     // Left-looking updates of column j with every panel column k < j.
+    // Every update of step (j, k) multiplies by tile(j, k)^T, so it is
+    // packed once: the SYRK and each GEMM read this rank's panel, which no
+    // other rank's fiber touches while wait_tile runs them.
     for (int k = 0; k < j; ++k) {
       wait_tile(j, k);
-      charge_kernel(linalg::flops_syrk(b_),
-                    [&] { linalg::syrk_lower(tile(j, k), tile(j, j), b_); });
+      charge_kernel(linalg::flops_syrk(b_), [&] {
+        panel_.pack(tile(j, k), b_);
+        panel_.update(tile(j, k), tile(j, j));
+      });
       for (int i = j + 1; i < nt_; ++i) {
         wait_tile(i, k);
-        charge_kernel(linalg::flops_gemm(b_), [&] {
-          linalg::gemm_nt(tile(i, k), tile(j, k), tile(i, j), b_);
-        });
+        charge_kernel(linalg::flops_gemm(b_),
+                      [&] { panel_.update(tile(i, k), tile(i, j)); });
       }
     }
     // Factorize the diagonal tile and solve the panel below it.

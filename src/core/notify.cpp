@@ -292,11 +292,15 @@ void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
       if (bytes) std::memcpy(n.inline_data.data(), src.data(), bytes);
     } else {
       // Optimized memcpy + fence, then the notification (same channel, so
-      // FIFO delivery guarantees the data is committed first). The trace
-      // follows the notification leg — the one the consumer waits on.
+      // FIFO delivery guarantees the data is committed first). The data
+      // leg is a put of its own to the trace: the notification's MsgId
+      // follows the leg the consumer waits on.
       n.inline_len = 0;
-      nic.put(target, win.remote_key(target), offset, src.data(), bytes, {},
-              &win.pending(target));
+      net::NotifyAttr data;
+      data.msg = trace_begin(nic, obs::MsgOp::kPut, target, bytes);
+      trace_issue(nic, data.msg);
+      nic.put(target, win.remote_key(target), offset, src.data(), bytes,
+              data, &win.pending(target));
     }
     nic.send_shm_notification(target, n, &win.pending(target));
     return;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 
 #include "common/assert.hpp"
 
@@ -62,55 +64,65 @@ void trsm_right_lower_trans(const double* l, double* a, int b) {
 
 namespace {
 
-// C -= A * B^T, register-blocked. B^T is packed k-major, kMr x 2 vectors of
-// outputs stay in registers across the whole k loop, and every output lane
-// sums its dot product from zero in ascending k, one multiply and one add
-// per step (no FMA), then subtracts it from C: bit-identical to the
-// one-column loop that UpdateKernels.BitIdenticalToNaiveLoop pins.
+// C -= A * B^T, register-blocked. B^T is packed k-major in column blocks nr
+// = 2W wide, kMr x 2 vectors of outputs stay in registers across the whole
+// k loop, and every output lane sums its dot product from zero in ascending
+// k, one multiply and one add per step, then subtracts it from C:
+// bit-identical to the one-column loop that
+// UpdateKernels.BitIdenticalToNaiveLoop pins. narma_linalg builds with
+// -ffp-contract=off, so no path fuses the multiply and the add into an FMA
+// (the no_fused_multiply_add ctest disassembles the library to check).
 
-constexpr int kMr = 4;     // output rows per block
-constexpr int kKc = 256;   // k depth of the packed panel
-constexpr int kMaxNr = 8;  // output columns per block: two AVX2 vectors
-
-// One panel per thread, shared by every rank's fiber: a kernel runs to
-// completion without yielding.
-alignas(64) thread_local double t_panel[kKc * kMaxNr];
+constexpr int kMr = 4;  // output rows per block
 
 template <int W>
 struct VecOf {
   typedef double type __attribute__((vector_size(W * sizeof(double))));
 };
 
-/// Packs columns [j0, j0 + nc) x k in [kc, kc + kl) of B^T (rows of `bt`)
-/// k-major into `panel`, nr wide; columns past nc are zero.
-[[gnu::always_inline]] inline void pack_panel(const double* bt,
-                                              std::size_t ub, int j0,
-                                              int nc, int nr, int kc, int kl,
-                                              double* panel) {
-  for (int jj = 0; jj < nr; ++jj) {
-    if (jj >= nc) {
-      for (int k = 0; k < kl; ++k) panel[k * nr + jj] = 0.0;
-      continue;
+/// Output columns per block of a path: two vectors.
+constexpr int nr_of(KernelIsa isa) {
+  return isa == KernelIsa::kAvx512 ? 16 : isa == KernelIsa::kAvx2 ? 8 : 4;
+}
+
+/// Doubles of a packed b x b panel: ceil(b / nr) blocks of b x nr.
+std::size_t panel_size(int b, int nr) {
+  return static_cast<std::size_t>((b + nr - 1) / nr) * nr *
+         static_cast<std::size_t>(b);
+}
+
+/// Packs B^T (rows of `bt`) into `panel`: column block j0 / nr holds
+/// panel[k * nr + jj] = bt[j0 + jj][k], all k; columns past b are zero.
+template <int nr>
+void pack_panel(const double* bt, int b, double* panel) {
+  const auto ub = static_cast<std::size_t>(b);
+  for (int j0 = 0; j0 < b; j0 += nr, panel += ub * nr) {
+    const int nc = std::min(nr, b - j0);
+    const double* src = bt + static_cast<std::size_t>(j0) * ub;
+    for (std::size_t k = 0; k < ub; ++k) {
+      double* dst = panel + k * nr;
+      if (nc == nr) {
+#pragma GCC unroll 16
+        for (int jj = 0; jj < nr; ++jj) dst[jj] = src[jj * ub + k];
+        continue;
+      }
+      for (int jj = 0; jj < nr; ++jj)
+        dst[jj] = jj < nc ? src[jj * ub + k] : 0.0;
     }
-    const double* src = bt + static_cast<std::size_t>(j0 + jj) * ub +
-                        static_cast<std::size_t>(kc);
-    for (int k = 0; k < kl; ++k) panel[k * nr + jj] = src[k];
   }
 }
 
-/// The blocked update with W-double vectors: kMr x 2W output blocks. Rows
-/// past the tile's edge repeat its last row and columns past it multiply
-/// zeros; neither result is stored.
+/// The blocked update with W-double vectors over a packed panel: kMr x 2W
+/// output blocks. Rows past the tile's edge repeat its last row and
+/// columns past it multiply zeros; neither result is stored.
 template <int W>
-[[gnu::always_inline]] inline void update_nt_blocked(const double* a,
-                                                     const double* bt,
-                                                     double* c, int b) {
+[[gnu::always_inline]] inline void update_packed(const double* a,
+                                                 const double* panel,
+                                                 double* c, int b) {
   using V = typename VecOf<W>::type;
   constexpr int nr = 2 * W;
-  static_assert(nr <= kMaxNr);
   const auto ub = static_cast<std::size_t>(b);
-  double* const panel = t_panel;
-  for (int j0 = 0; j0 < b; j0 += nr) {
+  for (int j0 = 0; j0 < b; j0 += nr, panel += ub * nr) {
     const int nc = std::min(nr, b - j0);
     for (int i0 = 0; i0 < b; i0 += kMr) {
       const int mr = std::min(kMr, b - i0);
@@ -118,21 +130,15 @@ template <int W>
       for (int r = 0; r < kMr; ++r)
         ar[r] = a + static_cast<std::size_t>(i0 + std::min(r, mr - 1)) * ub;
       V acc[kMr][2] = {};
-      for (int kc = 0; kc < b; kc += kKc) {
-        const int kl = std::min(kKc, b - kc);
-        // One k chunk (b <= kKc): the panel packed for the first row block
-        // serves them all.
-        if (i0 == 0 || b > kKc) pack_panel(bt, ub, j0, nc, nr, kc, kl, panel);
-        for (int k = 0; k < kl; ++k) {
-          V p0, p1;
-          __builtin_memcpy(&p0, panel + k * nr, sizeof p0);
-          __builtin_memcpy(&p1, panel + k * nr + W, sizeof p1);
+      for (std::size_t k = 0; k < ub; ++k) {
+        V p0, p1;
+        __builtin_memcpy(&p0, panel + k * nr, sizeof p0);
+        __builtin_memcpy(&p1, panel + k * nr + W, sizeof p1);
 #pragma GCC unroll 4
-          for (int r = 0; r < kMr; ++r) {
-            const double x = ar[r][kc + k];
-            acc[r][0] = acc[r][0] + p0 * x;
-            acc[r][1] = acc[r][1] + p1 * x;
-          }
+        for (int r = 0; r < kMr; ++r) {
+          const double x = ar[r][k];
+          acc[r][0] = acc[r][0] + p0 * x;
+          acc[r][1] = acc[r][1] + p1 * x;
         }
       }
       for (int r = 0; r < mr; ++r) {
@@ -153,17 +159,24 @@ template <int W>
   }
 }
 
-void update_nt_baseline(const double* a, const double* bt, double* c,
-                        int b) {
-  update_nt_blocked<2>(a, bt, c, b);
+void update_baseline(const double* a, const double* panel, double* c,
+                     int b) {
+  update_packed<2>(a, panel, c, b);
 }
 
 #if defined(__x86_64__)
-// AVX2 only: FMA stays off, so the multiply and the add round separately.
-[[gnu::target("avx2")]] void update_nt_avx2(const double* a,
-                                            const double* bt, double* c,
-                                            int b) {
-  update_nt_blocked<4>(a, bt, c, b);
+// AVX2 alone has no FMA instructions. AVX-512F has them, and only
+// -ffp-contract=off keeps GCC from fusing the multiply and the add.
+[[gnu::target("avx2")]] void update_avx2(const double* a,
+                                         const double* panel, double* c,
+                                         int b) {
+  update_packed<4>(a, panel, c, b);
+}
+
+[[gnu::target("avx512f")]] void update_avx512(const double* a,
+                                              const double* panel, double* c,
+                                              int b) {
+  update_packed<8>(a, panel, c, b);
 }
 #endif
 
@@ -171,31 +184,80 @@ using UpdateFn = void (*)(const double*, const double*, double*, int);
 
 UpdateFn update_fn(KernelIsa isa) {
 #if defined(__x86_64__)
-  if (isa == KernelIsa::kAvx2) return update_nt_avx2;
+  if (isa == KernelIsa::kAvx512) return update_avx512;
+  if (isa == KernelIsa::kAvx2) return update_avx2;
 #endif
   (void)isa;
-  return update_nt_baseline;
+  return update_baseline;
 }
 
-void update_nt(const double* a, const double* bt, double* c, int b) {
-  static const UpdateFn fn =
-      update_fn(kernel_isa_supported(KernelIsa::kAvx2) ? KernelIsa::kAvx2
-                                                       : KernelIsa::kBaseline);
-  fn(a, bt, c, b);
+/// The widest supported path, picked once.
+KernelIsa widest_isa() {
+  static const KernelIsa isa =
+      kernel_isa_supported(KernelIsa::kAvx512) ? KernelIsa::kAvx512
+      : kernel_isa_supported(KernelIsa::kAvx2) ? KernelIsa::kAvx2
+                                               : KernelIsa::kBaseline;
+  return isa;
+}
+
+/// C -= A * B^T on a supported path, packing B^T into a per-thread panel.
+/// Ranks' fibers share a thread, but a kernel runs to completion without
+/// yielding, so one panel per path serves them all.
+void update_per_call(KernelIsa isa, const double* a, const double* bt,
+                     double* c, int b) {
+  thread_local std::optional<PackedPanel> panels[3];
+  std::optional<PackedPanel>& panel = panels[static_cast<int>(isa)];
+  if (!panel) panel.emplace(isa);
+  panel->pack(bt, b);
+  panel->update(a, c);
 }
 
 }  // namespace
 
-void syrk_lower(const double* a, double* c, int b) { update_nt(a, a, c, b); }
+void PackedPanel::Free::operator()(double* p) const { std::free(p); }
+
+PackedPanel::PackedPanel() : isa_(widest_isa()) {}
+
+PackedPanel::PackedPanel(KernelIsa isa) : isa_(isa) {
+  NARMA_CHECK(kernel_isa_supported(isa)) << "update kernel ISA not supported";
+}
+
+void PackedPanel::pack(const double* bt, int b) {
+  const int nr = nr_of(isa_);
+  const std::size_t need = panel_size(b, nr);
+  if (need > capacity_) {
+    // 64-byte aligned, so no packed row straddles more cache lines than it
+    // must.
+    data_.reset(static_cast<double*>(
+        std::aligned_alloc(64, (need * sizeof(double) + 63) / 64 * 64)));
+    NARMA_CHECK(data_ != nullptr) << "out of memory for a packed panel";
+    capacity_ = need;
+  }
+  b_ = b;
+  if (nr == 16)
+    pack_panel<16>(bt, b, data_.get());
+  else if (nr == 8)
+    pack_panel<8>(bt, b, data_.get());
+  else
+    pack_panel<4>(bt, b, data_.get());
+}
+
+void PackedPanel::update(const double* a, double* c) const {
+  NARMA_ASSERT(b_ > 0);
+  update_fn(isa_)(a, data_.get(), c, b_);
+}
+
+void syrk_lower(const double* a, double* c, int b) { gemm_nt(a, a, c, b); }
 
 void gemm_nt(const double* a, const double* bt, double* c, int b) {
-  update_nt(a, bt, c, b);
+  update_per_call(widest_isa(), a, bt, c, b);
 }
 
 bool kernel_isa_supported(KernelIsa isa) {
   if (isa == KernelIsa::kBaseline) return true;
 #if defined(__x86_64__)
   __builtin_cpu_init();
+  if (isa == KernelIsa::kAvx512) return __builtin_cpu_supports("avx512f") != 0;
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
@@ -205,7 +267,7 @@ bool kernel_isa_supported(KernelIsa isa) {
 void gemm_nt_isa(KernelIsa isa, const double* a, const double* bt, double* c,
                  int b) {
   NARMA_CHECK(kernel_isa_supported(isa)) << "update kernel ISA not supported";
-  update_fn(isa)(a, bt, c, b);
+  update_per_call(isa, a, bt, c, b);
 }
 
 double flops_potrf(int b) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 namespace narma::linalg {
 
@@ -28,15 +29,44 @@ void syrk_lower(const double* a, double* c, int b);
 void gemm_nt(const double* a, const double* bt, double* c, int b);
 
 /// Instruction-set paths of the SYRK/GEMM update. Every path is
-/// bit-identical to the naive ascending-k loop; syrk_lower and gemm_nt run
-/// the widest one the CPU supports (kAvx2 only on x86-64).
-enum class KernelIsa { kBaseline, kAvx2 };
+/// bit-identical to the naive ascending-k loop; syrk_lower, gemm_nt and a
+/// default PackedPanel run the widest one the CPU supports (kAvx2 and
+/// kAvx512 only on x86-64).
+enum class KernelIsa { kBaseline, kAvx2, kAvx512 };
 bool kernel_isa_supported(KernelIsa isa);
 
 /// gemm_nt on one given path (tests and microbenchmarks); `isa` must be
 /// supported.
 void gemm_nt_isa(KernelIsa isa, const double* a, const double* bt, double* c,
                  int b);
+
+/// One B^T packed for many updates C -= A * B^T that share it: the
+/// left-looking Cholesky's column step (j, k) updates tile(j, j) and every
+/// tile(i, j) below it with the same tile(j, k). pack() copies it once;
+/// each update() is bit-identical to gemm_nt(a, bt, c, b) on the same path.
+/// The handle owns its storage, so a pack stays current until the next
+/// pack() on this handle whatever other code runs in between.
+class PackedPanel {
+ public:
+  /// Packs for the widest path the CPU supports.
+  PackedPanel();
+  /// Packs for `isa`, which must be supported.
+  explicit PackedPanel(KernelIsa isa);
+
+  /// Packs the b x b tile `bt`. It is read only here.
+  void pack(const double* bt, int b);
+  /// C -= A * B^T with the B^T of the last pack().
+  void update(const double* a, double* c) const;
+
+ private:
+  struct Free {
+    void operator()(double* p) const;
+  };
+  KernelIsa isa_;
+  int b_ = 0;
+  std::size_t capacity_ = 0;  // doubles allocated
+  std::unique_ptr<double[], Free> data_;
+};
 
 /// Approximate flop counts (used to report GFLOP rates).
 double flops_potrf(int b);

@@ -123,14 +123,30 @@ std::size_t Nic::pop_hw_batch(std::span<HwNotification> out) {
 
 NetMsg Nic::pop_mailbox() {
   NetMsg m = mailbox_.pop();
+  NARMA_ASSERT(m.time <= ctx_.now()) << "mailbox entry popped before due";
   fabric_.flow().release(rank(), FlowControl::Queue::kMailbox, 1,
                          fabric_.engine(), ctx_.now());
   return m;
 }
 
+void Nic::rescan_pending(Time now) {
+  scanned_.clear();
+  scan_head_ = 0;
+  queued_min_ = kNoPending;
+  auto scan = [&](const auto& q) {
+    for (std::size_t i = 0; i < q.size(); ++i)
+      if (q.peek(i).time > now) scanned_.push_back(q.peek(i).time);
+  };
+  scan(dest_cq_);
+  scan(shm_ring_);
+  scan(mailbox_);
+  std::sort(scanned_.begin(), scanned_.end());
+}
+
 // --- Completion delivery ----------------------------------------------------
 
 void Nic::commit(const Cqe& cqe) {
+  note_queued(cqe.time);
   ++fabric_.counters().notifications;
   // An intra-node get or atomic notification also lands on the CQ; it
   // counts as shm traffic, by the pair it crossed.
@@ -144,6 +160,7 @@ void Nic::commit(const Cqe& cqe) {
 }
 
 void Nic::commit(const ShmNotification& n) {
+  note_queued(n.time);
   ++fabric_.counters().notifications;
   fabric_.note_notify(rank(), true);
   if (n.msg)
@@ -154,6 +171,7 @@ void Nic::commit(const ShmNotification& n) {
 }
 
 void Nic::commit(const NetMsg& msg) {
+  note_queued(msg.time);
   if (msg.msg)
     if (auto* mt = fabric_.msgtrace())
       mt->hop(msg.msg, rank(), obs::HopKind::kDeliver, msg.time);
@@ -333,6 +351,7 @@ void Nic::push_msg(NetMsg msg) {
       << " — raise WorldParams::fabric.mailbox_capacity, progress the "
          "receiver, or select the backpressure overflow policy "
          "(FaultParams::overflow_policy, --overflow=backpressure)";
+  note_queued(t);
   g_mailbox_depth_.set(static_cast<std::int64_t>(mailbox_.size()), t);
   progress_.notify(fabric_.engine(), t);
 }

@@ -123,7 +123,8 @@ class Nic {
   RingBuffer<ShmNotification>& shm_ring() { return shm_ring_; }
   RingBuffer<NetMsg>& mailbox() { return mailbox_; }
 
-  /// Pops the oldest mailbox entry and returns its flow-control credit to
+  /// Pops the oldest mailbox entry, which must be due (stamped at or before
+  /// the rank's clock), and returns its flow-control credit to
   /// the senders (a no-op under the fatal overflow policy). The router's
   /// progress loop uses this instead of mailbox().pop() so backpressured
   /// senders wake as the consumer drains.
@@ -150,31 +151,24 @@ class Nic {
   /// entry in the rank's future.
   static constexpr Time kNoPending = std::numeric_limits<Time>::max();
 
-  /// Earliest arrival time strictly after `now` across the inbound queues
-  /// (destination CQ, shm ring, mailbox), or kNoPending when there is none.
-  /// Such an entry's delivery event has already executed — its trigger
-  /// notify fired — so a waiter must bound its sleep with
+  /// Earliest arrival time strictly after the rank's clock across the
+  /// inbound queues (destination CQ, shm ring, mailbox), or kNoPending when
+  /// there is none. Such an entry's delivery event has already executed —
+  /// its trigger notify fired — so a waiter must bound its sleep with
   /// RankCtx::wait_deadline instead of blocking on the trigger alone.
   /// Already-due entries are skipped: they wake nobody, and a waiter that
   /// could consume them would have done so before blocking (they may belong
-  /// to a different protocol layer than the one waiting). Scans the queues,
-  /// whose entries are not strictly time-sorted; called only on the slow
-  /// block path.
-  Time next_pending_time(Time now) const {
-    Time t = kNoPending;
-    for (std::size_t i = 0; i < dest_cq_.size(); ++i) {
-      const Time e = dest_cq_.peek(i).time;
-      if (e > now) t = std::min(t, e);
-    }
-    for (std::size_t i = 0; i < shm_ring_.size(); ++i) {
-      const Time e = shm_ring_.peek(i).time;
-      if (e > now) t = std::min(t, e);
-    }
-    for (std::size_t i = 0; i < mailbox_.size(); ++i) {
-      const Time e = mailbox_.peek(i).time;
-      if (e > now) t = std::min(t, e);
-    }
-    return t;
+  /// to a different protocol layer than the one waiting). Kept
+  /// incrementally, scanning the queues only when an arrival queued since
+  /// the last scan has fallen due: see scanned_.
+  Time next_pending_time() {
+    const Time now = ctx_.now();
+    if (queued_min_ <= now) rescan_pending(now);
+    while (scan_head_ < scanned_.size() && scanned_[scan_head_] <= now)
+      ++scan_head_;
+    return scan_head_ < scanned_.size()
+               ? std::min(scanned_[scan_head_], queued_min_)
+               : queued_min_;
   }
 
   /// Installs a delivery hook invoked (in event context) for every incoming
@@ -193,7 +187,7 @@ class Nic {
   void wait_until(Pred pred, const char* label) {
     ctx_.drain();
     while (!pred()) {
-      const Time due = next_pending_time(ctx_.now());
+      const Time due = next_pending_time();
       if (due != kNoPending)
         ctx_.wait_deadline(progress_, due, label);
       else
@@ -255,6 +249,12 @@ class Nic {
   void commit(const ShmNotification& n);
   void commit(const NetMsg& msg);
 
+  /// Records the arrival time of an entry that just entered a queue.
+  void note_queued(Time t) { queued_min_ = std::min(queued_min_, t); }
+  /// Sorts the times of the queued entries stamped after `now` into
+  /// scanned_ and forgets the arrivals queued since the last scan.
+  void rescan_pending(Time now);
+
   struct MemRegion {
     std::byte* base = nullptr;
     std::size_t bytes = 0;
@@ -271,6 +271,22 @@ class Nic {
   Spill<Cqe> spill_cq_;
   Spill<ShmNotification> spill_shm_;
   Spill<NetMsg> spill_mail_;
+  // next_pending_time() without a scan per wake. scanned_ holds, sorted,
+  // the future-stamped arrival times the last scan found, live from
+  // scan_head_; queued_min_ is the earliest arrival queued since. An entry
+  // leaves its queue only once due (pop_hw_batch and the router take
+  // entries stamped <= the clock) and the clock never falls, so while
+  // queued_min_ is in the rank's future every arrival queued since the
+  // scan is still queued and future, and the live part of scanned_ is
+  // exactly the rest: the answer is the smaller head. Once queued_min_
+  // falls due, the other arrivals queued since are unknown, and the next
+  // call scans the queues again. A backlog of future entries is sorted
+  // once, not scanned at every bounded wake. (A caller popping a future
+  // entry through the raw queue accessors leaves its time behind: one
+  // spurious deadline wake, never a late one.)
+  std::vector<Time> scanned_;
+  std::size_t scan_head_ = 0;
+  Time queued_min_ = kNoPending;
   std::function<bool(NetMsg&&)> delivery_hook_;
   // Queue-depth gauges (destination side) and the source-side outstanding-
   // operation gauge; disengaged no-op handles when metrics are off.

@@ -81,7 +81,7 @@ class MsgRouter {
     while (!pred()) {
       // A queue entry in this rank's future means its delivery notify has
       // already fired; bound the sleep so the entry is consumed on time.
-      const Time due = nic_.next_pending_time(nic_.ctx().now());
+      const Time due = nic_.next_pending_time();
       if (due != Nic::kNoPending)
         nic_.ctx().wait_deadline(nic_.progress(), due, label);
       else

@@ -121,7 +121,8 @@ MsgTrace::MsgTrace(int nranks, const ObsParams& params)
   }
 }
 
-void MsgTrace::append(Lane& lane, const HopRecord& rec) {
+void MsgTrace::append(Lane& lane, HopRecord rec) {
+  rec.seq = next_hop_seq_++;
   if (lane.ring.size() < lane.capacity) {
     lane.ring.push_back(rec);
     return;
@@ -142,7 +143,7 @@ MsgId MsgTrace::begin(int rank, MsgOp op, int dst_rank, std::uint32_t bytes,
   HopRecord rec;
   rec.id = id;
   rec.t = t;
-  rec.aux = static_cast<std::uint64_t>(dst_rank);
+  rec.dst = static_cast<std::uint16_t>(dst_rank);
   rec.bytes = bytes;
   rec.rank = static_cast<std::uint16_t>(rank);
   rec.kind = HopKind::kInject;
@@ -202,13 +203,13 @@ std::vector<MsgTrace::MsgSummary> MsgTrace::summarize() const {
   out.reserve(by_msg.size());
   for (auto& [id, hops] : by_msg) {
     // Virtual times are causally non-decreasing along a message's life, so a
-    // time sort recovers hop order; the kind ordinal breaks zero-length ties
-    // in pipeline order.
-    std::stable_sort(hops.begin(), hops.end(),
-                     [](const HopRecord& a, const HopRecord& b) {
-                       if (a.t != b.t) return a.t < b.t;
-                       return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-                     });
+    // time sort recovers hop order; record order breaks zero-length ties
+    // (a rendezvous CTS's chan_start follows the match_hit that sent it).
+    std::sort(hops.begin(), hops.end(),
+              [](const HopRecord& a, const HopRecord& b) {
+                if (a.t != b.t) return a.t < b.t;
+                return a.seq < b.seq;
+              });
     MsgSummary s;
     s.id = id;
     s.t_begin = hops.front().t;
@@ -217,7 +218,7 @@ std::vector<MsgTrace::MsgSummary> MsgTrace::summarize() const {
     if (s.complete) {
       s.op = hops.front().op;
       s.src = hops.front().rank;
-      s.dst = static_cast<int>(hops.front().aux);
+      s.dst = static_cast<int>(hops.front().dst);
       s.bytes = hops.front().bytes;
     } else {
       s.src = hops.front().rank;

@@ -121,7 +121,11 @@ const char* to_string(LatCat c);
 struct HopRecord {
   MsgId id = 0;
   Time t = 0;
-  std::uint64_t aux = 0;      // kInject: destination rank; otherwise 0
+  /// Record order over all ranks' lanes. It orders a message's hops within
+  /// one picosecond: a hop is recorded only after the code that caused it
+  /// ran, so record order is causal where time ties.
+  std::uint64_t seq : 48 = 0;
+  std::uint64_t dst : 16 = 0;  // kInject: destination rank; otherwise 0
   std::uint32_t bytes = 0;    // kInject: payload size; otherwise 0
   std::uint16_t rank = 0;     // rank whose ring holds the record
   HopKind kind = HopKind::kInject;
@@ -174,14 +178,15 @@ class MsgTrace {
     Time t_end = 0;
     bool complete = false;  // kInject survived the ring (decomposable)
     std::array<Time, kNumCats> cat{};
-    std::vector<HopRecord> hops;  // time-ordered
+    std::vector<HopRecord> hops;  // by time, then record order
 
     Time latency() const { return t_end - t_begin; }
     Time cat_sum() const;
   };
 
-  /// Groups surviving hop records by message, time-orders them, and runs the
-  /// later-hop decomposition. Sorted by t_begin, then id.
+  /// Groups surviving hop records by message, orders them by time and then
+  /// record order, and runs the later-hop decomposition. Sorted by t_begin,
+  /// then id.
   std::vector<MsgSummary> summarize() const;
 
   struct CritPath {
@@ -211,11 +216,12 @@ class MsgTrace {
     std::uint64_t next_seq = 0;
   };
 
-  void append(Lane& lane, const HopRecord& rec);
+  void append(Lane& lane, HopRecord rec);
   /// All surviving records of `lane`, oldest first.
   std::vector<HopRecord> lane_records(const Lane& lane) const;
 
   std::vector<Lane> lanes_;
+  std::uint64_t next_hop_seq_ = 0;  // HopRecord::seq of the next record
   std::uint64_t sample_every_;
   Profiler* profiler_ = nullptr;
 };

@@ -480,8 +480,7 @@ struct PerfettoView {
 /// message's flow_id. A leg runs from a chan_start to the next deliver. It
 /// departs at the last issue or match_hit (the send call) its rank recorded
 /// before the chan_start, else at the chan_start itself: a NIC-generated
-/// response has no send call, and a match_hit in the same picosecond as the
-/// CTS it sends sorts after that CTS's chan_start.
+/// response has no send call.
 void add_messages(const Artifact& mt, PerfettoView& view) {
   struct Hop {
     int rank = -1;  // -1: none

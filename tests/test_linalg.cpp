@@ -93,9 +93,10 @@ std::vector<double> random_tile(int b, narma::Xoshiro256& rng) {
 
 }  // namespace
 
-// Tile dimensions for the bit-identity checks: b % 4 and b % 8 != 0 cover
-// the blocked kernels' edge rows and columns, b > 64 tiles wider than the
-// benchmarks use, and b = 257 a k loop longer than one packed panel (256).
+// Tile dimensions for the bit-identity checks: b % 4, b % 8 and b % 16 != 0
+// cover the blocked kernels' edge rows and columns, b > 64 tiles wider than
+// the benchmarks use, and b = 257 a k loop longer than the 256-deep panel
+// the kernels once packed in chunks.
 constexpr int kTileDims[] = {1,  2,  3,  4,  5,  7,  8,   9,
                              16, 31, 32, 33, 64, 65, 100, 257};
 
@@ -146,6 +147,54 @@ TEST_P(UpdateKernels, Avx2PathBitIdentical) {
   if (!kernel_isa_supported(KernelIsa::kAvx2))
     GTEST_SKIP() << "CPU lacks AVX2";
   expect_isa_bit_identical(KernelIsa::kAvx2, GetParam());
+}
+
+TEST_P(UpdateKernels, Avx512PathBitIdentical) {
+  if (!kernel_isa_supported(KernelIsa::kAvx512))
+    GTEST_SKIP() << "CPU lacks AVX-512F";
+  expect_isa_bit_identical(KernelIsa::kAvx512, GetParam());
+}
+
+// One column step on every supported path: a SYRK and three GEMMs against
+// one packed B^T give the bits of per-call syrk/gemm on that path. Between
+// the updates another panel is packed and a per-call update runs on the
+// same thread, as other ranks' fibers do while a rank waits for a tile.
+TEST_P(UpdateKernels, PackedPanelColumnStepBitIdentical) {
+  const int b = GetParam();
+  constexpr int kGemms = 3;
+  const std::size_t bytes = static_cast<std::size_t>(b) * b * sizeof(double);
+  for (const KernelIsa isa :
+       {KernelIsa::kBaseline, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (!kernel_isa_supported(isa)) continue;
+    narma::Xoshiro256 rng(static_cast<std::uint64_t>(b) + 3000);
+    const auto bt = random_tile(b, rng), other = random_tile(b, rng);
+    auto diag = random_tile(b, rng), diag_ref = diag;
+    std::vector<std::vector<double>> a, c, ref;
+    for (int i = 0; i < kGemms; ++i) {
+      a.push_back(random_tile(b, rng));
+      c.push_back(random_tile(b, rng));
+    }
+    ref = c;
+
+    PackedPanel panel(isa), intruder(isa);
+    panel.pack(bt.data(), b);
+    panel.update(bt.data(), diag.data());
+    for (std::size_t i = 0; i < kGemms; ++i) {
+      intruder.pack(other.data(), b);
+      auto scratch = other;
+      gemm_nt_isa(isa, other.data(), other.data(), scratch.data(), b);
+      panel.update(a[i].data(), c[i].data());
+    }
+
+    gemm_nt_isa(isa, bt.data(), bt.data(), diag_ref.data(), b);
+    for (std::size_t i = 0; i < kGemms; ++i)
+      gemm_nt_isa(isa, a[i].data(), bt.data(), ref[i].data(), b);
+    EXPECT_EQ(std::memcmp(diag.data(), diag_ref.data(), bytes), 0)
+        << "syrk, isa " << static_cast<int>(isa) << " b=" << b;
+    for (std::size_t i = 0; i < kGemms; ++i)
+      EXPECT_EQ(std::memcmp(c[i].data(), ref[i].data(), bytes), 0)
+          << "gemm " << i << ", isa " << static_cast<int>(isa) << " b=" << b;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(TileDims, UpdateKernels,

@@ -1,6 +1,7 @@
 // Tests of causal message tracing (src/obs/msgtrace): the LogGP latency
 // decomposition identity, cycle-identity of instrumented vs bare runs,
-// causal ordering of consumer-side hops, sampling, ring wrap accounting,
+// causal ordering of consumer-side hops and of same-picosecond hops,
+// sampling, ring wrap accounting,
 // critical-path extraction, the narma.msgtrace.v1 JSON schema, and the
 // PSCW sync messages.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/pingpong.hpp"
 #include "common/json.hpp"
 #include "core/world.hpp"
 #include "obs/msgtrace.hpp"
@@ -338,4 +340,33 @@ TEST(MsgTrace, PscwSyncMessagesAreTraced) {
   }
   const std::vector<std::pair<int, int>> want = {{1, 0}, {0, 1}};
   EXPECT_EQ(syncs, want);  // post, then complete
+}
+
+// A rendezvous send's CTS leaves the receiver in the picosecond of the
+// match that sends it. Hops order by time, then by record order, so every
+// CTS leg's chan_start follows its match_hit on the same rank, at the same
+// time (ordering ties by hop kind put the chan_start first).
+TEST(MsgTrace, RendezvousCtsLegStartsAtItsMatch) {
+  World world(2, traced());
+  apps::PingPongConfig cfg;
+  cfg.bytes = 65536;  // past the eager threshold: RTS, CTS, data
+  cfg.scheme = apps::PingPongScheme::kMessagePassing;
+  world.run([&](Rank& self) { apps::run_pingpong(self, cfg); });
+  int legs = 0;
+  for (const auto& m : world.msgtrace()->summarize()) {
+    if (m.op != obs::MsgOp::kRdzvSend) continue;
+    int starts = 0;
+    for (std::size_t i = 0; i < m.hops.size(); ++i) {
+      if (m.hops[i].kind != obs::HopKind::kChanStart || ++starts != 2)
+        continue;
+      ASSERT_GT(i, 0u);
+      const obs::HopRecord& cts = m.hops[i];
+      const obs::HopRecord& match = m.hops[i - 1];
+      EXPECT_EQ(match.kind, obs::HopKind::kMatchHit) << "message " << m.id;
+      EXPECT_EQ(match.rank, cts.rank) << "message " << m.id;
+      EXPECT_EQ(match.t, cts.t) << "message " << m.id;
+      ++legs;
+    }
+  }
+  EXPECT_EQ(legs, 2 * (cfg.reps + 3));  // both directions, warm-ups too
 }

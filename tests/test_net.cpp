@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/nic.hpp"
 #include "net/router.hpp"
 
@@ -415,4 +416,107 @@ TEST(NetMemory, RegistrationSlotReuse) {
   nic.deregister_memory(k1);
   const net::MemKey k2 = nic.register_memory(&b, 8);
   EXPECT_EQ(k1, k2);  // slot reused
+}
+
+namespace {
+
+/// next_pending_time by definition: the earliest arrival stamped after the
+/// rank's clock over every entry of the three inbound queues.
+Time scan_pending_time(net::Nic& nic) {
+  const Time now = nic.ctx().now();
+  Time t = net::Nic::kNoPending;
+  auto scan = [&](const auto& q) {
+    for (std::size_t i = 0; i < q.size(); ++i)
+      if (q.peek(i).time > now) t = std::min(t, q.peek(i).time);
+  };
+  scan(nic.dest_cq());
+  scan(nic.shm_ring());
+  scan(nic.mailbox());
+  return t;
+}
+
+}  // namespace
+
+// Two senders run ahead of a lagging target with notified puts, control
+// messages and shm notifications, under delivery jitter; the target
+// advances its clock in random steps and drains random batches. Odd seeds
+// run the fatal overflow policy (direct pushes), even ones backpressure
+// with forced queue pressure (spills and redeliveries). Before and after
+// every drain the incremental next_pending_time equals the scan over the
+// queues.
+TEST(NetPendingTime, MatchesQueueScan) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const bool spills = seed % 2 == 0;
+    net::FabricParams p;
+    p.ranks_per_node = 3;
+    p.faults.seed = seed;
+    p.faults.delay_rate = 0.5;
+    if (spills) {
+      p.faults.pressure_rate = 0.3;
+      p.faults.overflow_policy = net::OverflowPolicy::kBackpressure;
+    }
+    NetFixture f(3, p);
+    double cell = 0;
+    const net::MemKey key =
+        f.fabric.nic(2).register_memory(&cell, sizeof(cell));
+    constexpr int kSends = 400;
+    int received = 0, checks = 0, future = 0;
+    f.engine.run([&](sim::RankCtx& r) {
+      net::Nic& nic = f.fabric.nic(r.id());
+      Xoshiro256 rng(seed * 16 + static_cast<std::uint64_t>(r.id()));
+      if (r.id() < 2) {
+        net::PendingOps po;
+        const double v = 1.0;  // read by the puts until the flush below
+        for (int i = 0; i < kSends; ++i) {
+          r.advance(ns(rng.next_below(400)));
+          switch (rng.next_below(3)) {
+            case 0:
+              nic.put(2, key, 0, &v, sizeof(v),
+                      {true, net::encode_imm(r.id(), 1), 0}, &po);
+              break;
+            case 1: {
+              net::NetMsg m;
+              m.kind = 7;
+              nic.send_msg(2, std::move(m));
+              break;
+            }
+            default: {
+              net::ShmNotification n{};
+              n.imm = net::encode_imm(r.id(), 2);
+              nic.send_shm_notification(2, n, &po);
+            }
+          }
+          if (rng.next_below(8) == 0) r.drain();
+        }
+        nic.flush(po);
+        return;
+      }
+      std::array<net::HwNotification, 8> batch;
+      while (received < 2 * kSends) {
+        r.yield_until(r.now() + ns(rng.next_below(600)));
+        EXPECT_EQ(nic.next_pending_time(), scan_pending_time(nic))
+            << "seed " << seed;
+        if (rng.next_below(2)) r.drain();
+        const auto want = 1 + rng.next_below(batch.size());
+        received += static_cast<int>(
+            nic.pop_hw_batch(std::span(batch).first(want)));
+        while (!nic.mailbox().empty() &&
+               nic.mailbox().front().time <= r.now() &&
+               rng.next_below(4) != 0) {
+          nic.pop_mailbox();
+          ++received;
+        }
+        const Time want_t = scan_pending_time(nic);
+        EXPECT_EQ(nic.next_pending_time(), want_t) << "seed " << seed;
+        ++checks;
+        future += want_t != net::Nic::kNoPending;
+      }
+      EXPECT_EQ(nic.next_pending_time(), net::Nic::kNoPending);
+    });
+    EXPECT_EQ(received, 2 * kSends);
+    if (spills) {
+      EXPECT_GT(f.fabric.counters().retries, 0u) << "no spill was exercised";
+    }
+    EXPECT_GT(future, checks / 4) << "too few future-stamped entries";
+  }
 }

@@ -34,6 +34,7 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/pingpong.hpp"
 #include "apps/stencil.hpp"
 #include "common/json.hpp"
 #include "core/world.hpp"
@@ -236,8 +237,8 @@ std::multiset<Arrow> rendered_arrows(const json::Value& doc) {
 
 /// The legs of one msgtrace.json message, by the rule the export documents:
 /// a leg runs from a chan_start to the next deliver, and departs at the
-/// latest issue or match_hit its rank recorded since the previous leg, at
-/// or before the chan_start's time, else at the chan_start.
+/// last issue or match_hit its rank recorded between the previous leg and
+/// the chan_start, else at the chan_start.
 std::vector<Arrow> legs_of(const json::Value& m) {
   const json::Array& hops = m["hops"].as_array();
   const auto id = static_cast<std::int64_t>(m.number_or("flow_id", 0));
@@ -249,14 +250,13 @@ std::vector<Arrow> legs_of(const json::Value& m) {
   for (std::size_t c = 0; c < hops.size(); ++c) {
     if (hops[c].string_or("kind", "") != "chan_start") continue;
     const long long rank = num(hops[c], "rank"), t = num(hops[c], "t_ps");
-    long long begin = t, sent = -1;
-    for (std::size_t i = after; i < hops.size(); ++i) {
+    long long begin = t;
+    for (std::size_t i = after; i < c; ++i) {
       const std::string kind = hops[i].string_or("kind", "");
       if ((kind == "issue" || kind == "match_hit") &&
-          num(hops[i], "rank") == rank && num(hops[i], "t_ps") <= t)
-        sent = std::max(sent, num(hops[i], "t_ps"));
+          num(hops[i], "rank") == rank)
+        begin = num(hops[i], "t_ps");
     }
-    if (sent >= 0) begin = sent;
     after = c + 1;
     for (std::size_t d = c + 1; d < hops.size(); ++d) {
       const std::string kind = hops[d].string_or("kind", "");
@@ -268,6 +268,32 @@ std::vector<Arrow> legs_of(const json::Value& m) {
     }
   }
   return out;
+}
+
+/// Renders run directory `dir` with `timeline --perfetto` and expects its
+/// arrows to be exactly the legs of its msgtrace.json; `legs_per_msg` gets
+/// each message's leg count, by op.
+void expect_arrows_are_legs(
+    const std::string& dir,
+    std::map<std::string, std::vector<std::size_t>>* legs_per_msg) {
+  const std::string perfetto = dir + "/perfetto.json";
+  const Outcome o = timeline(dir, perfetto);
+  ASSERT_EQ(o.result.status, obs::ReadStatus::kOk) << o.result.diagnostic;
+  EXPECT_NE(o.out.find("wrote Perfetto trace to " + perfetto),
+            std::string::npos)
+      << o.out;
+
+  const json::ParseResult mt = json::parse_file(dir + "/msgtrace.json");
+  const json::ParseResult rendered = json::parse_file(perfetto);
+  ASSERT_TRUE(mt.ok) << mt.error;
+  ASSERT_TRUE(rendered.ok) << rendered.error;
+  std::multiset<Arrow> legs;
+  for (const json::Value& m : mt.value["messages"].as_array()) {
+    const std::vector<Arrow> l = legs_of(m);
+    legs.insert(l.begin(), l.end());
+    (*legs_per_msg)[m.string_or("op", "?")].push_back(l.size());
+  }
+  EXPECT_EQ(rendered_arrows(rendered.value), legs);
 }
 
 // A 2-rank run of every message shape the paper's schemes put on the wire:
@@ -304,33 +330,43 @@ TEST(Readers, PerfettoArrowsAreTheMsgtraceLegs) {
     }
   });
   ASSERT_EQ(world.write_artifacts(dir), "");
-  const std::string perfetto = dir + "/perfetto.json";
-  const Outcome o = timeline(dir, perfetto);
-  ASSERT_EQ(o.result.status, obs::ReadStatus::kOk) << o.result.diagnostic;
-  EXPECT_NE(o.out.find("wrote Perfetto trace to " + perfetto),
-            std::string::npos)
-      << o.out;
-
-  const json::ParseResult mt = json::parse_file(dir + "/msgtrace.json");
-  const json::ParseResult rendered = json::parse_file(perfetto);
-  ASSERT_TRUE(mt.ok) << mt.error;
-  ASSERT_TRUE(rendered.ok) << rendered.error;
-  std::multiset<Arrow> legs;
-  std::map<std::string, std::set<std::size_t>> legs_per_msg;  // by op
-  for (const json::Value& m : mt.value["messages"].as_array()) {
-    const std::vector<Arrow> l = legs_of(m);
-    legs.insert(l.begin(), l.end());
-    legs_per_msg[m.string_or("op", "?")].insert(l.size());
-  }
-  EXPECT_EQ(rendered_arrows(rendered.value), legs);
+  std::map<std::string, std::vector<std::size_t>> legs_per_msg;
+  ASSERT_NO_FATAL_FAILURE(expect_arrows_are_legs(dir, &legs_per_msg));
 
   // One leg per one-way message, three for the rendezvous (RTS, CTS, data).
+  auto distinct = [&](const char* op) {
+    const std::vector<std::size_t>& v = legs_per_msg[op];
+    return std::set<std::size_t>(v.begin(), v.end());
+  };
   const std::set<std::size_t> one{1}, three{3};
-  EXPECT_EQ(legs_per_msg["put_notify"], one);
-  EXPECT_EQ(legs_per_msg["put"], one);
-  EXPECT_EQ(legs_per_msg["pscw_sync"], one);
-  EXPECT_EQ(legs_per_msg["rdzv_send"], three);
-  EXPECT_TRUE(legs_per_msg["eager_send"].count(1));
+  EXPECT_EQ(distinct("put_notify"), one);
+  EXPECT_EQ(distinct("put"), one);
+  EXPECT_EQ(distinct("pscw_sync"), one);
+  EXPECT_EQ(distinct("rdzv_send"), three);
+  EXPECT_TRUE(distinct("eager_send").count(1));
+}
+
+// A non-inline intra-node put_notify moves its payload with a put on the
+// shm channel, then sends the notification behind it. Both are messages on
+// the wire, so a 64-byte intra-node ping-pong draws two arrows per
+// put_notify: the data put's and the notification's, each one leg.
+TEST(Readers, PerfettoDrawsIntranodePutNotifyDataLegs) {
+  const std::string dir = fresh_dir("readers_intranode");
+  WorldParams wp;
+  wp.obs.msgtrace = true;
+  wp.fabric.ranks_per_node = 2;
+  apps::PingPongConfig cfg;
+  cfg.bytes = 64;  // past the inline capacity of a ring entry
+  cfg.scheme = apps::PingPongScheme::kNotifiedPut;
+  World world(2, wp);
+  world.run([&](Rank& self) { apps::run_pingpong(self, cfg); });
+  ASSERT_EQ(world.write_artifacts(dir), "");
+  std::map<std::string, std::vector<std::size_t>> legs_per_msg;
+  ASSERT_NO_FATAL_FAILURE(expect_arrows_are_legs(dir, &legs_per_msg));
+
+  const std::vector<std::size_t> each_one(2 * (cfg.reps + 3), 1);
+  EXPECT_EQ(legs_per_msg["put_notify"], each_one);
+  EXPECT_EQ(legs_per_msg["put"], each_one);
 }
 
 // --- seeded mutations over real run directories -----------------------------
