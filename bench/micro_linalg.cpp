@@ -47,11 +47,14 @@ static void BM_GemmNt(benchmark::State& state, KernelIsa isa) {
   }
   set_rate(state, linalg::flops_gemm(b));
 }
+// b = 8..32 brackets the crossover where the default path switches (see
+// linalg::update_isa); 64 is past it.
 BENCHMARK_CAPTURE(BM_GemmNt, baseline, KernelIsa::kBaseline)
-    ->Arg(8)->Arg(32)->Arg(64);
-BENCHMARK_CAPTURE(BM_GemmNt, avx2, KernelIsa::kAvx2)->Arg(8)->Arg(32)->Arg(64);
+    ->Arg(8)->Arg(12)->Arg(16)->Arg(24)->Arg(32)->Arg(64);
+BENCHMARK_CAPTURE(BM_GemmNt, avx2, KernelIsa::kAvx2)
+    ->Arg(8)->Arg(12)->Arg(16)->Arg(24)->Arg(32)->Arg(64);
 BENCHMARK_CAPTURE(BM_GemmNt, avx512, KernelIsa::kAvx512)
-    ->Arg(8)->Arg(32)->Arg(64);
+    ->Arg(8)->Arg(12)->Arg(16)->Arg(24)->Arg(32)->Arg(64);
 
 // One column step (j, k) of the left-looking Cholesky at the Fig. 5 shape
 // (b = 32, nt = 48, j = 0 after the first column): a SYRK into the

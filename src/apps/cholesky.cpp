@@ -1,7 +1,6 @@
 #include "apps/cholesky.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -28,16 +27,14 @@ class CholeskyRun {
         tile_bytes_(tile_elems_ * sizeof(double)),
         gen_(cfg.nt * cfg.b, cfg.seed),
         present_(static_cast<std::size_t>(cfg.nt) * cfg.nt, 0),
-        tiles_(static_cast<double*>(std::aligned_alloc(
-            page_size(), round_up_to_pages(lower_tiles() * tile_bytes_)))) {
+        // Every rank writes each strictly-lower slot, by generating or
+        // receiving it, so that dense front is mapped in now, on huge pages
+        // where it fills them. Diagonal slots of other ranks' columns are
+        // never written and stay unmapped.
+        tiles_(lower_tiles() * tile_bytes_,
+               total_broadcast_tiles() * tile_bytes_) {
     NARMA_CHECK(nt_ * nt_ < mp::kMaxUserTag)
         << "tile coordinate does not fit the tag encoding (nt too large)";
-    NARMA_CHECK(tiles_ != nullptr) << "out of memory for the tile slots";
-    // Every rank writes each strictly-lower slot, by generating or receiving
-    // it: map those pages now, one call per tile row, instead of faulting
-    // them in on delivery. Diagonal slots of other ranks' columns are never
-    // written and stay unmapped.
-    for (int i = 1; i < nt_; ++i) commit_pages(tile(i, 0), tile(i, i));
     // Generate only the tiles of the owned columns; every other slot is
     // filled by the broadcast before it is read.
     for (int j = 0; j < nt_; ++j) {
@@ -45,8 +42,8 @@ class CholeskyRun {
       for (int i = j; i < nt_; ++i) gen_.fill_tile(i, j, b_, tile(i, j));
     }
 
-    tile_win_ = self_.rma().create(
-        tiles_.get(), lower_tiles() * tile_bytes_, sizeof(double));
+    tile_win_ = self_.rma().create(tiles_.data(), lower_tiles() * tile_bytes_,
+                                   sizeof(double));
     // One-sided notification window: slot 0 is the reservation counter,
     // slots 1.. hold coordinates (+1 so 0 means empty). Sized for every
     // broadcast arrival; the paper uses a ring buffer — with a full-size
@@ -66,6 +63,12 @@ class CholeskyRun {
 
   CholeskyResult run();
 
+  /// Every slot, in tile_slot order.
+  std::span<const double> slots() const {
+    return {static_cast<const double*>(tiles_.data()),
+            lower_tiles() * tile_elems_};
+  }
+
  private:
   std::size_t lower_tiles() const {
     return static_cast<std::size_t>(nt_) * (nt_ + 1) / 2;
@@ -75,14 +78,15 @@ class CholeskyRun {
     return static_cast<std::size_t>(nt_) * (nt_ - 1) / 2;
   }
 
-  /// Packed lower-triangle tile index of (i, k), i >= k.
-  std::size_t packed(int i, int k) const {
+  std::size_t slot(int i, int k) const {
     NARMA_ASSERT(i >= k);
-    return static_cast<std::size_t>(i) * (i + 1) / 2 + k;
+    return tile_slot(nt_, i, k);
   }
-  double* tile(int i, int k) { return tiles_.get() + packed(i, k) * tile_elems_; }
+  double* tile(int i, int k) {
+    return static_cast<double*>(tiles_.data()) + slot(i, k) * tile_elems_;
+  }
   std::uint64_t tile_disp(int i, int k) const {
-    return packed(i, k) * tile_elems_;  // disp unit = double
+    return slot(i, k) * tile_elems_;  // disp unit = double
   }
 
   int owner(int col) const { return col % n_; }
@@ -213,14 +217,10 @@ class CholeskyRun {
   std::size_t tile_elems_, tile_bytes_;
   linalg::SpdGenerator gen_;  // regenerates A's entries for verification
   std::vector<char> present_;
-  // Packed lower-triangle tile storage, page-aligned (8 KB slots are page
-  // pairs) and uninitialized: a slot is written (generated or received)
-  // before it is read, and the pages of tiles a rank never touches are
-  // never mapped.
-  struct Free {
-    void operator()(double* p) const { std::free(p); }
-  };
-  std::unique_ptr<double[], Free> tiles_;
+  // Lower-triangle tile storage in tile_slot order, 2 MiB-aligned: a slot
+  // is written (generated or received) before it is read, and the pages of
+  // diagonal tiles a rank never touches are never mapped.
+  PageRegion tiles_;
   std::unique_ptr<rma::Window> tile_win_;
   std::unique_ptr<rma::Window> notif_win_;
   // Staging area for in-flight coordinate puts. A deque: elements must stay
@@ -340,11 +340,19 @@ CholeskyResult CholeskyRun::run() {
 }  // namespace
 
 CholeskyResult run_cholesky(Rank& self, const CholeskyConfig& cfg) {
+  return run_cholesky(self, cfg, nullptr);
+}
+
+CholeskyResult run_cholesky(
+    Rank& self, const CholeskyConfig& cfg,
+    const std::function<void(std::span<const double> tiles)>& inspect) {
   NARMA_CHECK(cfg.nt >= 1 && cfg.b >= 1);
   NARMA_CHECK(cfg.model_gflops > 0)
       << "model_gflops must be positive (got " << cfg.model_gflops << ")";
   CholeskyRun run(self, cfg);
-  return run.run();
+  const CholeskyResult res = run.run();
+  if (inspect) inspect(run.slots());
+  return res;
 }
 
 }  // namespace narma::apps

@@ -21,6 +21,10 @@
 //    coordinate from the returned status.
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <span>
+
 #include "core/world.hpp"
 
 namespace narma::apps {
@@ -58,5 +62,23 @@ struct CholeskyResult {
 
 /// Collective. Requires nt*nt below the tag-encoding limit (checked).
 CholeskyResult run_cholesky(Rank& self, const CholeskyConfig& cfg);
+
+/// run_cholesky, then `inspect(tiles)` on each rank while its tile storage
+/// is still mapped: every slot in tile_slot order, b*b doubles each. Tests
+/// read the layout and the residency of the storage through it.
+CholeskyResult run_cholesky(
+    Rank& self, const CholeskyConfig& cfg,
+    const std::function<void(std::span<const double> tiles)>& inspect);
+
+/// Slot of tile (i, k), 0 <= k <= i < nt, in a rank's tile storage: the
+/// nt(nt-1)/2 strictly-lower tiles first, row by row, then the nt diagonal
+/// ones. Every rank writes each strictly-lower slot, generated or
+/// broadcast, so those form one dense front; diagonal slot j is written
+/// only by the owner of column j.
+inline std::size_t tile_slot(int nt, int i, int k) {
+  const auto ui = static_cast<std::size_t>(i);
+  return i > k ? ui * (ui - 1) / 2 + static_cast<std::size_t>(k)
+               : static_cast<std::size_t>(nt) * (nt - 1) / 2 + ui;
+}
 
 }  // namespace narma::apps

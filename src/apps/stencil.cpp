@@ -30,15 +30,11 @@ int global_start(int total_cols, int nranks, int rank) {
 /// global columns gs..gs+width-1.
 class LocalGrid {
  public:
+  /// Zeroed (the vector's one pass over the grid), then the boundaries.
   LocalGrid(int rows, int width, int gs)
       : rows_(rows), width_(width), gs_(gs),
         data_(static_cast<std::size_t>(rows) *
               static_cast<std::size_t>(width + 1)) {
-    reset();
-  }
-
-  void reset() {
-    std::fill(data_.begin(), data_.end(), 0.0);
     // Row 0 carries the global column index (including the ghost).
     for (int j = 0; j <= width_; ++j) at(0, j) = gs_ - 1 + j;
     // Rank 0's leftmost real column is the i-boundary.

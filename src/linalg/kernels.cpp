@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <optional>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -191,15 +192,6 @@ UpdateFn update_fn(KernelIsa isa) {
   return update_baseline;
 }
 
-/// The widest supported path, picked once.
-KernelIsa widest_isa() {
-  static const KernelIsa isa =
-      kernel_isa_supported(KernelIsa::kAvx512) ? KernelIsa::kAvx512
-      : kernel_isa_supported(KernelIsa::kAvx2) ? KernelIsa::kAvx2
-                                               : KernelIsa::kBaseline;
-  return isa;
-}
-
 /// C -= A * B^T on a supported path, packing B^T into a per-thread panel.
 /// Ranks' fibers share a thread, but a kernel runs to completion without
 /// yielding, so one panel per path serves them all.
@@ -216,13 +208,12 @@ void update_per_call(KernelIsa isa, const double* a, const double* bt,
 
 void PackedPanel::Free::operator()(double* p) const { std::free(p); }
 
-PackedPanel::PackedPanel() : isa_(widest_isa()) {}
-
-PackedPanel::PackedPanel(KernelIsa isa) : isa_(isa) {
+PackedPanel::PackedPanel(KernelIsa isa) : by_size_(false), isa_(isa) {
   NARMA_CHECK(kernel_isa_supported(isa)) << "update kernel ISA not supported";
 }
 
 void PackedPanel::pack(const double* bt, int b) {
+  if (by_size_) isa_ = update_isa(b);
   const int nr = nr_of(isa_);
   const std::size_t need = panel_size(b, nr);
   if (need > capacity_) {
@@ -250,7 +241,7 @@ void PackedPanel::update(const double* a, double* c) const {
 void syrk_lower(const double* a, double* c, int b) { gemm_nt(a, a, c, b); }
 
 void gemm_nt(const double* a, const double* bt, double* c, int b) {
-  update_per_call(widest_isa(), a, bt, c, b);
+  update_per_call(update_isa(b), a, bt, c, b);
 }
 
 bool kernel_isa_supported(KernelIsa isa) {
@@ -262,6 +253,20 @@ bool kernel_isa_supported(KernelIsa isa) {
 #else
   return false;
 #endif
+}
+
+KernelIsa update_isa(int b) {
+  // Widest first; the CPU's support is looked up once.
+  static const std::vector<KernelIsa> supported = [] {
+    std::vector<KernelIsa> v;
+    for (const KernelIsa isa :
+         {KernelIsa::kAvx512, KernelIsa::kAvx2, KernelIsa::kBaseline})
+      if (kernel_isa_supported(isa)) v.push_back(isa);
+    return v;
+  }();
+  for (const KernelIsa isa : supported)
+    if (b % nr_of(isa) == 0) return isa;
+  return supported.front();
 }
 
 void gemm_nt_isa(KernelIsa isa, const double* a, const double* bt, double* c,

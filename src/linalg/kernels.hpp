@@ -30,10 +30,17 @@ void gemm_nt(const double* a, const double* bt, double* c, int b);
 
 /// Instruction-set paths of the SYRK/GEMM update. Every path is
 /// bit-identical to the naive ascending-k loop; syrk_lower, gemm_nt and a
-/// default PackedPanel run the widest one the CPU supports (kAvx2 and
-/// kAvx512 only on x86-64).
+/// default PackedPanel run the one update_isa picks (kAvx2 and kAvx512 only
+/// on x86-64).
 enum class KernelIsa { kBaseline, kAvx2, kAvx512 };
 bool kernel_isa_supported(KernelIsa isa);
+
+/// The path for b x b tiles: the widest supported one whose column block
+/// (4, 8 or 16 doubles) divides b, else the widest supported. A block that
+/// runs past the tile's edge multiplies padding and stores its columns one
+/// at a time, which costs more than narrower vectors do: bench/micro_linalg
+/// BM_GemmNt runs b = 8 and 24 faster on AVX2 than on AVX-512.
+KernelIsa update_isa(int b);
 
 /// gemm_nt on one given path (tests and microbenchmarks); `isa` must be
 /// supported.
@@ -48,8 +55,8 @@ void gemm_nt_isa(KernelIsa isa, const double* a, const double* bt, double* c,
 /// pack() on this handle whatever other code runs in between.
 class PackedPanel {
  public:
-  /// Packs for the widest path the CPU supports.
-  PackedPanel();
+  /// Packs for update_isa(b) of each pack's b.
+  PackedPanel() = default;
   /// Packs for `isa`, which must be supported.
   explicit PackedPanel(KernelIsa isa);
 
@@ -62,7 +69,8 @@ class PackedPanel {
   struct Free {
     void operator()(double* p) const;
   };
-  KernelIsa isa_;
+  bool by_size_ = true;  // pick isa_ per pack with update_isa
+  KernelIsa isa_ = KernelIsa::kBaseline;
   int b_ = 0;
   std::size_t capacity_ = 0;  // doubles allocated
   std::unique_ptr<double[], Free> data_;

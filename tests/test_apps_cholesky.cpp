@@ -3,12 +3,14 @@
 // tile shapes, and the distributed factor must equal the sequential
 // reference.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "apps/cholesky.hpp"
+#include "common/pages.hpp"
 #include "linalg/matrix.hpp"
 
 using namespace narma;
@@ -194,6 +196,68 @@ TEST(CholEdge, MoreRanksThanColumns) {
     if (self.id() == 0) res = r;
   });
   EXPECT_TRUE(res.verified);
+}
+
+// Strictly-lower tiles fill slots [0, nt(nt-1)/2), the diagonal follows.
+TEST(CholLayout, StrictlyLowerSlotsFirstThenDiagonal) {
+  for (int nt = 1; nt <= 9; ++nt) {
+    const std::size_t lower = static_cast<std::size_t>(nt) * (nt - 1) / 2;
+    std::vector<int> seen(lower + static_cast<std::size_t>(nt), 0);
+    for (int i = 0; i < nt; ++i)
+      for (int k = 0; k < i; ++k) {
+        const std::size_t s = tile_slot(nt, i, k);
+        ASSERT_LT(s, lower) << "nt=" << nt << " (" << i << "," << k << ")";
+        ++seen[s];
+      }
+    for (int j = 0; j < nt; ++j) {
+      EXPECT_EQ(tile_slot(nt, j, j), lower + static_cast<std::size_t>(j))
+          << "nt=" << nt;
+      ++seen[tile_slot(nt, j, j)];
+    }
+    EXPECT_EQ(seen, std::vector<int>(seen.size(), 1)) << "nt=" << nt;
+  }
+}
+
+// After a run, a rank's storage is resident exactly where it wrote: every
+// strictly-lower slot and the diagonal slots of its own columns. A page
+// of another rank's diagonal slot is never mapped.
+TEST(CholLayout, OtherRanksDiagonalSlotsStayUnmapped) {
+  constexpr int kRanks = 4, kNt = 12, kB = 32;
+  const std::size_t tile_bytes = kB * kB * sizeof(double);
+  const std::size_t page = page_size();
+  std::vector<std::vector<unsigned char>> resident(kRanks);
+  std::vector<CholeskyResult> results(kRanks);
+  World world(kRanks);
+  world.run([&](Rank& self) {
+    CholeskyConfig cfg;
+    cfg.nt = kNt;
+    cfg.b = kB;
+    const auto p = static_cast<std::size_t>(self.id());
+    results[p] = run_cholesky(self, cfg, [&](std::span<const double> tiles) {
+      resident[p].resize((tiles.size_bytes() + page - 1) / page);
+      ASSERT_EQ(mincore(const_cast<double*>(tiles.data()), tiles.size_bytes(),
+                        resident[p].data()),
+                0);
+    });
+  });
+  for (int p = 0; p < kRanks; ++p) {
+    EXPECT_TRUE(results[static_cast<std::size_t>(p)].verified) << p;
+    const auto& bits = resident[static_cast<std::size_t>(p)];
+    ASSERT_FALSE(bits.empty());
+    // Pages some write of this rank touches: the strictly-lower slots and
+    // the diagonal slots of its own columns (column j is owned by j % n).
+    std::vector<int> written(bits.size(), 0);
+    auto mark = [&](std::size_t slot) {
+      const std::size_t first = slot * tile_bytes / page;
+      const std::size_t last = ((slot + 1) * tile_bytes - 1) / page;
+      for (std::size_t q = first; q <= last; ++q) written[q] = 1;
+    };
+    for (int i = 0; i < kNt; ++i)
+      for (int k = 0; k <= i; ++k)
+        if (k < i || k % kRanks == p) mark(tile_slot(kNt, i, k));
+    for (std::size_t q = 0; q < bits.size(); ++q)
+      EXPECT_EQ(bits[q] & 1, written[q]) << "rank " << p << " page " << q;
+  }
 }
 
 // Kernels are always charged at the modeled rate, so it must be positive.

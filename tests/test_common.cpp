@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/env.hpp"
 #include "common/file.hpp"
@@ -274,4 +278,132 @@ TEST(Pages, CommitMapsOnlyTheWholePagesInside) {
   ASSERT_EQ(rc, 0);
   for (int i = 0; i < 8; ++i)
     EXPECT_EQ(resident[i] & 1, i >= 1 && i <= 4 ? 1 : 0) << "page " << i;
+}
+
+namespace {
+
+/// Whether the kernel maps pages in on MADV_POPULATE_WRITE.
+bool can_commit() {
+  const std::size_t page = page_size();
+  void* map = mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (map == MAP_FAILED) return false;
+  char* base = static_cast<char*>(map);
+  const bool ok = commit_pages(base, base + page);
+  munmap(map, page);
+  return ok;
+}
+
+/// mincore bits of the region, one per page.
+std::vector<int> resident_pages(const PageRegion& r) {
+  std::vector<unsigned char> vec(r.size() / page_size());
+  EXPECT_EQ(mincore(r.data(), r.size(), vec.data()), 0);
+  std::vector<int> bits;
+  for (const unsigned char v : vec) bits.push_back(v & 1);
+  return bits;
+}
+
+/// One mapping of /proc/self/smaps that overlaps [lo, hi).
+struct Vma {
+  std::uintptr_t lo = 0, hi = 0;
+  long anon_huge_kb = 0;
+  std::string flags;
+};
+
+std::vector<Vma> vmas_within(const void* begin, std::size_t bytes) {
+  const auto lo = reinterpret_cast<std::uintptr_t>(begin);
+  const std::uintptr_t hi = lo + bytes;
+  std::ifstream in("/proc/self/smaps");
+  std::vector<Vma> all;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string key;
+    ls >> key;
+    const std::size_t dash = key.find('-');
+    if (dash != std::string::npos && key.back() != ':') {
+      Vma v;
+      v.lo = std::stoull(key.substr(0, dash), nullptr, 16);
+      v.hi = std::stoull(key.substr(dash + 1), nullptr, 16);
+      all.push_back(v);
+    } else if (!all.empty() && key == "AnonHugePages:") {
+      ls >> all.back().anon_huge_kb;
+    } else if (!all.empty() && key == "VmFlags:") {
+      // " rd wr ... hg ": each flag between spaces.
+      std::string& flags = all.back().flags;
+      for (std::string flag; ls >> flag;) flags.append(" ").append(flag);
+      flags.append(" ");
+    }
+  }
+  std::vector<Vma> out;
+  for (const Vma& v : all)
+    if (v.lo < hi && v.hi > lo) out.push_back(v);
+  return out;
+}
+
+/// The selected value of a transparent_hugepage setting, "" if absent.
+std::string thp_setting(const char* name) {
+  std::ifstream in(std::string("/sys/kernel/mm/transparent_hugepage/") +
+                   name);
+  std::string all;
+  std::getline(in, all);
+  const std::size_t open = all.find('['), close = all.find(']');
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return all.substr(open + 1, close - open - 1);
+}
+
+}  // namespace
+
+TEST(Pages, RegionCommitsOnlyTheDenseRange) {
+  if (!can_commit()) GTEST_SKIP() << "kernel refuses MADV_POPULATE_WRITE";
+  // Two whole huge pages and 1 MiB of a third are dense; the third huge
+  // page lies wholly inside the region, so hinting past the dense range
+  // would map the rest of it.
+  const std::size_t dense = 5 * (kHugePageBytes / 2);
+  const PageRegion r(4 * kHugePageBytes, dense);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(r.data()) % kHugePageBytes, 0u);
+  EXPECT_EQ(r.size(), 4 * kHugePageBytes);
+  EXPECT_TRUE(r.huge_bytes() == 0 || r.huge_bytes() == 2 * kHugePageBytes)
+      << r.huge_bytes();
+  const std::vector<int> bits = resident_pages(r);
+  const std::size_t dense_pages = dense / page_size();
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    ASSERT_EQ(bits[i], i < dense_pages ? 1 : 0) << "page " << i;
+  const auto* bytes = static_cast<const unsigned char*>(r.data());
+  EXPECT_EQ(bytes[0], 0);
+  EXPECT_EQ(bytes[dense - 1], 0);
+}
+
+TEST(Pages, RegionBelowAHugePageGetsNoHint) {
+  const std::size_t sizes[][2] = {
+      {kHugePageBytes / 2, kHugePageBytes / 2},    // all dense, small
+      {4 * kHugePageBytes, kHugePageBytes - 4096},  // big, dense part small
+  };
+  for (const auto& [bytes, dense] : sizes) {
+    const PageRegion r(bytes, dense);
+    EXPECT_EQ(r.huge_bytes(), 0u) << bytes << " / " << dense;
+    for (const Vma& v : vmas_within(r.data(), r.size()))
+      EXPECT_EQ(v.flags.find(" hg "), std::string::npos)
+          << bytes << " / " << dense << ": " << v.flags;
+  }
+}
+
+// Reads the THP settings and /proc/self/smaps only; never writes them.
+TEST(Pages, RegionDenseRangeOnHugePages) {
+  const std::string enabled = thp_setting("enabled");
+  if (enabled != "always" && enabled != "madvise")
+    GTEST_SKIP() << "transparent huge pages are "
+                 << (enabled.empty() ? "absent" : enabled);
+  const PageRegion r(4 * kHugePageBytes, 3 * kHugePageBytes);
+  ASSERT_EQ(r.huge_bytes(), 3 * kHugePageBytes);
+  long anon_huge_kb = 0;
+  for (const Vma& v : vmas_within(r.data(), r.size())) {
+    anon_huge_kb += v.anon_huge_kb;
+    // Only the dense huge pages are hinted; the rest is excluded.
+    const bool in_dense =
+        v.hi <= reinterpret_cast<std::uintptr_t>(r.data()) + r.huge_bytes();
+    EXPECT_NE(v.flags.find(in_dense ? " hg " : " nh "), std::string::npos)
+        << v.flags;
+  }
+  EXPECT_GT(anon_huge_kb, 0);
 }

@@ -200,6 +200,27 @@ TEST_P(UpdateKernels, PackedPanelColumnStepBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(TileDims, UpdateKernels,
                          ::testing::ValuesIn(kTileDims));
 
+// The default path per tile size (BM_GemmNt in bench/micro_linalg measured
+// the crossover). Fig. 5's b = 32 must stay on the widest path.
+TEST(UpdateKernels, PathPickedByTileSize) {
+  const bool avx2 = kernel_isa_supported(KernelIsa::kAvx2);
+  const bool avx512 = kernel_isa_supported(KernelIsa::kAvx512);
+  const KernelIsa widest = avx512 ? KernelIsa::kAvx512
+                           : avx2 ? KernelIsa::kAvx2
+                                  : KernelIsa::kBaseline;
+  const KernelIsa upto_avx2 = avx2 ? KernelIsa::kAvx2 : KernelIsa::kBaseline;
+  const std::pair<int, KernelIsa> table[] = {
+      {1, widest},     {4, KernelIsa::kBaseline},
+      {8, upto_avx2},  {12, KernelIsa::kBaseline},
+      {16, widest},    {24, upto_avx2},
+      {32, widest},    {33, widest},
+      {40, upto_avx2}, {64, widest},
+  };
+  for (const auto& [b, isa] : table)
+    EXPECT_EQ(static_cast<int>(update_isa(b)), static_cast<int>(isa))
+        << "b=" << b;
+}
+
 namespace {
 
 // Reference: one row at a time, as the kernel solved before it blocked rows.
