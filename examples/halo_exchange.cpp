@@ -20,6 +20,7 @@ int main() {
               kRanks);
   std::printf("%-16s %12s %10s %9s\n", "scheme", "GMOPS", "corner", "ok");
 
+  int failed = 0;  // rows that did not verify
   for (StencilVariant v :
        {StencilVariant::kMessagePassing, StencilVariant::kFence,
         StencilVariant::kPscw, StencilVariant::kNotified}) {
@@ -31,10 +32,12 @@ int main() {
       cfg.iters = 2;
       cfg.variant = v;
       const StencilResult res = run_stencil(self, cfg);
-      if (self.id() == 0)
+      if (self.id() == 0) {
+        failed += res.verified ? 0 : 1;
         std::printf("%-16s %12.4f %10.0f %9s\n", to_string(v), res.gmops,
                     res.corner, res.verified ? "yes" : "NO");
+      }
     });
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

@@ -21,6 +21,7 @@ int main() {
   std::printf("%-16s %12s %12s %14s %5s\n", "scheme", "time (ms)", "GF/s",
               "residual", "ok");
 
+  int failed = 0;  // rows that did not verify
   for (CholeskyVariant v :
        {CholeskyVariant::kMessagePassing, CholeskyVariant::kOneSided,
         CholeskyVariant::kNotified}) {
@@ -31,11 +32,13 @@ int main() {
       cfg.b = 32;
       cfg.variant = v;
       const CholeskyResult res = run_cholesky(self, cfg);
-      if (self.id() == 0)
+      if (self.id() == 0) {
+        failed += res.verified ? 0 : 1;
         std::printf("%-16s %12.2f %12.3f %14.2e %5s\n", to_string(v),
                     to_ms(res.elapsed), res.gflops, res.residual,
                     res.verified ? "yes" : "NO");
+      }
     });
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

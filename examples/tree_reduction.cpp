@@ -16,6 +16,7 @@ int main() {
               kRanks);
   std::printf("%-16s %14s %9s\n", "scheme", "us/reduction", "ok");
 
+  int failed = 0;  // rows that did not verify
   for (TreeVariant v :
        {TreeVariant::kMessagePassing, TreeVariant::kPscw,
         TreeVariant::kNotified, TreeVariant::kVendorReduce}) {
@@ -27,10 +28,12 @@ int main() {
       cfg.reps = 5;
       cfg.variant = v;
       const TreeResult res = run_tree(self, cfg);
-      if (self.id() == 0)
+      if (self.id() == 0) {
+        failed += res.verified ? 0 : 1;
         std::printf("%-16s %14.2f %9s\n", to_string(v), res.per_op_us,
                     res.verified ? "yes" : "NO");
+      }
     });
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

@@ -22,6 +22,9 @@
 //                      by a persistent counting notification per row.
 #pragma once
 
+#include <functional>
+#include <span>
+
 #include "core/world.hpp"
 #include "ft/params.hpp"
 
@@ -66,5 +69,22 @@ struct StencilResult {
 /// Collective: every rank calls it; the returned timing is the allreduced
 /// maximum, the corner fields are valid on rank 0.
 StencilResult run_stencil(Rank& self, const StencilConfig& cfg);
+
+/// run_stencil, then `inspect(grid)` on each rank that finishes the run:
+/// its final local grid, rows x (width + 1) doubles, row-major, local
+/// column 0 the ghost of the left neighbor's last column. Tests compare it
+/// against a serial recurrence through this.
+StencilResult run_stencil(
+    Rank& self, const StencilConfig& cfg,
+    const std::function<void(std::span<const double> grid)>& inspect);
+
+/// One row of the recurrence over columns [jstart, width], jstart >= 1:
+/// cur[j] = prev[j] + cur[j-1] - prev[j-1], computed in closed form as
+/// cur[j] = prev[j] + d with d = cur[jstart-1] - prev[jstart-1]. The
+/// recurrence keeps cur - prev constant along the row, and every grid value
+/// is an integer of magnitude below 2^53, so each sum and difference is
+/// exact and the two forms agree bit for bit.
+void update_stencil_row(double* cur, const double* prev, int jstart,
+                        int width);
 
 }  // namespace narma::apps

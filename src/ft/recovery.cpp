@@ -13,6 +13,8 @@ namespace {
 /// packed (tag << 32 | win_idx), disp_bytes, payload length — five u64s.
 constexpr std::size_t kEntryHeaderBytes = 40;
 
+constexpr std::size_t kCacheLine = 64;
+
 std::uint64_t load64(const std::byte* p) {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof v);
@@ -98,6 +100,11 @@ void RecoveryManager::put_notify(std::size_t win_idx,
   const auto* h = reinterpret_cast<const std::byte*>(header);
   log.wire.insert(log.wire.end(), h, h + sizeof header);
   log.wire.insert(log.wire.end(), src.begin(), src.end());
+  // The next entry starts at the tail and may run into the line after the
+  // tail's; fetch that line for write now, so the next append does not wait
+  // on a line the checkpoint copies and the other logs evicted.
+  if (log.wire.capacity() - log.wire.size() > kCacheLine)
+    __builtin_prefetch(log.wire.data() + log.wire.size() + kCacheLine, 1);
   ++log.entries;
   ++log_entries_;
   self_.na().put_notify(w, src, target, target_disp, tag);

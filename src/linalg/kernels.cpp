@@ -145,15 +145,20 @@ template <int W>
       for (int r = 0; r < mr; ++r) {
         double* ci = c + static_cast<std::size_t>(i0 + r) * ub +
                      static_cast<std::size_t>(j0);
-        if (nc < nr) {
-          for (int jj = 0; jj < nc; ++jj) ci[jj] -= acc[r][jj / W][jj % W];
-          continue;
-        }
+        // Vectors the tile holds whole go back as vectors; the lanes of
+        // the first one it does not, one at a time from a copy.
         for (int v = 0; v < 2; ++v) {
+          double* cv_at = ci + v * W;
+          if ((v + 1) * W > nc) {
+            double lanes[W];
+            __builtin_memcpy(lanes, &acc[r][v], sizeof lanes);
+            for (int jj = 0; jj < nc - v * W; ++jj) cv_at[jj] -= lanes[jj];
+            break;
+          }
           V cv;
-          __builtin_memcpy(&cv, ci + v * W, sizeof cv);
+          __builtin_memcpy(&cv, cv_at, sizeof cv);
           cv = cv - acc[r][v];
-          __builtin_memcpy(ci + v * W, &cv, sizeof cv);
+          __builtin_memcpy(cv_at, &cv, sizeof cv);
         }
       }
     }

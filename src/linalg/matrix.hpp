@@ -144,8 +144,10 @@ class PanelProducts {
 /// only for tiles with an owned column in [tk, ti], and only their lower
 /// triangles are read.
 ///
-/// Up to kResidualExactLimit every entry (i, j), i >= j, of an owned column
-/// is one term, in row-major order over the whole n x n matrix.
+/// Up to kResidualExactLimit every entry (row, col) of the whole n x n
+/// matrix whose mirror (i, j) = (max, min) lies in an owned column is one
+/// term, in row-major order; each (L L^T)(i, j) is computed once and held
+/// (n(n+1)/2 doubles at most, 590 KB at n = 384).
 ///
 /// Above it, the panel check: for each owned column tj with probe v and
 /// each row i >= tj * b, one term (A(i, block tj) v, (L L^T)(i, block tj)
@@ -171,11 +173,23 @@ ResidualSums residual_sums(int n, int b, Owns&& owns, EntryOfA&& a,
       lower[detail::packed_lower(ti, tk)] = tile(ti, tk);
   }
   if (n <= kResidualExactLimit) {
+    // (L L^T)(i, j) of each i >= j in an owned column once, column j from
+    // llt[col0[j]]; the terms then go in row-major order, each
+    // off-diagonal one twice, as (i, j) and as (j, i).
+    std::vector<std::size_t> col0(static_cast<std::size_t>(n));
+    std::vector<double> llt;
+    for (int j = 0; j < n; ++j) {
+      if (!owns(j / b)) continue;
+      col0[static_cast<std::size_t>(j)] = llt.size();
+      for (int i = j; i < n; ++i)
+        llt.push_back(detail::llt_entry(i, j, b, lower.data()));
+    }
     for (int row = 0; row < n; ++row)
       for (int col = 0; col < n; ++col) {
         const int i = std::max(row, col), j = std::min(row, col);
         if (owns(j / b))
-          sums.add(a(i, j), detail::llt_entry(i, j, b, lower.data()));
+          sums.add(a(i, j), llt[col0[static_cast<std::size_t>(j)] +
+                                static_cast<std::size_t>(i - j)]);
       }
     return sums;
   }

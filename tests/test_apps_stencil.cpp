@@ -3,7 +3,10 @@
 // the relative performance must match the paper's ordering.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "apps/stencil.hpp"
@@ -205,5 +208,131 @@ TEST(StencilOracle, PinnedClocksAndCorner) {
       clocks.push_back(world.engine().rank(r).now());
     EXPECT_EQ(corner, pin.corner);
     EXPECT_EQ(clocks, pin.clocks);
+  }
+}
+
+// The row kernel runs the recurrence in closed form (cur[j] = prev[j] + d,
+// d = cur[jstart-1] - prev[jstart-1]); on integer grids below 2^53 every
+// result must equal the recurrence's bit for bit.
+namespace {
+
+void recurrence_row(double* cur, const double* prev, int jstart, int width) {
+  for (int j = jstart; j <= width; ++j)
+    cur[j] = prev[j] + cur[j - 1] - prev[j - 1];
+}
+
+std::uint64_t fnv1a(std::span<const double> values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Each rank's final local grid, hashed, from a serial run of the
+/// recurrence over the whole rows x total_cols grid: A(0, c) = c,
+/// A(i, 0) = i, `iters` sweeps each followed by the corner feedback
+/// A(0, 0) = -A(rows-1, cols-1). A rank's local column j is global column
+/// gs - 1 + j; rank 0's local column 0 is never written after its initial
+/// (row 0: -1, other rows: 0).
+std::vector<std::uint64_t> reference_hashes(const StencilConfig& cfg,
+                                            int ranks) {
+  const auto rows = static_cast<std::size_t>(cfg.rows);
+  const auto cols = static_cast<std::size_t>(cfg.total_cols);
+  std::vector<double> a(rows * cols, 0.0);
+  for (std::size_t c = 0; c < cols; ++c) a[c] = static_cast<double>(c);
+  for (std::size_t i = 0; i < rows; ++i) a[i * cols] = static_cast<double>(i);
+  for (int it = 0; it < cfg.iters; ++it) {
+    for (std::size_t i = 1; i < rows; ++i)
+      recurrence_row(&a[i * cols], &a[(i - 1) * cols], 1, cfg.total_cols - 1);
+    a[0] = -a[rows * cols - 1];
+  }
+  std::vector<std::uint64_t> hashes;
+  int gs = 0;
+  for (int p = 0; p < ranks; ++p) {
+    const int w = cfg.total_cols / ranks + (p < cfg.total_cols % ranks);
+    std::vector<double> local;
+    for (std::size_t i = 0; i < rows; ++i)
+      for (int j = 0; j <= w; ++j)
+        local.push_back(gs + j == 0 ? (i == 0 ? -1.0 : 0.0)
+                                    : a[i * cols + static_cast<std::size_t>(
+                                                       gs - 1 + j)]);
+    hashes.push_back(fnv1a(local));
+    gs += w;
+  }
+  return hashes;
+}
+
+}  // namespace
+
+TEST(StencilKernel, ClosedFormMatchesRecurrence) {
+  std::mt19937_64 rng(31);
+  std::uniform_int_distribution<std::int64_t> value(-(1LL << 40), 1LL << 40);
+  for (int jstart : {1, 2})
+    for (int width : {jstart, jstart + 1, 7, 8, 64, 65}) {
+      SCOPED_TRACE(testing::Message() << "jstart " << jstart << " width "
+                                      << width);
+      for (int trial = 0; trial < 64; ++trial) {
+        std::vector<double> prev(static_cast<std::size_t>(width) + 1);
+        std::vector<double> cur(prev.size());
+        for (double& v : prev) v = static_cast<double>(value(rng));
+        for (double& v : cur) v = static_cast<double>(value(rng));
+        std::vector<double> want = cur;
+        recurrence_row(want.data(), prev.data(), jstart, width);
+        update_stencil_row(cur.data(), prev.data(), jstart, width);
+        for (std::size_t j = 0; j < cur.size(); ++j)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(cur[j]),
+                    std::bit_cast<std::uint64_t>(want[j]))
+              << "column " << j;
+      }
+    }
+}
+
+TEST(StencilKernel, FinalGridsBitIdentical) {
+  struct Case {
+    const char* name;
+    int ranks;
+    int rows, cols, iters;
+    StencilVariant variant;
+    bool ft_fail;  // ft on, a fail-stop at epoch 3, checkpoints every 2
+  };
+  const Case cases[] = {
+      {"mp", 4, 24, 31, 3, StencilVariant::kMessagePassing, false},
+      {"fence", 4, 24, 31, 3, StencilVariant::kFence, false},
+      {"pscw", 4, 24, 31, 3, StencilVariant::kPscw, false},
+      {"na", 4, 24, 31, 3, StencilVariant::kNotified, false},
+      {"na_uneven_r7", 7, 40, 45, 2, StencilVariant::kNotified, false},
+      {"na_one_col", 2, 9, 3, 2, StencilVariant::kNotified, false},
+      {"na_ft_fail", 4, 32, 31, 5, StencilVariant::kNotified, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StencilConfig cfg;
+    cfg.rows = c.rows;
+    cfg.total_cols = c.cols;
+    cfg.iters = c.iters;
+    cfg.variant = c.variant;
+    WorldParams wp;
+    if (c.ft_fail) {
+      cfg.ft.enabled = true;
+      cfg.ft.ckpt_interval = 2;
+      cfg.ft.min_fail_epoch = 3;
+      wp.fabric.faults.fail_rate = 1.0;  // rank 0 fails at epoch 3
+    }
+    World world(c.ranks, wp);
+    std::vector<std::uint64_t> hashes(static_cast<std::size_t>(c.ranks));
+    int victim = -1;
+    world.run([&](Rank& self) {
+      const StencilResult r =
+          run_stencil(self, cfg, [&](std::span<const double> grid) {
+            hashes[static_cast<std::size_t>(self.id())] = fnv1a(grid);
+          });
+      if (self.id() == 0) victim = r.ft.victim;
+    });
+    EXPECT_EQ(hashes, reference_hashes(cfg, c.ranks));
+    if (c.ft_fail) {
+      EXPECT_EQ(victim, 0);
+    }
   }
 }
