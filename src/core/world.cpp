@@ -1,9 +1,6 @@
 #include "core/world.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -52,7 +49,6 @@ World::World(int nranks, WorldParams params)
         << "the flight recorder snapshots the metrics registry; enable "
            "ObsParams::metrics";
     timeseries_ = std::make_unique<obs::TimeSeries>(*metrics_, *engine_, op);
-    if (journal_) timeseries_->set_journal(journal_.get());
     engine_->set_time_probe(
         timeseries_->window(), [this](Time boundary, Time horizon) {
           // The snapshot pass is itself obs work; charge it to the obs
@@ -76,13 +72,25 @@ void World::enable_profiling() {
 
 std::string World::write_artifacts(const std::string& dir) const {
   std::string err = file::make_dirs(dir);
-  auto write = [&](const char* name, const auto& recorder) {
+  auto write = [&](const char* name, const auto& recorder,
+                   const auto&... args) {
     if (err.empty() && recorder)
-      err = file::write(dir + "/" + name, recorder->to_json());
+      err = file::write(dir + "/" + name, recorder->to_json(args...));
+  };
+  // msgtrace.json records the lane table and each message's lane; the
+  // shm/FMA/BTE rule stays Fabric::transport_for's.
+  obs::MsgTrace::FabricLanes lanes;
+  for (int t = 0; t < net::kNumTransports; ++t) {
+    const auto lane = static_cast<net::Transport>(t);
+    const net::TransportTiming& tm = fabric_->timing(lane);
+    lanes.rows.push_back({net::to_string(lane), tm.L, tm.g, tm.G_ps_per_byte});
+  }
+  lanes.of = [this](int src, int dst, std::uint32_t bytes) {
+    return static_cast<std::size_t>(fabric_->transport_for(src, dst, bytes));
   };
   write(obs::kMetricsFile, metrics_);
   write(obs::kJournalFile, journal_);
-  write(obs::kMsgtraceFile, msgtrace_);
+  write(obs::kMsgtraceFile, msgtrace_, lanes);
   write(obs::kTimeseriesFile, timeseries_);
   return err;
 }
@@ -159,7 +167,7 @@ void World::run(const std::function<void(Rank&)>& rank_main) {
   // Obs self-cost (ISSUE: obs observes itself): the registry's structural
   // footprint and the journal's depth. Both gauge families are created
   // before the footprint is computed so the estimate includes them; the
-  // depth is stamped later, once every journal source has run.
+  // depth is stamped last, after the recorder's final window.
   obs::Gauge reg_bytes = metrics_->gauge("obs.registry_bytes", 0);
   obs::Gauge journal_depth = metrics_->gauge("obs.journal_depth", 0);
   reg_bytes.set(static_cast<std::int64_t>(metrics_->footprint_bytes()),
@@ -170,86 +178,9 @@ void World::run(const std::function<void(Rank&)>& rank_main) {
   if (profiler_) profiler_->export_to(*metrics_, t_end);
   // The recorder finalizes *after* every post-run metric write above so the
   // final window's deltas telescope exactly to the narma.metrics.v1 totals.
-  if (timeseries_) {
-    timeseries_->finalize(t_end);
-    if (msgtrace_) {
-      std::vector<obs::TimeSeries::ResidualRow> rows = residual_rows();
-      if (journal_) {
-        // Flagged model residuals become typed journal records: rank -1
-        // (backend-scoped), peer = window, payload in picoseconds.
-        for (const auto& r : rows) {
-          if (!r.flagged) continue;
-          journal_->append(
-              obs::JournalKind::kResidual, t_end, -1,
-              static_cast<std::int32_t>(r.window),
-              static_cast<std::uint64_t>(std::max(0.0, r.mean_residual_ps)),
-              static_cast<std::uint64_t>(std::max(0.0, r.mean_model_ps)));
-        }
-      }
-      timeseries_->set_residuals(std::move(rows));
-    }
-  }
+  if (timeseries_) timeseries_->finalize(t_end);
   journal_depth.set(
       journal_ ? static_cast<std::int64_t>(journal_->size()) : 0, t_end);
-}
-
-std::vector<obs::TimeSeries::ResidualRow> World::residual_rows() const {
-  // Group completed traced messages by (window containing t_end, backend:
-  // "shm" within a node, "aries" across nodes) and compare the measured
-  // channel stage — queueing + gap + serialization + wire, straight from
-  // the hop decomposition — against the single-leg LogGP floor
-  // g + G*bytes + L of the lane that size uses. The residual is nonnegative
-  // in a clean run; persistently large means congestion or retries the
-  // base model does not carry.
-  std::vector<obs::TimeSeries::ResidualRow> rows;
-  const auto& windows = timeseries_->windows();
-  if (windows.empty()) return rows;
-  struct Acc {
-    std::uint64_t msgs = 0;
-    double model = 0;
-    double resid = 0;
-    double max_abs = 0;
-  };
-  std::map<std::pair<std::uint32_t, std::string>, Acc> groups;
-  auto cat = [](const obs::MsgTrace::MsgSummary& m, obs::LatCat c) {
-    return static_cast<double>(m.cat[static_cast<std::size_t>(c)]);
-  };
-  for (const auto& m : msgtrace_->summarize()) {
-    if (!m.complete) continue;
-    // Window holding the completion time: first window whose end exceeds
-    // t_end (the last window absorbs anything at/after its end).
-    std::uint32_t wi = 0;
-    while (wi + 1 < windows.size() && windows[wi].t_end <= m.t_end) ++wi;
-    const net::TransportTiming& tm =
-        fabric_->timing(fabric_->transport_for(m.src, m.dst, m.bytes));
-    const double model = static_cast<double>(tm.L) +
-                         static_cast<double>(tm.g) +
-                         tm.G_ps_per_byte * static_cast<double>(m.bytes);
-    const double measured =
-        cat(m, obs::LatCat::kChanQueue) + cat(m, obs::LatCat::kGap) +
-        cat(m, obs::LatCat::kSer) + cat(m, obs::LatCat::kWire);
-    const double resid = measured - model;
-    const char* backend = fabric_->same_node(m.src, m.dst) ? "shm" : "aries";
-    Acc& acc = groups[{wi, backend}];
-    ++acc.msgs;
-    acc.model += model;
-    acc.resid += resid;
-    acc.max_abs = std::max(acc.max_abs, std::abs(resid));
-  }
-  rows.reserve(groups.size());
-  for (const auto& [key, acc] : groups) {
-    obs::TimeSeries::ResidualRow r;
-    r.window = key.first;
-    r.backend = key.second;
-    r.msgs = acc.msgs;
-    r.mean_model_ps = acc.model / static_cast<double>(acc.msgs);
-    r.mean_residual_ps = acc.resid / static_cast<double>(acc.msgs);
-    r.max_abs_residual_ps = acc.max_abs;
-    r.flagged = r.mean_residual_ps >
-                obs::TimeSeries::kResidualThreshold * r.mean_model_ps;
-    rows.push_back(std::move(r));
-  }
-  return rows;
 }
 
 Rank::Rank(World& world, sim::RankCtx& ctx)

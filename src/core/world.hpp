@@ -102,10 +102,6 @@ class World {
   std::string write_artifacts(const std::string& dir) const;
 
  private:
-  /// Per-(window, backend) measured-vs-LogGP residual rows from the
-  /// msgtrace summaries; fed to the recorder after finalize.
-  std::vector<obs::TimeSeries::ResidualRow> residual_rows() const;
-
   WorldParams params_;
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<obs::Registry> metrics_;  // before fabric_: Nics bind here

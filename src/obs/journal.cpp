@@ -19,10 +19,6 @@ const char* to_string(JournalKind k) {
       return "credit_stall";
     case JournalKind::kOverflowSpill:
       return "overflow_spill";
-    case JournalKind::kStraggler:
-      return "straggler";
-    case JournalKind::kResidual:
-      return "residual";
     case JournalKind::kRankFail:
       return "rank_fail";
     case JournalKind::kRankRejoin:
@@ -94,18 +90,6 @@ std::string Journal::detail(const Record& r) {
     case JournalKind::kOverflowSpill:
       std::snprintf(buf, sizeof buf,
                     "overflow spill (queue depth %llu, spill depth %llu)",
-                    static_cast<unsigned long long>(r.a),
-                    static_cast<unsigned long long>(r.b));
-      break;
-    case JournalKind::kStraggler:
-      std::snprintf(buf, sizeof buf,
-                    "straggler: busy %.2f vs window median %.2f",
-                    static_cast<double>(r.a) * 1e-6,
-                    static_cast<double>(r.b) * 1e-6);
-      break;
-    case JournalKind::kResidual:
-      std::snprintf(buf, sizeof buf,
-                    "window %d residual %llu ps over model %llu ps", r.peer,
                     static_cast<unsigned long long>(r.a),
                     static_cast<unsigned long long>(r.b));
       break;

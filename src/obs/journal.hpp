@@ -1,17 +1,18 @@
-// Anomaly journal: a bounded, virtual-time-stamped log of *typed* anomaly
-// records appended by the layers that detect trouble — the fault injector
-// (drops, stalls, jitter), NIC backpressure (credit-stall episodes,
-// overflow spills, pressure events), and the flight recorder's straggler /
-// model-residual monitors. Where the metric registry answers "how much",
-// the journal answers "what went wrong, where, and when" — in kilobytes,
-// independent of rank count, which is what makes it usable at the 100k-rank
-// scale where dense per-rank telemetry is not (DESIGN.md §14).
+// Anomaly journal: a bounded, virtual-time-stamped log of *typed* records of
+// what the model did — the fault injector (drops, stalls, jitter), NIC
+// backpressure (credit-stall episodes, overflow spills, pressure events),
+// and fail-stop recovery (fail, rejoin, checkpoints, replay). It records
+// events, not analyses: `narma_cli timeline` flags stragglers and LogGP
+// residuals from the run directory. Where the metric registry answers "how
+// much", the journal answers "what went wrong, where, and when" — in
+// kilobytes, independent of rank count, which is what makes it usable at the
+// 100k-rank scale where dense per-rank telemetry is not (DESIGN.md §14).
 //
 // The ring keeps the most recent `capacity` records and counts what it
 // dropped; append order is the deterministic simulation order, so two runs
-// of the same schedule produce bit-identical journals, and a fault-free run
-// under default thresholds produces an *empty* one (asserted in
-// tests/test_obs_reductions.cpp).
+// of the same schedule produce bit-identical journals, and a run without
+// faults or checkpoints produces an *empty* one, whichever recorders are on
+// (asserted in tests/test_obs_reductions.cpp).
 //
 // Export schema (narma.journal.v1):
 //   {"schema":"narma.journal.v1","capacity":C,"appended":A,"dropped":D,
@@ -37,9 +38,6 @@ enum class JournalKind : std::uint8_t {
   kCreditStall,     // credit-stall episode;   peer=target, a=queue id,
                     //                         b=attempts
   kOverflowSpill,   // graceful overflow spill; a=queue depth, b=spill depth
-  kStraggler,       // flight-recorder straggler; a=busy ppm, b=median ppm
-  kResidual,        // model residual;         peer=window, a=residual_ps,
-                    //                         b=model_ps
   kRankFail,        // fail-stop fired;        a=epoch
   kRankRejoin,      // rank back up;           peer=ckpt partner,
                     //                         a=restored epoch, b=outage_ps

@@ -1,6 +1,7 @@
 #include "obs/msgtrace.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -238,11 +239,10 @@ std::vector<MsgTrace::MsgSummary> MsgTrace::summarize() const {
   return out;
 }
 
-MsgTrace::CritPath MsgTrace::critical_path() const {
+MsgTrace::CritPath MsgTrace::critical_path(
+    const std::vector<MsgSummary>& msgs) const {
   CritPath cp;
   cp.per_rank.assign(lanes_.size(), 0);
-
-  const std::vector<MsgSummary> msgs = summarize();
   if (msgs.empty()) return cp;
   std::unordered_map<MsgId, std::size_t> index;
   for (std::size_t i = 0; i < msgs.size(); ++i) index.emplace(msgs[i].id, i);
@@ -342,9 +342,9 @@ void emit_cats(std::ostringstream& os, const std::array<Time, kNumCats>& cat) {
 
 }  // namespace
 
-std::string MsgTrace::to_json() const {
+std::string MsgTrace::to_json(const FabricLanes& lanes) const {
   const std::vector<MsgSummary> msgs = summarize();
-  const CritPath cp = critical_path();
+  const CritPath cp = critical_path(msgs);
 
   std::uint64_t inj = 0, smp = 0, drp = 0;
   for (const auto& lane : lanes_) {
@@ -356,7 +356,17 @@ std::string MsgTrace::to_json() const {
   std::ostringstream os;
   os << "{\"schema\":\"narma.msgtrace.v1\",\"nranks\":" << lanes_.size()
      << ",\"sample_every\":" << sample_every_ << ",\"injections\":" << inj
-     << ",\"sampled\":" << smp << ",\"dropped\":" << drp << ",\"per_rank\":[";
+     << ",\"sampled\":" << smp << ",\"dropped\":" << drp
+     << ",\"lanes\":[";
+  for (std::size_t i = 0; i < lanes.rows.size(); ++i) {
+    const FabricLanes::Row& row = lanes.rows[i];
+    char G[32];  // %.17g: the reader computes with this exact double
+    std::snprintf(G, sizeof G, "%.17g", row.G_ps_per_byte);
+    os << (i ? "," : "") << "{\"name\":\"" << row.name
+       << "\",\"L_ps\":" << row.L << ",\"g_ps\":" << row.g
+       << ",\"G_ps_per_byte\":" << G << '}';
+  }
+  os << "],\"per_rank\":[";
   for (std::size_t r = 0; r < lanes_.size(); ++r) {
     if (r) os << ',';
     os << "{\"rank\":" << r << ",\"injections\":" << lanes_[r].injections
@@ -369,8 +379,11 @@ std::string MsgTrace::to_json() const {
     if (i) os << ',';
     os << "{\"id\":" << m.id << ",\"flow_id\":" << flow_id(m.id)
        << ",\"op\":\"" << to_string(m.op) << "\",\"src\":" << m.src
-       << ",\"dst\":" << m.dst << ",\"bytes\":" << m.bytes
-       << ",\"t_begin_ps\":" << m.t_begin << ",\"t_end_ps\":" << m.t_end
+       << ",\"dst\":" << m.dst << ",\"bytes\":" << m.bytes;
+    if (m.complete)
+      os << ",\"lane\":\"" << lanes.rows[lanes.of(m.src, m.dst, m.bytes)].name
+         << '"';
+    os << ",\"t_begin_ps\":" << m.t_begin << ",\"t_end_ps\":" << m.t_end
        << ",\"latency_ps\":" << m.latency()
        << ",\"complete\":" << (m.complete ? "true" : "false")
        << ",\"decomp_ps\":";

@@ -43,7 +43,10 @@
 // resulting path partitions its span into the eight categories per rank.
 //
 // Exports: to_json() renders the stable narma.msgtrace.v1 document (times as
-// integer picoseconds so sums can be checked exactly downstream);
+// integer picoseconds so sums can be checked exactly downstream), with the
+// lane table World::write_artifacts passes in: each lane's L, g and G, and
+// the lane each complete message used, so `narma_cli timeline` can check
+// every message against its LogGP floor;
 // flow_id(msg) gives each message's Perfetto flow id, which keys the arrows
 // `narma_cli timeline --perfetto` draws and the rows `narma_cli critpath`
 // prints.
@@ -52,6 +55,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -199,11 +203,27 @@ class MsgTrace {
     Time cat_sum() const;
   };
 
-  /// Backward walk from the latest CPU-side hop (see header comment).
-  CritPath critical_path() const;
+  /// Backward walk from the latest CPU-side hop (see header comment) over
+  /// `msgs`, this trace's summarize().
+  CritPath critical_path(const std::vector<MsgSummary>& msgs) const;
 
-  /// narma.msgtrace.v1 document; all times integer picoseconds.
-  std::string to_json() const;
+  /// The fabric's lanes as msgtrace.json records them: each lane's LogGP
+  /// row, and which row a message of `bytes` from `src` to `dst` used.
+  struct FabricLanes {
+    struct Row {
+      const char* name;
+      Time L;
+      Time g;
+      double G_ps_per_byte;
+    };
+    std::vector<Row> rows;
+    std::function<std::size_t(int src, int dst, std::uint32_t bytes)> of;
+  };
+
+  /// narma.msgtrace.v1 document; all times integer picoseconds. The
+  /// header carries the "lanes" table and each complete message the "lane"
+  /// it used.
+  std::string to_json(const FabricLanes& lanes) const;
 
  private:
   struct Lane {

@@ -19,6 +19,7 @@
 #include "obs/msgtrace.hpp"
 #include "obs/params.hpp"
 #include "obs/profile.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/trace.hpp"
 
 namespace narma::obs {
@@ -87,6 +88,12 @@ struct Artifact {
   long long integer(const json::Value& obj, const char* key, double dflt,
                     long long lo = -kExact, long long hi = kExact) const {
     return integer(obj.number_or(key, dflt), key, lo, hi);
+  }
+  /// `obj[key]`, or a diagnostic naming `key` when it is not a number.
+  double number(const json::Value& obj, const char* key) const {
+    const json::Value& v = obj[key];
+    if (!v.is_number()) fail(std::string(key) + ": missing or not a number");
+    return v.as_number();
   }
 };
 
@@ -299,7 +306,7 @@ void report_metrics(const Artifact& m, std::FILE* out) {
 
 /// Prints an anomaly-journal dump (narma.journal.v1): the bounded,
 /// virtual-time-ordered record of faults, backpressure episodes, overflow
-/// spills, stragglers, and model-residual flags.
+/// spills and fail-stop recovery.
 void print_journal(const Artifact& journal, std::FILE* out) {
   const json::Value& doc = journal.doc;
   const json::Array& records = doc["records"].as_array();
@@ -405,29 +412,140 @@ void print_timeseries(const Artifact& ts, std::size_t topk, std::FILE* out) {
     fam_table.add_row({name, Table::fmt(ts.integer(total, name))});
   }
   print(out, "busiest families (counters + histogram counts)", fam_table);
+}
 
-  // Model residuals: measured channel latency vs the LogGP prediction of
-  // the backend that carried each sampled message, grouped per window.
+/// A (window, backend) channel is flagged when its mean measured
+/// channel-stage latency exceeds the single-leg LogGP floor by more than
+/// this relative margin.
+constexpr double kResidualThreshold = 0.50;
+
+/// One (window, backend) group of channel_residuals().
+struct ChannelResidual {
+  std::size_t window;
+  std::string backend;
+  std::uint64_t msgs = 0;
+  double model = 0;    // sums until the group is complete, then means
+  double resid = 0;
+  double max_abs = 0;  // largest |residual| of one message
+  bool flagged = false;
+};
+
+/// The LogGP residual of every complete message of msgtrace.json: its
+/// channel stage (chan_queue + gap + ser + wire) minus the floor
+/// g + G·bytes + L of the lane it used, grouped by the timeseries window
+/// holding its end (the first window ending after it; the last window
+/// absorbs the rest) and by backend: shm for the shm lane, aries for the
+/// others. Sorted by window, then backend.
+std::vector<ChannelResidual> channel_residuals(const Artifact& mt,
+                                               const Artifact& ts) {
+  std::vector<long long> ends;  // window end times, checked non-decreasing
+  for (const json::Value& win : ts.doc["windows"].as_array()) {
+    ends.push_back(ts.integer(ts.number(win, "t_end_ps"), "t_end_ps", 0,
+                              kExact));
+    if (ends.size() > 1 && ends.back() < ends[ends.size() - 2])
+      ts.fail("window " + std::to_string(ends.size() - 1) +
+              " ends before the window it follows");
+  }
+  if (ends.empty()) return {};
+  struct Lane {
+    double L, g, G;
+  };
+  std::map<std::string, Lane> lanes;
+  for (const json::Value& l : mt.doc["lanes"].as_array())
+    lanes[l.string_or("name", "?")] = {
+        static_cast<double>(mt.integer(mt.number(l, "L_ps"), "L_ps")),
+        static_cast<double>(mt.integer(mt.number(l, "g_ps"), "g_ps")),
+        mt.number(l, "G_ps_per_byte")};
+  auto ps = [&](const json::Value& obj, const char* key) {
+    return static_cast<double>(mt.integer(mt.number(obj, key), key, 0, kExact));
+  };
+  std::map<std::pair<std::size_t, std::string>, ChannelResidual> groups;
+  for (const json::Value& m : mt.doc["messages"].as_array()) {
+    if (!m["complete"].as_bool()) continue;
+    const std::string name = m.string_or("lane", "");
+    const auto lane = lanes.find(name);
+    if (lane == lanes.end())
+      mt.fail("message lane '" + name + "' is not in the lanes table");
+    const long long t_end = mt.integer(mt.number(m, "t_end_ps"), "t_end_ps");
+    const std::size_t wi = std::min<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), t_end) - ends.begin(),
+        ends.size() - 1);
+    const Lane& tm = lane->second;
+    const double model = tm.L + tm.g + tm.G * ps(m, "bytes");
+    const json::Value& cat = m["decomp_ps"];
+    const double resid = ps(cat, to_string(LatCat::kChanQueue)) +
+                         ps(cat, to_string(LatCat::kGap)) +
+                         ps(cat, to_string(LatCat::kSer)) +
+                         ps(cat, to_string(LatCat::kWire)) - model;
+    const std::string backend = name == "shm" ? "shm" : "aries";
+    ChannelResidual& row =
+        groups.try_emplace({wi, backend}, ChannelResidual{wi, backend})
+            .first->second;
+    ++row.msgs;
+    row.model += model;
+    row.resid += resid;
+    row.max_abs = std::max(row.max_abs, std::abs(resid));
+  }
+  std::vector<ChannelResidual> rows;
+  for (auto& [key, row] : groups) {
+    row.model /= static_cast<double>(row.msgs);
+    row.resid /= static_cast<double>(row.msgs);
+    row.flagged = row.resid > kResidualThreshold * row.model;
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Residual and anomaly sections of `timeline`: the residual rows when
+/// `mt` is given, and the anomalies: stragglers among each window's
+/// recorded ranks, then flagged residual groups.
+void print_anomalies(const Artifact& ts, const Artifact* mt, std::FILE* out) {
+  const std::vector<ChannelResidual> rows =
+      mt ? channel_residuals(*mt, ts) : std::vector<ChannelResidual>{};
   Table res_table({"window", "backend", "msgs", "model_ns", "residual_ns",
                    "max_|resid|_ns", "flag"});
-  for (const json::Value& r : doc["residuals"].as_array())
-    res_table.add_row(
-        {Table::fmt(ts.integer(r, "window", 0)), r.string_or("backend", "?"),
-         Table::fmt(ts.integer(r, "msgs", 0)),
-         Table::fmt(r.number_or("mean_model_ps", 0) / 1e3),
-         Table::fmt(r.number_or("mean_residual_ps", 0) / 1e3),
-         Table::fmt(r.number_or("max_abs_residual_ps", 0) / 1e3),
-         r["flagged"].as_bool() ? "FLAGGED" : ""});
-  if (!res_table.rows().empty())
+  for (const ChannelResidual& r : rows)
+    res_table.add_row({Table::fmt(r.window), r.backend, Table::fmt(r.msgs),
+                       Table::fmt(r.model / 1e3), Table::fmt(r.resid / 1e3),
+                       Table::fmt(r.max_abs / 1e3),
+                       r.flagged ? "FLAGGED" : ""});
+  if (!rows.empty())
     print(out, "model residuals (measured - LogGP per backend)", res_table);
 
-  // Flagged anomalies (stragglers, flagged residual groups).
   Table an_table({"window", "kind", "rank", "detail"});
-  for (const json::Value& an : doc["anomalies"].as_array())
-    an_table.add_row({Table::fmt(ts.integer(an, "window", 0)),
-                      an.string_or("kind", "?"),
-                      Table::fmt(ts.integer(an, "rank", -1)),
-                      an.string_or("detail", "")});
+  char detail[128];
+  const json::Array& windows = ts.doc["windows"].as_array();
+  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
+    // Busy fraction per recorded rank over the window; ranks that saw no
+    // virtual time (already finished) are left out of the median.
+    std::vector<std::pair<long long, double>> fracs;  // (rank, busy)
+    for (const json::Value& r : windows[wi]["ranks"].as_array()) {
+      const long long total = ts.integer(r, "total_ps", 0);
+      if (total > 0)
+        fracs.push_back({ts.integer(r, "rank", -1),
+                         static_cast<double>(ts.integer(r, "busy_ps", 0)) /
+                             static_cast<double>(total)});
+    }
+    if (fracs.size() < 2) continue;
+    std::vector<double> sorted;
+    for (const auto& [rank, f] : fracs) sorted.push_back(f);
+    std::sort(sorted.begin(), sorted.end());
+    const double median = sorted[sorted.size() / 2];
+    for (const auto& [rank, f] : fracs) {
+      if (f >= median - TimeSeries::kStragglerThreshold) continue;
+      std::snprintf(detail, sizeof detail, "busy %.2f vs window median %.2f",
+                    f, median);
+      an_table.add_row({Table::fmt(wi), "straggler", Table::fmt(rank), detail});
+    }
+  }
+  for (const ChannelResidual& r : rows) {
+    if (!r.flagged) continue;
+    std::snprintf(detail, sizeof detail,
+                  "%s: mean residual %.0f ps over model %.0f ps (%llu msgs)",
+                  r.backend.c_str(), r.resid, r.model,
+                  static_cast<unsigned long long>(r.msgs));
+    an_table.add_row({Table::fmt(r.window), "channel_residual", "-1", detail});
+  }
   if (an_table.rows().empty())
     std::fprintf(out, "\nanomalies: none\n");
   else
@@ -694,8 +812,9 @@ ReadResult timeline(const std::string& dir, const ReadOptions& opt,
     const std::optional<Artifact> journal =
         load("timeline", dir, kJournalFile, "narma.journal.v1");
     const std::optional<Artifact> mt =
-        perfetto ? load("timeline", dir, kMsgtraceFile, "narma.msgtrace.v1")
-                 : std::nullopt;
+        perfetto || ts
+            ? load("timeline", dir, kMsgtraceFile, "narma.msgtrace.v1")
+            : std::nullopt;
     if (!ts && !journal && !mt)
       throw Stop{ReadStatus::kFailed, "timeline: " + dir + " holds neither " +
                                           kTimeseriesFile + " nor " +
@@ -704,7 +823,10 @@ ReadResult timeline(const std::string& dir, const ReadOptions& opt,
       throw Stop{ReadStatus::kUsage, "timeline: --perfetto needs " + dir +
                                          "/" + kMsgtraceFile + " or " +
                                          kTimeseriesFile};
-    if (ts) print_timeseries(*ts, opt.top, out);
+    if (ts) {
+      print_timeseries(*ts, opt.top, out);
+      print_anomalies(*ts, mt ? &*mt : nullptr, out);
+    }
     if (perfetto) {
       PerfettoView view;
       if (mt) add_messages(*mt, view);

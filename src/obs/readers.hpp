@@ -48,9 +48,11 @@ ReadResult report(const std::string& dir, const ReadOptions& opt,
 ReadResult critpath(const std::string& dir, const ReadOptions& opt,
                     std::FILE* out);
 
-/// timeseries.json: per-window rank activity, busiest families, model
-/// residuals and anomalies; journal.json: the anomaly journal. Either file
-/// may be absent, not both. With ReadOptions::perfetto, also renders
+/// timeseries.json: per-window rank activity, busiest families and the
+/// stragglers among the recorded ranks; with msgtrace.json beside it, each
+/// window's LogGP residual per backend, computed from the messages' lanes;
+/// journal.json: the anomaly journal. timeseries.json and journal.json may
+/// each be absent, not both. With ReadOptions::perfetto, also renders
 /// msgtrace.json and timeseries.json, whichever the directory holds, as a
 /// Chrome trace (a usage error when it holds neither).
 ReadResult timeline(const std::string& dir, const ReadOptions& opt,

@@ -1,12 +1,10 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "common/assert.hpp"
 #include "common/json.hpp"
-#include "obs/journal.hpp"
 #include "sim/engine.hpp"
 
 namespace narma::obs {
@@ -45,8 +43,8 @@ void TimeSeries::snapshot(Time boundary) {
   w.t_end = boundary;
   w.ranks.resize(recorded_.size());
   const int nranks = eng_.nranks();
-  // Busy fractions of every rank that advanced: the rank_agg summary and
-  // the journal's straggler record range over all ranks.
+  // Busy fractions of every rank that advanced: the rank_agg summary
+  // ranges over all ranks.
   std::vector<double> fracs;
   fracs.reserve(static_cast<std::size_t>(nranks));
   double min_busy = 2.0;
@@ -80,12 +78,6 @@ void TimeSeries::snapshot(Time boundary) {
     w.agg.min_rank = min_rank;
     for (double f : fracs)
       if (f < median - kStragglerThreshold) ++w.agg.stragglers;
-    // At most one journal record per window: the worst rank, if it crosses
-    // the threshold. Busy fractions travel as parts-per-million integers.
-    if (journal_ && min_busy < median - kStragglerThreshold)
-      journal_->append(JournalKind::kStraggler, boundary, min_rank, -1,
-                       static_cast<std::uint64_t>(min_busy * 1e6),
-                       static_cast<std::uint64_t>(median * 1e6));
   }
   reg_.visit([&](const Registry::FamilyView& f) {
     if (is_host_time_family(f.name)) return;
@@ -209,63 +201,6 @@ void TimeSeries::merge_down() {
   windows_ = std::move(next);
 }
 
-void TimeSeries::set_residuals(std::vector<ResidualRow> rows) {
-  residuals_ = std::move(rows);
-}
-
-std::vector<TimeSeries::Anomaly> TimeSeries::anomalies() const {
-  std::vector<Anomaly> out;
-  for (std::size_t wi = 0; wi < windows_.size(); ++wi) {
-    const Window& w = windows_[wi];
-    // Busy fraction per recorded rank over the window; ranks that saw no
-    // virtual time (already finished) are left out of the median.
-    std::vector<double> fracs;
-    fracs.reserve(w.ranks.size());
-    for (const RankDelta& r : w.ranks)
-      if (r.d_total > 0)
-        fracs.push_back(
-            static_cast<double>(r.d_total - r.d_blocked) /
-            static_cast<double>(r.d_total));
-    if (fracs.size() < 2) continue;
-    std::vector<double> sorted = fracs;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
-    std::size_t fi = 0;
-    for (std::size_t i = 0; i < w.ranks.size(); ++i) {
-      if (w.ranks[i].d_total <= 0) continue;
-      const double f = fracs[fi++];
-      if (f < median - kStragglerThreshold) {
-        Anomaly a;
-        a.window = static_cast<std::uint32_t>(wi);
-        a.kind = "straggler";
-        a.rank = recorded_[i];
-        a.value = f;
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "busy %.2f vs window median %.2f", f, median);
-        a.detail = buf;
-        out.push_back(std::move(a));
-      }
-    }
-  }
-  for (const ResidualRow& r : residuals_) {
-    if (!r.flagged) continue;
-    Anomaly a;
-    a.window = r.window;
-    a.kind = "channel_residual";
-    a.rank = -1;
-    a.value = r.mean_residual_ps;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "%s: mean residual %.0f ps over model %.0f ps (%llu msgs)",
-                  r.backend.c_str(), r.mean_residual_ps, r.mean_model_ps,
-                  static_cast<unsigned long long>(r.msgs));
-    a.detail = buf;
-    out.push_back(std::move(a));
-  }
-  return out;
-}
-
 std::string TimeSeries::to_json() const {
   json::Writer w;
   w.begin_object();
@@ -332,30 +267,6 @@ std::string TimeSeries::to_json() const {
       w.end_object();
     }
     w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("residuals").begin_array();
-  for (const ResidualRow& r : residuals_) {
-    w.begin_object();
-    w.kv("window", static_cast<std::uint64_t>(r.window));
-    w.kv("backend", r.backend);
-    w.kv("msgs", r.msgs);
-    w.kv("mean_model_ps", r.mean_model_ps);
-    w.kv("mean_residual_ps", r.mean_residual_ps);
-    w.kv("max_abs_residual_ps", r.max_abs_residual_ps);
-    w.kv("flagged", r.flagged);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("anomalies").begin_array();
-  for (const Anomaly& a : anomalies()) {
-    w.begin_object();
-    w.kv("window", static_cast<std::uint64_t>(a.window));
-    w.kv("kind", a.kind);
-    w.kv("rank", a.rank);
-    w.kv("value", a.value);
-    w.kv("detail", a.detail);
     w.end_object();
   }
   w.end_array();

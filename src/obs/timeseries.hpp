@@ -1,6 +1,5 @@
 // Flight recorder: windowed time-series snapshots of every registered
-// metric, with geometric downsampling and online anomaly monitors
-// (DESIGN.md §12).
+// metric, with geometric downsampling (DESIGN.md §12).
 //
 // End-of-run dumps (narma.metrics.v1, narma.msgtrace.v1) answer "what
 // happened in total"; the flight recorder answers "when". On a configurable
@@ -38,18 +37,13 @@
 // sim.run_wall_ns, sim.events_per_sec) are excluded from snapshots to keep
 // that true; they live in the metrics dump only.
 //
-// Monitors: per window the recorder flags straggler ranks among the
-// recorded ones (busy fraction far below their median —
-// kStragglerThreshold) and, when msgtrace is on, World::run
-// feeds it per-(window, backend) LogGP residual rows, backend "shm" or
-// "aries": mean measured channel-stage latency (queue + gap + ser + wire)
-// minus the single-leg model floor (g + G*bytes + L). Persistent large
-// residuals mean congestion or faults the base model does not carry; rows
-// past kResidualThreshold are flagged.
-// Both surface in the narma.timeseries.v1 JSON (a run directory's
-// timeseries.json) and render via `narma_cli timeline`. When an anomaly
-// Journal is attached (set_journal), each window's worst straggler over all
-// ranks is also appended there as a typed record.
+// The recorder records; `narma_cli timeline` (obs::timeline) flags. It
+// reads the windows back and flags stragglers among the recorded ranks
+// (busy fraction below their window median by more than
+// kStragglerThreshold) and, with msgtrace.json beside it, the LogGP
+// residual of each (window, backend) channel. The one flag counted here is
+// `rank_agg.stragglers`, over all ranks: past kMaxRecordedRanks the
+// document does not hold every rank's busy fraction.
 #pragma once
 
 #include <cstdint>
@@ -67,21 +61,15 @@ class Engine;
 
 namespace narma::obs {
 
-class Journal;
-
 class TimeSeries {
  public:
   /// Ranks with per-rank rows (`ranks`, `cells`) in every window.
   static constexpr int kMaxRecordedRanks = 64;
 
-  /// A rank is flagged a straggler in a window when its busy fraction
-  /// falls this far (absolute) below the window's median busy fraction.
+  /// A rank is a straggler in a window when its busy fraction falls this
+  /// far (absolute) below the window's median busy fraction: the rule of
+  /// `rank_agg.stragglers` and of timeline's straggler rows.
   static constexpr double kStragglerThreshold = 0.25;
-
-  /// A (window, backend) channel is flagged when its mean measured
-  /// channel-stage latency exceeds the single-leg LogGP floor by more than
-  /// this relative margin.
-  static constexpr double kResidualThreshold = 0.50;
 
   /// Per-rank virtual-time advance inside one window.
   struct RankDelta {
@@ -126,28 +114,6 @@ class TimeSeries {
     Kind kind = Kind::kCounter;
   };
 
-  /// Measured-vs-model channel residuals for one (window, backend) group;
-  /// computed by World::run from msgtrace summaries when both are enabled.
-  struct ResidualRow {
-    std::uint32_t window = 0;
-    std::string backend;
-    std::uint64_t msgs = 0;
-    double mean_model_ps = 0;
-    double mean_residual_ps = 0;
-    double max_abs_residual_ps = 0;
-    bool flagged = false;
-  };
-
-  /// A threshold-crossing observation. kind is "straggler" (rank-scoped)
-  /// or "channel_residual" (backend-scoped, rank == -1).
-  struct Anomaly {
-    std::uint32_t window = 0;
-    std::string kind;
-    int rank = -1;
-    std::string detail;
-    double value = 0;
-  };
-
   TimeSeries(Registry& reg, sim::Engine& eng, const ObsParams& params);
   TimeSeries(const TimeSeries&) = delete;
   TimeSeries& operator=(const TimeSeries&) = delete;
@@ -163,13 +129,6 @@ class TimeSeries {
   /// after the post-run metric accounting so the last window includes it.
   void finalize(Time t_end);
 
-  void set_residuals(std::vector<ResidualRow> rows);
-
-  /// Attaches an anomaly journal: each snapshot appends at most one
-  /// straggler record (the window's worst rank over all ranks, when it
-  /// crosses the threshold). nullptr detaches.
-  void set_journal(Journal* j) { journal_ = j; }
-
   // --- Introspection --------------------------------------------------------
 
   /// Ranks carrying per-rank rows, ascending: every rank up to
@@ -179,11 +138,6 @@ class TimeSeries {
   std::uint64_t merges() const { return merges_; }
   const std::vector<Window>& windows() const { return windows_; }
   const std::vector<FamilyInfo>& families() const { return families_; }
-  const std::vector<ResidualRow>& residuals() const { return residuals_; }
-
-  /// Straggler (among recorded ranks) + flagged-residual observations
-  /// across all windows (recomputed on call; deterministic).
-  std::vector<Anomaly> anomalies() const;
 
   /// narma.timeseries.v1 document; all times integer picoseconds.
   std::string to_json() const;
@@ -206,7 +160,6 @@ class TimeSeries {
   sim::Engine& eng_;
   Time window_ps_;
   std::size_t capacity_;
-  Journal* journal_ = nullptr;
 
   Time last_boundary_ = 0;
   std::vector<FamilyInfo> families_;
@@ -215,7 +168,6 @@ class TimeSeries {
   std::vector<std::vector<CellBase>> base_;  // [family][recorded index]
   std::vector<RankDelta> rank_base_;         // absolute totals, every rank
   std::vector<Window> windows_;
-  std::vector<ResidualRow> residuals_;
   std::uint64_t snapshots_ = 0;
   std::uint64_t merges_ = 0;
   bool finalized_ = false;

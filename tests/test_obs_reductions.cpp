@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/stencil.hpp"
 #include "common/json.hpp"
 #include "core/world.hpp"
 #include "golden_schedule.hpp"
@@ -173,6 +174,23 @@ TEST(ObsJournal, FaultFreeRunIsClean) {
   run_small_workload(world);
   EXPECT_EQ(world.journal()->appended(), 0u);
   EXPECT_TRUE(world.journal()->records().empty());
+
+  // Every recorder on, in the CI observability smoke configuration (4-rank
+  // notified stencil, profiled), whose windows hold stragglers: the
+  // recorders record, `timeline` flags, and the journal stays empty.
+  wp.obs.msgtrace = wp.obs.timeseries = true;
+  World traced(4, wp);
+  traced.enable_profiling();
+  apps::StencilConfig cfg;
+  cfg.rows = 64;
+  cfg.total_cols = 256;
+  cfg.iters = 4;
+  traced.run([&](Rank& self) { apps::run_stencil(self, cfg); });
+  std::uint32_t stragglers = 0;
+  for (const auto& w : traced.timeseries()->windows())
+    stragglers += w.agg.stragglers;
+  EXPECT_GT(stragglers, 0u);
+  EXPECT_EQ(traced.journal()->appended(), 0u);
 }
 
 TEST(ObsJournal, CapacityZeroDisables) {

@@ -369,6 +369,79 @@ TEST(Readers, PerfettoDrawsIntranodePutNotifyDataLegs) {
   EXPECT_EQ(legs_per_msg["put"], each_one);
 }
 
+// --- the residual table ------------------------------------------------------
+
+/// A channel stage of 3108 ps.
+constexpr const char* kSlowDecomp =
+    R"("chan_queue":0,"gap":100,"ser":8,"wire":3000)";
+
+/// A two-window timeseries.json and a one-message msgtrace.json whose FMA
+/// lane (L 1000 ps, g 100 ps, G 1 ps/B) carried 8 bytes ending at
+/// `t_end`: a 1108 ps floor. `lane`, `decomp` and `ends` replace parts.
+void put_residual_dir(const std::string& dir, const std::string& lane = "fma",
+                      const std::string& decomp = kSlowDecomp,
+                      const std::string& t_end = "150",
+                      const std::string& ends = "100,200") {
+  const auto comma = ends.find(',');
+  put(dir + "/timeseries.json",
+      R"({"schema":"narma.timeseries.v1","nranks":2,"families":[],)"
+      R"("windows":[{"t_end_ps":)" + ends.substr(0, comma) +
+          R"(},{"t_end_ps":)" + ends.substr(comma + 1) + "}]}");
+  put(dir + "/msgtrace.json",
+      R"({"schema":"narma.msgtrace.v1","nranks":2,"lanes":[)"
+      R"({"name":"shm","L_ps":250,"g_ps":5,"G_ps_per_byte":0.5},)"
+      R"({"name":"fma","L_ps":1000,"g_ps":100,"G_ps_per_byte":1}],)"
+      R"("messages":[{"src":0,"dst":1,"bytes":8,"complete":true,"lane":")" +
+          lane + R"(","t_end_ps":)" + t_end + R"(,"decomp_ps":{)" + decomp +
+          "}}]}");
+}
+
+TEST(Readers, ResidualRowsComeFromTheLanesTable) {
+  const std::string dir = fresh_dir("readers_residual");
+  put_residual_dir(dir);
+  Outcome o = timeline(dir);
+  ASSERT_EQ(o.result.status, obs::ReadStatus::kOk) << o.result.diagnostic;
+  // 3108 ps measured over a 1108 ps floor: flagged, in the window ending
+  // after 150 ps.
+  EXPECT_NE(o.out.find("\n1         aries     1     1.108        2.000"),
+            std::string::npos)
+      << o.out;
+  EXPECT_NE(o.out.find("FLAGGED"), std::string::npos);
+  EXPECT_NE(o.out.find("aries: mean residual 2000 ps over model 1108 ps (1 "
+                       "msgs)"),
+            std::string::npos)
+      << o.out;
+  // A message ending at or past the last window's end lands in it.
+  put_residual_dir(dir, "fma", kSlowDecomp, "900");
+  o = timeline(dir);
+  EXPECT_NE(o.out.find("\n1         aries"), std::string::npos) << o.out;
+  // The shm lane is the shm backend.
+  put_residual_dir(dir, "shm", R"("chan_queue":0,"gap":5,"ser":4,"wire":250)");
+  o = timeline(dir);
+  EXPECT_NE(o.out.find("\n1           shm     1     0.259        0.000"),
+            std::string::npos)
+      << o.out;
+  EXPECT_NE(o.out.find("anomalies: none"), std::string::npos) << o.out;
+}
+
+TEST(Readers, MalformedResidualInputsAreDiagnostics) {
+  const std::string dir = fresh_dir("readers_residual_bad");
+  auto diagnostic = [&] {
+    const Outcome o = timeline(dir);
+    EXPECT_EQ(o.result.status, obs::ReadStatus::kFailed) << o.out;
+    return o.result.diagnostic;
+  };
+  put_residual_dir(dir, "bte");
+  EXPECT_NE(diagnostic().find("lane 'bte' is not in the lanes table"),
+            std::string::npos);
+  put_residual_dir(dir, "fma", R"("chan_queue":0,"gap":100,"ser":8)");
+  EXPECT_NE(diagnostic().find("wire: missing"), std::string::npos);
+  put_residual_dir(dir, "fma", R"("chan_queue":0,"gap":100,"ser":8,"wire":-1)");
+  EXPECT_NE(diagnostic().find("wire: -1 is not an integer"), std::string::npos);
+  put_residual_dir(dir, "fma", kSlowDecomp, "150", "200,100");
+  EXPECT_NE(diagnostic().find("window 1 ends before"), std::string::npos);
+}
+
 // --- seeded mutations over real run directories -----------------------------
 
 /// The profiled NA stencil with every recorder on, small enough that one
@@ -538,6 +611,13 @@ Tally sweep(const std::string& dir, const char* name, std::uint64_t seed,
   if (text.empty()) return {};
   const std::string mut = fresh_dir("readers_mut");
   const std::string perfetto = mut + "/perfetto.out";
+  // timeline reads msgtrace.json with timeseries.json (the residual table):
+  // the mutations of each run beside the other's unmutated file.
+  for (const char* pair : {"msgtrace.json", "timeseries.json"})
+    if (std::string_view(name) != pair &&
+        (std::string_view(name) == "msgtrace.json" ||
+         std::string_view(name) == "timeseries.json"))
+      fs::copy_file(dir + "/" + pair, mut + "/" + pair);
   std::mt19937_64 rng(seed);
   Tally tally;
   std::FILE* sink = std::tmpfile();

@@ -127,7 +127,31 @@ TEST(RunDir, WritesOneFixedNameFilePerRecorder) {
   for (const char* name : {obs::kMetricsFile, obs::kJournalFile,
                            obs::kMsgtraceFile, obs::kTimeseriesFile})
     EXPECT_TRUE(json::parse_file(dir + "/" + name).ok) << name;
-  EXPECT_EQ(slurp(dir + "/msgtrace.json"), world.msgtrace()->to_json());
+
+  // msgtrace.json carries the fabric's lane table and, on each complete
+  // message, the lane Fabric::transport_for gave it.
+  const json::Value mt = json::parse_file(dir + "/msgtrace.json").value;
+  const json::Array& lanes = mt["lanes"].as_array();
+  ASSERT_EQ(lanes.size(), static_cast<std::size_t>(net::kNumTransports));
+  for (std::size_t t = 0; t < lanes.size(); ++t) {
+    const auto lane = static_cast<net::Transport>(t);
+    const net::TransportTiming& tm = world.fabric().timing(lane);
+    EXPECT_EQ(lanes[t].string_or("name", ""), net::to_string(lane));
+    EXPECT_EQ(lanes[t].number_or("L_ps", -1), static_cast<double>(tm.L));
+    EXPECT_EQ(lanes[t].number_or("g_ps", -1), static_cast<double>(tm.g));
+    EXPECT_EQ(lanes[t].number_or("G_ps_per_byte", -1), tm.G_ps_per_byte);
+  }
+  std::size_t complete = 0;
+  for (const json::Value& m : mt["messages"].as_array()) {
+    if (!m["complete"].as_bool()) continue;
+    ++complete;
+    EXPECT_EQ(m.string_or("lane", ""),
+              net::to_string(world.fabric().transport_for(
+                  static_cast<int>(m.number_or("src", -1)),
+                  static_cast<int>(m.number_or("dst", -1)),
+                  static_cast<std::size_t>(m.number_or("bytes", 0)))));
+  }
+  EXPECT_GT(complete, 0u);
 }
 
 TEST(RunDir, NamesTheFirstFileItCannotWrite) {

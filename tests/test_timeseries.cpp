@@ -2,20 +2,27 @@
 // host-time phase profiler (src/obs/profile): the telescoping invariant
 // (window deltas sum exactly to the end-of-run metrics totals, including
 // through downsampling merges), bit-identical exports across repeated runs
-// and with profiling on or off, the fully disabled path, straggler and
-// residual monitors, and the profiler's accounting identities.
+// and with profiling on or off, the fully disabled path, the straggler and
+// residual tables `narma_cli timeline` computes from the run directory, and
+// the profiler's accounting identities.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/table.hpp"
 #include "core/world.hpp"
 #include "obs/profile.hpp"
+#include "obs/readers.hpp"
 #include "obs/timeseries.hpp"
 
 using namespace narma;
@@ -287,6 +294,87 @@ TEST(TimeSeries, HostTimeFamiliesExcludedFromSnapshots) {
     EXPECT_FALSE(is_host_time(f.name)) << f.name;
 }
 
+namespace {
+
+/// The rows of the table `title` in `world`'s `narma_cli timeline` output,
+/// each split into its whitespace-separated cells.
+std::vector<std::vector<std::string>> timeline_rows(World& world,
+                                                    const std::string& name,
+                                                    const std::string& title) {
+  const std::string dir = testing::TempDir() + name;
+  EXPECT_EQ(world.write_artifacts(dir), "");
+  std::FILE* f = std::tmpfile();
+  const obs::ReadResult r = obs::timeline(dir, {}, f);
+  EXPECT_EQ(r.status, obs::ReadStatus::kOk) << r.diagnostic;
+  std::rewind(f);
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    out.append(buf, n);
+  std::fclose(f);
+  std::vector<std::vector<std::string>> rows;
+  const std::size_t at = out.find("\n" + title + ":\n");
+  if (at == std::string::npos) return rows;
+  std::istringstream lines(out.substr(at + title.size() + 3));
+  std::string line;
+  std::getline(lines, line);  // header
+  std::getline(lines, line);  // rule
+  while (std::getline(lines, line) && !line.empty()) {
+    std::istringstream cells(line);
+    rows.emplace_back(std::istream_iterator<std::string>(cells),
+                      std::istream_iterator<std::string>());
+  }
+  return rows;
+}
+
+constexpr const char* kResiduals =
+    "model residuals (measured - LogGP per backend)";
+
+/// The residual table timeline must print for `world`, computed here from
+/// the live recorders and the fabric: each complete message's channel stage
+/// minus its lane's g + G*bytes + L, grouped by (window holding its end,
+/// shm or aries), formatted as the table formats it.
+std::vector<std::vector<std::string>> expected_residuals(World& world) {
+  const auto& windows = world.timeseries()->windows();
+  struct Acc {
+    std::uint64_t msgs = 0;
+    double model = 0, resid = 0, max_abs = 0;
+  };
+  std::map<std::pair<std::size_t, std::string>, Acc> groups;
+  for (const auto& m : world.msgtrace()->summarize()) {
+    if (!m.complete) continue;
+    std::size_t wi = 0;
+    while (wi + 1 < windows.size() && windows[wi].t_end <= m.t_end) ++wi;
+    const net::Fabric& fabric = world.fabric();
+    const net::TransportTiming& tm =
+        fabric.timing(fabric.transport_for(m.src, m.dst, m.bytes));
+    const double model = static_cast<double>(tm.L) +
+                         static_cast<double>(tm.g) +
+                         tm.G_ps_per_byte * static_cast<double>(m.bytes);
+    double measured = 0;
+    for (obs::LatCat c : {obs::LatCat::kChanQueue, obs::LatCat::kGap,
+                          obs::LatCat::kSer, obs::LatCat::kWire})
+      measured += static_cast<double>(m.cat[static_cast<std::size_t>(c)]);
+    Acc& acc = groups[{wi, fabric.same_node(m.src, m.dst) ? "shm" : "aries"}];
+    ++acc.msgs;
+    acc.model += model;
+    acc.resid += measured - model;
+    acc.max_abs = std::max(acc.max_abs, std::abs(measured - model));
+  }
+  std::vector<std::vector<std::string>> rows;
+  for (const auto& [key, acc] : groups) {
+    const double n = static_cast<double>(acc.msgs);
+    rows.push_back({std::to_string(key.first), key.second,
+                    std::to_string(acc.msgs), Table::fmt(acc.model / n / 1e3),
+                    Table::fmt(acc.resid / n / 1e3),
+                    Table::fmt(acc.max_abs / 1e3)});
+    if (acc.resid / n > 0.5 * acc.model / n) rows.back().push_back("FLAGGED");
+  }
+  return rows;
+}
+
+}  // namespace
+
 TEST(TimeSeries, StragglerFlagged) {
   World world(4, recorded(us(100)));
   // Ranks 0-2 stay busy all window; rank 3 computes a sliver and blocks in
@@ -297,10 +385,21 @@ TEST(TimeSeries, StragglerFlagged) {
       self.barrier();
     }
   });
-  bool straggler3 = false;
-  for (const auto& a : world.timeseries()->anomalies())
-    if (a.kind == "straggler" && a.rank == 3) straggler3 = true;
-  EXPECT_TRUE(straggler3);
+  // timeline flags it; the recorder's all-rank count agrees; the journal
+  // records no analysis.
+  std::size_t flagged = 0;
+  for (const auto& row :
+       timeline_rows(world, "ts_straggler", "anomalies (4)")) {
+    ASSERT_GE(row.size(), 4u);
+    EXPECT_EQ(row[1], "straggler");
+    EXPECT_EQ(row[2], "3");
+    EXPECT_EQ(row[3], "busy");
+    EXPECT_EQ(world.timeseries()->windows()[std::stoul(row[0])].agg.stragglers,
+              1u);
+    ++flagged;
+  }
+  EXPECT_EQ(flagged, 4u);
+  EXPECT_EQ(world.journal()->appended(), 0u);
 }
 
 TEST(TimeSeries, ResidualRowsFromMsgTrace) {
@@ -308,20 +407,30 @@ TEST(TimeSeries, ResidualRowsFromMsgTrace) {
   wp.obs.msgtrace = true;
   World world(4, wp);
   run_ring(world);
-  const auto& rows = world.timeseries()->residuals();
+  const auto rows = timeline_rows(world, "ts_residual", kResiduals);
   ASSERT_FALSE(rows.empty());
-  std::uint64_t msgs = 0;
-  for (const auto& r : rows) {
-    EXPECT_EQ(r.backend, "aries");
-    EXPECT_GT(r.mean_model_ps, 0.0);
-    EXPECT_LT(r.window, world.timeseries()->windows().size());
-    msgs += r.msgs;
+  for (const auto& row : rows) {
+    ASSERT_GE(row.size(), 6u);
+    EXPECT_EQ(row[1], "aries");
+    EXPECT_LT(std::stoul(row[0]), world.timeseries()->windows().size());
+    EXPECT_GT(std::stod(row[3]), 1000.0);  // FMA: L alone is 1.02 us
   }
-  EXPECT_GT(msgs, 0u);
-  // The residual rows surface in the JSON export.
-  const std::string doc = world.timeseries()->to_json();
-  EXPECT_NE(doc.find("\"residuals\""), std::string::npos);
-  EXPECT_NE(doc.find("\"aries\""), std::string::npos);
+  EXPECT_EQ(rows, expected_residuals(world));
+}
+
+// Two ranks per node: the ring's even-to-odd hops stay on the node (shm),
+// the odd-to-even ones cross it (aries), so the table holds both backends.
+TEST(TimeSeries, ResidualRowsPerBackendAtTwoRanksPerNode) {
+  WorldParams wp = recorded(us(50));
+  wp.obs.msgtrace = true;
+  wp.fabric.ranks_per_node = 2;
+  World world(4, wp);
+  run_ring(world);
+  const auto rows = timeline_rows(world, "ts_residual_rpn2", kResiduals);
+  std::set<std::string> backends;
+  for (const auto& row : rows) backends.insert(row.at(1));
+  EXPECT_EQ(backends, (std::set<std::string>{"aries", "shm"}));
+  EXPECT_EQ(rows, expected_residuals(world));
 }
 
 // --- Profiler ----------------------------------------------------------------

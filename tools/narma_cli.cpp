@@ -218,9 +218,10 @@ int usage() {
       "  timeline  DIR [--perfetto=FILE] [--top=N]\n"
       "            analyze the flight recorder and the anomaly journal:\n"
       "            per-window rank activity, busiest counter families,\n"
-      "            model-residual rows, flagged anomalies; --perfetto writes\n"
-      "            a Chrome trace for Perfetto: one arrow per message leg\n"
-      "            of msgtrace.json, counter tracks from timeseries.json\n"
+      "            stragglers; with msgtrace.json, each window's LogGP\n"
+      "            residual per backend (flagged past 50%); --perfetto\n"
+      "            writes a Chrome trace for Perfetto: one arrow per message\n"
+      "            leg of msgtrace.json, counter tracks from timeseries.json\n"
       "  critpath  DIR [--top=N]\n"
       "            analyze a causal message trace: critical-path category\n"
       "            breakdown, per-rank share, slowest messages, per-\n"
