@@ -92,8 +92,8 @@ static void BM_UqIndexFindConsume(benchmark::State& state) {
     uq.insert(n);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(uq.find_oldest(1, na::kAnySource, 2));  // miss
-    const net::HwNotification* hit = uq.find_oldest(1, na::kAnySource, 1);
+    benchmark::DoNotOptimize(uq.find({1, na::kAnySource, 2}));  // miss
+    const net::HwNotification* hit = uq.find({1, na::kAnySource, 1});
     const net::HwNotification repark = *hit;
     uq.erase(hit);
     uq.insert(repark);
@@ -115,7 +115,7 @@ static void BM_UqIndexExactFifo(benchmark::State& state) {
   for (std::size_t i = 0; i < depth; ++i) uq.insert(n);
   for (auto _ : state) {
     uq.insert(n);
-    uq.erase(uq.find_oldest(1, 3, 1));
+    uq.erase(uq.find({1, 3, 1}));
     benchmark::DoNotOptimize(uq.size());
   }
   state.SetComplexityN(state.range(0));

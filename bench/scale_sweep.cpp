@@ -232,28 +232,46 @@ Sample run_isolated(Sample (*fn)(int), int nranks) {
   return s;
 }
 
-void sweep(const char* app, Sample (*fn)(int),
-           const std::vector<int>& rank_counts, int nreps) {
-  Table t({"app", "ranks", "wall ms", "events", "Mevents/s", "peak RSS MiB"});
-  for (int nranks : rank_counts) {
-    Sample best;
-    best.wall_ns = ~0ull;
-    for (int rep = 0; rep < nreps; ++rep) {
-      const Sample s = run_isolated(fn, nranks);
-      if (s.wall_ns < best.wall_ns) best = s;
-    }
-    const double ms = static_cast<double>(best.wall_ns) / 1e6;
-    const double meps = static_cast<double>(best.events) /
-                        (static_cast<double>(best.wall_ns) / 1e3);
-    char wall[32], rate[32], rss[32];
-    std::snprintf(wall, sizeof wall, "%.1f", ms);
-    std::snprintf(rate, sizeof rate, "%.2f", meps);
-    std::snprintf(rss, sizeof rss, "%.1f",
-                  static_cast<double>(best.peak_rss_kb) / 1024.0);
-    t.add_row({app, std::to_string(nranks), wall,
-               std::to_string(best.events), rate, rss});
+struct App {
+  const char* name;
+  Sample (*fn)(int);
+};
+
+/// Runs each app `nreps` times per rank count and prints one table per app
+/// with its best rep. The apps' forks alternate within each rep, so apps
+/// swept together (the observability pair) are measured back to back and
+/// their ratio does not absorb the host's drift between two separate
+/// sweeps.
+void sweep(const std::vector<App>& apps, const std::vector<int>& rank_counts,
+           int nreps) {
+  std::vector<std::vector<Sample>> best(
+      apps.size(), std::vector<Sample>(rank_counts.size()));
+  for (std::size_t r = 0; r < rank_counts.size(); ++r) {
+    for (auto& app_best : best) app_best[r].wall_ns = ~0ull;
+    for (int rep = 0; rep < nreps; ++rep)
+      for (std::size_t a = 0; a < apps.size(); ++a) {
+        const Sample s = run_isolated(apps[a].fn, rank_counts[r]);
+        if (s.wall_ns < best[a][r].wall_ns) best[a][r] = s;
+      }
   }
-  bench::print(t);
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    Table t({"app", "ranks", "wall ms", "events", "Mevents/s",
+             "peak RSS MiB"});
+    for (std::size_t r = 0; r < rank_counts.size(); ++r) {
+      const Sample& b = best[a][r];
+      const double ms = static_cast<double>(b.wall_ns) / 1e6;
+      const double meps = static_cast<double>(b.events) /
+                          (static_cast<double>(b.wall_ns) / 1e3);
+      char wall[32], rate[32], rss[32];
+      std::snprintf(wall, sizeof wall, "%.1f", ms);
+      std::snprintf(rate, sizeof rate, "%.2f", meps);
+      std::snprintf(rss, sizeof rss, "%.1f",
+                    static_cast<double>(b.peak_rss_kb) / 1024.0);
+      t.add_row({apps[a].name, std::to_string(rank_counts[r]), wall,
+                 std::to_string(b.events), rate, rss});
+    }
+    bench::print(t);
+  }
 }
 
 void recovery_sweep(int nranks, int nreps) {
@@ -304,12 +322,14 @@ int main() {
               "per_point=2ns; tree: 16-ary, 4 doubles, 4 reps, notified");
   bench::note("each config forked fresh (per-run VmHWM); best of " +
               std::to_string(nreps) + " reps");
-  sweep("stencil", run_stencil_child, rank_counts, nreps);
-  sweep("tree", run_tree_child, rank_counts, nreps);
+  sweep({{"stencil", run_stencil_child}}, rank_counts, nreps);
+  sweep({{"tree", run_tree_child}}, rank_counts, nreps);
   bench::note("stencil_obs0/_obs: same stencil with observability fully off "
-              "vs the full stack (metrics + recorder + journal)");
-  sweep("stencil_obs0", run_stencil_obs0_child, rank_counts, nreps);
-  sweep("stencil_obs", run_stencil_obs_child, rank_counts, nreps);
+              "vs the full stack (metrics + recorder + journal), "
+              "forks alternating within each rep");
+  sweep({{"stencil_obs0", run_stencil_obs0_child},
+         {"stencil_obs", run_stencil_obs_child}},
+        rank_counts, nreps);
   bench::note("recovery_k*: notified stencil (64 rows x 2 cols/rank, 8 "
               "iters) with a pinned fail-stop of rank n/2 at epoch 6; "
               "recovery time vs checkpoint interval");

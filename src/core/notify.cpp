@@ -1,5 +1,6 @@
 #include "core/notify.hpp"
 
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -87,127 +88,6 @@ std::size_t SlotPool::index_of(const RequestSlot* slot) const {
   }
   NARMA_CHECK(false) << "request slot not owned by this pool";
   return 0;
-}
-
-// -------------------------------------------------------------- UqIndex --
-
-namespace {
-
-/// Tombstones tolerated beyond the live entry count before the store is
-/// compacted: amortizes each compaction over at least this many erases.
-constexpr std::size_t kCompactSlack = 64;
-
-}  // namespace
-
-UqIndex::Key UqIndex::key_of(Kind kind, const net::HwNotification& n) {
-  switch (kind) {
-    case kExact:
-      return {n.window, n.imm};
-    case kByTag:
-      return {n.window, net::imm_tag(n.imm)};
-    case kBySrc:
-      return {n.window, static_cast<std::uint64_t>(net::imm_source(n.imm))};
-    default:
-      return {n.window, 0};
-  }
-}
-
-void UqIndex::link(Kind kind, std::uint32_t pos) {
-  List& list = lists_[kind][key_of(kind, store_[pos])];
-  store_[pos].next[kind] = kNil;
-  if (list.tail == kNil)
-    list.head = pos;
-  else
-    store_[list.tail].next[kind] = pos;
-  list.tail = pos;
-  ++list.len;
-}
-
-void UqIndex::link_store(Kind kind) {
-  for (std::uint32_t pos = 0; pos < store_.size(); ++pos)
-    if (store_[pos].live) link(kind, pos);
-}
-
-void UqIndex::insert(const net::HwNotification& n) {
-  NARMA_CHECK(store_.size() < kNil) << "unexpected queue exceeds 2^32 slots";
-  const auto pos = static_cast<std::uint32_t>(store_.size());
-  store_.push_back(Slot{n});
-  ++live_;
-  for (int k = 0; k < kKinds; ++k)
-    if (linked_ & (1u << k)) link(static_cast<Kind>(k), pos);
-}
-
-const net::HwNotification* UqIndex::find_oldest(std::uint64_t window,
-                                                int source, int tag) {
-  // Each request shape consults the one list kind whose members are exactly
-  // its candidate set, in arrival order.
-  Kind kind = kByWin;
-  Key key{window, 0};
-  if (source != kAnySource && tag != kAnyTag) {
-    kind = kExact;
-    key.sel = net::encode_imm(source, static_cast<std::uint32_t>(tag));
-  } else if (tag != kAnyTag) {
-    kind = kByTag;
-    key.sel = static_cast<std::uint64_t>(tag);
-  } else if (source != kAnySource) {
-    kind = kBySrc;
-    key.sel = static_cast<std::uint64_t>(source);
-  }
-  if (!(linked_ & (1u << kind))) {
-    linked_ |= static_cast<std::uint8_t>(1u << kind);
-    link_store(kind);
-  }
-
-  last_list_len_ = 0;
-  auto it = lists_[kind].find(key);
-  if (it == lists_[kind].end()) return nullptr;
-  List& list = it->second;
-  last_list_len_ = list.len;
-  while (list.head != kNil && !store_[list.head].live) {
-    list.head = store_[list.head].next[kind];  // consumed: prune lazily
-    --list.len;
-  }
-  if (list.head == kNil) {
-    list.tail = kNil;
-    return nullptr;
-  }
-  return &store_[list.head];
-}
-
-std::size_t UqIndex::position(const net::HwNotification* e) const {
-  return static_cast<std::size_t>(static_cast<const Slot*>(e) -
-                                  store_.data());
-}
-
-void UqIndex::erase(const net::HwNotification* e) {
-  const std::size_t pos = position(e);
-  NARMA_ASSERT(pos < store_.size() && store_[pos].live);
-  store_[pos].live = false;
-  --live_;
-  if (store_.size() - live_ > live_ + kCompactSlack) compact();
-}
-
-void UqIndex::compact() {
-  // Squeeze the tombstones out. Survivors keep their relative (arrival)
-  // order, so relinking in store order rebuilds every list without a sort.
-  std::erase_if(store_, [](const Slot& s) { return !s.live; });
-  for (int k = 0; k < kKinds; ++k) {
-    if (!(linked_ & (1u << k))) continue;
-    ListMap& map = lists_[k];
-    for (auto& kv : map) kv.second = List{};
-    link_store(static_cast<Kind>(k));
-    // Drained keys keep their (empty) list for the next park, unless there
-    // are more of them than the live entries warrant.
-    if (map.size() > live_ + kCompactSlack)
-      std::erase_if(map, [](const auto& kv) { return kv.second.len == 0; });
-  }
-}
-
-std::size_t UqIndex::linked_refs() const {
-  std::size_t refs = 0;
-  for (const ListMap& map : lists_)
-    for (const auto& kv : map) refs += kv.second.len;
-  return refs;
 }
 
 // --------------------------------------------------------- NotifyRequest --
@@ -582,8 +462,8 @@ void NaEngine::test_indexed(RequestSlot& s, NaStatus& st) {
   if (!uq_index_.empty()) {
     nic.ctx().advance(params_.uq_index_lookup);
     while (s.matched < s.expected) {
-      const net::HwNotification* e = uq_index_.find_oldest(
-          s.window, static_cast<int>(s.source), s.tag);
+      const net::HwNotification* e = uq_index_.find(
+          {s.window, static_cast<int>(s.source), s.tag});
       ++pass_probes_;
       h_index_list_len_.record(uq_index_.last_list_len());
       if (!e) break;
@@ -708,21 +588,27 @@ void NaEngine::free(NotifyRequest& req) {
                    router_.nic().ctx().now());
 }
 
+namespace {
+
+/// A probe's hit: fills `status` (when given) from the notification.
+bool report_probe(const net::HwNotification& e, NaStatus* status) {
+  if (status) {
+    status->source = net::imm_source(e.imm);
+    status->tag = static_cast<int>(net::imm_tag(e.imm));
+    status->bytes = e.bytes;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool NaEngine::iprobe_linear(const RequestSlot& probe_slot,
                              NaStatus* status) {
   net::Nic& nic = router_.nic();
-  auto report = [&](const net::HwNotification& e) {
-    if (status) {
-      status->source = net::imm_source(e.imm);
-      status->tag = static_cast<int>(net::imm_tag(e.imm));
-      status->bytes = e.bytes;
-    }
-    return true;
-  };
 
   for (const auto& e : uq_) {
     nic.ctx().advance(params_.uq_scan);
-    if (matches(probe_slot, e.imm, e.window)) return report(e);
+    if (matches(probe_slot, e.imm, e.window)) return report_probe(e, status);
   }
   // Pull hardware-queue entries into the UQ until a match surfaces (they
   // stay queued — a probe never consumes).
@@ -730,7 +616,7 @@ bool NaEngine::iprobe_linear(const RequestSlot& probe_slot,
   while (pop_hw(e)) {
     uq_.push_back(e);
     c_uq_inserts_.inc();
-    if (matches(probe_slot, e.imm, e.window)) return report(e);
+    if (matches(probe_slot, e.imm, e.window)) return report_probe(e, status);
   }
   return false;
 }
@@ -738,21 +624,13 @@ bool NaEngine::iprobe_linear(const RequestSlot& probe_slot,
 bool NaEngine::iprobe_indexed(const RequestSlot& probe_slot,
                               NaStatus* status) {
   net::Nic& nic = router_.nic();
-  auto report = [&](const net::HwNotification& e) {
-    if (status) {
-      status->source = net::imm_source(e.imm);
-      status->tag = static_cast<int>(net::imm_tag(e.imm));
-      status->bytes = e.bytes;
-    }
-    return true;
-  };
 
   if (!uq_index_.empty()) {
     nic.ctx().advance(params_.uq_index_lookup);
-    if (const net::HwNotification* e = uq_index_.find_oldest(
-            probe_slot.window, static_cast<int>(probe_slot.source),
-            probe_slot.tag))
-      return report(*e);
+    if (const net::HwNotification* e = uq_index_.find(
+            {probe_slot.window, static_cast<int>(probe_slot.source),
+             probe_slot.tag}))
+      return report_probe(*e, status);
   }
   // Park hardware-queue entries in the index until a match surfaces (a
   // probe never consumes). The whole popped batch is parked; the reported
@@ -768,7 +646,7 @@ bool NaEngine::iprobe_indexed(const RequestSlot& probe_slot,
       uq_index_.insert(e);
       c_uq_inserts_.inc();
     }
-    if (hit) return report(*hit);
+    if (hit) return report_probe(*hit, status);
   }
 }
 

@@ -21,6 +21,8 @@ constexpr int kAnyTag = -1;
 /// Tags at or above this value are reserved for collectives and internal
 /// protocols.
 constexpr int kMaxUserTag = 0xC000;
+/// Every tag, user or reserved, lies below this value.
+constexpr int kTagLimit = kMaxUserTag + 0x4000;
 
 struct MpParams {
   /// Messages strictly larger than this use the rendezvous protocol.
