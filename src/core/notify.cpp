@@ -1,7 +1,6 @@
 #include "core/notify.hpp"
 
 #include <array>
-#include <cstring>
 #include <utility>
 
 #include "obs/msgtrace.hpp"
@@ -27,18 +26,18 @@ void trace_issue(net::Nic& nic, obs::MsgId mid) {
                                  nic.ctx().now());
 }
 
-/// The batch buffer every indexed hardware-queue drain on this thread
-/// fills. Ranks run as fibers of one thread, and a matching pass never
-/// yields or runs events between its drain and its last read of the batch,
-/// so one buffer serves every engine on the thread: no per-rank memory and
-/// no per-call initialization. `busy` marks a pass in flight.
+/// The batch buffer every hardware-queue drain on this thread fills. Ranks
+/// run as fibers of one thread, and a matching pass never yields or runs
+/// events between its drain and its last read of the batch, so one buffer
+/// serves every engine on the thread: no per-rank memory and no per-call
+/// initialization. `busy` marks a pass in flight.
 struct DrainBuffer {
   std::array<net::HwNotification, NaEngine::kMaxHwDrainBatch> slots;
   bool busy = false;
 };
 constinit thread_local DrainBuffer t_drain;
 
-/// Holds the drain buffer for one indexed test()/iprobe() pass and asserts
+/// Holds the drain buffer for one test()/iprobe() pass and asserts
 /// that no other pass starts inside it.
 class DrainPass {
  public:
@@ -159,6 +158,7 @@ void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
   if (fabric.same_node(nic.rank(), target)) {
     // XPMEM path (paper Sec. IV-C): a cache-line notification ring entry.
     net::ShmNotification n;
+    n.inline_data = {};
     n.imm = imm;
     n.window = win.id();
     n.key = win.remote_key(target);
@@ -169,7 +169,7 @@ void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
       // Inline transfer: the payload rides inside the notification entry
       // and is committed by the target at match time.
       n.inline_len = static_cast<std::uint8_t>(bytes);
-      if (bytes) std::memcpy(n.inline_data.data(), src.data(), bytes);
+      net::copy_inline(n.inline_data.data(), src.data(), bytes);
     } else {
       // Optimized memcpy + fence, then the notification (same channel, so
       // FIFO delivery guarantees the data is committed first). The data
@@ -370,7 +370,7 @@ void NaEngine::consume(RequestSlot& s, NaStatus& st,
     // Inline shm payload: commit to the window region now (match time).
     router_.nic().ctx().advance(params_.inline_commit);
     std::byte* dst = router_.nic().resolve(e.key, e.offset, e.inline_len);
-    std::memcpy(dst, e.inline_data.data(), e.inline_len);
+    net::copy_inline(dst, e.inline_data.data(), e.inline_len);
   } else if (e.from_shm) {
     // Copy-then-notify shm path: pay the remote-line fetch + fence check
     // that the inline transfer avoids.
@@ -384,24 +384,10 @@ void NaEngine::consume(RequestSlot& s, NaStatus& st,
   }
 }
 
-bool NaEngine::pop_hw(net::HwNotification& out) {
+std::span<const net::HwNotification> NaEngine::drain_hw(std::size_t max) {
+  NARMA_ASSERT(t_drain.busy && max <= t_drain.slots.size());
   net::Nic& nic = router_.nic();
-  if (nic.pop_hw_batch({&out, 1}) == 0) return false;
-  // Hardware-queue access; tracked but not counted as matching overhead.
-  if (cache_) charge_hw(out);
-  c_hw_drained_.inc();
-  nic.ctx().advance(params_.cq_poll);
-  if (out.msg)
-    if (auto* mt = nic.fabric().msgtrace())
-      mt->hop(out.msg, rank(), obs::HopKind::kPop, nic.ctx().now());
-  return true;
-}
-
-std::span<const net::HwNotification> NaEngine::drain_hw() {
-  NARMA_ASSERT(t_drain.busy);
-  net::Nic& nic = router_.nic();
-  const std::span<net::HwNotification> out{t_drain.slots.data(),
-                                           params_.hw_drain_batch};
+  const std::span<net::HwNotification> out{t_drain.slots.data(), max};
   const std::size_t n = nic.pop_hw_batch(out);
   if (n == 0) return {};
   c_hw_drained_.inc(n);
@@ -439,9 +425,13 @@ void NaEngine::test_linear(RequestSlot& s, NaStatus& st) {
     }
   }
 
-  // 2) Poll the hardware queues; non-matching notifications go to the UQ.
-  net::HwNotification e;
-  while (s.matched < s.expected && pop_hw(e)) {
+  // 2) Poll the hardware queues one entry at a time; non-matching
+  //    notifications go to the UQ.
+  const DrainPass pass;
+  while (s.matched < s.expected) {
+    const std::span<const net::HwNotification> one = drain_hw(1);
+    if (one.empty()) break;
+    const net::HwNotification& e = one.front();
     ++pass_probes_;
     if (matches(s, e.imm, e.window)) {
       consume(s, st, e);
@@ -482,7 +472,8 @@ void NaEngine::test_indexed(RequestSlot& s, NaStatus& st) {
   //    order preserves arrival order.
   const DrainPass pass;
   while (s.matched < s.expected) {
-    const std::span<const net::HwNotification> batch = drain_hw();
+    const std::span<const net::HwNotification> batch =
+        drain_hw(params_.hw_drain_batch);
     if (batch.empty()) break;
     for (const net::HwNotification& e : batch) {
       ++pass_probes_;
@@ -612,13 +603,15 @@ bool NaEngine::iprobe_linear(const RequestSlot& probe_slot,
   }
   // Pull hardware-queue entries into the UQ until a match surfaces (they
   // stay queued — a probe never consumes).
-  net::HwNotification e;
-  while (pop_hw(e)) {
+  const DrainPass pass;
+  while (true) {
+    const std::span<const net::HwNotification> one = drain_hw(1);
+    if (one.empty()) return false;
+    const net::HwNotification& e = one.front();
     uq_.push_back(e);
     c_uq_inserts_.inc();
     if (matches(probe_slot, e.imm, e.window)) return report_probe(e, status);
   }
-  return false;
 }
 
 bool NaEngine::iprobe_indexed(const RequestSlot& probe_slot,
@@ -637,7 +630,8 @@ bool NaEngine::iprobe_indexed(const RequestSlot& probe_slot,
   // match is the first in arrival order.
   const DrainPass pass;
   while (true) {
-    const std::span<const net::HwNotification> batch = drain_hw();
+    const std::span<const net::HwNotification> batch =
+        drain_hw(params_.hw_drain_batch);
     if (batch.empty()) return false;
     const net::HwNotification* hit = nullptr;
     for (const net::HwNotification& e : batch) {

@@ -262,16 +262,13 @@ class NaEngine {
 
   /// Applies a matched notification to the request (status, inline commit).
   void consume(RequestSlot& s, NaStatus& st, const net::HwNotification& e);
-  /// Pops the oldest hardware notification (CQ or shm ring, merged by
-  /// arrival time) into `out`; false if both queues are empty. The
-  /// one-at-a-time path of the linear matcher (charges cq_poll per entry).
-  bool pop_hw(net::HwNotification& out);
-  /// Batched drain for the indexed matcher: fills the thread's drain
-  /// buffer (hw_drain_batch entries at most) and returns the filled part,
-  /// charges cq_poll for the first entry and cq_poll_batch for each
-  /// additional one, and records hardware-queue cache lines. Valid until
-  /// the end of the caller's matching pass.
-  std::span<const net::HwNotification> drain_hw();
+  /// Drains up to `max` hardware notifications (CQ and shm ring merged by
+  /// arrival time) into the thread's drain buffer and returns the filled
+  /// part; charges cq_poll for the first entry and cq_poll_batch for each
+  /// additional one, and records hardware-queue cache lines. The linear
+  /// matcher pops one entry at a time, the indexed one hw_drain_batch.
+  /// Valid until the end of the caller's matching pass.
+  std::span<const net::HwNotification> drain_hw(std::size_t max);
 
   /// Cache-model charges of the request slot, of `bytes` of the unexpected
   /// queue at modelled address `addr`, and of a hardware-queue entry.

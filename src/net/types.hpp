@@ -4,8 +4,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/time.hpp"
 #include "net/params.hpp"
 
@@ -68,6 +70,31 @@ struct ShmNotification {
 /// ("inline transfer", paper Sec. IV-C).
 constexpr std::size_t kShmInlineCapacity =
     sizeof(ShmNotification::inline_data);
+
+/// Copies `n <= kShmInlineCapacity` bytes between non-overlapping buffers
+/// with constant-size moves: two overlapping 16-, 8- or 4-byte copies cover
+/// every length from 4 to 32, three byte moves (first, middle, last) the
+/// lengths 1 to 3. A memcpy of a run-time length costs a library call or a
+/// `rep movsq` whose startup outweighs a copy this small, and a byte loop
+/// is turned back into that call; the inline payload pays it once per
+/// notification.
+inline void copy_inline(std::byte* dst, const std::byte* src, std::size_t n) {
+  NARMA_ASSERT(n <= kShmInlineCapacity);
+  if (n >= 16) {
+    std::memcpy(dst, src, 16);
+    std::memcpy(dst + n - 16, src + n - 16, 16);
+  } else if (n >= 8) {
+    std::memcpy(dst, src, 8);
+    std::memcpy(dst + n - 8, src + n - 8, 8);
+  } else if (n >= 4) {
+    std::memcpy(dst, src, 4);
+    std::memcpy(dst + n - 4, src + n - 4, 4);
+  } else if (n > 0) {
+    dst[0] = src[0];
+    dst[n / 2] = src[n / 2];
+    dst[n - 1] = src[n - 1];
+  }
+}
 
 /// One hardware notification after merging the two delivery queues (the
 /// uGNI-like destination CQ and the XPMEM-like shm ring) by arrival time.

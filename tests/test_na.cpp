@@ -482,31 +482,50 @@ namespace {
 struct ShmPutOutcome {
   Time latency = 0;  // rank 0's issue to rank 1's completed wait
   std::uint64_t data_transfers = 0;
-  bool payload_ok = false;
+  bool payload_ok = false;  // payload in place, sentinels around it intact
 };
 
-/// One intra-node put_notify of `bytes` distinct bytes from rank 0 to 1.
-ShmPutOutcome shm_put_notify(std::size_t bytes) {
+/// How the notification meets its request: drained off the hardware queue
+/// by the started request's wait, or parked in the unexpected queue by a
+/// probe before the request is started.
+enum class Arrival { kStartedFirst, kParkedFirst };
+
+/// One intra-node put_notify of `bytes` distinct bytes from rank 0 to 1, at
+/// byte displacement `kGuard + disp` of a window whose other bytes hold a
+/// sentinel.
+ShmPutOutcome shm_put_notify(std::size_t bytes, std::size_t disp = 0,
+                             na::Matcher matcher = na::Matcher::kIndexed,
+                             Arrival arrival = Arrival::kStartedFirst) {
+  constexpr std::size_t kGuard = 8;
+  constexpr std::byte kSentinel{0xa5};
   std::vector<std::byte> payload(bytes);
   for (std::size_t i = 0; i < bytes; ++i)
     payload[i] = static_cast<std::byte>(i + 1);
-  World world(2, WorldParams::single_node(2));
+  std::vector<std::byte> want(kGuard + disp + bytes + kGuard, kSentinel);
+  std::copy(payload.begin(), payload.end(), want.begin() + kGuard + disp);
+  WorldParams p = WorldParams::single_node(2);
+  p.na.matcher = matcher;
+  World world(2, p);
   ShmPutOutcome out;
   Time t_issue = 0;
   world.run([&](Rank& self) {
-    auto win = self.win_allocate(bytes, 1);
+    auto win = self.win_allocate(want.size(), 1);
+    auto* mem = static_cast<std::byte*>(win->base());
+    std::fill_n(mem, want.size(), kSentinel);
     self.barrier();
     if (self.id() == 0) {
       t_issue = self.now();
-      self.na().put_notify(*win, payload, 1, 0, 3);
+      self.na().put_notify(*win, payload, 1, kGuard + disp, 3);
       win->flush(1);
     } else {
+      if (arrival == Arrival::kParkedFirst) {
+        EXPECT_EQ(self.na().probe(*win, na::MatchSpec{0, 3}).bytes, bytes);
+      }
       auto req = self.na().notify_init(*win, na::MatchSpec{0, 3}, 1);
       self.na().start(req);
       self.na().wait(req);
       out.latency = self.now() - t_issue;
-      out.payload_ok = std::equal(payload.begin(), payload.end(),
-                                  static_cast<const std::byte*>(win->base()));
+      out.payload_ok = std::equal(want.begin(), want.end(), mem);
     }
     self.barrier();
   });
@@ -528,6 +547,26 @@ TEST(NaShm, InlineBoundaryIsTheEntryCapacity) {
   EXPECT_EQ(over.data_transfers, fits.data_transfers + 1);
   EXPECT_GE(over.latency,
             fits.latency + costs.shm_noninline_commit - costs.inline_commit);
+}
+
+TEST(NaShm, InlinePayloadOfEveryLengthLandsExactly) {
+  // Every inline length at every byte misalignment of the target, committed
+  // at match time by both matchers, whether the notification is matched
+  // off the hardware queue or out of the unexpected queue. No separate data
+  // put is issued, and no byte outside the target range changes.
+  const ShmPutOutcome none = shm_put_notify(0);
+  for (na::Matcher m : {na::Matcher::kLinear, na::Matcher::kIndexed})
+    for (Arrival a : {Arrival::kStartedFirst, Arrival::kParkedFirst})
+      for (std::size_t disp = 0; disp < 8; ++disp)
+        for (std::size_t n = 0; n <= net::kShmInlineCapacity; ++n) {
+          const ShmPutOutcome got = shm_put_notify(n, disp, m, a);
+          ASSERT_TRUE(got.payload_ok)
+              << n << " bytes at +" << disp << ", "
+              << (m == na::Matcher::kLinear ? "linear" : "indexed") << ", "
+              << (a == Arrival::kParkedFirst ? "parked" : "started")
+              << " first";
+          ASSERT_EQ(got.data_transfers, none.data_transfers);
+        }
 }
 
 TEST(NaShm, MixedTransportsBothQueuesPolled) {

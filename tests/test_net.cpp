@@ -6,6 +6,7 @@
 // keys from the start (mirroring collectively created windows).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -33,6 +34,27 @@ TEST(NetImmediate, EncodingRoundTrips) {
   EXPECT_EQ(net::imm_source(imm), 1234);
   EXPECT_EQ(net::imm_tag(imm), 567u);
   EXPECT_EQ(net::imm_tag(net::encode_imm(0, net::kMaxTag)), net::kMaxTag);
+}
+
+TEST(NetInline, CopyMatchesMemcpyAtEveryLengthAndAlignment) {
+  // copy_inline against memcpy for every inline length at every source and
+  // destination misalignment; guard bytes on both sides of the destination
+  // must survive the overlapping fixed-size moves.
+  constexpr std::size_t kGuard = 16;
+  constexpr std::size_t kSpan = 16 + net::kShmInlineCapacity;
+  alignas(16) std::array<std::byte, kSpan> src;
+  for (std::size_t i = 0; i < kSpan; ++i)
+    src[i] = static_cast<std::byte>(0x11 * (i % 15) + i / 15 + 1);
+  for (std::size_t n = 0; n <= net::kShmInlineCapacity; ++n)
+    for (std::size_t sa = 0; sa < 16; ++sa)
+      for (std::size_t da = 0; da < 16; ++da) {
+        alignas(16) std::array<std::byte, kGuard + kSpan + kGuard> got, want;
+        got.fill(std::byte{0xa5});
+        want.fill(std::byte{0xa5});
+        net::copy_inline(got.data() + kGuard + da, src.data() + sa, n);
+        std::memcpy(want.data() + kGuard + da, src.data() + sa, n);
+        ASSERT_EQ(got, want) << "n " << n << " src+" << sa << " dst+" << da;
+      }
 }
 
 TEST(NetTransport, SelectionByNodeAndSize) {
