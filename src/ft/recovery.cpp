@@ -59,8 +59,6 @@ RecoveryManager::RecoveryManager(Rank& self, const FtParams& params,
   req_ckpt_ = self_.na().notify_init(
       *store_win_, na::MatchSpec{store_rank_, kCkptTag}, store_regions_);
 
-  log_.resize(static_cast<std::size_t>(n));
-
   if (obs::Registry* m = self_.world().metrics()) {
     m_ckpts_ = m->counter("ft.ckpts", r);
     m_ckpt_bytes_ = m->counter("ft.ckpt_bytes", r);
@@ -88,7 +86,7 @@ void RecoveryManager::put_notify(std::size_t win_idx,
       << kLogCapacity
       << " entries since the last checkpoint) — lower the checkpoint "
          "interval";
-  DstLog& log = log_[static_cast<std::size_t>(target)];
+  DstLog& log = log_[target];
   const std::uint64_t header[] = {
       epoch_ + 1,  // the epoch boundary this notification precedes
       ++log.seq,
@@ -185,7 +183,7 @@ void RecoveryManager::checkpoint() {
   last_ckpt_epoch_ = epoch_;
   if (params_.eager_trim) {
     log_entries_ = 0;
-    for (DstLog& log : log_) {
+    for (DstLog& log : log_.values()) {
       // Epochs are monotone within a log: the checkpointed entries are a
       // prefix of the wire image.
       std::size_t cut = 0;
@@ -347,9 +345,9 @@ void RecoveryManager::run_recovery(int victim) {
     // signal), then ship the whole log for the victim as one blob.
     std::uint64_t restored = 0;
     self_.recv(&restored, sizeof restored, victim, kAnnounceTag);
+    const DstLog* log = log_.find(victim);
     const std::span<const std::byte> blob = serialize_log(victim);
-    const std::uint64_t hdr[2] = {
-        log_[static_cast<std::size_t>(victim)].entries, blob.size()};
+    const std::uint64_t hdr[2] = {log ? log->entries : 0, blob.size()};
     self_.send(hdr, sizeof hdr, victim, kLogCountTag);
     if (!blob.empty())
       self_.send(blob.data(), blob.size(), victim, kLogDataTag);

@@ -16,9 +16,9 @@
 //    RecoveryManager::put_notify are recorded sender-side (epoch, a
 //    per-destination strictly-increasing seq, window index, tag, byte
 //    offset, payload) before being forwarded to the NA engine, appended to
-//    one byte buffer per destination in the replay wire format. The log is
-//    bounded and trimmed at checkpoints: entries from checkpointed epochs
-//    can never be replayed.
+//    one byte buffer per destination written to, in the replay wire format.
+//    The log is bounded and trimmed at checkpoints: entries from
+//    checkpointed epochs can never be replayed.
 //
 //  * Fail/rejoin. At each epoch boundary (end_epoch) all ranks evaluate the
 //    seeded fail plan (FaultInjector::fail_draw — a pure hash, so survivors
@@ -98,9 +98,11 @@ class RecoveryManager {
   /// Wire image of the log held for destination `dst`, exactly what a
   /// survivor ships to `dst` when it rejoins. Per entry, five native-endian
   /// u64s — epoch, seq, tag << 32 | win_idx, disp_bytes, payload length —
-  /// then the payload bytes. Valid until the next put_notify or end_epoch.
+  /// then the payload bytes; empty for a destination never written to.
+  /// Valid until the next put_notify or end_epoch.
   std::span<const std::byte> serialize_log(int dst) const {
-    return log_[static_cast<std::size_t>(dst)].wire;
+    if (const DstLog* log = log_.find(dst)) return log->wire;
+    return {};
   }
 
   std::uint64_t epoch() const { return epoch_; }
@@ -138,7 +140,7 @@ class RecoveryManager {
   std::uint64_t last_ckpt_epoch_ = 0;
   int fails_done_ = 0;
   std::size_t log_entries_ = 0;  // across all destinations
-  std::vector<DstLog> log_;      // per destination rank
+  net::SmallMap<DstLog> log_;    // per destination written to
 
   FtStats stats_;
   obs::Counter m_ckpts_, m_ckpt_bytes_, m_fails_, m_applied_, m_dupes_;

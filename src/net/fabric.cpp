@@ -16,8 +16,7 @@ Fabric::Fabric(sim::Engine& engine, FabricParams params,
       << params_.ranks_per_node
       << " (0 would divide-by-zero the node map)";
   const auto n = static_cast<std::size_t>(engine_.nranks());
-  if (engine_.nranks() <= kDenseChannelRankLimit)
-    channels_.resize(2 * n * n);  // else: sparse_channels_, filled on use
+  rows_.resize(n);
 
   node_of_.resize(n);
   for (std::size_t r = 0; r < n; ++r)

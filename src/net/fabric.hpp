@@ -1,7 +1,10 @@
 // The simulated interconnect.
 //
 // A Fabric owns one Nic per rank and the per-(source, destination) channel
-// state used to serialize injections. Intra-node pairs use the shared-memory
+// state used to serialize injections, kept per source rank in a row (a
+// SmallMap) of the destinations it has used: a rank talks to a few dozen
+// peers at most whatever the rank count, so state is O(peers) per rank and
+// a lookup scans one short row. Intra-node pairs use the shared-memory
 // lane; inter-node pairs use Aries FMA below FabricParams::aries
 // .fma_bte_threshold and BTE at or above it (the paper's Table I).
 //
@@ -25,7 +28,7 @@
 #include <array>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "net/faults.hpp"
@@ -43,6 +46,39 @@ class MsgTrace;
 namespace narma::net {
 
 class Nic;
+
+/// A map over the few keys one rank uses (peer ranks, message kinds):
+/// (key, V) entries in first-use order, found by a linear scan over the
+/// keys, which sit in their own array, after a check of the last key used.
+template <class V>
+class SmallMap {
+ public:
+  /// The entry of `key`, value-initialized on first use. References stay
+  /// valid until the next first use of a key in this map.
+  V& operator[](int key) {
+    if (last_ < keys_.size() && keys_[last_] == key) return values_[last_];
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+      if (keys_[i] == key) return values_[last_ = i];
+    last_ = keys_.size();
+    keys_.push_back(key);
+    return values_.emplace_back();
+  }
+
+  /// The entry of `key`, or nullptr if this map never used it.
+  const V* find(int key) const {
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+      if (keys_[i] == key) return &values_[i];
+    return nullptr;
+  }
+
+  /// Every entry, in first-use order.
+  std::span<V> values() { return values_; }
+
+ private:
+  std::vector<int> keys_;
+  std::vector<V> values_;
+  std::size_t last_ = 0;  // the last lookup's entry; callers tend to repeat it
+};
 
 class Fabric {
  public:
@@ -198,34 +234,15 @@ class Fabric {
     obs::Histogram queue_delay;  // net.chan_queue_ns (injection serialization)
   };
 
-  /// Below this rank count the per-pair channel state is a dense
-  /// [class][src][dst] array (32 MB at 1024 ranks); above it, channels are
-  /// materialized on first use in a hash map — real workloads at scale are
-  /// sparse (a 4096-rank stencil touches ~8 neighbors per rank, not 4095),
-  /// and a dense array would cost 512 MB mostly-untouched.
-  static constexpr int kDenseChannelRankLimit = 1024;
-
   Channel& chan(int src, int dst, ChannelClass cls) {
-    if (!channels_.empty()) {
-      const auto n = static_cast<std::size_t>(nranks());
-      return channels_[(static_cast<std::size_t>(cls) * n +
-                        static_cast<std::size_t>(src)) *
-                           n +
-                       static_cast<std::size_t>(dst)];
-    }
-    // Value-initialized on first touch, like the dense array; only lookups
-    // ever observe the map, so iteration order cannot leak into timing.
-    const std::uint64_t key = (static_cast<std::uint64_t>(cls) << 62) |
-                              (static_cast<std::uint64_t>(src) << 31) |
-                              static_cast<std::uint64_t>(dst);
-    return sparse_channels_[key];
+    return rows_[static_cast<std::size_t>(src)][dst]
+                [static_cast<std::size_t>(cls)];
   }
 
   sim::Engine& engine_;
   FabricParams params_;
-  std::vector<Channel> channels_;  // [class][src][dst]; empty at scale
-  std::unordered_map<std::uint64_t, Channel> sparse_channels_;
-  std::vector<int> node_of_;       // rank -> node, validated at construction
+  std::vector<SmallMap<std::array<Channel, 2>>> rows_;  // [src][dst][class]
+  std::vector<int> node_of_;  // rank -> node, validated at construction
   std::vector<std::unique_ptr<Nic>> nics_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<FlowControl> flow_;  // after nics_: sized to their queues

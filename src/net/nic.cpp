@@ -377,6 +377,57 @@ void Nic::post_ack(int origin, Time deliver_time, Transport transport,
   });
 }
 
+template <class F>
+void Nic::put_leg(Time issue, int target, std::size_t bytes, NotifyAttr na,
+                  PendingOps* pending, F&& copy) {
+  const Transport tr = fabric_.transport_for(rank(), target, bytes);
+  Nic* tgt = &fabric_.nic(target);
+  if (pending) ++pending->issued;
+  ++fabric_.counters().data_transfers;
+  g_src_pending_.add(1, issue);
+  const Time deliver = fabric_.schedule_transfer(
+      rank(), target, issue, bytes, tr, Fabric::ChannelClass::kData,
+      [tgt, copy = std::forward<F>(copy), na, bytes](Time t) {
+        copy(*tgt);
+        if (na.notify) {
+          tgt->push_cqe(Cqe{CqeKind::kPutNotify, na.imm,
+                            static_cast<std::uint32_t>(bytes), na.window, t,
+                            na.msg});
+        } else if (na.msg) {
+          // Plain put: the lifecycle's delivery hop is the data commit.
+          if (auto* mt = tgt->fabric_.msgtrace())
+            mt->hop(na.msg, tgt->rank(), obs::HopKind::kDeliver, t);
+        }
+        if (na.remote_delivered) {
+          ++na.remote_delivered->completed;
+          tgt->progress_.notify(tgt->fabric_.engine(), t);
+        }
+      },
+      na.msg);
+  post_ack(rank(), deliver, tr, pending);
+}
+
+template <class F>
+void Nic::respond(int target, Time t, std::size_t bytes, Transport tr,
+                  const NotifyAttr& na, PendingOps* pending, F&& land) {
+  ++fabric_.counters().responses;
+  // A notified get or atomic's consumer path ends at the target CQ; a
+  // plain one's lifecycle follows the response leg back to the origin.
+  const std::uint64_t resp_msg = na.notify ? 0 : na.msg;
+  fabric_.schedule_transfer(
+      target, rank(), t, bytes, tr, Fabric::ChannelClass::kResp,
+      [this, land = std::forward<F>(land), pending, resp_msg](Time t_resp) {
+        land();
+        if (resp_msg)
+          if (auto* mt = fabric_.msgtrace())
+            mt->hop(resp_msg, rank(), obs::HopKind::kDeliver, t_resp);
+        if (pending) ++pending->completed;
+        g_src_pending_.add(-1, t_resp);
+        progress_.notify(fabric_.engine(), t_resp);
+      },
+      resp_msg);
+}
+
 // --- RDMA -------------------------------------------------------------------
 
 void Nic::put(int target, MemKey key, std::uint64_t offset, const void* src,
@@ -388,40 +439,13 @@ void Nic::put(int target, MemKey key, std::uint64_t offset, const void* src,
 void Nic::put_at(Time issue, int target, MemKey key, std::uint64_t offset,
                  const void* src, std::size_t bytes, NotifyAttr na,
                  PendingOps* pending) {
-  const Transport tr = fabric_.transport_for(rank(), target, bytes);
-  Nic* tgt = &fabric_.nic(target);
-  if (pending) ++pending->issued;
-  ++fabric_.counters().data_transfers;
-  g_src_pending_.add(1, issue);
-
-  const int src_rank = rank();
-  const Time deliver = fabric_.schedule_transfer(
-      src_rank, target, issue, bytes, tr, Fabric::ChannelClass::kData,
-      [tgt, target, key, offset, src, bytes, na](Time t) {
-        if (bytes > 0) {
-          std::byte* dst = tgt->resolve(key, offset, bytes);
-          std::memcpy(dst, src, bytes);
-        } else {
-          // Zero-byte puts still validate the target address (paper: the
-          // calls support zero-byte payloads, notification only).
-          (void)tgt->resolve(key, offset, 0);
-        }
-        if (na.notify) {
-          tgt->push_cqe(Cqe{CqeKind::kPutNotify, na.imm,
-                            static_cast<std::uint32_t>(bytes), na.window, t,
-                            na.msg});
-        } else if (na.msg) {
-          // Plain put: the lifecycle's delivery hop is the data commit.
-          if (auto* mt = tgt->fabric_.msgtrace())
-            mt->hop(na.msg, target, obs::HopKind::kDeliver, t);
-        }
-        if (na.remote_delivered) {
-          ++na.remote_delivered->completed;
-          tgt->progress_.notify(tgt->fabric_.engine(), t);
-        }
-      },
-      na.msg);
-  post_ack(src_rank, deliver, tr, pending);
+  put_leg(issue, target, bytes, na, pending,
+          [key, offset, src, bytes](Nic& tgt) {
+            // Zero-byte puts still validate the target address (paper: the
+            // calls support zero-byte payloads, notification only).
+            std::byte* dst = tgt.resolve(key, offset, bytes);
+            if (bytes > 0) std::memcpy(dst, src, bytes);
+          });
 }
 
 void Nic::put_iov(int target, MemKey key,
@@ -430,39 +454,16 @@ void Nic::put_iov(int target, MemKey key,
   std::size_t total = 0;
   for (const auto& s : segments) total += s.bytes;
   if (na.notify) acquire_credit(target, FlowControl::Queue::kDestCq, na.msg);
-  const Transport tr = fabric_.transport_for(rank(), target, total);
-  Nic* tgt = &fabric_.nic(target);
-  if (pending) ++pending->issued;
-  ++fabric_.counters().data_transfers;
-  g_src_pending_.add(1, ctx_.now());
-
-  const int src_rank = rank();
   // Segment list captured by value: the descriptors are consumed at issue,
   // the referenced payloads at delivery (standard RDMA source semantics).
-  std::vector<IoSegment> segs(segments.begin(), segments.end());
-  const Time deliver = fabric_.schedule_transfer(
-      src_rank, target, ctx_.now(), total, tr, Fabric::ChannelClass::kData,
-      [tgt, target, key, segs = std::move(segs), na, total](Time t) {
-        for (const auto& s : segs) {
-          if (s.bytes == 0) continue;
-          std::byte* dst = tgt->resolve(key, s.offset, s.bytes);
-          std::memcpy(dst, s.src, s.bytes);
-        }
-        if (na.notify) {
-          tgt->push_cqe(Cqe{CqeKind::kPutNotify, na.imm,
-                            static_cast<std::uint32_t>(total), na.window, t,
-                            na.msg});
-        } else if (na.msg) {
-          if (auto* mt = tgt->fabric_.msgtrace())
-            mt->hop(na.msg, target, obs::HopKind::kDeliver, t);
-        }
-        if (na.remote_delivered) {
-          ++na.remote_delivered->completed;
-          tgt->progress_.notify(tgt->fabric_.engine(), t);
-        }
-      },
-      na.msg);
-  post_ack(src_rank, deliver, tr, pending);
+  put_leg(ctx_.now(), target, total, na, pending,
+          [key, segs = std::vector<IoSegment>(segments.begin(),
+                                              segments.end())](Nic& tgt) {
+            for (const auto& s : segs)
+              if (s.bytes > 0)
+                std::memcpy(tgt.resolve(key, s.offset, s.bytes), s.src,
+                            s.bytes);
+          });
 }
 
 void Nic::get(int target, MemKey key, std::uint64_t offset, void* dst,
@@ -470,12 +471,10 @@ void Nic::get(int target, MemKey key, std::uint64_t offset, void* dst,
   if (na.notify) acquire_credit(target, FlowControl::Queue::kDestCq, na.msg);
   const Transport tr = fabric_.transport_for(rank(), target, bytes);
   Nic* tgt = &fabric_.nic(target);
-  Nic* self = this;
   if (pending) ++pending->issued;
   ++fabric_.counters().data_transfers;
   g_src_pending_.add(1, ctx_.now());
 
-  const int origin = rank();
   // Request header travels to the target; the target NIC reads the region,
   // notifies (reliable network: notification as soon as the data has been
   // read, paper Sec. VIII), and streams the response back on the response
@@ -486,8 +485,8 @@ void Nic::get(int target, MemKey key, std::uint64_t offset, void* dst,
   // point of notified reads), so the in-flight response must not observe
   // later writes.
   fabric_.schedule_transfer(
-      origin, target, ctx_.now(), 0, tr, Fabric::ChannelClass::kData,
-      [self, tgt, origin, target, key, offset, dst, bytes, na, tr,
+      rank(), target, ctx_.now(), 0, tr, Fabric::ChannelClass::kData,
+      [this, tgt, target, key, offset, dst, bytes, na, tr,
        pending](Time t_req) {
         auto wire = std::make_shared<std::vector<std::byte>>();
         if (bytes > 0) {
@@ -498,23 +497,10 @@ void Nic::get(int target, MemKey key, std::uint64_t offset, void* dst,
           tgt->push_cqe(Cqe{CqeKind::kGetNotify, na.imm,
                             static_cast<std::uint32_t>(bytes), na.window,
                             t_req, na.msg});
-        ++self->fabric_.counters().responses;
-        // A notified get's consumer path ends at the target CQ; a plain
-        // get's lifecycle follows the response leg back to the origin.
-        const std::uint64_t resp_msg = na.notify ? 0 : na.msg;
-        self->fabric_.schedule_transfer(
-            target, origin, t_req, bytes, tr, Fabric::ChannelClass::kResp,
-            [self, origin, wire = std::move(wire), dst, bytes, pending,
-             resp_msg](Time t_resp) {
-              if (bytes > 0) std::memcpy(dst, wire->data(), bytes);
-              if (resp_msg)
-                if (auto* mt = self->fabric_.msgtrace())
-                  mt->hop(resp_msg, origin, obs::HopKind::kDeliver, t_resp);
-              if (pending) ++pending->completed;
-              self->g_src_pending_.add(-1, t_resp);
-              self->progress_.notify(self->fabric_.engine(), t_resp);
-            },
-            resp_msg);
+        respond(target, t_req, bytes, tr, na, pending,
+                [wire = std::move(wire), dst, bytes] {
+                  if (bytes > 0) std::memcpy(dst, wire->data(), bytes);
+                });
       },
       na.msg);
 }
@@ -526,18 +512,16 @@ void Nic::atomic(int target, MemKey key, std::uint64_t offset, AtomicOp op,
   const Transport tr =
       fabric_.transport_for(rank(), target, sizeof(std::int64_t));
   Nic* tgt = &fabric_.nic(target);
-  Nic* self = this;
   if (pending) ++pending->issued;
   ++fabric_.counters().data_transfers;
   g_src_pending_.add(1, ctx_.now());
 
-  const int origin = rank();
   const Time exec_cost = fabric_.params().atomic_exec;
   fabric_.schedule_transfer(
-      origin, target, ctx_.now(), sizeof(std::int64_t), tr,
+      rank(), target, ctx_.now(), sizeof(std::int64_t), tr,
       Fabric::ChannelClass::kData,
-      [self, tgt, origin, target, key, offset, op, operand, compare, result,
-       na, tr, pending, exec_cost](Time t_req) {
+      [this, tgt, target, key, offset, op, operand, compare, result, na, tr,
+       pending, exec_cost](Time t_req) {
         std::byte* loc = tgt->resolve(key, offset, sizeof(std::int64_t));
         std::int64_t old;
         std::memcpy(&old, loc, sizeof(old));
@@ -561,21 +545,10 @@ void Nic::atomic(int target, MemKey key, std::uint64_t offset, AtomicOp op,
           tgt->push_cqe(Cqe{CqeKind::kAtomicNotify, na.imm,
                             sizeof(std::int64_t), na.window, t_done,
                             na.msg});
-        ++self->fabric_.counters().responses;
-        const std::uint64_t resp_msg = na.notify ? 0 : na.msg;
-        self->fabric_.schedule_transfer(
-            target, origin, t_done, sizeof(std::int64_t), tr,
-            Fabric::ChannelClass::kResp,
-            [self, origin, result, old, pending, resp_msg](Time t_resp) {
-              if (result) *result = old;
-              if (resp_msg)
-                if (auto* mt = self->fabric_.msgtrace())
-                  mt->hop(resp_msg, origin, obs::HopKind::kDeliver, t_resp);
-              if (pending) ++pending->completed;
-              self->g_src_pending_.add(-1, t_resp);
-              self->progress_.notify(self->fabric_.engine(), t_resp);
-            },
-            resp_msg);
+        respond(target, t_done, sizeof(std::int64_t), tr, na, pending,
+                [result, old] {
+                  if (result) *result = old;
+                });
       },
       na.msg);
 }

@@ -214,6 +214,16 @@ class Nic {
   void post_ack(int origin, Time deliver_time, Transport transport,
                 PendingOps* pending);
 
+  /// A put's transfer and landing; `copy(target NIC)` commits the payload.
+  template <class F>
+  void put_leg(Time issue, int target, std::size_t bytes, NotifyAttr na,
+               PendingOps* pending, F&& copy);
+
+  /// A get's or atomic's response leg; `land()` commits the result here.
+  template <class F>
+  void respond(int target, Time t, std::size_t bytes, Transport tr,
+               const NotifyAttr& na, PendingOps* pending, F&& land);
+
   // --- Flow control & graceful delivery (OverflowPolicy::kBackpressure) ----
 
   /// Rank-context credit acquisition for one delivery-queue slot at

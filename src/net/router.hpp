@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <span>
-#include <unordered_map>
 
 #include "net/nic.hpp"
 #include "obs/msgtrace.hpp"
@@ -27,23 +26,23 @@ class MsgRouter {
   /// Registers the handler for one message kind. A kind may have exactly one
   /// handler; re-registration replaces it (used by short-lived windows).
   void register_kind(std::uint32_t kind, Handler h) {
-    handlers_[kind] = std::move(h);
+    handlers_[static_cast<int>(kind)] = std::move(h);
   }
 
-  void unregister_kind(std::uint32_t kind) { handlers_.erase(kind); }
+  void unregister_kind(std::uint32_t kind) { register_kind(kind, nullptr); }
 
   /// Registers an *asynchronous* handler: invoked at delivery time in event
   /// context (an asynchronous software progression agent), instead of
   /// waiting for the owning rank to enter a progress call. The handler must
   /// only use event-context-safe operations (e.g. Nic::put_at).
   void register_async_kind(std::uint32_t kind, Handler h) {
-    async_handlers_[kind] = std::move(h);
+    async_handlers_[static_cast<int>(kind)] = std::move(h);
     if (!hook_installed_) {
       hook_installed_ = true;
       nic_.set_delivery_hook([this](NetMsg&& m) {
-        auto it = async_handlers_.find(m.kind);
-        if (it == async_handlers_.end()) return false;
-        it->second(std::move(m));
+        const Handler* h = async_handlers_.find(static_cast<int>(m.kind));
+        if (!h) return false;
+        (*h)(std::move(m));
         return true;
       });
     }
@@ -65,11 +64,11 @@ class MsgRouter {
         if (auto* mt = nic_.fabric().msgtrace())
           mt->hop(msg.msg, nic_.rank(), obs::HopKind::kPop,
                   nic_.ctx().now());
-      auto it = handlers_.find(msg.kind);
-      NARMA_CHECK(it != handlers_.end())
-          << "no handler for message kind 0x" << std::hex << msg.kind
-          << " at rank " << std::dec << nic_.rank();
-      it->second(std::move(msg));
+      const Handler* h = handlers_.find(static_cast<int>(msg.kind));
+      NARMA_CHECK(h && *h) << "no handler for message kind 0x" << std::hex
+                           << msg.kind << " at rank " << std::dec
+                           << nic_.rank();
+      (*h)(std::move(msg));
     }
     if (drained) nic_.sample_queue_gauges();
   }
@@ -102,8 +101,8 @@ class MsgRouter {
 
  private:
   Nic& nic_;
-  std::unordered_map<std::uint32_t, Handler> handlers_;
-  std::unordered_map<std::uint32_t, Handler> async_handlers_;
+  SmallMap<Handler> handlers_;  // by message kind
+  SmallMap<Handler> async_handlers_;
   bool hook_installed_ = false;
 };
 

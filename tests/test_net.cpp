@@ -1,10 +1,11 @@
 // Unit tests of the simulated fabric and NIC: data movement, LogGP timing,
-// channel FIFO ordering, transport selection, immediates, atomics, and
-// traffic counters.
+// channel FIFO ordering and footprint, transport selection, immediates,
+// atomics, and traffic counters.
 //
 // Memory regions are registered before Engine::run so every rank sees the
 // keys from the start (mirroring collectively created windows).
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <array>
 #include <bit>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/world.hpp"
 #include "net/nic.hpp"
 #include "net/router.hpp"
 
@@ -209,6 +211,29 @@ TEST(NetChannel, FifoPerChannel) {
       }
     }
   });
+}
+
+// Channel state is per source and per peer used, created on first use: a
+// freshly built world commits none, so its heap follows the rank count
+// alone. A per-pair table (2 classes x n^2 channels, 32 MiB at 1024 ranks)
+// would make a 1024-rank world outweigh a 1025-rank one by that much; the
+// bound leaves 1 MiB for allocation-granularity differences.
+TEST(NetChannel, NoPerPairStateAtConstruction) {
+  const auto heap_growth = [](int nranks) {
+    const auto before = ::mallinfo2();
+    World world(nranks);
+    const auto after = ::mallinfo2();
+    return (after.uordblks + after.hblkhd) - (before.uordblks + before.hblkhd);
+  };
+  const std::size_t g1024 = heap_growth(1024);
+  const std::size_t g1025 = heap_growth(1025);
+  if (g1025 < (std::size_t{1} << 20))
+    GTEST_SKIP() << "the allocator does not report through mallinfo2 (a "
+                    "sanitizer build?): a 1025-rank world read "
+                 << g1025 << " B";
+  EXPECT_LT(g1024, g1025 + (std::size_t{1} << 20))
+      << "a 1024-rank world holds " << g1024 << " B of heap, a 1025-rank one "
+      << g1025 << " B";
 }
 
 TEST(NetGet, ReadsRemoteMemory) {

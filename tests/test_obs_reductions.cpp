@@ -119,9 +119,11 @@ Folds reductions_hash(std::uint64_t n) {
 // The folds include every family name. The model fold did not move when
 // the intra-node notified put became one engine event instead of two; the
 // engine fold was re-recorded then (short 0x310581401139c860, full
-// 0x0078bba5d7ab8eb7 before).
-constexpr Folds kReductionsShort{0x871e19fb36fa552dull, 0x3d2707a23b31239aull};
-constexpr Folds kReductionsFull{0xd850fabe70f47952ull, 0x1f1b82dad64b362cull};
+// 0x0078bba5d7ab8eb7 before). It was re-recorded again when an atomic's
+// request closure shrank from past a pool block (sim.event_pool_oversize)
+// into one (short 0x871e19fb36fa552d, full 0xd850fabe70f47952 before).
+constexpr Folds kReductionsShort{0xdfe324a8f2e9fd8cull, 0x3d2707a23b31239aull};
+constexpr Folds kReductionsFull{0xdd3d2f33eb85f2d3ull, 0x1f1b82dad64b362cull};
 
 TEST(ObsReductions, PinnedReductionsShort) {
   const Folds f = reductions_hash(golden::kGoldenScheduleCountShort);

@@ -2,8 +2,10 @@
 // guard-page stack protection, the stale ready-heap skip path, the
 // one-cache-line RankCtx layout, and the per-rank fompi binding. Virtual-time
 // bit-identity of the fiber engine is pinned by the golden schedule hashes
-// in tests/test_transport_backends.cpp. The 4096-rank smoke lives in the
-// FiberEngineSlow suite, registered separately under the ctest `slow` label.
+// in tests/test_transport_backends.cpp, which run 2-5 ranks; the 1024- and
+// 4096-rank runs below pin their virtual finish times too. The 4096-rank
+// smoke lives in the FiberEngineSlow suite, registered separately under the
+// ctest `slow` label.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -147,14 +149,18 @@ TEST(FiberEngine, FompiBindingPerRankUnderFibers) {
 }
 
 // ---------------------------------------------------------------------------
-// Scale smoke (ctest label `slow`): 4096 simulated ranks on one engine
-// thread; both paper workloads must complete and verify.
+// Scale runs: both paper workloads at 1024 and 4096 simulated ranks on one
+// engine thread must complete, verify, and finish at a pinned virtual time
+// (ps). The golden hashes run 2-5 ranks; these pins hold the fabric's
+// channel state to the same timing at scale.
 
-TEST(FiberEngineSlow, FourKRankStencilCompletes) {
-  World world(4096);
+namespace {
+
+apps::StencilResult notified_stencil(int nranks) {
+  World world(nranks);
   apps::StencilConfig cfg;
   cfg.rows = 16;
-  cfg.total_cols = 2 * 4096;  // two columns per rank
+  cfg.total_cols = 2 * nranks;  // two columns per rank
   cfg.iters = 1;
   cfg.variant = apps::StencilVariant::kNotified;
   apps::StencilResult res;
@@ -162,8 +168,23 @@ TEST(FiberEngineSlow, FourKRankStencilCompletes) {
     apps::StencilResult r = run_stencil(self, cfg);
     if (self.id() == 0) res = r;
   });
+  return res;
+}
+
+}  // namespace
+
+TEST(FiberEngine, OneKRankStencilElapsedIsPinned) {
+  const apps::StencilResult res = notified_stencil(1024);
   EXPECT_TRUE(res.verified);
-  EXPECT_GT(res.elapsed, 0u);
+  EXPECT_EQ(res.elapsed, 1541509844u);
+}
+
+// The FiberEngineSlow suite runs under the ctest `slow` label.
+
+TEST(FiberEngineSlow, FourKRankStencilCompletes) {
+  const apps::StencilResult res = notified_stencil(4096);
+  EXPECT_TRUE(res.verified);
+  EXPECT_EQ(res.elapsed, 5833177305u);
 }
 
 TEST(FiberEngineSlow, FourKRankTreeReductionCompletes) {
@@ -179,5 +200,5 @@ TEST(FiberEngineSlow, FourKRankTreeReductionCompletes) {
     if (self.id() == 0) res = r;
   });
   EXPECT_TRUE(res.verified);
-  EXPECT_GT(res.elapsed, 0u);
+  EXPECT_EQ(res.elapsed, 13358405u);
 }
